@@ -16,7 +16,7 @@ Layers, bottom up:
                     matrix jet;
 * `instability`  -- closed-form isola: critical curves, eigenvalues,
                     growth rate, ellipse, stability criterion;
-* `floquet`      -- the independent dense-truncation eigenvalue oracle;
+* `floquet`      -- the independent truncated-Fourier eigenvalue oracle;
 * `cli`          -- the ``stokes-isola`` command.
 """
 

@@ -33,6 +33,7 @@ from dataclasses import dataclass, fields
 from typing import Optional, Sequence, TextIO
 
 import numpy as np
+import scipy.linalg
 
 from . import floquet, instability, jets
 from .basis import Mode
@@ -533,16 +534,15 @@ def cmd_spectrum(cfg: SweepConfig) -> int:
         )
     eps = cfg.eps[-1]
     op = floquet.build(cfg.mu, eps, N=cfg.trunc[-1], stokes_order=cfg.stokes_order)
+    # the full spectrum is the output here, so this one solve stays dense
+    eigs = scipy.linalg.eigvals(op.matrix)
     try:
-        sample = floquet.spectrum(op)
-        tracked = set()
-        if sample.tracked_pair is not None:
-            tracked = {complex(z) for z in sample.tracked_pair}
-        eigs = sample.eigenvalues
+        tracked = set(
+            floquet._pick_pair(eigs, floquet.DEFAULT_CENTER, floquet.DEFAULT_TRACKING_RADIUS)
+        )
     except floquet.TrackingFailure as exc:
         print(f"warning: {exc}", file=sys.stderr)
         tracked = set()
-        eigs = np.linalg.eigvals(op.matrix)
     order = np.lexsort((eigs.real, eigs.imag))
     rows = [
         [float(z.real), float(z.imag), 1 if complex(z) in tracked else 0]

@@ -2,9 +2,10 @@
 
 Independent cross-check of the closed-form isola: discretize the linearized
 operator at Bloch exponent mu on the exponential basis e^{ijx}, j = -N..N,
-truncate, and take eigenvalues of the resulting dense matrix.  Nothing from
-the reduced-jet machinery enters here except the amplitude expansion of the
-Stokes profiles themselves.
+truncate, and find the few eigenvalues of the resulting matrix nearest the
+collision frequency by a shift-invert solve.  Nothing from the reduced-jet
+machinery enters here except the amplitude expansion of the Stokes profiles
+themselves.
 
 In the two-component frame the operator reads
 
@@ -24,12 +25,13 @@ imaginary number.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse.linalg
 from scipy.optimize import brentq, minimize_scalar
 
 from .stokes import MAX_ORDER, a_coeff, p_coeff
@@ -51,11 +53,20 @@ __all__ = [
 ]
 
 DEFAULT_N = 32
+DEFAULT_CENTER = 0.75j
 DEFAULT_TRACKING_RADIUS = 0.2
+
+#: Eigenvalues returned by the shift-invert solve.  The tracking disk never
+#: holds more than two, so with a third the disk count of `_pick_pair` is the
+#: same as over the full spectrum.
+_NEAREST = 4
+#: Offset of the retried shift when the first one is an exact eigenvalue.
+_SHIFT_NUDGE = 1e-9
 
 
 class TrackingFailure(RuntimeError):
-    """Fewer than two eigenvalues found in the tracking disk."""
+    """Fewer than two eigenvalues found in the tracking disk, or the
+    shift-invert solve for them failed."""
 
 
 @dataclass(frozen=True)
@@ -69,10 +80,12 @@ class DiscretizedOperator:
     matrix: np.ndarray
 
 
-def _exp_coeffs(which: str, eps: float, order: int) -> dict[int, float]:
-    """Exponential Fourier coefficients of a profile through ``eps**order``:
-    coefficient of e^{i*kappa*x} is half the cosine-series coefficient,
-    uniformly in kappa (the constant term is stored halved in the tables)."""
+@functools.lru_cache(maxsize=64)
+def _exp_coeffs(which: str, eps: float, order: int) -> tuple[tuple[int, float], ...]:
+    """Exponential Fourier coefficients of a profile through ``eps**order``,
+    as (kappa, coefficient) pairs sorted by kappa: the coefficient of
+    e^{i*kappa*x} is half the cosine-series coefficient, uniformly in kappa
+    (the constant term is stored halved in the tables)."""
     table = p_coeff if which == "p" else a_coeff
     out: dict[int, float] = {}
     for n in range(1, order + 1):
@@ -81,7 +94,7 @@ def _exp_coeffs(which: str, eps: float, order: int) -> dict[int, float]:
             c = table(n, kappa)
             if c != 0:
                 out[kappa] = out.get(kappa, 0.0) + scale * float(c)
-    return out
+    return tuple(sorted(out.items()))
 
 
 def build(
@@ -109,9 +122,9 @@ def build(
 
     p_toeplitz = np.zeros((dim, dim))
     a_toeplitz = np.zeros((dim, dim))
-    for kappa, c in sorted(_exp_coeffs("p", eps, stokes_order).items()):
+    for kappa, c in _exp_coeffs("p", eps, stokes_order):
         p_toeplitz += c * np.eye(dim, k=-kappa)
-    for kappa, c in sorted(_exp_coeffs("a", eps, stokes_order).items()):
+    for kappa, c in _exp_coeffs("a", eps, stokes_order):
         a_toeplitz += c * np.eye(dim, k=-kappa)
 
     eye = np.eye(dim)
@@ -126,14 +139,12 @@ def build(
 
 @dataclass(frozen=True)
 class SpectrumSample:
-    """Eigenvalues of one truncation, with the collision pair singled out.
-
-    ``re_max`` is the largest real part over the tracked pair when tracking
-    succeeded, else over the whole spectrum.
-    """
+    """The eigenvalues of one truncation nearest the tracking center, with
+    the collision pair singled out; ``re_max`` is the larger real part of
+    the pair."""
 
     eigenvalues: np.ndarray
-    tracked_pair: Optional[tuple[complex, complex]]
+    tracked_pair: tuple[complex, complex]
     re_max: float
 
 
@@ -161,18 +172,38 @@ def _pick_pair(
     return lp, lm
 
 
+def _nearest_eigenvalues(matrix: np.ndarray, center: complex) -> np.ndarray:
+    """The `_NEAREST` eigenvalues of ``matrix`` closest to ``center``, by
+    shift-invert Arnoldi from a fixed start vector (so repeated calls agree
+    bit for bit).  A shift that is itself an eigenvalue makes the sparse LU
+    exactly singular; it is retried once, moved off by `_SHIFT_NUDGE`."""
+    a = scipy.sparse.csc_matrix(matrix)
+    v0 = np.ones(a.shape[0], dtype=complex)
+    for shift in (center, center + _SHIFT_NUDGE):
+        try:
+            return scipy.sparse.linalg.eigs(
+                a, k=_NEAREST, sigma=shift, v0=v0, tol=0, return_eigenvectors=False
+            )
+        except scipy.sparse.linalg.ArpackError as exc:
+            raise TrackingFailure(f"shift-invert solve near {center} failed: {exc}") from exc
+        except RuntimeError as exc:  # splu: "Factor is exactly singular"
+            singular = exc
+    raise TrackingFailure(f"shift-invert solve near {center} failed: {singular}") from singular
+
+
 def spectrum(
     op: DiscretizedOperator,
-    center: complex = 0.75j,
+    center: complex = DEFAULT_CENTER,
     radius: float = DEFAULT_TRACKING_RADIUS,
 ) -> SpectrumSample:
-    """Full spectrum of ``op`` plus the pair tracked near ``center``.
+    """The few eigenvalues of ``op`` nearest ``center`` (shift-invert solve)
+    plus the pair tracked among them.
 
     Raises `TrackingFailure` when fewer than two eigenvalues lie in the
-    tracking disk; with more than two, the two with largest |Re| (then
-    closest to center) are taken.
+    tracking disk or the solve fails; with more than two, the two with
+    largest |Re| (then closest to center) are taken.
     """
-    eigs = scipy.linalg.eigvals(op.matrix)
+    eigs = _nearest_eigenvalues(op.matrix, center)
     pair = _pick_pair(eigs, center, radius)
     re_max = max(pair[0].real, pair[1].real)
     return SpectrumSample(eigenvalues=eigs, tracked_pair=pair, re_max=re_max)
@@ -270,6 +301,44 @@ def _pair_gap_squared(mu: float, eps: float, N: int, stokes_order: int) -> tuple
     return gap2.real, 0.5 * (lp + lm).imag
 
 
+#: Samples within this many peak heights below zero feed the edge parabola;
+#: farther ones see the higher-order terms of the pair gap.
+_FIT_DEPTH = 100.0
+#: Half-size of an edge bracket, as a fraction of the estimated width.
+_BRACKET_FRAC = 0.02
+
+
+def _edge_estimates(
+    samples: dict[float, tuple[float, float]], mu_at_max: float, gap2_max: float
+) -> Optional[tuple[float, float]]:
+    """Both isola edges from the parabola through the peak and two more of
+    the samples solved so far; None when it does not open downward.
+
+    The squared gap is, to leading order, the discriminant of the reduced
+    2x2 block: a quadratic in mu.  The two samples are the ones farthest
+    from the peak among those at most `_FIT_DEPTH` peak heights below zero
+    (farther ones see the higher-order terms), else the nearest beyond that
+    depth.  The vertex is not assumed at the peak, which the bounded search
+    pins only to about 4e-9 in mu."""
+
+    def rank(mu: float) -> tuple[bool, float]:
+        distance = abs(mu - mu_at_max)
+        deep = samples[mu][0] < -_FIT_DEPTH * gap2_max
+        return deep, distance if deep else -distance
+
+    others = sorted((mu for mu in samples if mu != mu_at_max), key=rank)
+    if len(others) < 2:
+        return None
+    # gap^2 - gap2_max = t * (b + c * t), t = mu - mu_at_max, through both
+    (t1, g1), (t2, g2) = ((mu - mu_at_max, samples[mu][0] - gap2_max) for mu in others[:2])
+    c = (g2 / t2 - g1 / t1) / (t2 - t1)
+    b = g1 / t1 - c * t1
+    if c >= 0:
+        return None
+    root = math.sqrt(b * b - 4.0 * c * gap2_max)
+    return mu_at_max + (-b + root) / (2 * c), mu_at_max + (-b - root) / (2 * c)
+
+
 def measure_isola(
     eps: float,
     N: int = DEFAULT_N,
@@ -282,8 +351,11 @@ def measure_isola(
     generous by orders of magnitude against the O(eps^4) isola width but well
     clear of neighboring collisions.  Inside it, the squared pair gap is
     maximized (bounded scalar minimization), giving the peak growth rate
-    re_max = sqrt(max gap^2)/2; the two sign changes bracket the isola's
-    mu-extent and are pinned by bisection.
+    re_max = sqrt(max gap^2)/2.  The two sign changes are the isola's
+    mu-extent, pinned by Brent's method on small brackets around the edges
+    of a parabola through the peak search's samples (each bracket checked
+    for a sign change, else the half window on that side).  Every mu is
+    solved once per call.
 
     Raises `TrackingFailure` if the pair cannot be followed, ValueError if
     the isola is not resolved in the window (max gap^2 <= 0).
@@ -292,36 +364,48 @@ def measure_isola(
     mu0 = float(critical_curves(jet).mu0(eps))
     half = window_scale * eps**3
     lo, hi = mu0 - half, mu0 + half
+    solved: dict[float, tuple[float, float]] = {}
 
-    def negative_gap2(mu: float) -> float:
-        return -_pair_gap_squared(mu, eps, N, stokes_order)[0]
+    def solve(mu: float) -> tuple[float, float]:
+        if mu not in solved:
+            solved[mu] = _pair_gap_squared(mu, eps, N, stokes_order)
+        return solved[mu]
+
+    def gap2(mu: float) -> float:
+        return solve(mu)[0]
 
     res = minimize_scalar(
-        negative_gap2, bounds=(lo, hi), method="bounded", options={"xatol": 1e-13}
+        lambda mu: -gap2(mu), bounds=(lo, hi), method="bounded", options={"xatol": 1e-13}
     )
     mu_at_max = float(res.x)
-    gap2_max, im_center = _pair_gap_squared(mu_at_max, eps, N, stokes_order)
+    gap2_max, im_center = solve(mu_at_max)
     if gap2_max <= 0:
         raise ValueError(
             f"no isola resolved for eps={eps}, N={N}: max pair gap^2 = {gap2_max:.3e}"
         )
     re_max = 0.5 * math.sqrt(gap2_max)
 
-    def gap2(mu: float) -> float:
-        return _pair_gap_squared(mu, eps, N, stokes_order)[0]
-
     if gap2(lo) >= 0 or gap2(hi) >= 0:
         raise ValueError(
             f"window [{lo}, {hi}] does not bracket the isola for eps={eps}"
         )
-    mu_left = float(brentq(gap2, lo, mu_at_max, xtol=1e-16, rtol=8.9e-16))
-    mu_right = float(brentq(gap2, mu_at_max, hi, xtol=1e-16, rtol=8.9e-16))
+    estimates = _edge_estimates(solved, mu_at_max, gap2_max)
+
+    def edge(side: int, a: float, b: float) -> float:
+        if estimates is not None:
+            d = _BRACKET_FRAC * (estimates[1] - estimates[0])
+            near_a = max(a, estimates[side] - d)
+            near_b = min(b, estimates[side] + d)
+            if near_a < near_b and gap2(near_a) * gap2(near_b) < 0:
+                a, b = near_a, near_b
+        return float(brentq(gap2, a, b, xtol=1e-16, rtol=8.9e-16))
+
     return IsolaMeasurement(
         eps=eps,
         N=N,
         mu_at_max=mu_at_max,
         re_max=re_max,
         im_center=im_center,
-        mu_left=mu_left,
-        mu_right=mu_right,
+        mu_left=edge(0, lo, mu_at_max),
+        mu_right=edge(1, mu_at_max, hi),
     )

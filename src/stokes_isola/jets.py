@@ -32,6 +32,7 @@ loop coefficients ``beta3.loop_up`` / ``beta3.loop_down``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -436,9 +437,11 @@ class ReducedJet:
         return self.beta3 - self.beta2 * self.T2 / self.T1
 
 
+@functools.cache
 def assemble_reduced_jet() -> ReducedJet:
     """The deep-water Stokes instance, with the exact first-order diagonal
-    slopes -2/3 and 2 (derivatives of the flat frequencies at the collision)."""
+    slopes -2/3 and 2 (derivatives of the flat frequencies at the collision).
+    Built once and cached: it takes no arguments and the jet is frozen."""
     return ReducedJet(
         alpha1=-2.0 / 3.0,
         gamma1=2.0,

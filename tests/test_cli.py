@@ -164,6 +164,18 @@ class TestConvergence:
         assert rows[0][5] == ""
         assert float(rows[1][5]) < 1e-8
 
+    def test_shift_on_the_collision(self, capsys):
+        # eps = 0, mu = 1/4: the flat double eigenvalue sits exactly on 0.75i
+        code, out, err = run(
+            capsys, "convergence", "--mu", "0.25", "--eps", "0",
+            "--trunc", "8", "--trunc", "12",
+        )
+        assert code == 0, err
+        _, rows = parse_csv(out)
+        for row in rows:
+            assert abs(complex(float(row[1]), float(row[2]) - 0.75)) <= 1e-12
+            assert abs(complex(float(row[3]), float(row[4]) - 0.75)) <= 1e-12
+
     def test_numerical_failure_exit_code(self, capsys):
         code, out, err = run(
             capsys, "convergence", "--mu", "0.55", "--eps", "0.0",

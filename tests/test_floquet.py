@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 import goldens
+from stokes_isola import floquet
 from stokes_isola.floquet import (
     TrackingFailure,
+    _pick_pair,
     build,
     convergence_check,
     measure_isola,
@@ -144,3 +147,105 @@ class TestIsolaMeasurement:
             meas = measure_isola(eps, N=32)
             rel.append(abs(meas.re_max - goldens.BETA3_EFF * eps**4) / (goldens.BETA3_EFF * eps**4))
         assert rel[1] < rel[0]
+
+
+class TestShiftInvertSolver:
+    """The tracked pair from the shift-invert solve against the pair picked
+    from the full dense spectrum."""
+
+    @staticmethod
+    def _dense_pair(op):
+        return _pick_pair(scipy.linalg.eigvals(op.matrix), 0.75j, 0.2)
+
+    @pytest.fixture(scope="class")
+    def isola_mu(self):
+        """(center, width) of the measured isola per amplitude; eps = 0 has
+        only the collision point itself."""
+        out = {0.0: (0.25, 0.0)}
+        for eps in (0.05, 0.1, 0.19):
+            meas = measure_isola(eps, N=32)
+            out[eps] = (meas.mu_at_max, meas.mu_width)
+        return out
+
+    @pytest.mark.parametrize("N", [16, 32, 64])
+    @pytest.mark.parametrize("eps", [0.0, 0.05, 0.1, 0.19])
+    @pytest.mark.parametrize("where", ["inside", "outside"])
+    def test_agrees_with_dense_spectrum(self, isola_mu, N, eps, where):
+        center, width = isola_mu[eps]
+        mu = center if where == "inside" else center + 3 * width + 1e-3
+        op = build(mu, eps, N=N)
+        lp, lm = spectrum(op).tracked_pair
+        dp, dm = self._dense_pair(op)
+        assert abs(lp - dp) <= 1e-12
+        assert abs(lm - dm) <= 1e-12
+        if where == "inside" and eps > 0:
+            assert lp.real > 1e-3 * goldens.BETA3_EFF * eps**4   # split pair
+        if where == "outside":
+            assert abs(lp.real) <= 1e-12                          # imaginary pair
+
+    def test_failure_matches_dense(self):
+        op = build(0.55, 0.0, N=16)
+        with pytest.raises(TrackingFailure) as dense:
+            self._dense_pair(op)
+        with pytest.raises(TrackingFailure) as shifted:
+            spectrum(op)
+        assert str(shifted.value) == str(dense.value)
+
+    def test_shift_on_an_eigenvalue(self):
+        # eps = 0, mu = 1/4 puts the flat double eigenvalue exactly on 0.75i
+        lp, lm = spectrum(build(0.25, 0.0, N=16)).tracked_pair
+        assert abs(lp - 0.75j) <= 1e-12
+        assert abs(lm - 0.75j) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], []),
+            RuntimeError("Factor is exactly singular"),   # on both shifts tried
+        ],
+    )
+    def test_solver_error_is_tracking_failure(self, monkeypatch, error):
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", failing)
+        with pytest.raises(TrackingFailure, match="shift-invert"):
+            spectrum(build(0.25, 0.05, N=16))
+
+    def test_deterministic(self):
+        op = build(0.2475, 0.06, N=32)
+        first = spectrum(op).tracked_pair
+        assert all(spectrum(op).tracked_pair == first for _ in range(3))
+
+
+class TestIsolaSearchCost:
+    @pytest.mark.parametrize("eps", [0.02, 0.06, 0.12, 0.19])
+    def test_solves_per_measurement(self, monkeypatch, eps):
+        calls = []
+        solve = floquet.spectrum
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(floquet, "spectrum", counted)
+        measure_isola(eps, N=32)
+        assert len(calls) <= 30
+
+    #: (re_max, mu_width, im_center, mu_at_max) from the dense full-spectrum
+    #: search (scipy.linalg.eigvals per sample, Brent on the whole half
+    #: windows), scipy 1.17.1 with OpenBLAS.
+    DENSE_SEARCH = {
+        0.04: (3.1582824675972384e-07, 9.448044329396499e-07, 0.7472421495089018, 0.2485719359205368),
+        0.06: (1.5729993669212587e-06, 4.688798490276591e-06, 0.7437722157144173, 0.24677805691057428),
+        0.08: (4.875911145222535e-06, 1.4460034617302941e-05, 0.738870112055532, 0.24424953163998028),
+    }
+
+    @pytest.mark.parametrize("eps", [0.04, 0.06, 0.08])
+    def test_matches_dense_search(self, eps):
+        re_max, width, im_center, mu_at_max = self.DENSE_SEARCH[eps]
+        meas = measure_isola(eps, N=32)
+        assert meas.re_max == pytest.approx(re_max, rel=1e-7, abs=0)
+        assert meas.mu_width == pytest.approx(width, rel=1e-7, abs=0)
+        assert meas.im_center == pytest.approx(im_center, rel=0, abs=1e-10)
+        assert meas.mu_at_max == pytest.approx(mu_at_max, rel=0, abs=1e-10)
