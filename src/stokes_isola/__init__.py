@@ -10,23 +10,25 @@ Layers, bottom up:
 * `stokes`       -- exact small-amplitude expansions of the wave profiles
                     and the flat dispersion relation;
 * `basis`        -- the symplectic eigenbasis of the flat problem;
-* `entanglement` -- mode-coupling coefficients, residue calculus, and the
-                    resolvent-chain algebra;
-* `jets`         -- the named-term catalog assembling the reduced 2x2
-                    matrix jet;
+* `entanglement` -- mode-coupling coefficients, residue calculus, the
+                    resolvent-chain algebra and its one pairing, `bracket`;
+* `jets`         -- the declarative table of named brackets, evaluated once
+                    into the term ledger and the reduced 2x2 matrix jet;
 * `instability`  -- closed-form isola: critical curves, eigenvalues,
                     growth rate, ellipse, stability criterion;
 * `floquet`      -- the independent truncated-Fourier eigenvalue oracle;
+* `closed_forms` -- hand-written exact values of every ledger term and
+                    derived constant, which `verify` and the tests check
+                    against;
 * `cli`          -- the ``stokes-isola`` command.
 """
 
 from .basis import Mode, basis_vector, reversibility_image, symplectic_pairing
 from .entanglement import (
     JetIndex,
+    bracket,
     chain_apply,
-    chain_bracket,
     ent_coeff,
-    projected_chain,
     residue,
     residue_contour,
 )
@@ -48,7 +50,6 @@ from .instability import (
     EigenPair,
     EllipseParams,
     GrowthRate,
-    ValidityBox,
     critical_curves,
     discriminant,
     eigenvalues,
@@ -74,10 +75,9 @@ __all__ = [
     "reversibility_image",
     "symplectic_pairing",
     "JetIndex",
+    "bracket",
     "chain_apply",
-    "chain_bracket",
     "ent_coeff",
-    "projected_chain",
     "residue",
     "residue_contour",
     "ReducedJet",
@@ -88,7 +88,6 @@ __all__ = [
     "EigenPair",
     "EllipseParams",
     "GrowthRate",
-    "ValidityBox",
     "critical_curves",
     "discriminant",
     "eigenvalues",

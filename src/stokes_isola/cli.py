@@ -27,29 +27,25 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence, TextIO
 
 import numpy as np
 import scipy.linalg
 
+from . import closed_forms as cf
 from . import floquet, instability, jets
 from .basis import Mode
 from .entanglement import (
     JetIndex,
+    bracket,
     chain_apply,
-    chain_bracket,
     ent_coeff,
-    op_bracket_right,
     residue,
     residue_contour,
 )
 from .stokes import omega
-
-_S3 = math.sqrt(3.0)
-_S5 = math.sqrt(5.0)
 
 
 # ----------------------------------------------------------- configuration
@@ -87,20 +83,6 @@ class SweepConfig:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.mu_width is not None and self.mu_width <= 0:
             raise ValueError(f"mu-width must be positive, got {self.mu_width}")
-
-    def echo(self) -> dict:
-        return {
-            "eps": list(self.eps),
-            "mu": self.mu,
-            "mu_center": self.mu_center,
-            "mu_width": self.mu_width,
-            "samples": self.samples,
-            "trunc": list(self.trunc),
-            "stokes_order": self.stokes_order,
-            "format": self.format,
-            "out": self.out,
-            "tol": self.tol,
-        }
 
 
 _LIST_FIELDS = {"eps": float, "trunc": int}
@@ -163,7 +145,7 @@ def _emit(cfg: SweepConfig, header: Sequence[str], rows: Sequence[Sequence], pay
                 writer.writerow([_cell(v) for v in row])
         else:
             doc = {
-                "config": cfg.echo(),
+                "config": asdict(cfg),
                 payload_key: [dict(zip(header, row)) for row in rows],
             }
             json.dump(doc, stream, indent=2, allow_nan=True)
@@ -190,69 +172,19 @@ def _verify_rows() -> list[tuple[str, complex, complex]]:
     ledger = jets.term_ledger()
     jet = jets.assemble_reduced_jet()
 
-    expected_terms: dict[str, complex] = {
-        "alpha2.a": -15 / 8,
-        "alpha2.b": -15 / 8,
-        "alpha2.c": 39 / 8,
-        "beta1.a": 0.0,
-        "beta1.b": 0.0,
-        "gamma2.a": 7 / 8,
-        "gamma2.b": -3 / 16,
-        "gamma2.c": -5 / 8,
-        "beta2.theta": -1j * _S3 / 3,
-        "beta2.i": 1j * _S3 / 12,
-        "beta2.ii": 1j * _S3 / 4,
-        "beta2.iiia": 1j * _S3 / 4,
-        "beta2.iiib": 1j * _S3 / 2,
-        "beta2.iiic": -5j * _S3 / 16,
-        "beta2.iiid": -15j * _S3 / 16,
-        "beta2.iva": -1j * _S3 / 12,
-        "beta2.ivb": -5j * _S3 / 48,
-        "beta2.ivc": -5j * _S3 / 16,
-        "beta3.theta": 0.0,
-        "beta3.i": 5j * _S3 / 32,
-        "beta3.ii": -9j * _S3 / 32,
-        "beta3.iiia": 3j * _S3 / 8,
-        "beta3.iiib": 15j * _S3 / 32,
-        "beta3.iiib_dual": -15j * _S3 / 128,
-        "beta3.iva": -1j * _S3 / 8,
-        "beta3.ivb": 3j * _S3 / 64,
-        "beta3.ivb_dual": 3j * _S3 / 64,
-        "beta3.ivc": 5j * _S3 / 64,
-        "beta3.ivc_dual": 5j * _S3 / 64,
-        "beta3.va": -5j * _S3 / 32,
-        "beta3.vb": -25j * _S3 / 128,
-        "beta3.vc": 5j * _S3 / 32,
-        "beta3.vc_dual": -15j * _S3 / 128,
-        "beta3.vd": 15j * _S3 / 64,
-        "beta3.ve": 15j * _S3 / 64,
-        "beta3.ve_dual": 15j * _S3 / 64,
-        "beta3.vf": -75j * _S3 / 256,
-        "beta3.vg": 25j * _S3 / 256,
-        "beta3.vh": 0.0,
-        "beta3.via": 0.0,
-        "beta3.vib": 0.0,
-        "beta3.vic": -39j * _S3 / 64,
-        "beta3.vic_dual": -39j * _S3 / 64,
-        "beta3.vid": 195j * _S3 / 256,
-        "beta3.loop_up": 5j * _S3 / 16,
-        "beta3.loop_down": 5j * _S3 / 16,
-        "beta3.loopback": -305j * _S3 / 512,
-    }
-    rows: list[tuple[str, complex, complex]] = []
-    for name in ledger:
-        rows.append((f"term.{name}", expected_terms[name], ledger[name]))
-
+    rows: list[tuple[str, complex, complex]] = [
+        (f"term.{name}", cf.TERMS[name], value) for name, value in ledger.items()
+    ]
     rows += [
-        ("coeff.alpha2=9/8", 9 / 8, jet.alpha2),
-        ("coeff.beta1=0", 0.0, jet.beta1),
-        ("coeff.gamma2=1/16", 1 / 16, jet.gamma2),
-        ("coeff.beta2=-sqrt(3)/6", -_S3 / 6, jet.beta2),
-        ("coeff.beta3=-39*sqrt(3)/512", -39 * _S3 / 512, jet.beta3),
-        ("coeff.beta3.projector-route", -39 * _S3 / 512, jets.beta3_projector_route()),
-        ("const.T1=4/3", 4 / 3, jet.T1),
-        ("const.T2=19/16", 19 / 16, jet.T2),
-        ("beta3_eff=beta3-beta2*T2/T1=37*sqrt(3)/512", 37 * _S3 / 512, jet.beta3_eff),
+        ("coeff.alpha2=9/8", cf.ALPHA2, jet.alpha2),
+        ("coeff.beta1=0", cf.BETA1, jet.beta1),
+        ("coeff.gamma2=1/16", cf.GAMMA2, jet.gamma2),
+        ("coeff.beta2=-sqrt(3)/6", cf.BETA2, jet.beta2),
+        ("coeff.beta3=-39*sqrt(3)/512", cf.BETA3, jet.beta3),
+        ("coeff.beta3.projector-route", cf.BETA3, jets.beta3_projector_route()),
+        ("const.T1=4/3", cf.T1, jet.T1),
+        ("const.T2=19/16", cf.T2, jet.T2),
+        ("beta3_eff=beta3-beta2*T2/T1=37*sqrt(3)/512", cf.BETA3_EFF, jet.beta3_eff),
     ]
 
     curves = instability.critical_curves(jet)
@@ -268,28 +200,28 @@ def _verify_rows() -> list[tuple[str, complex, complex]]:
         - disc_nu2
     )
     rows += [
-        ("const.mu0-eps2-coeff=-57/64", -57 / 64, float(curves.mu0.coef[2])),
+        ("const.mu0-eps2-coeff=-57/64", cf.MU0_EPS2, float(curves.mu0.coef[2])),
         (
             "const.nu_plus-eps4-coeff=-111*sqrt(3)/1024",
-            -111 * _S3 / 1024,
+            -cf.NU_EPS4,
             float(curves.nu_plus.coef[4]),
         ),
         (
             "const.nu_minus-eps4-coeff=111*sqrt(3)/1024",
-            111 * _S3 / 1024,
+            cf.NU_EPS4,
             float(curves.nu_minus.coef[4]),
         ),
-        ("const.D-eps8-coeff=4107/65536", 4107 / 65536, disc_eps8),
-        ("const.D-nu2-coeff=-16/9", -16 / 9, disc_nu2),
-        ("const.D-nu-eps6-coeff=-37/128", -37 / 128, disc_cross),
+        ("const.D-eps8-coeff=4107/65536", cf.D_EPS8, disc_eps8),
+        ("const.D-nu2-coeff=-16/9", cf.D_NU2, disc_nu2),
+        ("const.D-nu-eps6-coeff=-37/128", cf.D_NU_EPS6, disc_cross),
         (
             "const.im-center-eps2-coeff=-55/32",
-            -55 / 32,
+            cf.IM_CENTER_EPS2,
             ell.center_im - jet.omega_star,
         ),
-        ("const.re-max-coeff=37*sqrt(3)/512", 37 * _S3 / 512, growth.re_max),
-        ("const.nu_re-coeff=-333/4096", -333 / 4096, growth.nu_re),
-        ("const.axis-ratio=2", 2.0, ell.axis_ratio),
+        ("const.re-max-coeff=37*sqrt(3)/512", cf.BETA3_EFF, growth.re_max),
+        ("const.nu_re-coeff=-333/4096", cf.NU_RE_EPS6, growth.nu_re),
+        ("const.axis-ratio=2", cf.AXIS_RATIO, ell.axis_ratio),
     ]
 
     # structural spot-checks, all with closed expected values or exact zeros
@@ -299,7 +231,7 @@ def _verify_rows() -> list[tuple[str, complex, complex]]:
     rows.append(
         (
             "ent[(0,1),+1]((0,-)->(1,+))=i*5^(1/4)*(sqrt(5)-3)/8",
-            1j * _S5**0.5 * (_S5 - 3) / 8,
+            cf.ENT_01_PLUS,
             ent_coeff(b01, +1, low, +1),
         )
     )
@@ -327,8 +259,8 @@ def _verify_rows() -> list[tuple[str, complex, complex]]:
             - residue_contour([Mode(0, -1), Mode(1, -1)]),
         )
     )
-    left = chain_bracket([(b01, +1), (b01, +1)], low, high)
-    right = op_bracket_right((b01, +1), low, chain_apply([(b01, -1)], high))
+    left = bracket((b01, +1), chain_apply([(b01, +1)], low), high)
+    right = bracket((b01, +1), low, chain_apply([(b01, -1)], high))
     rows.append(("dual-bracket[(0,1)+1;(0,1)+1]", 0.0, left - right))
 
     op = floquet.build(0.3, 0.0, N=16)

@@ -1,8 +1,10 @@
-"""Frozen expected values for the coefficient catalog.
+"""Closed forms of every ledger term and derived constant.
 
-Every entry is a closed form (rationals, sqrt(3), sqrt(5)) written down
-independently of the implementation; the test modules compare the computed
-ledger against this table and never the other way around.
+Every entry is an exact value (rationals, sqrt(3), sqrt(5)) written down by
+hand, independently of the code that computes it: ``stokes-isola verify``
+and the test suite compare the computed ledger, jet and isola constants
+against this table and never the other way around.  Nothing here may be
+derived from the package's own computations.
 """
 
 import math

@@ -42,8 +42,10 @@ Chains.  ``chain_apply(ops, source)`` implements
 where ``ops[0]`` acts *first* (note: printed operator products act right to
 left, so transcriptions must be reversed into application order), each op is
 a pair ``(JetIndex, kappa)``, and the residue ``R`` spans the source, every
-intermediate, and the final mode of the path.  Projected variants restrict
-the final mode to the resonant pair P0 = {(0,-), (2,+)} or its complement.
+intermediate, and the final mode of the path.  An optional projector
+restricts the final mode to the resonant pair P0 = {(0,-), (2,+)} or its
+complement.  ``bracket(op, left, right)`` is the one pairing primitive:
+( B_op left , right ) for basis modes or coefficient vectors on either side.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Literal, Optional, Sequence, Union
+from typing import Literal, Optional, Sequence, Union
 
 from .basis import Mode, sqrt_sigma
 from .stokes import a_coeff, omega, p_coeff, rational_sqrt
@@ -67,12 +69,7 @@ __all__ = [
     "chain_apply",
     "chain_apply_vec",
     "project",
-    "op_bracket",
-    "op_bracket_right",
-    "jet_bracket",
-    "jet_bracket_right",
-    "chain_bracket",
-    "projected_chain",
+    "bracket",
 ]
 
 MU_STAR = Fraction(1, 4)
@@ -279,22 +276,16 @@ def project(vec: dict[Mode, complex], projector: Projector) -> dict[Mode, comple
 
 
 def chain_apply(
-    ops: Sequence[ChainOp],
-    source: Mode,
-    projector: Projector = None,
-    *,
-    mu: RationalLike = MU_STAR,
-    omega_star: RationalLike = OMEGA_STAR,
+    ops: Sequence[ChainOp], source: Mode, projector: Projector = None
 ) -> dict[Mode, complex]:
     """Coefficients of ``P[ops] f_source`` on the basis; ``ops[0]`` acts first."""
     if len(ops) == 0:
         raise ValueError("a resolvent chain needs at least one operator")
-    mu_f = float(mu)
     out: dict[Mode, complex] = {}
 
     def walk(path: list[Mode], acc: complex, depth: int) -> None:
         if depth == len(ops):
-            r = residue(path, mu, omega_star)
+            r = residue(path)
             if r != 0.0:
                 final = path[-1]
                 out[final] = out.get(final, 0j) + acc * r
@@ -302,7 +293,7 @@ def chain_apply(
         ell, kappa = ops[depth]
         prev = path[-1]
         for sig in (1, -1):
-            c = ent_coeff(ell, kappa, prev, sig, mu=mu_f)
+            c = ent_coeff(ell, kappa, prev, sig)
             if c == 0:
                 continue
             walk(path + [Mode(prev.j + kappa, sig)], acc * sig * c, depth + 1)
@@ -312,119 +303,37 @@ def chain_apply(
 
 
 def chain_apply_vec(
-    ops: Sequence[ChainOp],
-    vec: dict[Mode, complex],
-    projector: Projector = None,
-    *,
-    mu: RationalLike = MU_STAR,
-    omega_star: RationalLike = OMEGA_STAR,
+    ops: Sequence[ChainOp], vec: dict[Mode, complex], projector: Projector = None
 ) -> dict[Mode, complex]:
     """Linear extension of `chain_apply` to a coefficient vector."""
     out: dict[Mode, complex] = {}
     for m, c in vec.items():
         if c == 0:
             continue
-        for mm, cc in chain_apply(ops, m, mu=mu, omega_star=omega_star).items():
+        for mm, cc in chain_apply(ops, m).items():
             out[mm] = out.get(mm, 0j) + c * cc
     return project(out, projector)
 
 
-def op_bracket(
-    op: ChainOp,
-    vec: dict[Mode, complex],
-    target: Mode,
-    *,
-    mu: float = 0.25,
+def bracket(
+    op: tuple[JetIndex, Optional[int]],
+    left: Union[Mode, dict[Mode, complex]],
+    right: Union[Mode, dict[Mode, complex]],
 ) -> complex:
-    """Pairing ( B_op applied to ``vec`` , f_target )."""
-    ell, kappa = op
-    total = 0j
-    for m, c in vec.items():
-        if m.j + kappa != target.j:
-            continue
-        total += c * ent_coeff(ell, kappa, m, target.sigma, mu=mu)
-    return total
+    """Pairing ( B_op left , right ), antilinear in ``right``.
 
-
-def op_bracket_right(
-    op: ChainOp,
-    source: Mode,
-    vec: dict[Mode, complex],
-    *,
-    mu: float = 0.25,
-) -> complex:
-    """Pairing ( B_op f_source , ``vec`` ) — antilinear in the second slot."""
-    ell, kappa = op
-    total = 0j
-    for m, c in vec.items():
-        if source.j + kappa != m.j:
-            continue
-        total += c.conjugate() * ent_coeff(ell, kappa, source, m.sigma, mu=mu)
-    return total
-
-
-def jet_bracket(
-    ell: JetIndex,
-    vec: dict[Mode, complex],
-    target: Mode,
-    *,
-    mu: float = 0.25,
-) -> complex:
-    """Like `op_bracket` for the full jet (kappa summed automatically)."""
-    total = 0j
-    for m, c in vec.items():
-        total += c * ent_coeff(ell, target.j - m.j, m, target.sigma, mu=mu)
-    return total
-
-
-def jet_bracket_right(
-    ell: JetIndex,
-    source: Mode,
-    vec: dict[Mode, complex],
-    *,
-    mu: float = 0.25,
-) -> complex:
-    """Like `op_bracket_right` for the full jet (kappa summed automatically)."""
-    total = 0j
-    for m, c in vec.items():
-        total += c.conjugate() * ent_coeff(ell, m.j - source.j, source, m.sigma, mu=mu)
-    return total
-
-
-def chain_bracket(
-    chain: Sequence[ChainOp],
-    source: Mode,
-    target: Mode,
-    *,
-    mu: RationalLike = MU_STAR,
-    omega_star: RationalLike = OMEGA_STAR,
-) -> complex:
-    """Pairing ( B_last P[chain[:-1]] f_source , f_target ).
-
-    ``chain`` is in application order; a length-1 chain degenerates to the
-    bare coupling coefficient.  Returns exact 0 when the harmonics do not
-    line up.
+    ``op`` is ``(ell, kappa)``; ``kappa=None`` sums over every harmonic
+    shift of the jet ``ell``.  Each side is a basis mode or a coefficient
+    vector.  Pairs of modes whose harmonics differ by other than ``kappa``
+    contribute exact zeros.
     """
-    return projected_chain(chain, source, target, None, mu=mu, omega_star=omega_star)
-
-
-def projected_chain(
-    chain: Sequence[ChainOp],
-    source: Mode,
-    target: Mode,
-    projector: Projector,
-    *,
-    mu: RationalLike = MU_STAR,
-    omega_star: RationalLike = OMEGA_STAR,
-) -> complex:
-    """Pairing ( B_last Proj P[chain[:-1]] f_source , f_target )."""
-    if len(chain) == 0:
-        raise ValueError("chain must contain at least the outer operator")
-    mu_f = float(mu)
-    if len(chain) == 1:
-        vec = project({source: 1.0 + 0j}, projector)
-    else:
-        vec = chain_apply(
-            chain[:-1], source, projector, mu=mu, omega_star=omega_star
-        )
-    return op_bracket(chain[-1], vec, target, mu=mu_f)
+    ell, kappa = op
+    left = {left: 1.0 + 0j} if isinstance(left, Mode) else left
+    right = {right: 1.0 + 0j} if isinstance(right, Mode) else right
+    total = 0j
+    for m, c in left.items():
+        for t, d in right.items():
+            shift = t.j - m.j
+            if kappa is None or shift == kappa:
+                total += c * d.conjugate() * ent_coeff(ell, shift, m, t.sigma)
+    return total

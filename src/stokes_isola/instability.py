@@ -37,7 +37,6 @@ __all__ = [
     "EigenPair",
     "GrowthRate",
     "EllipseParams",
-    "ValidityBox",
     "critical_curves",
     "discriminant",
     "trace_shift",
@@ -50,18 +49,6 @@ __all__ = [
 
 #: D values within this window of zero are treated as an exact collision.
 _COLLISION_ATOL = 1e-14
-
-
-@dataclass(frozen=True)
-class ValidityBox:
-    """Parameter window in which the truncated expansions are trusted."""
-
-    delta_max: float = 0.05
-    eps_max: float = 0.15
-    mu_star: float = 0.25
-
-    def contains(self, mu: float, eps: float) -> bool:
-        return abs(mu - self.mu_star) <= self.delta_max and 0.0 <= eps <= self.eps_max
 
 
 @dataclass(frozen=True)

@@ -15,17 +15,20 @@ whose entries expand in delta = mu - 1/4 and the amplitude eps as
 
 (all odd-eps and mixed terms through the computed order vanish by harmonic
 parity).  Every Taylor coefficient is a finite sum of resolvent-chain
-brackets; this module names each addend, evaluates it through the chain
-engine, and assembles the totals.  Two independent routes to the quartic
-off-diagonal coefficient are provided: the explicit 27-term catalog with
-its rational weights (`beta3`), and a mechanical expansion through composite
-spectral projectors (`beta3_projector_route`); they must agree to near
-machine precision and the test suite enforces that.
+brackets.  `_CATALOG` is the one table of them: a row per named addend with
+its chain, projector, pairing slot and weight.  The rows are evaluated once
+per process, on first use, into the term ledger (`term_ledger`), and each
+coefficient of `assemble_reduced_jet` is the weighted sum of its rows.  Two
+independent routes to the quartic off-diagonal coefficient are provided:
+the 26 weighted ``beta3`` rows plus the loop-back correction, and a
+mechanical expansion through composite spectral projectors
+(`beta3_projector_route`); they must agree to near machine precision and
+the test suite enforces that.
 
 The term keys (e.g. ``"beta2.iiic"``, ``"beta3.vd"``) follow the natural
 enumeration of the catalog: roman-ish groups by chain topology, with
-``_dual`` marking the evaluation of the same chain from the right slot of
-the pairing (the two differ exactly by resonant-pair loop-backs) and
+``_dual`` marking the evaluation of its partner's chain from the other slot
+of the pairing (the two differ exactly by resonant-pair loop-backs) and
 ``beta3.loopback`` the boundary correction assembled from the resonant
 loop coefficients ``beta3.loop_up`` / ``beta3.loop_down``.
 """
@@ -35,21 +38,18 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 from .basis import Mode
 from .entanglement import (
     ChainOp,
     JetIndex,
+    bracket,
     chain_apply,
     chain_apply_vec,
-    chain_bracket,
     ent_coeff,
-    jet_bracket,
-    jet_bracket_right,
-    op_bracket_right,
     project,
-    projected_chain,
 )
 
 __all__ = [
@@ -58,15 +58,7 @@ __all__ = [
     "ReducedJet",
     "flat_alpha",
     "flat_gamma",
-    "quadratic_terms",
-    "cubic_terms",
-    "quartic_terms",
     "term_ledger",
-    "alpha2",
-    "beta1",
-    "gamma2",
-    "beta2",
-    "beta3",
     "beta3_projector_route",
     "composite_projector_chains",
     "assemble_reduced_jet",
@@ -101,213 +93,109 @@ def flat_gamma(delta: float) -> float:
 
 # ------------------------------------------------------------- term catalog
 
+_DIRECT, _DUAL = "direct", "dual"
 
-def quadratic_terms() -> dict[str, complex]:
-    """Order-eps^2 brackets: the three addends of each diagonal coefficient
-    and the two addends of the (vanishing) quadratic off-diagonal one."""
-    t: dict[str, complex] = {}
-    t["alpha2.a"] = ent_coeff(B02, 0, HIGH, +1)
-    t["alpha2.b"] = chain_bracket([(B01, -1), (B01, +1)], HIGH, HIGH)
-    t["alpha2.c"] = chain_bracket([(B01, +1), (B01, -1)], HIGH, HIGH)
-    t["beta1.a"] = ent_coeff(B02, +2, LOW, +1)
-    t["beta1.b"] = chain_bracket([(B01, +1), (B01, +1)], LOW, HIGH)
-    t["gamma2.a"] = ent_coeff(B02, 0, LOW, -1)
-    t["gamma2.b"] = chain_bracket([(B01, -1), (B01, +1)], LOW, LOW)
-    t["gamma2.c"] = chain_bracket([(B01, +1), (B01, -1)], LOW, LOW)
-    return t
+#: One row per named bracket: (name, source, target, chain in application
+#: order, projector on the intermediate vector, slot, weight).  A direct row
+#: pairs ( B_last Proj P[chain[:-1]] f_source , f_target ); a dual row pairs
+#: ( B_first f_source , Proj P[reversed, harmonic-negated chain[1:]] f_target ),
+#: the same chain evaluated from the other slot.  A one-operator row is the
+#: bare coupling.  A jet coefficient is the weighted sum of the rows named
+#: after it; a direct/dual pair enters through its half-sum.
+_CATALOG: tuple[tuple, ...] = (
+    ("alpha2.a", HIGH, HIGH, ((B02, 0),), None, _DIRECT, 1.0),
+    ("alpha2.b", HIGH, HIGH, ((B01, -1), (B01, +1)), None, _DIRECT, 1.0),
+    ("alpha2.c", HIGH, HIGH, ((B01, +1), (B01, -1)), None, _DIRECT, 1.0),
+    ("beta1.a", LOW, HIGH, ((B02, +2),), None, _DIRECT, 1.0),
+    ("beta1.b", LOW, HIGH, ((B01, +1), (B01, +1)), None, _DIRECT, 1.0),
+    ("gamma2.a", LOW, LOW, ((B02, 0),), None, _DIRECT, 1.0),
+    ("gamma2.b", LOW, LOW, ((B01, -1), (B01, +1)), None, _DIRECT, 1.0),
+    ("gamma2.c", LOW, LOW, ((B01, +1), (B01, -1)), None, _DIRECT, 1.0),
+    ("beta2.theta", LOW, HIGH, ((B12, +2),), None, _DIRECT, 1.0),
+    ("beta2.i", LOW, HIGH, ((B01, +1), (B11, +1)), None, _DIRECT, 1.0),
+    ("beta2.ii", LOW, HIGH, ((B10, 0), (B02, +2)), None, _DIRECT, 1.0),
+    ("beta2.iiia", LOW, HIGH, ((B11, +1), (B01, +1)), None, _DIRECT, 1.0),
+    ("beta2.iiib", LOW, HIGH, ((B01, +1), (B10, 0), (B01, +1)), None, _DIRECT, 1.0),
+    ("beta2.iiic", LOW, HIGH, ((B10, 0), (B01, +1), (B01, +1)), "Q0", _DUAL, 0.5),
+    ("beta2.iiid", LOW, HIGH, ((B10, 0), (B01, +1), (B01, +1)), None, _DIRECT, 0.5),
+    ("beta2.iva", LOW, HIGH, ((B02, +2), (B10, 0)), "Q0", _DIRECT, 1.0),
+    ("beta2.ivb", LOW, HIGH, ((B01, +1), (B01, +1), (B10, 0)), "Q0", _DIRECT, 0.5),
+    ("beta2.ivc", LOW, HIGH, ((B01, +1), (B01, +1), (B10, 0)), None, _DUAL, 0.5),
+    ("beta3.theta", LOW, HIGH, ((B04, +2),), None, _DIRECT, 1.0),
+    ("beta3.i", LOW, HIGH, ((B01, +1), (B03, +1)), None, _DIRECT, 1.0),
+    ("beta3.ii", LOW, HIGH, ((B01, -1), (B03, +3)), None, _DIRECT, 1.0),
+    ("beta3.iiia", LOW, HIGH, ((B02, +2), (B02, 0)), "Q0", _DIRECT, 1.0),
+    ("beta3.iiib", LOW, HIGH, ((B01, +1), (B01, +1), (B02, 0)), "Q0", _DIRECT, 0.5),
+    ("beta3.iiib_dual", LOW, HIGH, ((B01, +1), (B01, +1), (B02, 0)), None, _DUAL, 0.5),
+    ("beta3.iva", LOW, HIGH, ((B02, 0), (B02, +2)), "Q0", _DIRECT, 1.0),
+    ("beta3.ivb", LOW, HIGH, ((B01, -1), (B01, +1), (B02, +2)), "Q0", _DIRECT, 0.5),
+    ("beta3.ivb_dual", LOW, HIGH, ((B01, -1), (B01, +1), (B02, +2)), None, _DUAL, 0.5),
+    ("beta3.ivc", LOW, HIGH, ((B01, +1), (B01, -1), (B02, +2)), "Q0", _DIRECT, 0.5),
+    ("beta3.ivc_dual", LOW, HIGH, ((B01, +1), (B01, -1), (B02, +2)), None, _DUAL, 0.5),
+    ("beta3.va", LOW, HIGH, ((B03, +1), (B01, +1)), None, _DIRECT, 1.0),
+    ("beta3.vb", LOW, HIGH, ((B01, +1), (B02, 0), (B01, +1)), None, _DIRECT, 1.0),
+    ("beta3.vc", LOW, HIGH, ((B02, 0), (B01, +1), (B01, +1)), "Q0", _DUAL, 0.5),
+    ("beta3.vc_dual", LOW, HIGH, ((B02, 0), (B01, +1), (B01, +1)), None, _DIRECT, 0.5),
+    ("beta3.vd", LOW, HIGH, ((B01, -1), (B02, +2), (B01, +1)), None, _DIRECT, 1.0),
+    ("beta3.ve", LOW, HIGH, ((B02, +2), (B01, -1), (B01, +1)), "Q0", _DUAL, 0.5),
+    ("beta3.ve_dual", LOW, HIGH, ((B02, +2), (B01, -1), (B01, +1)), None, _DIRECT, 0.5),
+    ("beta3.vf", LOW, HIGH, ((B01, +1), (B01, +1), (B01, -1), (B01, +1)), None, _DIRECT, 1.0),
+    ("beta3.vg", LOW, HIGH, ((B01, +1), (B01, -1), (B01, +1), (B01, +1)), None, _DIRECT, 1.0),
+    ("beta3.vh", LOW, HIGH, ((B01, -1), (B01, +1), (B01, +1), (B01, +1)), None, _DIRECT, 1.0),
+    ("beta3.via", LOW, HIGH, ((B03, +3), (B01, -1)), None, _DIRECT, 1.0),
+    ("beta3.vib", LOW, HIGH, ((B01, +1), (B02, +2), (B01, -1)), None, _DIRECT, 1.0),
+    ("beta3.vic", LOW, HIGH, ((B02, +2), (B01, +1), (B01, -1)), "Q0", _DUAL, 0.5),
+    ("beta3.vic_dual", LOW, HIGH, ((B02, +2), (B01, +1), (B01, -1)), None, _DIRECT, 0.5),
+    ("beta3.vid", LOW, HIGH, ((B01, +1), (B01, +1), (B01, +1), (B01, -1)), None, _DIRECT, 1.0),
+)
 
 
-def cubic_terms() -> dict[str, complex]:
-    """delta*eps^2 off-diagonal brackets (ten addends of beta2)."""
-    t: dict[str, complex] = {}
-    t["beta2.theta"] = ent_coeff(B12, +2, LOW, +1)
-    t["beta2.i"] = chain_bracket([(B01, +1), (B11, +1)], LOW, HIGH)
-    t["beta2.ii"] = chain_bracket([(B10, 0), (B02, +2)], LOW, HIGH)
-    t["beta2.iiia"] = chain_bracket([(B11, +1), (B01, +1)], LOW, HIGH)
-    t["beta2.iiib"] = chain_bracket([(B01, +1), (B10, 0), (B01, +1)], LOW, HIGH)
-    t["beta2.iiic"] = op_bracket_right(
-        (B10, 0), LOW, chain_apply([(B01, -1), (B01, -1)], HIGH, "Q0")
-    )
-    t["beta2.iiid"] = chain_bracket([(B10, 0), (B01, +1), (B01, +1)], LOW, HIGH)
-    t["beta2.iva"] = projected_chain([(B02, +2), (B10, 0)], LOW, HIGH, "Q0")
-    t["beta2.ivb"] = projected_chain(
-        [(B01, +1), (B01, +1), (B10, 0)], LOW, HIGH, "Q0"
-    )
-    t["beta2.ivc"] = op_bracket_right(
-        (B01, +1), LOW, chain_apply([(B10, 0), (B01, -1)], HIGH)
-    )
-    return t
+def _evaluate(source: Mode, target: Mode, chain, projector, slot) -> complex:
+    """One row's bracket.  A bare coupling is returned as it is, not through
+    an accumulating sum, which would turn its signed zeros into +0."""
+    if len(chain) == 1:
+        (ell, kappa), = chain
+        return ent_coeff(ell, kappa, source, target.sigma)
+    if slot == _DIRECT:
+        return bracket(chain[-1], chain_apply(chain[:-1], source, projector), target)
+    tail = [(ell, -kappa) for ell, kappa in reversed(chain[1:])]
+    return bracket(chain[0], source, chain_apply(tail, target, projector))
 
 
-def _loop_coefficients() -> tuple[complex, complex]:
-    """Resonant-pair components of the order-eps^2 projector correction.
+def _loop_coefficient(chains: Sequence[list[ChainOp]], source: Mode, target: Mode) -> complex:
+    """``target`` component of the order-eps^2 projector jet applied to f_source."""
+    return sum(chain_apply(chain, source, "P0").get(target, 0j) for chain in chains)
 
-    ``zeta_up`` is the (2,+) coefficient of the harmonic-raising projector
-    jet applied to f(0,-); ``zeta_down`` the (0,-) coefficient of the
-    harmonic-lowering one applied to f(2,+).
+
+@functools.cache
+def _ledger() -> Mapping[str, complex]:
+    """Every catalog row evaluated, plus the three resonant loop entries.
+
+    Evaluated on first use and kept for the life of the process; the view
+    is read-only so that no caller can change what the next one sees.
     """
-    up: dict[Mode, complex] = {}
-    for chain in ([(B02, +2)], [(B01, +1), (B01, +1)]):
-        for m, c in chain_apply(chain, LOW, "P0").items():
-            up[m] = up.get(m, 0j) + c
-    down: dict[Mode, complex] = {}
-    for chain in ([(B02, -2)], [(B01, -1), (B01, -1)]):
-        for m, c in chain_apply(chain, HIGH, "P0").items():
-            down[m] = down.get(m, 0j) + c
-    return up.get(HIGH, 0j), down.get(LOW, 0j)
-
-
-def quartic_terms() -> dict[str, complex]:
-    """eps^4 off-diagonal brackets: the 26 chain terms plus the loop-back
-    boundary correction (and the two loop coefficients it is built from)."""
-    t: dict[str, complex] = {}
-    t["beta3.theta"] = ent_coeff(B04, +2, LOW, +1)
-    t["beta3.i"] = chain_bracket([(B01, +1), (B03, +1)], LOW, HIGH)
-    t["beta3.ii"] = chain_bracket([(B01, -1), (B03, +3)], LOW, HIGH)
-    t["beta3.iiia"] = projected_chain([(B02, +2), (B02, 0)], LOW, HIGH, "Q0")
-    t["beta3.iiib"] = projected_chain(
-        [(B01, +1), (B01, +1), (B02, 0)], LOW, HIGH, "Q0"
+    out = {name: _evaluate(*row) for name, *row, _ in _CATALOG}
+    # zeta_up: harmonic-raising projector jet, (0,-) -> (2,+); zeta_down the reverse
+    up = _loop_coefficient([[(B02, +2)], [(B01, +1), (B01, +1)]], LOW, HIGH)
+    down = _loop_coefficient([[(B02, -2)], [(B01, -1), (B01, -1)]], HIGH, LOW)
+    out["beta3.loop_up"] = up
+    out["beta3.loop_down"] = down
+    out["beta3.loopback"] = -0.5 * (
+        up * (out["alpha2.b"] + out["alpha2.c"])
+        + down.conjugate() * (out["gamma2.b"] + out["gamma2.c"])
     )
-    t["beta3.iiib_dual"] = op_bracket_right(
-        (B01, +1), LOW, chain_apply([(B02, 0), (B01, -1)], HIGH)
-    )
-    t["beta3.iva"] = projected_chain([(B02, 0), (B02, +2)], LOW, HIGH, "Q0")
-    t["beta3.ivb"] = projected_chain(
-        [(B01, -1), (B01, +1), (B02, +2)], LOW, HIGH, "Q0"
-    )
-    t["beta3.ivb_dual"] = op_bracket_right(
-        (B01, -1), LOW, chain_apply([(B02, -2), (B01, -1)], HIGH)
-    )
-    t["beta3.ivc"] = projected_chain(
-        [(B01, +1), (B01, -1), (B02, +2)], LOW, HIGH, "Q0"
-    )
-    t["beta3.ivc_dual"] = op_bracket_right(
-        (B01, +1), LOW, chain_apply([(B02, -2), (B01, +1)], HIGH)
-    )
-    t["beta3.va"] = chain_bracket([(B03, +1), (B01, +1)], LOW, HIGH)
-    t["beta3.vb"] = chain_bracket([(B01, +1), (B02, 0), (B01, +1)], LOW, HIGH)
-    t["beta3.vc"] = op_bracket_right(
-        (B02, 0), LOW, chain_apply([(B01, -1), (B01, -1)], HIGH, "Q0")
-    )
-    t["beta3.vc_dual"] = chain_bracket(
-        [(B02, 0), (B01, +1), (B01, +1)], LOW, HIGH
-    )
-    t["beta3.vd"] = chain_bracket([(B01, -1), (B02, +2), (B01, +1)], LOW, HIGH)
-    t["beta3.ve"] = op_bracket_right(
-        (B02, +2), LOW, chain_apply([(B01, -1), (B01, +1)], HIGH, "Q0")
-    )
-    t["beta3.ve_dual"] = chain_bracket(
-        [(B02, +2), (B01, -1), (B01, +1)], LOW, HIGH
-    )
-    t["beta3.vf"] = chain_bracket(
-        [(B01, +1), (B01, +1), (B01, -1), (B01, +1)], LOW, HIGH
-    )
-    t["beta3.vg"] = chain_bracket(
-        [(B01, +1), (B01, -1), (B01, +1), (B01, +1)], LOW, HIGH
-    )
-    t["beta3.vh"] = chain_bracket(
-        [(B01, -1), (B01, +1), (B01, +1), (B01, +1)], LOW, HIGH
-    )
-    t["beta3.via"] = chain_bracket([(B03, +3), (B01, -1)], LOW, HIGH)
-    t["beta3.vib"] = chain_bracket([(B01, +1), (B02, +2), (B01, -1)], LOW, HIGH)
-    t["beta3.vic"] = op_bracket_right(
-        (B02, +2), LOW, chain_apply([(B01, +1), (B01, -1)], HIGH, "Q0")
-    )
-    t["beta3.vic_dual"] = chain_bracket(
-        [(B02, +2), (B01, +1), (B01, -1)], LOW, HIGH
-    )
-    t["beta3.vid"] = chain_bracket(
-        [(B01, +1), (B01, +1), (B01, +1), (B01, -1)], LOW, HIGH
-    )
-    zeta_up, zeta_down = _loop_coefficients()
-    quad = quadratic_terms()
-    t["beta3.loop_up"] = zeta_up
-    t["beta3.loop_down"] = zeta_down
-    t["beta3.loopback"] = -0.5 * (
-        zeta_up * (quad["alpha2.b"] + quad["alpha2.c"])
-        + zeta_down.conjugate() * (quad["gamma2.b"] + quad["gamma2.c"])
-    )
-    return t
-
-
-#: Weight of each quartic term in the assembled coefficient; chain terms with
-#: a dual partner enter through the symmetrized half-sum.
-_QUARTIC_WEIGHTS: dict[str, float] = {
-    "beta3.theta": 1.0,
-    "beta3.i": 1.0,
-    "beta3.ii": 1.0,
-    "beta3.iiia": 1.0,
-    "beta3.iiib": 0.5,
-    "beta3.iiib_dual": 0.5,
-    "beta3.iva": 1.0,
-    "beta3.ivb": 0.5,
-    "beta3.ivb_dual": 0.5,
-    "beta3.ivc": 0.5,
-    "beta3.ivc_dual": 0.5,
-    "beta3.va": 1.0,
-    "beta3.vb": 1.0,
-    "beta3.vc": 0.5,
-    "beta3.vc_dual": 0.5,
-    "beta3.vd": 1.0,
-    "beta3.ve": 0.5,
-    "beta3.ve_dual": 0.5,
-    "beta3.vf": 1.0,
-    "beta3.vg": 1.0,
-    "beta3.vh": 1.0,
-    "beta3.via": 1.0,
-    "beta3.vib": 1.0,
-    "beta3.vic": 0.5,
-    "beta3.vic_dual": 0.5,
-    "beta3.vid": 1.0,
-    "beta3.loopback": 1.0,
-}
+    return MappingProxyType(out)
 
 
 def term_ledger() -> dict[str, complex]:
     """Every named intermediate bracket, in deterministic catalog order."""
-    out: dict[str, complex] = {}
-    out.update(quadratic_terms())
-    out.update(cubic_terms())
-    out.update(quartic_terms())
-    return out
+    return dict(_ledger())
 
 
-def alpha2() -> float:
-    t = quadratic_terms()
-    return (t["alpha2.a"] + t["alpha2.b"] + t["alpha2.c"]).real
-
-
-def beta1() -> float:
-    t = quadratic_terms()
-    total = t["beta1.a"] + t["beta1.b"]
-    # the bracket carries a factor i; the coefficient itself is total / i
-    return (total / 1j).real
-
-
-def gamma2() -> float:
-    t = quadratic_terms()
-    return (t["gamma2.a"] + t["gamma2.b"] + t["gamma2.c"]).real
-
-
-def beta2() -> float:
-    t = cubic_terms()
-    total = (
-        t["beta2.theta"]
-        + t["beta2.i"]
-        + t["beta2.ii"]
-        + t["beta2.iiia"]
-        + t["beta2.iiib"]
-        + 0.5 * (t["beta2.iiic"] + t["beta2.iiid"])
-        + t["beta2.iva"]
-        + 0.5 * (t["beta2.ivb"] + t["beta2.ivc"])
-    )
-    return (total / 1j).real
-
-
-def beta3() -> float:
-    t = quartic_terms()
-    total = sum(w * t[k] for k, w in _QUARTIC_WEIGHTS.items())
-    return (total / 1j).real
+def _coefficient(prefix: str) -> complex:
+    """Weighted sum of the catalog rows of one jet coefficient."""
+    ledger = _ledger()
+    return sum(w * ledger[name] for name, *_, w in _CATALOG if name.startswith(prefix + "."))
 
 
 # ---------------------------------------------- projector-route cross-check
@@ -372,27 +260,27 @@ def beta3_projector_route() -> float:
     """
     chains = composite_projector_chains()
     total = 0j
-    total += jet_bracket(B04, _ONE_LOW, HIGH)
+    total += bracket((B04, None), _ONE_LOW, HIGH)
 
     p1_low = _apply_composite(chains[1], _ONE_LOW)
     p1_high = _apply_composite(chains[1], _ONE_HIGH)
-    total += 0.5 * jet_bracket(B03, p1_low, HIGH)
-    total += 0.5 * jet_bracket_right(B03, LOW, p1_high)
+    total += 0.5 * bracket((B03, None), p1_low, HIGH)
+    total += 0.5 * bracket((B03, None), LOW, p1_high)
 
     p2_low = _apply_composite(chains[2], _ONE_LOW)
     p2_high = _apply_composite(chains[2], _ONE_HIGH)
-    total += 0.5 * jet_bracket(B02, project(p2_low, "Q0"), HIGH)
-    total += 0.5 * jet_bracket_right(B02, LOW, project(p2_high, "Q0"))
+    total += 0.5 * bracket((B02, None), project(p2_low, "Q0"), HIGH)
+    total += 0.5 * bracket((B02, None), LOW, project(p2_high, "Q0"))
 
     p3_low = _apply_composite(chains[3], _ONE_LOW)
     p3_high = _apply_composite(chains[3], _ONE_HIGH)
-    total += 0.5 * jet_bracket(B01, project(p3_low, "Q0"), HIGH)
-    total += 0.5 * jet_bracket_right(B01, LOW, project(p3_high, "Q0"))
+    total += 0.5 * bracket((B01, None), project(p3_low, "Q0"), HIGH)
+    total += 0.5 * bracket((B01, None), LOW, project(p3_high, "Q0"))
 
     loop_low = _apply_composite(chains[1], project(p2_low, "P0"))
     loop_high = _apply_composite(chains[1], project(p2_high, "P0"))
-    total -= 0.5 * jet_bracket(B01, loop_low, HIGH)
-    total -= 0.5 * jet_bracket_right(B01, LOW, loop_high)
+    total -= 0.5 * bracket((B01, None), loop_low, HIGH)
+    total -= 0.5 * bracket((B01, None), LOW, loop_high)
 
     return (total / 1j).real
 
@@ -441,13 +329,14 @@ class ReducedJet:
 def assemble_reduced_jet() -> ReducedJet:
     """The deep-water Stokes instance, with the exact first-order diagonal
     slopes -2/3 and 2 (derivatives of the flat frequencies at the collision).
-    Built once and cached: it takes no arguments and the jet is frozen."""
+    The off-diagonal brackets carry a factor i; the coefficients are total / i."""
+    beta3 = _coefficient("beta3") + _ledger()["beta3.loopback"]
     return ReducedJet(
         alpha1=-2.0 / 3.0,
         gamma1=2.0,
-        alpha2=alpha2(),
-        gamma2=gamma2(),
-        beta1=beta1(),
-        beta2=beta2(),
-        beta3=beta3(),
+        alpha2=_coefficient("alpha2").real,
+        gamma2=_coefficient("gamma2").real,
+        beta1=(_coefficient("beta1") / 1j).real,
+        beta2=(_coefficient("beta2") / 1j).real,
+        beta3=(beta3 / 1j).real,
     )

@@ -1,6 +1,8 @@
 """Small-amplitude Stokes-wave expansion data and the linear dispersion relation.
 
-Conventions used across the package (deep water,27-style normalization):
+Conventions used across the package (deep water; gravity, wavenumber and
+wave speed scaled to one; frequencies taken in the frame moving with the
+wave):
 
 * The wave profiles entering the linearized operator are written as cosine
   series
@@ -15,11 +17,8 @@ Conventions used across the package (deep water,27-style normalization):
 
       omega_j^sigma(mu) = j + mu - sigma * Omega_j(mu),   sigma = +-1.
 
-* ``sgn_plus(j)`` is +1 for j >= 0 and -1 for j < 0 (the sign convention of
-  the symbol |D + mu| on the first Brillouin zone).
-
 Everything in this module is exact rational arithmetic except the float
-helpers `omega` / `Omega`.
+helpers `eval_profile` and `omega`.
 """
 
 from __future__ import annotations
@@ -35,10 +34,7 @@ __all__ = [
     "p_coeff",
     "a_coeff",
     "eval_profile",
-    "sgn_plus",
-    "Omega",
     "omega",
-    "omega_exact",
     "rational_sqrt",
     "Collision",
     "collision_frequency",
@@ -121,21 +117,11 @@ def eval_profile(
     return total
 
 
-def sgn_plus(j: int) -> int:
-    """Sign of the half-open convention: +1 for j >= 0, -1 for j < 0."""
-    return 1 if j >= 0 else -1
-
-
-def Omega(j: int, mu: float) -> float:
-    """Deep-water dispersion speed sqrt(|j + mu|)."""
-    return math.sqrt(abs(j + mu))
-
-
 def omega(j: int, sigma: int, mu: float) -> float:
     """Unperturbed frequency ``j + mu - sigma*sqrt(|j + mu|)``."""
     if sigma not in (1, -1):
         raise ValueError(f"sigma must be +1 or -1, got {sigma!r}")
-    return j + mu - sigma * Omega(j, mu)
+    return j + mu - sigma * math.sqrt(abs(j + mu))
 
 
 def rational_sqrt(q: Fraction) -> Fraction | None:
@@ -147,17 +133,6 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
     if rn * rn == q.numerator and rd * rd == q.denominator:
         return Fraction(rn, rd)
     return None
-
-
-def omega_exact(j: int, sigma: int, mu: Fraction) -> Fraction | None:
-    """Exact value of ``omega`` when ``|j + mu|`` is a rational square, else None."""
-    if sigma not in (1, -1):
-        raise ValueError(f"sigma must be +1 or -1, got {sigma!r}")
-    r = j + Fraction(mu)
-    s = rational_sqrt(abs(r))
-    if s is None:
-        return None
-    return r - sigma * s
 
 
 @dataclass(frozen=True)

@@ -14,16 +14,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-import goldens
+from stokes_isola import closed_forms, jets
 from stokes_isola.basis import Mode
 from stokes_isola.entanglement import (
     RESONANT_MODES,
     JetIndex,
+    bracket,
     chain_apply,
-    chain_bracket,
     ent_coeff,
     is_pole,
-    op_bracket_right,
     residue,
     residue_contour,
 )
@@ -36,7 +35,7 @@ from stokes_isola.instability import (
     max_growth_rate,
     stokes_beta_sequence,
 )
-from stokes_isola.jets import assemble_reduced_jet, quartic_terms, term_ledger
+from stokes_isola.jets import assemble_reduced_jet, term_ledger
 from stokes_isola.stokes import omega
 
 LOW, HIGH = RESONANT_MODES
@@ -55,24 +54,25 @@ def _measured(eps: float):
 
 
 def test_criterion_1_golden_coefficient_suite():
+    jets._ledger.cache_clear()  # time an evaluation, not a cached copy
     t0 = time.perf_counter()
     ledger = term_ledger()
     worst = 0.0
-    for name, expected in goldens.TERMS.items():
+    for name, expected in closed_forms.TERMS.items():
         worst = max(worst, abs(ledger[name] - expected))
     aggregates = {
-        "alpha2": (JET.alpha2, goldens.ALPHA2),
-        "gamma2": (JET.gamma2, goldens.GAMMA2),
-        "beta1": (JET.beta1, goldens.BETA1),
-        "beta2": (JET.beta2, goldens.BETA2),
-        "beta3": (JET.beta3, goldens.BETA3),
+        "alpha2": (JET.alpha2, closed_forms.ALPHA2),
+        "gamma2": (JET.gamma2, closed_forms.GAMMA2),
+        "beta1": (JET.beta1, closed_forms.BETA1),
+        "beta2": (JET.beta2, closed_forms.BETA2),
+        "beta3": (JET.beta3, closed_forms.BETA3),
     }
     for got, want in aggregates.values():
         worst = max(worst, abs(got - want))
-    t = quartic_terms()
-    worst = max(worst, abs(t["beta3.loopback"] - (-305j * goldens.S3 / 512)))
-    worst = max(worst, abs(t["beta3.loop_up"] - 5j * goldens.S3 / 16))
-    worst = max(worst, abs(t["beta3.loop_down"] - 5j * goldens.S3 / 16))
+    t = term_ledger()
+    worst = max(worst, abs(t["beta3.loopback"] - (-305j * closed_forms.S3 / 512)))
+    worst = max(worst, abs(t["beta3.loop_up"] - 5j * closed_forms.S3 / 16))
+    worst = max(worst, abs(t["beta3.loop_down"] - 5j * closed_forms.S3 / 16))
     elapsed = time.perf_counter() - t0
     _report(
         "golden-coefficient-suite",
@@ -86,25 +86,25 @@ def test_criterion_2_derived_constants():
     ell = ellipse(JET, 1.0)
     rate = max_growth_rate(JET, 1.0)
     checks = [
-        ("T1", JET.T1, goldens.T1),
-        ("T2", JET.T2, goldens.T2),
-        ("beta3_eff", JET.beta3_eff, goldens.BETA3_EFF),
-        ("mu0-eps2", curves.mu0.coef[2], goldens.MU0_EPS2),
-        ("nu_plus-eps4", curves.nu_plus(1.0), -goldens.NU_EPS4),
-        ("nu_minus-eps4", curves.nu_minus(1.0), goldens.NU_EPS4),
-        ("D-eps8", discriminant(JET, 0.0, 1.0), goldens.D_EPS8),
-        ("D-nu2", discriminant(JET, 1.0, 0.0), goldens.D_NU2),
+        ("T1", JET.T1, closed_forms.T1),
+        ("T2", JET.T2, closed_forms.T2),
+        ("beta3_eff", JET.beta3_eff, closed_forms.BETA3_EFF),
+        ("mu0-eps2", curves.mu0.coef[2], closed_forms.MU0_EPS2),
+        ("nu_plus-eps4", curves.nu_plus(1.0), -closed_forms.NU_EPS4),
+        ("nu_minus-eps4", curves.nu_minus(1.0), closed_forms.NU_EPS4),
+        ("D-eps8", discriminant(JET, 0.0, 1.0), closed_forms.D_EPS8),
+        ("D-nu2", discriminant(JET, 1.0, 0.0), closed_forms.D_NU2),
         (
             "D-cross",
             discriminant(JET, 1.0, 1.0)
             - discriminant(JET, 0.0, 1.0)
             - discriminant(JET, 1.0, 0.0),
-            goldens.D_NU_EPS6,
+            closed_forms.D_NU_EPS6,
         ),
-        ("im-center-eps2", ell.center_im - 0.75, goldens.IM_CENTER_EPS2),
-        ("re-max-eps4", rate.re_max, goldens.BETA3_EFF),
-        ("nu-re-eps6", rate.nu_re, goldens.NU_RE_EPS6),
-        ("axis-ratio", ell.axis_ratio, goldens.AXIS_RATIO),
+        ("im-center-eps2", ell.center_im - 0.75, closed_forms.IM_CENTER_EPS2),
+        ("re-max-eps4", rate.re_max, closed_forms.BETA3_EFF),
+        ("nu-re-eps6", rate.nu_re, closed_forms.NU_RE_EPS6),
+        ("axis-ratio", ell.axis_ratio, closed_forms.AXIS_RATIO),
     ]
     worst = max(abs(got - want) for _, got, want in checks)
     _report("derived-constants", worst <= 1e-12, f"worst={worst:.2e}")
@@ -135,8 +135,8 @@ def test_criterion_4_isola_cross_validation():
     im_dev = {}
     for eps in eps_grid:
         meas = _measured(eps)
-        want_re = goldens.BETA3_EFF * eps**4
-        want_im = 0.75 + goldens.IM_CENTER_EPS2 * eps**2
+        want_re = closed_forms.BETA3_EFF * eps**4
+        want_im = 0.75 + closed_forms.IM_CENTER_EPS2 * eps**2
         rel_err[eps] = abs(meas.re_max - want_re) / want_re
         im_dev[eps] = abs(meas.im_center - want_im)
 
@@ -240,9 +240,9 @@ def test_criterion_5_structural_invariants():
     while checked < 30:
         chain, src, tgt = _random_chain(rng)
         try:
-            left = chain_bracket(chain, src, tgt)
+            left = bracket(chain[-1], chain_apply(chain[:-1], src), tgt)
             tail = [(ell, -k) for ell, k in reversed(chain[1:])]
-            right = op_bracket_right(chain[0], src, chain_apply(tail, tgt))
+            right = bracket(chain[0], src, chain_apply(tail, tgt))
         except ValueError:
             continue
         worst_dual = max(worst_dual, abs(left - right))

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -193,6 +194,14 @@ class TestCoeffs:
         assert header[0] == "name"
         names = {r[0] for r in rows}
         assert "beta3_eff" in names or any("beta3" in n for n in names)
+
+    def test_json_is_byte_identical_to_reference(self, capsys):
+        # pure float arithmetic, so the output is deterministic to the last
+        # byte, including the sign of zeros such as the real part of term.beta2.theta
+        reference = Path(__file__).with_name("data") / "coeffs.json"
+        code, out, err = run(capsys, "coeffs", "--format", "json")
+        assert code == 0
+        assert out == reference.read_text()
 
 
 class TestOutFile:

@@ -12,16 +12,15 @@ from stokes_isola.entanglement import (
     OMEGA_STAR,
     RESONANT_MODES,
     JetIndex,
+    bracket,
     chain_apply,
-    chain_bracket,
     ent_coeff,
     is_pole,
-    op_bracket_right,
     project,
     residue,
     residue_contour,
 )
-from goldens import ENT_01_PLUS
+from stokes_isola.closed_forms import ENT_01_PLUS
 
 LOW, HIGH = RESONANT_MODES
 
@@ -220,11 +219,30 @@ class TestChainAlgebra:
         assert chain_apply([(B01, +1)], LOW, "P0") == {}
 
     def test_length_one_bracket_is_bare_coupling(self):
-        got = chain_bracket([(B01, +1)], LOW, Mode(1, 1))
+        got = bracket((B01, +1), LOW, Mode(1, 1))
         assert got == pytest.approx(ent_coeff(B01, +1, LOW, 1), abs=1e-15)
 
     def test_mismatched_harmonics_vanish(self):
-        assert chain_bracket([(B01, +1)], LOW, Mode(2, 1)) == 0
+        assert bracket((B01, +1), LOW, Mode(2, 1)) == 0
+
+    def test_whole_jet_sums_every_shift(self):
+        # kappa=None pairs each left mode with each right mode at its own shift
+        right = {Mode(1, 1): 2.0 + 0j, Mode(-1, -1): 1j}
+        want = 2.0 * ent_coeff(B01, +1, LOW, 1) - 1j * ent_coeff(B01, -1, LOW, -1)
+        assert bracket((B01, None), LOW, right) == pytest.approx(want, abs=1e-15)
+        assert bracket((B01, +1), LOW, right) == pytest.approx(
+            2.0 * ent_coeff(B01, +1, LOW, 1), abs=1e-15
+        )
+
+    def test_linear_left_antilinear_right(self):
+        vec = chain_apply([(B01, +1)], LOW)
+        base = bracket((B01, +1), vec, HIGH)
+        assert bracket((B01, +1), {m: 1j * c for m, c in vec.items()}, HIGH) == pytest.approx(
+            1j * base, abs=1e-15
+        )
+        assert bracket((B02, +2), LOW, {HIGH: 1j}) == pytest.approx(
+            -1j * ent_coeff(B02, +2, LOW, 1), abs=1e-15
+        )
 
     def _random_dual_pair(self, rng: random.Random):
         """One application-order chain between resonant modes plus its reverse."""
@@ -261,17 +279,17 @@ class TestChainAlgebra:
         while checked < 30:
             chain, src, tgt = self._random_dual_pair(rng)
             try:
-                left = chain_bracket(chain, src, tgt)
+                left = bracket(chain[-1], chain_apply(chain[:-1], src), tgt)
                 reversed_tail = [(ell, -k) for ell, k in reversed(chain[1:])]
-                right = op_bracket_right(chain[0], src, chain_apply(reversed_tail, tgt))
+                right = bracket(chain[0], src, chain_apply(reversed_tail, tgt))
             except ValueError:
                 continue  # path touched the unsupported residue case
             assert abs(left - right) <= 1e-12 * max(1.0, abs(left))
             checked += 1
 
     def test_dual_bracket_documented_example(self):
-        left = chain_bracket([(B01, +1), (B01, +1)], LOW, HIGH)
-        right = op_bracket_right((B01, +1), LOW, chain_apply([(B01, -1)], HIGH))
+        left = bracket((B01, +1), chain_apply([(B01, +1)], LOW), HIGH)
+        right = bracket((B01, +1), LOW, chain_apply([(B01, -1)], HIGH))
         assert abs(left - right) <= 1e-13
 
 

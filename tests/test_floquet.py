@@ -7,8 +7,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
-import goldens
-from stokes_isola import floquet
+from stokes_isola import closed_forms, floquet
 from stokes_isola.floquet import (
     TrackingFailure,
     _pick_pair,
@@ -139,13 +138,13 @@ class TestIsolaMeasurement:
         res = np.array([measure_isola(float(e), N=32).re_max for e in eps_grid])
         slope, intercept = np.polyfit(np.log(eps_grid), np.log(res), 1)
         assert abs(slope - 4.0) <= 0.3
-        assert abs(intercept - math.log(goldens.BETA3_EFF)) <= 0.4
+        assert abs(intercept - math.log(closed_forms.BETA3_EFF)) <= 0.4
 
     def test_error_shrinks_with_amplitude(self):
         rel = []
         for eps in (0.08, 0.04):
             meas = measure_isola(eps, N=32)
-            rel.append(abs(meas.re_max - goldens.BETA3_EFF * eps**4) / (goldens.BETA3_EFF * eps**4))
+            rel.append(abs(meas.re_max - closed_forms.BETA3_EFF * eps**4) / (closed_forms.BETA3_EFF * eps**4))
         assert rel[1] < rel[0]
 
 
@@ -179,7 +178,7 @@ class TestShiftInvertSolver:
         assert abs(lp - dp) <= 1e-12
         assert abs(lm - dm) <= 1e-12
         if where == "inside" and eps > 0:
-            assert lp.real > 1e-3 * goldens.BETA3_EFF * eps**4   # split pair
+            assert lp.real > 1e-3 * closed_forms.BETA3_EFF * eps**4   # split pair
         if where == "outside":
             assert abs(lp.real) <= 1e-12                          # imaginary pair
 

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
-import goldens
+from stokes_isola import closed_forms
 from stokes_isola.instability import (
-    ValidityBox,
     critical_curves,
     discriminant,
     eigenvalues,
@@ -40,20 +39,20 @@ class TestCriticalCurves:
         coef = curves.mu0.coef
         assert coef[0] == pytest.approx(0.25, abs=1e-15)
         assert coef[1] == pytest.approx(0.0, abs=1e-15)
-        assert coef[2] == pytest.approx(goldens.MU0_EPS2, abs=1e-12)
+        assert coef[2] == pytest.approx(closed_forms.MU0_EPS2, abs=1e-12)
 
     def test_band_edges_quartic(self):
         curves = critical_curves(JET)
         assert curves.degenerate
-        assert curves.nu_plus(1.0) == pytest.approx(-goldens.NU_EPS4, abs=1e-12)
-        assert curves.nu_minus(1.0) == pytest.approx(goldens.NU_EPS4, abs=1e-12)
+        assert curves.nu_plus(1.0) == pytest.approx(-closed_forms.NU_EPS4, abs=1e-12)
+        assert curves.nu_minus(1.0) == pytest.approx(closed_forms.NU_EPS4, abs=1e-12)
         assert curves.nu_plus.degree() == 4
 
     def test_ordering_and_width(self):
         curves = critical_curves(JET)
         for eps in (0.0, 0.05, 0.1, 0.15):
             assert curves.mu_plus(eps) <= curves.mu0(eps) <= curves.mu_minus(eps)
-        assert curves.width(0.1) == pytest.approx(2 * goldens.NU_EPS4 * 0.1**4, rel=1e-12)
+        assert curves.width(0.1) == pytest.approx(2 * closed_forms.NU_EPS4 * 0.1**4, rel=1e-12)
 
     def test_non_degenerate_branch(self):
         jet = _synthetic(beta1=1.0)
@@ -73,9 +72,9 @@ class TestDiscriminant:
         d_eps8 = discriminant(JET, 0.0, 1.0)
         d_nu2 = discriminant(JET, 1.0, 0.0)
         d_cross = discriminant(JET, 1.0, 1.0) - d_eps8 - d_nu2
-        assert d_eps8 == pytest.approx(goldens.D_EPS8, abs=1e-12)
-        assert d_nu2 == pytest.approx(goldens.D_NU2, abs=1e-12)
-        assert d_cross == pytest.approx(goldens.D_NU_EPS6, abs=1e-12)
+        assert d_eps8 == pytest.approx(closed_forms.D_EPS8, abs=1e-12)
+        assert d_nu2 == pytest.approx(closed_forms.D_NU2, abs=1e-12)
+        assert d_cross == pytest.approx(closed_forms.D_NU_EPS6, abs=1e-12)
 
     def test_vanishes_on_band_edges_through_eps8(self):
         # composing D with the edge curves must cancel every power up to
@@ -110,7 +109,7 @@ class TestTraceShift:
         assert trace_shift(JET, 1.0, 0.0) - 1.5 == pytest.approx(8.0 / 3.0, rel=1e-14)
         # the eps^2 trace coefficient is twice the imaginary-center slope
         assert trace_shift(JET, 0.0, 1.0) - 1.5 == pytest.approx(
-            2.0 * goldens.IM_CENTER_EPS2, abs=1e-12
+            2.0 * closed_forms.IM_CENTER_EPS2, abs=1e-12
         )
 
 
@@ -145,7 +144,7 @@ class TestEigenvalues:
             nu = mu - (JET.mu_star - JET.T2 / JET.T1 * eps**2)
             pair = eigenvalues(JET, mu, eps)
             mid = 0.5 * (pair.lambda_plus + pair.lambda_minus).imag
-            want = 0.75 + (4.0 / 3.0) * nu + goldens.IM_CENTER_EPS2 * eps**2
+            want = 0.75 + (4.0 / 3.0) * nu + closed_forms.IM_CENTER_EPS2 * eps**2
             assert mid == pytest.approx(want, abs=1e-14)
 
     def test_regimes(self):
@@ -164,7 +163,7 @@ class TestEigenvalues:
 
     def test_collision_regime_without_truncation_leftover(self):
         # with beta2 = 0 the band edges are exact discriminant roots
-        jet = _synthetic(beta3=goldens.BETA3_EFF, alpha2=0.0, gamma2=0.0)
+        jet = _synthetic(beta3=closed_forms.BETA3_EFF, alpha2=0.0, gamma2=0.0)
         eps = 0.1
         curves = critical_curves(jet)
         mu_edge = float(curves.mu0(eps) + curves.nu_plus(eps))
@@ -207,8 +206,8 @@ class TestGrowthRate:
     def test_peak_value_and_location(self):
         eps = 0.1
         rate = max_growth_rate(JET, eps)
-        assert rate.re_max == pytest.approx(goldens.BETA3_EFF * eps**4, rel=1e-12)
-        assert rate.nu_re == pytest.approx(goldens.NU_RE_EPS6 * eps**6, rel=1e-12)
+        assert rate.re_max == pytest.approx(closed_forms.BETA3_EFF * eps**4, rel=1e-12)
+        assert rate.nu_re == pytest.approx(closed_forms.NU_RE_EPS6 * eps**6, rel=1e-12)
 
     def test_peak_dominates_samples(self):
         eps = 0.08
@@ -237,10 +236,10 @@ class TestEllipse:
         eps = 0.1
         ell = ellipse(JET, eps)
         assert ell.center_re == 0.0
-        assert ell.center_im == pytest.approx(0.75 + goldens.IM_CENTER_EPS2 * eps**2, abs=1e-12)
-        assert ell.semi_re == pytest.approx(goldens.BETA3_EFF * eps**4, rel=1e-12)
-        assert ell.semi_im == pytest.approx(2.0 * goldens.BETA3_EFF * eps**4, rel=1e-12)
-        assert ell.axis_ratio == pytest.approx(goldens.AXIS_RATIO, abs=1e-12)
+        assert ell.center_im == pytest.approx(0.75 + closed_forms.IM_CENTER_EPS2 * eps**2, abs=1e-12)
+        assert ell.semi_re == pytest.approx(closed_forms.BETA3_EFF * eps**4, rel=1e-12)
+        assert ell.semi_im == pytest.approx(2.0 * closed_forms.BETA3_EFF * eps**4, rel=1e-12)
+        assert ell.axis_ratio == pytest.approx(closed_forms.AXIS_RATIO, abs=1e-12)
 
     def test_degenerates_to_point_at_zero_amplitude(self):
         ell = ellipse(JET, 0.0)
@@ -268,16 +267,6 @@ class TestEllipse:
             assert q == pytest.approx(1.0, abs=0.05)
 
 
-class TestValidityBox:
-    def test_contains(self):
-        box = ValidityBox()
-        assert box.contains(0.25, 0.1)
-        assert box.contains(0.21, 0.0)
-        assert not box.contains(0.31, 0.1)
-        assert not box.contains(0.25, 0.2)
-        assert not box.contains(0.25, -0.01)
-
-
 class TestCriterion:
     def test_stokes_wave_is_order_four(self):
         betas = stokes_beta_sequence(JET)
@@ -298,4 +287,4 @@ class TestCriterion:
         b1, b2, b3 = stokes_beta_sequence(JET)
         assert b1 == pytest.approx(0.0, abs=1e-13)
         assert b2 == 0.0
-        assert b3 == pytest.approx(goldens.BETA3_EFF, abs=1e-12)
+        assert b3 == pytest.approx(closed_forms.BETA3_EFF, abs=1e-12)

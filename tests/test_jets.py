@@ -1,27 +1,22 @@
 """Reduced-matrix coefficient catalog: golden values and cross-assemblies."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-import goldens
+from stokes_isola import closed_forms, jets
 from stokes_isola.basis import Mode
 from stokes_isola.entanglement import RESONANT_MODES, chain_apply_vec, project
 from stokes_isola.jets import (
     ReducedJet,
-    alpha2,
     assemble_reduced_jet,
-    beta1,
-    beta2,
-    beta3,
     beta3_projector_route,
     composite_projector_chains,
-    cubic_terms,
     flat_alpha,
     flat_gamma,
-    gamma2,
-    quadratic_terms,
-    quartic_terms,
     term_ledger,
 )
 
@@ -31,73 +26,116 @@ S3 = math.sqrt(3.0)
 class TestGoldenTerms:
     def test_ledger_is_complete(self):
         ledger = term_ledger()
-        assert set(ledger) == set(goldens.TERMS)
+        assert set(ledger) == set(closed_forms.TERMS)
 
-    @pytest.mark.parametrize("name", sorted(goldens.TERMS))
+    @pytest.mark.parametrize("name", sorted(closed_forms.TERMS))
     def test_term_value(self, name):
         ledger = term_ledger()
-        assert ledger[name] == pytest.approx(goldens.TERMS[name], abs=1e-12)
+        assert ledger[name] == pytest.approx(closed_forms.TERMS[name], abs=1e-12)
 
     def test_golden_suite_is_fast(self):
         import time
 
+        jets._ledger.cache_clear()  # time an evaluation, not a cached copy
         t0 = time.perf_counter()
         term_ledger()
         assert time.perf_counter() - t0 < 1.0
 
 
+class TestLedgerCache:
+    def test_result_cannot_corrupt_cache(self):
+        ledger = term_ledger()
+        ledger["alpha2.a"] = 99.0
+        del ledger["beta3.loopback"]
+        again = term_ledger()
+        assert set(again) == set(closed_forms.TERMS)
+        for name, want in closed_forms.TERMS.items():
+            assert again[name] == pytest.approx(want, abs=1e-12), name
+
+    def test_second_call_evaluates_no_chain(self, monkeypatch):
+        calls = []
+        real = jets.chain_apply
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(jets, "chain_apply", counting)
+        jets._ledger.cache_clear()
+        first = term_ledger()
+        assert calls
+        seen = len(calls)
+        assert term_ledger() == first
+        assert len(calls) == seen
+
+    def test_not_evaluated_at_import(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); "
+            "import stokes_isola, stokes_isola.cli; "
+            "sys.exit(stokes_isola.jets._ledger.cache_info().currsize)"
+        )
+        subprocess.run([sys.executable, "-c", code, str(src)], check=True)
+
+    def test_chains_join_source_to_target(self):
+        for name, source, target, chain, _, _, _ in jets._CATALOG:
+            assert source.j + sum(kappa for _, kappa in chain) == target.j, name
+
+
 class TestAggregates:
     def test_alpha2(self):
-        assert alpha2() == pytest.approx(goldens.ALPHA2, abs=1e-12)
+        assert assemble_reduced_jet().alpha2 == pytest.approx(closed_forms.ALPHA2, abs=1e-12)
 
     def test_beta1_vanishes(self):
-        assert beta1() == pytest.approx(0.0, abs=1e-13)
+        assert assemble_reduced_jet().beta1 == pytest.approx(0.0, abs=1e-13)
 
     def test_gamma2(self):
-        assert gamma2() == pytest.approx(goldens.GAMMA2, abs=1e-12)
+        assert assemble_reduced_jet().gamma2 == pytest.approx(closed_forms.GAMMA2, abs=1e-12)
 
     def test_beta2(self):
-        assert beta2() == pytest.approx(goldens.BETA2, abs=1e-12)
+        assert assemble_reduced_jet().beta2 == pytest.approx(closed_forms.BETA2, abs=1e-12)
 
     def test_beta3(self):
-        assert beta3() == pytest.approx(goldens.BETA3, abs=1e-12)
+        assert assemble_reduced_jet().beta3 == pytest.approx(closed_forms.BETA3, abs=1e-12)
 
     def test_quadratic_sum_structure(self):
-        q = quadratic_terms()
+        q = term_ledger()
         assert q["alpha2.a"] + q["alpha2.b"] + q["alpha2.c"] == pytest.approx(
-            goldens.ALPHA2, abs=1e-12
+            closed_forms.ALPHA2, abs=1e-12
         )
         assert q["gamma2.a"] + q["gamma2.b"] + q["gamma2.c"] == pytest.approx(
-            goldens.GAMMA2, abs=1e-12
+            closed_forms.GAMMA2, abs=1e-12
         )
 
     def test_cubic_terms_are_purely_imaginary(self):
-        for name, value in cubic_terms().items():
-            assert abs(complex(value).real) <= 1e-13, name
+        for name, value in term_ledger().items():
+            if name.startswith("beta2."):
+                assert abs(complex(value).real) <= 1e-13, name
 
     def test_quartic_terms_are_purely_imaginary(self):
-        for name, value in quartic_terms().items():
-            assert abs(complex(value).real) <= 1e-13, name
+        for name, value in term_ledger().items():
+            if name.startswith("beta3."):
+                assert abs(complex(value).real) <= 1e-13, name
 
 
 class TestLoopStructure:
     def test_loop_coefficients(self):
-        t = quartic_terms()
+        t = term_ledger()
         assert t["beta3.loop_up"] == pytest.approx(5j * S3 / 16, abs=1e-13)
         assert t["beta3.loop_down"] == pytest.approx(5j * S3 / 16, abs=1e-13)
 
     def test_loop_coefficients_are_conjugate_negatives(self):
-        t = quartic_terms()
+        t = term_ledger()
         zeta_up = t["beta3.loop_up"]
         zeta_down = t["beta3.loop_down"]
         assert zeta_up == pytest.approx(-zeta_down.conjugate(), abs=1e-13)
 
     def test_loopback_total(self):
-        t = quartic_terms()
+        t = term_ledger()
         assert t["beta3.loopback"] == pytest.approx(-305j * S3 / 512, abs=1e-12)
 
     def test_dual_pairs_that_must_agree(self):
-        t = quartic_terms()
+        t = term_ledger()
         for name in ("ivb", "ivc", "ve", "vic"):
             assert t[f"beta3.{name}"] == pytest.approx(
                 t[f"beta3.{name}_dual"], abs=1e-13
@@ -105,7 +143,7 @@ class TestLoopStructure:
 
     def test_dual_pairs_that_differ_by_loopback(self):
         # the unprojected reversals pick up resonant loop contributions
-        t = quartic_terms()
+        t = term_ledger()
         assert t["beta3.iiib"] - t["beta3.iiib_dual"] == pytest.approx(
             75j * S3 / 128, abs=1e-12
         )
@@ -116,7 +154,9 @@ class TestLoopStructure:
 
 class TestProjectorRoute:
     def test_matches_catalog_assembly(self):
-        assert beta3_projector_route() == pytest.approx(beta3(), abs=1e-12)
+        assert beta3_projector_route() == pytest.approx(
+            assemble_reduced_jet().beta3, abs=1e-12
+        )
 
     @staticmethod
     def _resonant_part(order: int, src: Mode) -> dict[Mode, complex]:
@@ -149,17 +189,17 @@ class TestProjectorRoute:
 class TestReducedJet:
     def test_linear_coefficients(self):
         jet = assemble_reduced_jet()
-        assert jet.alpha1 == pytest.approx(goldens.ALPHA1, abs=1e-15)
-        assert jet.gamma1 == pytest.approx(goldens.GAMMA1, abs=1e-15)
+        assert jet.alpha1 == pytest.approx(closed_forms.ALPHA1, abs=1e-15)
+        assert jet.gamma1 == pytest.approx(closed_forms.GAMMA1, abs=1e-15)
 
     def test_T_constants(self):
         jet = assemble_reduced_jet()
-        assert jet.T1 == pytest.approx(goldens.T1, abs=1e-12)
-        assert jet.T2 == pytest.approx(goldens.T2, abs=1e-12)
+        assert jet.T1 == pytest.approx(closed_forms.T1, abs=1e-12)
+        assert jet.T2 == pytest.approx(closed_forms.T2, abs=1e-12)
 
     def test_beta3_eff(self):
         jet = assemble_reduced_jet()
-        assert jet.beta3_eff == pytest.approx(goldens.BETA3_EFF, abs=1e-12)
+        assert jet.beta3_eff == pytest.approx(closed_forms.BETA3_EFF, abs=1e-12)
 
     def test_flat_curve_values(self):
         assert flat_alpha(0.0) == pytest.approx(-0.75, abs=1e-15)
@@ -169,8 +209,8 @@ class TestReducedJet:
         h = 1e-6
         d_alpha = (flat_alpha(h) - flat_alpha(-h)) / (2 * h)
         d_gamma = (flat_gamma(h) - flat_gamma(-h)) / (2 * h)
-        assert d_alpha == pytest.approx(goldens.ALPHA1, abs=1e-8)
-        assert d_gamma == pytest.approx(goldens.GAMMA1, abs=1e-8)
+        assert d_alpha == pytest.approx(closed_forms.ALPHA1, abs=1e-8)
+        assert d_gamma == pytest.approx(closed_forms.GAMMA1, abs=1e-8)
 
     def test_custom_jet_keeps_overrides(self):
         jet = ReducedJet(

@@ -5,17 +5,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from stokes_isola.basis import Mode
+from stokes_isola.entanglement import is_pole
 from stokes_isola.stokes import (
     MAX_ORDER,
-    Omega,
     a_coeff,
     collision_frequency,
     eval_profile,
     omega,
-    omega_exact,
     p_coeff,
     rational_sqrt,
-    sgn_plus,
 )
 
 
@@ -99,11 +98,6 @@ class TestEvalProfile:
 
 
 class TestDispersion:
-    def test_sgn_plus(self):
-        assert sgn_plus(2.0) == 1.0
-        assert sgn_plus(-0.5) == -1.0
-        assert sgn_plus(0.0) == 1.0
-
     def test_resonant_pair_collides(self):
         assert omega(0, -1, 0.25) == pytest.approx(0.75, abs=1e-15)
         assert omega(2, +1, 0.25) == pytest.approx(0.75, abs=1e-15)
@@ -113,9 +107,6 @@ class TestDispersion:
         assert omega(1, +1, 0.25) == pytest.approx(1.25 - np.sqrt(1.25), abs=1e-15)
         assert omega(-1, -1, 0.25) == pytest.approx(-0.75 + np.sqrt(0.75), abs=1e-15)
 
-    def test_Omega_is_abs_sqrt(self):
-        assert Omega(-1, 0.25) == pytest.approx(np.sqrt(0.75), abs=1e-15)
-
 
 class TestExactArithmetic:
     def test_rational_sqrt(self):
@@ -123,15 +114,6 @@ class TestExactArithmetic:
         assert rational_sqrt(Fraction(0)) == Fraction(0)
         assert rational_sqrt(Fraction(2)) is None
         assert rational_sqrt(Fraction(49, 36)) == Fraction(7, 6)
-
-    def test_omega_exact_rational_cases(self):
-        assert omega_exact(0, -1, Fraction(1, 4)) == Fraction(3, 4)
-        assert omega_exact(2, +1, Fraction(1, 4)) == Fraction(3, 4)
-        assert omega_exact(6, +1, Fraction(1, 4)) == Fraction(15, 4)
-
-    def test_omega_exact_irrational_is_none(self):
-        assert omega_exact(1, +1, Fraction(1, 4)) is None
-        assert omega_exact(3, -1, Fraction(0)) is None
 
 
 class TestCollisionFrequency:
@@ -153,8 +135,8 @@ class TestCollisionFrequency:
     def test_branches_actually_collide(self):
         for p in range(2, 7):
             col = collision_frequency(p)
-            assert omega_exact(col.k, -1, col.mu) == col.omega_star
-            assert omega_exact(col.k_prime, +1, col.mu) == col.omega_star
+            assert is_pole(Mode(col.k, -1), col.mu, col.omega_star)
+            assert is_pole(Mode(col.k_prime, +1), col.mu, col.omega_star)
 
     def test_rejects_degenerate_order(self):
         with pytest.raises(ValueError):
