@@ -3,9 +3,10 @@
 Independent cross-check of the closed-form isola: discretize the linearized
 operator at Bloch exponent mu on the exponential basis e^{ijx}, j = -N..N,
 truncate, and find the few eigenvalues of the resulting matrix nearest the
-collision frequency by a shift-invert solve.  Nothing from the reduced-jet
-machinery enters here except the amplitude expansion of the Stokes profiles
-themselves.
+collision frequency by a shift-invert solve: a banded LU (the matrix is
+banded once the two components are interleaved) and block subspace
+iteration from a fixed start.  Nothing from the reduced-jet machinery enters
+here except the amplitude expansion of the Stokes profiles themselves.
 
 In the two-component frame the operator reads
 
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse.linalg
+from scipy.linalg.lapack import zgbtrf, zgbtrs, zgeev, zgeqrf, zungqr
 from scipy.optimize import brentq, minimize_scalar
 
 from .stokes import MAX_ORDER, a_coeff, p_coeff
@@ -56,10 +57,24 @@ DEFAULT_N = 32
 DEFAULT_CENTER = 0.75j
 DEFAULT_TRACKING_RADIUS = 0.2
 
-#: Eigenvalues returned by the shift-invert solve.  The tracking disk never
-#: holds more than two, so with a third the disk count of `_pick_pair` is the
-#: same as over the full spectrum.
-_NEAREST = 4
+#: Columns of the shift-invert block.  It resolves the eight eigenvalues
+#: nearest the shift, and the tracking disk never holds more than two, so
+#: the disk count of `_pick_pair` is that of the full spectrum.
+_BLOCK = 8
+#: Relative residual at which a Ritz pair counts as converged.
+_TOL = 1e-13
+#: Ritz values this far outside the tracking disk must converge too, so that
+#: none of the disk's eigenvalues is still outside it when the solve stops.
+_MARGIN = 0.05
+#: Iterations before the solve gives up.
+_MAX_ITER = 50
+#: Once the two nearest Ritz pairs reach this residual, the shift moves once
+#: to `_RESHIFT_GAP` short of their midpoint, if it is more than twice that
+#: away.  Not onto the midpoint: near an isola edge the pair is nearly
+#: defective, and a shift within its split swamps the rest of the block with
+#: spurious Ritz values, in the disk, that never converge.
+_RESHIFT_TOL = 1e-2
+_RESHIFT_GAP = 1e-3
 #: Offset of the retried shift when the first one is an exact eigenvalue.
 _SHIFT_NUDGE = 1e-9
 
@@ -80,7 +95,6 @@ class DiscretizedOperator:
     matrix: np.ndarray
 
 
-@functools.lru_cache(maxsize=64)
 def _exp_coeffs(which: str, eps: float, order: int) -> tuple[tuple[int, float], ...]:
     """Exponential Fourier coefficients of a profile through ``eps**order``,
     as (kappa, coefficient) pairs sorted by kappa: the coefficient of
@@ -95,6 +109,23 @@ def _exp_coeffs(which: str, eps: float, order: int) -> tuple[tuple[int, float], 
             if c != 0:
                 out[kappa] = out.get(kappa, 0.0) + scale * float(c)
     return tuple(sorted(out.items()))
+
+
+@functools.lru_cache(maxsize=2)
+def _toeplitz_parts(eps: float, N: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """``1 + p_eps`` and ``1 + a_eps`` as read-only (2N+1)-square Toeplitz
+    matrices: the mu-independent parts of `build`, shared by every solve of
+    one search."""
+    dim = 2 * N + 1
+    parts = []
+    for which in ("p", "a"):
+        toeplitz = np.zeros((dim, dim))
+        for kappa, c in _exp_coeffs(which, eps, order):
+            toeplitz += c * np.eye(dim, k=-kappa)
+        part = np.eye(dim) + toeplitz
+        part.flags.writeable = False
+        parts.append(part)
+    return tuple(parts)
 
 
 def build(
@@ -116,22 +147,12 @@ def build(
         raise ValueError(f"stokes_order must be in 0..{MAX_ORDER}, got {stokes_order}")
     if eps < 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
-    dim = 2 * N + 1
-    harmonics = np.arange(-N, N + 1, dtype=float)
-    d = harmonics + mu
-
-    p_toeplitz = np.zeros((dim, dim))
-    a_toeplitz = np.zeros((dim, dim))
-    for kappa, c in _exp_coeffs("p", eps, stokes_order):
-        p_toeplitz += c * np.eye(dim, k=-kappa)
-    for kappa, c in _exp_coeffs("a", eps, stokes_order):
-        a_toeplitz += c * np.eye(dim, k=-kappa)
-
-    eye = np.eye(dim)
-    m00 = 1j * (d[:, None] * (eye + p_toeplitz))
+    d = np.arange(-N, N + 1, dtype=float) + mu
+    p_part, a_part = _toeplitz_parts(eps, N, stokes_order)
+    m00 = 1j * (d[:, None] * p_part)
     m01 = np.diag(np.abs(d)).astype(complex)
-    m10 = -(eye + a_toeplitz).astype(complex)
-    m11 = 1j * ((eye + p_toeplitz) * d[None, :])
+    m10 = -a_part.astype(complex)
+    m11 = 1j * (p_part * d[None, :])
 
     matrix = np.block([[m00, m01], [m10, m11]])
     return DiscretizedOperator(mu=mu, eps=eps, N=N, stokes_order=stokes_order, matrix=matrix)
@@ -139,9 +160,11 @@ def build(
 
 @dataclass(frozen=True)
 class SpectrumSample:
-    """The eigenvalues of one truncation nearest the tracking center, with
-    the collision pair singled out; ``re_max`` is the larger real part of
-    the pair."""
+    """The eigenvalues of one truncation that the shift-invert solve
+    converged near the tracking center, nearest first, with the collision
+    pair singled out; ``re_max`` is the larger real part of the pair.
+    ``eigenvalues`` holds every eigenvalue within the tracking disk and
+    the two nearest the center, often nothing else."""
 
     eigenvalues: np.ndarray
     tracked_pair: tuple[complex, complex]
@@ -172,23 +195,106 @@ def _pick_pair(
     return lp, lm
 
 
-def _nearest_eigenvalues(matrix: np.ndarray, center: complex) -> np.ndarray:
-    """The `_NEAREST` eigenvalues of ``matrix`` closest to ``center``, by
-    shift-invert Arnoldi from a fixed start vector (so repeated calls agree
-    bit for bit).  A shift that is itself an eigenvalue makes the sparse LU
-    exactly singular; it is retried once, moved off by `_SHIFT_NUDGE`."""
-    a = scipy.sparse.csc_matrix(matrix)
-    v0 = np.ones(a.shape[0], dtype=complex)
-    for shift in (center, center + _SHIFT_NUDGE):
-        try:
-            return scipy.sparse.linalg.eigs(
-                a, k=_NEAREST, sigma=shift, v0=v0, tol=0, return_eigenvectors=False
-            )
-        except scipy.sparse.linalg.ArpackError as exc:
-            raise TrackingFailure(f"shift-invert solve near {center} failed: {exc}") from exc
-        except RuntimeError as exc:  # splu: "Factor is exactly singular"
-            singular = exc
-    raise TrackingFailure(f"shift-invert solve near {center} failed: {singular}") from singular
+@functools.lru_cache(maxsize=8)
+def _band_layout(n: int, kl: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays that gather the band of an n-square `build` matrix into
+    LAPACK band storage for `zgbtrf` with kl sub- and superdiagonals.
+
+    Rows and columns are taken in interleaved order (harmonic-major,
+    component-minor), in which the matrix is banded.  Returned are the flat
+    indices of the band entries in the matrix and their flat indices in the
+    transpose of the band storage (entry (i, j) at [j, 2*kl + i - j])."""
+    ldab = 3 * kl + 1
+    k = np.arange(n)
+    perm = (k % 2) * (n // 2) + k // 2
+    offsets = np.arange(-kl, kl + 1)[:, None]
+    i = k[None, :] + offsets
+    j = np.broadcast_to(k[None, :], i.shape)
+    inside = (i >= 0) & (i < n)
+    i, j = i[inside], j[inside]
+    src = perm[i] * n + perm[j]
+    dst = j * ldab + 2 * kl + i - j
+    src.flags.writeable = False
+    dst.flags.writeable = False
+    return src, dst
+
+
+@functools.lru_cache(maxsize=8)
+def _start_block(n: int) -> np.ndarray:
+    """The fixed start of the subspace iteration: the orthonormalized
+    columns e^{i*sqrt(2)*c*k}, k = 0..n-1, c = 1.._BLOCK."""
+    phases = np.sqrt(2.0) * np.outer(np.arange(n), np.arange(1, _BLOCK + 1))
+    q = zungqr(*zgeqrf(np.exp(1j * phases))[:2])[0]
+    q.flags.writeable = False
+    return q
+
+
+def _nearest_eigenvalues(
+    op: DiscretizedOperator, center: complex, radius: float
+) -> np.ndarray:
+    """The eigenvalues of ``op`` converged near ``center`` by block
+    shift-invert subspace iteration on a banded LU, nearest first.
+
+    In interleaved order ``op.matrix`` is banded with 2*stokes_order + 1
+    sub- and superdiagonals, and ``A - shift`` is factored by `zgbtrf`.  A
+    block of `_BLOCK` columns from a fixed start (so repeated calls agree
+    bit for bit) goes through the inverse once per step, followed by a
+    Rayleigh-Ritz step; a Ritz value nu of the inverse gives the eigenvalue
+    shift + 1/nu.  The iteration stops when every Ritz value within
+    ``radius + _MARGIN`` of ``center``, and the two nearest, have relative
+    residual |(A - shift)^-1 v - nu v| / |nu| at most `_TOL`, and returns
+    every Ritz value that meets it.  Once the two nearest have loosely
+    converged, the shift moves once towards them (`_RESHIFT_TOL`).  A shift
+    that is itself an eigenvalue makes the LU exactly singular; it is
+    retried once, moved off by `_SHIFT_NUDGE`.
+    """
+    matrix = op.matrix
+    n = matrix.shape[0]
+    kl = 2 * op.stokes_order + 1
+    src, dst = _band_layout(n, kl)
+    band_t = np.zeros((n, 3 * kl + 1), dtype=complex)
+    band_t.reshape(-1)[dst] = matrix.reshape(-1)[src]
+    band = band_t.T
+
+    def factor(shift: complex):
+        ab = band.copy(order="F")
+        ab[2 * kl] -= shift
+        lu, piv, info = zgbtrf(ab, kl, kl, overwrite_ab=1)
+        return (shift, lu, piv) if info == 0 else None
+
+    factored = factor(center) or factor(center + _SHIFT_NUDGE)
+    if factored is None:
+        raise TrackingFailure(
+            f"shift-invert solve near {center} failed: banded LU exactly "
+            f"singular at {center} and {center + _SHIFT_NUDGE}"
+        )
+    shift, lu, piv = factored
+    reshift = True
+    q = _start_block(n)
+    for _ in range(_MAX_ITER):
+        x = zgbtrs(lu, kl, kl, q, piv)[0]
+        h = q.conj().T @ x
+        nu, _, y, _ = zgeev(h, compute_vl=0)
+        res = np.linalg.norm((x - q @ h) @ y, axis=0) / np.abs(nu)
+        lam = shift + 1.0 / nu
+        order = np.argsort(np.abs(lam - center))
+        lam, res = lam[order], res[order]
+        need = np.abs(lam - center) <= radius + _MARGIN
+        need[:2] = True
+        if np.all(res[need] <= _TOL):
+            return lam[res <= _TOL]
+        if reshift and np.all(res[:2] <= _RESHIFT_TOL):
+            reshift = False
+            away = shift - 0.5 * (lam[0] + lam[1])
+            if abs(away) > 2 * _RESHIFT_GAP:
+                moved = factor(shift - away * (1 - _RESHIFT_GAP / abs(away)))
+                if moved is not None:
+                    shift, lu, piv = moved
+        q = zungqr(*zgeqrf(x)[:2])[0]
+    raise TrackingFailure(
+        f"shift-invert solve near {center} failed: "
+        f"no convergence in {_MAX_ITER} iterations"
+    )
 
 
 def spectrum(
@@ -196,14 +302,15 @@ def spectrum(
     center: complex = DEFAULT_CENTER,
     radius: float = DEFAULT_TRACKING_RADIUS,
 ) -> SpectrumSample:
-    """The few eigenvalues of ``op`` nearest ``center`` (shift-invert solve)
-    plus the pair tracked among them.
+    """The eigenvalues of ``op`` converged near ``center`` by the banded
+    shift-invert solve (`_nearest_eigenvalues`), plus the pair tracked
+    among them.
 
     Raises `TrackingFailure` when fewer than two eigenvalues lie in the
     tracking disk or the solve fails; with more than two, the two with
     largest |Re| (then closest to center) are taken.
     """
-    eigs = _nearest_eigenvalues(op.matrix, center)
+    eigs = _nearest_eigenvalues(op, center, radius)
     pair = _pick_pair(eigs, center, radius)
     re_max = max(pair[0].real, pair[1].real)
     return SpectrumSample(eigenvalues=eigs, tracked_pair=pair, re_max=re_max)

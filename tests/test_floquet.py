@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 
 from stokes_isola import closed_forms, floquet
 from stokes_isola.floquet import (
@@ -48,6 +47,50 @@ class TestBuild:
                 block = m[blk_r * d:(blk_r + 1) * d, blk_c * d:(blk_c + 1) * d]
                 off = block - np.diag(np.diag(block))
                 assert np.max(np.abs(off)) == 0.0
+
+
+class TestBuildCache:
+    @staticmethod
+    def _uncached(mu, eps, N, order):
+        """The assembly `build` performs, with nothing shared between calls."""
+        dim = 2 * N + 1
+        d = np.arange(-N, N + 1, dtype=float) + mu
+        p_toeplitz = np.zeros((dim, dim))
+        a_toeplitz = np.zeros((dim, dim))
+        for kappa, c in floquet._exp_coeffs("p", eps, order):
+            p_toeplitz += c * np.eye(dim, k=-kappa)
+        for kappa, c in floquet._exp_coeffs("a", eps, order):
+            a_toeplitz += c * np.eye(dim, k=-kappa)
+        eye = np.eye(dim)
+        m00 = 1j * (d[:, None] * (eye + p_toeplitz))
+        m01 = np.diag(np.abs(d)).astype(complex)
+        m10 = -(eye + a_toeplitz).astype(complex)
+        m11 = 1j * ((eye + p_toeplitz) * d[None, :])
+        return np.block([[m00, m01], [m10, m11]])
+
+    @pytest.mark.parametrize("N", [8, 16, 32])
+    @pytest.mark.parametrize("order", range(5))
+    def test_bit_identical_to_uncached_assembly(self, N, order):
+        for eps in (0.0, 0.06, 0.19):
+            for mu in (0.1, 0.2475, 0.25, 0.6):
+                ref = self._uncached(mu, eps, N, order)
+                got = build(mu, eps, N, order).matrix
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes()     # signed zeros too
+
+    def test_writing_a_matrix_leaves_the_next_build_alone(self):
+        first = build(0.2475, 0.08, N=16)
+        clean = first.matrix.copy()
+        first.matrix[:] = 7.0
+        assert np.array_equal(build(0.2475, 0.08, N=16).matrix, clean)
+        assert np.array_equal(build(0.25, 0.08, N=16).matrix, self._uncached(0.25, 0.08, 16, 4))
+
+    def test_cached_parts_are_read_only(self):
+        build(0.25, 0.05, N=16)
+        for part in floquet._toeplitz_parts(0.05, 16, 4):
+            assert not part.flags.writeable
+            with pytest.raises(ValueError):
+                part[0, 0] = 0.0
 
 
 class TestFlatExactness:
@@ -196,18 +239,20 @@ class TestShiftInvertSolver:
         assert abs(lp - 0.75j) <= 1e-12
         assert abs(lm - 0.75j) <= 1e-12
 
-    @pytest.mark.parametrize(
-        "error",
-        [
-            scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], []),
-            RuntimeError("Factor is exactly singular"),   # on both shifts tried
-        ],
-    )
-    def test_solver_error_is_tracking_failure(self, monkeypatch, error):
-        def failing(*args, **kwargs):
-            raise error
+    def test_singular_factor_is_tracking_failure(self, monkeypatch):
+        calls = []
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigs", failing)
+        def singular(ab, kl, ku, **kwargs):
+            calls.append(kwargs)
+            return ab, None, 1                    # info > 0: U has an exact zero pivot
+
+        monkeypatch.setattr(floquet, "zgbtrf", singular)
+        with pytest.raises(TrackingFailure, match="shift-invert"):
+            spectrum(build(0.25, 0.05, N=16))
+        assert len(calls) == 2                    # the nudged shift was tried too
+
+    def test_iteration_cap_is_tracking_failure(self, monkeypatch):
+        monkeypatch.setattr(floquet, "_MAX_ITER", 2)
         with pytest.raises(TrackingFailure, match="shift-invert"):
             spectrum(build(0.25, 0.05, N=16))
 
@@ -248,3 +293,59 @@ class TestIsolaSearchCost:
         assert meas.mu_width == pytest.approx(width, rel=1e-7, abs=0)
         assert meas.im_center == pytest.approx(im_center, rel=0, abs=1e-10)
         assert meas.mu_at_max == pytest.approx(mu_at_max, rel=0, abs=1e-10)
+
+
+class TestBandedSolve:
+    """The banded shift-invert solve against the full dense spectrum on a
+    seeded grid of (mu, eps, N) that crosses the tracking disk's edge, so
+    about half the points fail."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        rng = np.random.default_rng(20240)
+        points = []
+        for _ in range(60):
+            op = build(rng.uniform(0.1, 0.6), rng.uniform(0.0, 0.25), int(rng.choice([8, 16, 24, 32])))
+            points.append((op, scipy.linalg.eigvals(op.matrix)))
+        return points
+
+    @staticmethod
+    def _outcome(solve):
+        try:
+            return solve(), None
+        except TrackingFailure as exc:
+            return None, str(exc)
+
+    def test_pair_and_failures_match_dense(self, grid):
+        failures = 0
+        for op, dense in grid:
+            dense_pair, dense_err = self._outcome(lambda: _pick_pair(dense, 0.75j, 0.2))
+            sample, err = self._outcome(lambda: spectrum(op))
+            assert err == dense_err
+            if err is None:
+                assert abs(sample.tracked_pair[0] - dense_pair[0]) <= 1e-12
+                assert abs(sample.tracked_pair[1] - dense_pair[1]) <= 1e-12
+            else:
+                failures += 1
+        assert 10 <= failures <= len(grid) - 10
+
+    def test_eigenvalues_are_converged_and_cover_the_disk(self, grid):
+        for op, dense in grid:
+            eigs = floquet._nearest_eigenvalues(op, 0.75j, 0.2)
+            assert eigs.size >= 2
+            for lam in eigs:
+                assert np.min(np.abs(dense - lam)) <= 1e-12
+            for lam in dense[np.abs(dense - 0.75j) <= 0.2]:
+                assert np.min(np.abs(eigs - lam)) <= 1e-12
+
+    @pytest.mark.parametrize("N,order", [(8, 0), (16, 2), (32, 4)])
+    def test_band_holds_every_nonzero(self, N, order):
+        m = build(0.2475, 0.19, N, order).matrix
+        n = m.shape[0]
+        k = np.arange(n)
+        interleaved = (k % 2) * (n // 2) + k // 2
+        p = m[np.ix_(interleaved, interleaved)]
+        kl = 2 * order + 1
+        outside = np.abs(k[:, None] - k[None, :]) > kl
+        assert np.all(p[outside] == 0)
+        assert np.any(p[np.abs(k[:, None] - k[None, :]) == kl] != 0)
