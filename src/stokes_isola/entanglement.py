@@ -50,6 +50,7 @@ complement.  ``bracket(op, left, right)`` is the one pairing primitive:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -174,12 +175,19 @@ def is_pole(
     1e-12 window.
     """
     if isinstance(mu, Fraction) and isinstance(omega_star, Fraction):
-        r = mode.j + mu
-        s = rational_sqrt(abs(r))
-        if s is None:
-            return False
-        return r - mode.sigma * s == omega_star
+        return _is_pole_exact(mode.j, mode.sigma, mu, omega_star)
     return abs(omega(mode.j, mode.sigma, float(mu)) - float(omega_star)) < 1e-12
+
+
+@functools.lru_cache(maxsize=256)
+def _is_pole_exact(j: int, sigma: int, mu: Fraction, omega_star: Fraction) -> bool:
+    """`is_pole` in exact arithmetic.  Memoized: every chain evaluation asks
+    again about the same few modes, and `Fraction` arithmetic is slow."""
+    r = j + mu
+    s = rational_sqrt(abs(r))
+    if s is None:
+        return False
+    return r - sigma * s == omega_star
 
 
 def residue(

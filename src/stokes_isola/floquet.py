@@ -5,8 +5,10 @@ operator at Bloch exponent mu on the exponential basis e^{ijx}, j = -N..N,
 truncate, and find the few eigenvalues of the resulting matrix nearest the
 collision frequency by a shift-invert solve: a banded LU (the matrix is
 banded once the two components are interleaved) and block subspace
-iteration from a fixed start.  Nothing from the reduced-jet machinery enters
-here except the amplitude expansion of the Stokes profiles themselves.
+iteration.  A solve starts from a fixed block, or, along a search in mu,
+from the converged block of a nearby solve (continuation), which roughly
+halves its iterations.  Nothing from the reduced-jet machinery enters here
+except the amplitude expansion of the Stokes profiles themselves.
 
 In the two-component frame the operator reads
 
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -70,9 +72,10 @@ _MARGIN = 0.05
 _MAX_ITER = 50
 #: Once the two nearest Ritz pairs reach this residual, the shift moves once
 #: to `_RESHIFT_GAP` short of their midpoint, if it is more than twice that
-#: away.  Not onto the midpoint: near an isola edge the pair is nearly
-#: defective, and a shift within its split swamps the rest of the block with
-#: spurious Ritz values, in the disk, that never converge.
+#: away; a continued solve starts there from the earlier pair.  Not onto the
+#: midpoint: near an isola edge the pair is nearly defective, and a shift
+#: within its split swamps the rest of the block with spurious Ritz values,
+#: in the disk, that never converge.
 _RESHIFT_TOL = 1e-2
 _RESHIFT_GAP = 1e-3
 #: Offset of the retried shift when the first one is an exact eigenvalue.
@@ -164,11 +167,15 @@ class SpectrumSample:
     converged near the tracking center, nearest first, with the collision
     pair singled out; ``re_max`` is the larger real part of the pair.
     ``eigenvalues`` holds every eigenvalue within the tracking disk and
-    the two nearest the center, often nothing else."""
+    the two nearest the center, often nothing else.  ``block`` is the
+    read-only orthonormal block the solve converged on, which a solve at a
+    nearby mu can start from (`spectrum`'s ``start``); it takes no part in
+    comparisons or the repr."""
 
     eigenvalues: np.ndarray
     tracked_pair: tuple[complex, complex]
     re_max: float
+    block: np.ndarray = field(repr=False, compare=False)
 
 
 def _pick_pair(
@@ -229,27 +236,61 @@ def _start_block(n: int) -> np.ndarray:
     return q
 
 
-def _nearest_eigenvalues(
-    op: DiscretizedOperator, center: complex, radius: float
-) -> np.ndarray:
+def _toward_pair(shift: complex, lam0: complex, lam1: complex) -> Optional[complex]:
+    """`_RESHIFT_GAP` short of the midpoint of ``lam0`` and ``lam1``, on the
+    side of ``shift``; None when ``shift`` is within twice that already."""
+    away = shift - 0.5 * (lam0 + lam1)
+    if abs(away) <= 2 * _RESHIFT_GAP:
+        return None
+    return shift - away * (1 - _RESHIFT_GAP / abs(away))
+
+
+def _shift_invert(
+    op: DiscretizedOperator,
+    center: complex,
+    radius: float,
+    start: Optional[SpectrumSample] = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """The eigenvalues of ``op`` converged near ``center`` by block
-    shift-invert subspace iteration on a banded LU, nearest first.
+    shift-invert subspace iteration on a banded LU, nearest first, and the
+    orthonormal block they converged on.
 
     In interleaved order ``op.matrix`` is banded with 2*stokes_order + 1
     sub- and superdiagonals, and ``A - shift`` is factored by `zgbtrf`.  A
-    block of `_BLOCK` columns from a fixed start (so repeated calls agree
-    bit for bit) goes through the inverse once per step, followed by a
-    Rayleigh-Ritz step; a Ritz value nu of the inverse gives the eigenvalue
-    shift + 1/nu.  The iteration stops when every Ritz value within
-    ``radius + _MARGIN`` of ``center``, and the two nearest, have relative
-    residual |(A - shift)^-1 v - nu v| / |nu| at most `_TOL`, and returns
-    every Ritz value that meets it.  Once the two nearest have loosely
-    converged, the shift moves once towards them (`_RESHIFT_TOL`).  A shift
-    that is itself an eigenvalue makes the LU exactly singular; it is
-    retried once, moved off by `_SHIFT_NUDGE`.
+    block of `_BLOCK` columns goes through the inverse once per step,
+    followed by a Rayleigh-Ritz step; a Ritz value nu of the inverse gives
+    the eigenvalue shift + 1/nu.  The iteration stops when every Ritz value
+    within ``radius + _MARGIN`` of ``center``, and the two nearest, have
+    relative residual |(A - shift)^-1 v - nu v| / |nu| at most `_TOL`, and
+    returns every Ritz value that meets it.
+
+    Without ``start`` the block starts fixed (so repeated calls agree bit
+    for bit) and the shift at ``center``.  With ``start``, a sample at a
+    nearby mu of a matrix of the same size, the block starts from
+    ``start.block`` and the shift towards ``start``'s pair (`_toward_pair`).
+    Once the two nearest have loosely converged (`_RESHIFT_TOL`), the shift
+    moves once towards them, if it is far from their midpoint.  A continued
+    solve needs that only after a long step in mu; there it also moves a
+    shift that happens to lie within about 1e-6 of an eigenvalue, where
+    rounding keeps the other Ritz values in the disk from converging.  A
+    shift that is itself an eigenvalue makes the LU exactly singular; the
+    next is tried: ``center``, then ``center`` moved off by `_SHIFT_NUDGE`.
     """
     matrix = op.matrix
     n = matrix.shape[0]
+    shifts = [center, center + _SHIFT_NUDGE]
+    if start is None:
+        q = _start_block(n)
+    else:
+        if start.block.shape != (n, _BLOCK):
+            raise ValueError(
+                f"start block has shape {start.block.shape}, "
+                f"need {(n, _BLOCK)} for a {n}-square matrix"
+            )
+        q = start.block
+        warm = _toward_pair(center, *start.tracked_pair)
+        if warm is not None:
+            shifts.insert(0, warm)
     kl = 2 * op.stokes_order + 1
     src, dst = _band_layout(n, kl)
     band_t = np.zeros((n, 3 * kl + 1), dtype=complex)
@@ -262,7 +303,7 @@ def _nearest_eigenvalues(
         lu, piv, info = zgbtrf(ab, kl, kl, overwrite_ab=1)
         return (shift, lu, piv) if info == 0 else None
 
-    factored = factor(center) or factor(center + _SHIFT_NUDGE)
+    factored = next(filter(None, map(factor, shifts)), None)
     if factored is None:
         raise TrackingFailure(
             f"shift-invert solve near {center} failed: banded LU exactly "
@@ -270,7 +311,6 @@ def _nearest_eigenvalues(
         )
     shift, lu, piv = factored
     reshift = True
-    q = _start_block(n)
     for _ in range(_MAX_ITER):
         x = zgbtrs(lu, kl, kl, q, piv)[0]
         h = q.conj().T @ x
@@ -282,14 +322,14 @@ def _nearest_eigenvalues(
         need = np.abs(lam - center) <= radius + _MARGIN
         need[:2] = True
         if np.all(res[need] <= _TOL):
-            return lam[res <= _TOL]
+            q.flags.writeable = False
+            return lam[res <= _TOL], q
         if reshift and np.all(res[:2] <= _RESHIFT_TOL):
             reshift = False
-            away = shift - 0.5 * (lam[0] + lam[1])
-            if abs(away) > 2 * _RESHIFT_GAP:
-                moved = factor(shift - away * (1 - _RESHIFT_GAP / abs(away)))
-                if moved is not None:
-                    shift, lu, piv = moved
+            target = _toward_pair(shift, lam[0], lam[1])
+            moved = None if target is None else factor(target)
+            if moved is not None:
+                shift, lu, piv = moved
         q = zungqr(*zgeqrf(x)[:2])[0]
     raise TrackingFailure(
         f"shift-invert solve near {center} failed: "
@@ -297,23 +337,37 @@ def _nearest_eigenvalues(
     )
 
 
+def _nearest_eigenvalues(
+    op: DiscretizedOperator, center: complex, radius: float
+) -> np.ndarray:
+    """The eigenvalues of a cold `_shift_invert` solve, without its block."""
+    return _shift_invert(op, center, radius)[0]
+
+
 def spectrum(
     op: DiscretizedOperator,
     center: complex = DEFAULT_CENTER,
     radius: float = DEFAULT_TRACKING_RADIUS,
+    start: Optional[SpectrumSample] = None,
 ) -> SpectrumSample:
     """The eigenvalues of ``op`` converged near ``center`` by the banded
-    shift-invert solve (`_nearest_eigenvalues`), plus the pair tracked
-    among them.
+    shift-invert solve (`_shift_invert`), plus the pair tracked among them.
+
+    ``start`` continues an earlier solve: a sample of a matrix of the same
+    size and ``stokes_order`` at a nearby mu, whose converged block and
+    pair seed this solve.  It changes the iterations, not the stopping rule,
+    so the result agrees with a cold solve to rounding; a ``start`` of
+    another size raises ValueError.  Without it the solve is cold and
+    deterministic.
 
     Raises `TrackingFailure` when fewer than two eigenvalues lie in the
     tracking disk or the solve fails; with more than two, the two with
     largest |Re| (then closest to center) are taken.
     """
-    eigs = _nearest_eigenvalues(op, center, radius)
+    eigs, block = _shift_invert(op, center, radius, start)
     pair = _pick_pair(eigs, center, radius)
     re_max = max(pair[0].real, pair[1].real)
-    return SpectrumSample(eigenvalues=eigs, tracked_pair=pair, re_max=re_max)
+    return SpectrumSample(eigenvalues=eigs, tracked_pair=pair, re_max=re_max, block=block)
 
 
 @dataclass(frozen=True)
@@ -336,16 +390,20 @@ def trace_isola(
 ) -> list[SpectrumPoint]:
     """Tracked eigenvalue pair across a grid of Floquet exponents.
 
+    Each sample continues the solve of the previous one (`spectrum`'s
+    ``start``); the first, and any after a failure, starts cold.
     Per-sample tracking failures are recorded in the output rather than
     raised, so one bad sample cannot kill a sweep.
     """
     points: list[SpectrumPoint] = []
+    previous: Optional[SpectrumSample] = None
     for mu in mu_grid:
         try:
-            sample = spectrum(build(mu, eps, N, stokes_order), radius=radius)
-            lp, lm = sample.tracked_pair
-            points.append(SpectrumPoint(float(mu), lp, lm, sample.re_max))
+            previous = spectrum(build(mu, eps, N, stokes_order), radius=radius, start=previous)
+            lp, lm = previous.tracked_pair
+            points.append(SpectrumPoint(float(mu), lp, lm, previous.re_max))
         except TrackingFailure as exc:
+            previous = None
             points.append(SpectrumPoint(float(mu), None, None, None, error=str(exc)))
     return points
 
@@ -398,11 +456,10 @@ class IsolaMeasurement:
         return self.mu_right - self.mu_left
 
 
-def _pair_gap_squared(mu: float, eps: float, N: int, stokes_order: int) -> tuple[float, float]:
+def _pair_gap_squared(sample: SpectrumSample) -> tuple[float, float]:
     """(lambda+ - lambda-)^2 of the tracked pair (real up to solver noise),
     and the midpoint's imaginary part.  Positive inside the isola, negative
-    outside, with a single interior maximum."""
-    sample = spectrum(build(mu, eps, N, stokes_order))
+    outside, with a single interior maximum in mu."""
     lp, lm = sample.tracked_pair
     gap2 = (lp - lm) ** 2
     return gap2.real, 0.5 * (lp + lm).imag
@@ -462,7 +519,8 @@ def measure_isola(
     mu-extent, pinned by Brent's method on small brackets around the edges
     of a parabola through the peak search's samples (each bracket checked
     for a sign change, else the half window on that side).  Every mu is
-    solved once per call.
+    solved once per call, each solve but the first continuing the one at
+    the nearest mu solved so far (`spectrum`'s ``start``).
 
     Raises `TrackingFailure` if the pair cannot be followed, ValueError if
     the isola is not resolved in the window (max gap^2 <= 0).
@@ -471,16 +529,22 @@ def measure_isola(
     mu0 = float(critical_curves(jet).mu0(eps))
     half = window_scale * eps**3
     lo, hi = mu0 - half, mu0 + half
+    samples: dict[float, SpectrumSample] = {}
     solved: dict[float, tuple[float, float]] = {}
 
     def solve(mu: float) -> tuple[float, float]:
         if mu not in solved:
-            solved[mu] = _pair_gap_squared(mu, eps, N, stokes_order)
+            start = samples[min(samples, key=lambda m: abs(m - mu))] if samples else None
+            samples[mu] = spectrum(build(mu, eps, N, stokes_order), start=start)
+            solved[mu] = _pair_gap_squared(samples[mu])
         return solved[mu]
 
     def gap2(mu: float) -> float:
         return solve(mu)[0]
 
+    # scipy's bounded Brent adds sqrt(eps_mach)*|mu| (about 3.7e-9 here) to
+    # xatol, so mu_at_max is pinned to a few 1e-9, not 1e-13; the value is
+    # kept because it fixes the sequence of mu the search solves at.
     res = minimize_scalar(
         lambda mu: -gap2(mu), bounds=(lo, hi), method="bounded", options={"xatol": 1e-13}
     )

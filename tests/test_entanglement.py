@@ -2,10 +2,12 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stokes_isola import cli, entanglement, jets
 from stokes_isola.basis import Mode
 from stokes_isola.entanglement import (
     MU_STAR,
@@ -112,6 +114,28 @@ class TestIsPole:
     def test_float_fallback(self):
         assert is_pole(LOW, 0.25, 0.75)
         assert not is_pole(Mode(1, 1), 0.25, 0.75)
+
+    def test_verify_takes_each_exact_root_once(self, monkeypatch, capsys):
+        asked, roots = [], []
+        real_is_pole, real_sqrt = entanglement.is_pole, entanglement.rational_sqrt
+
+        def spy_is_pole(mode, mu=MU_STAR, omega_star=OMEGA_STAR):
+            if isinstance(mu, Fraction) and isinstance(omega_star, Fraction):
+                asked.append((mode.j, mode.sigma, mu, omega_star))
+            return real_is_pole(mode, mu, omega_star)
+
+        def spy_sqrt(q):
+            roots.append(q)
+            return real_sqrt(q)
+
+        monkeypatch.setattr(entanglement, "is_pole", spy_is_pole)
+        monkeypatch.setattr(entanglement, "rational_sqrt", spy_sqrt)
+        jets._ledger.cache_clear()
+        entanglement._is_pole_exact.cache_clear()
+        assert cli.main(["verify"]) == 0
+        capsys.readouterr()
+        assert len(asked) > 10 * len(set(asked))      # the same modes, over and over
+        assert len(roots) == len(set(asked))
 
 
 class TestResidue:

@@ -21,6 +21,8 @@ from stokes_isola.jets import assemble_reduced_jet
 from stokes_isola.stokes import omega
 
 JET = assemble_reduced_jet()
+#: Predicted isola center at eps = 0.2.
+MU0_020 = float(critical_curves(JET).mu0(0.2))
 
 
 class TestBuild:
@@ -183,6 +185,11 @@ class TestIsolaMeasurement:
         assert abs(slope - 4.0) <= 0.3
         assert abs(intercept - math.log(closed_forms.BETA3_EFF)) <= 0.4
 
+    def test_deterministic(self):
+        first, second = measure_isola(0.06), measure_isola(0.06)
+        assert first == second
+        assert repr(first) == repr(second)                 # bit for bit
+
     def test_error_shrinks_with_amplitude(self):
         rel = []
         for eps in (0.08, 0.04):
@@ -276,6 +283,26 @@ class TestIsolaSearchCost:
         measure_isola(eps, N=32)
         assert len(calls) <= 30
 
+    @pytest.mark.parametrize("eps", [0.06, 0.12, 0.19])
+    def test_iterations_per_solve(self, monkeypatch, eps):
+        """Continued solves take at most 5 subspace iterations on average
+        (cold ones take 6.0-7.6 at these amplitudes)."""
+        solves, iterations = [], []
+        solve, inverse = floquet.spectrum, floquet.zgbtrs
+
+        def counted_solve(*args, **kwargs):
+            solves.append(args)
+            return solve(*args, **kwargs)
+
+        def counted_inverse(*args, **kwargs):
+            iterations.append(args)
+            return inverse(*args, **kwargs)
+
+        monkeypatch.setattr(floquet, "spectrum", counted_solve)
+        monkeypatch.setattr(floquet, "zgbtrs", counted_inverse)
+        measure_isola(eps, N=32)
+        assert len(iterations) <= 5 * len(solves)
+
     #: (re_max, mu_width, im_center, mu_at_max) from the dense full-spectrum
     #: search (scipy.linalg.eigvals per sample, Brent on the whole half
     #: windows), scipy 1.17.1 with OpenBLAS.
@@ -349,3 +376,101 @@ class TestBandedSolve:
         outside = np.abs(k[:, None] - k[None, :]) > kl
         assert np.all(p[outside] == 0)
         assert np.any(p[np.abs(k[:, None] - k[None, :]) == kl] != 0)
+
+
+class TestWarmStart:
+    """Solves continued from a cold sample at a nearby mu, against the full
+    dense spectrum, on a seeded grid of (mu, eps, N) points whose start
+    sample tracks the pair."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        rng = np.random.default_rng(20250)
+        points = []
+        while len(points) < 60:
+            mu, eps = rng.uniform(0.1, 0.45), rng.uniform(0.0, 0.25)
+            N, delta = int(rng.choice([8, 16, 24, 32])), rng.uniform(-0.03, 0.03)
+            try:
+                start = spectrum(build(mu + delta, eps, N))
+            except TrackingFailure:
+                continue
+            op = build(mu, eps, N)
+            points.append((op, start, scipy.linalg.eigvals(op.matrix)))
+        return points
+
+    def test_pair_and_failures_match_dense(self, grid):
+        failures = 0
+        for op, start, dense in grid:
+            dense_pair, dense_err = TestBandedSolve._outcome(lambda: _pick_pair(dense, 0.75j, 0.2))
+            sample, err = TestBandedSolve._outcome(lambda: spectrum(op, start=start))
+            assert err == dense_err
+            if err is None:
+                assert abs(sample.tracked_pair[0] - dense_pair[0]) <= 1e-12
+                assert abs(sample.tracked_pair[1] - dense_pair[1]) <= 1e-12
+            else:
+                failures += 1
+        assert 2 <= failures <= len(grid) - 40
+
+    def test_eigenvalues_are_converged_and_cover_the_disk(self, grid):
+        for op, start, dense in grid:
+            eigs, block = floquet._shift_invert(op, 0.75j, 0.2, start)
+            assert not block.flags.writeable
+            for lam in eigs:
+                assert np.min(np.abs(dense - lam)) <= 1e-12
+            for lam in dense[np.abs(dense - 0.75j) <= 0.2]:
+                assert np.min(np.abs(eigs - lam)) <= 1e-12
+
+    def test_shift_landing_on_an_eigenvalue(self):
+        """A long step (to the left window edge of `measure_isola` at this
+        eps) whose first shift lands 4e-7 from an eigenvalue.  Until the
+        shift moves, rounding holds the other eigenvalue in the disk at a
+        relative residual near 5e-13, above `_TOL`."""
+        eps = 0.14183985139010924
+        start = spectrum(build(0.22003137218862653, eps, 32))
+        op = build(0.20925303255023298, eps, 32)
+        cold = spectrum(op).tracked_pair
+        assert abs(floquet._toward_pair(0.75j, *start.tracked_pair) - cold[0]) <= 1e-6
+        warm = spectrum(op, start=start).tracked_pair
+        assert abs(warm[0] - cold[0]) <= 1e-12
+        assert abs(warm[1] - cold[1]) <= 1e-12
+
+    def test_start_of_another_size_is_rejected(self):
+        start = spectrum(build(0.25, 0.05, N=16))
+        with pytest.raises(ValueError, match="start block"):
+            spectrum(build(0.25, 0.05, N=24), start=start)
+
+    @staticmethod
+    def _cold(eps, mu):
+        try:
+            return spectrum(build(mu, eps, 32)).tracked_pair, None
+        except TrackingFailure as exc:
+            return None, str(exc)
+
+    @pytest.mark.parametrize("eps,grid", [
+        # from the isola's center across the left edge of its window and back
+        (0.2, [MU0_020 - 0.01 * k for k in range(9)] + [MU0_020]),
+        # out to mu = 0.55, where the pair has left the disk, and back
+        (0.06, [0.2 + 0.05 * k for k in range(8)] + [0.25]),
+    ])
+    def test_trace_matches_cold_solves(self, monkeypatch, eps, grid):
+        warm = []
+        solve = floquet.spectrum
+
+        def recorded(*args, start=None, **kwargs):
+            warm.append(start is not None)
+            return solve(*args, start=start, **kwargs)
+
+        monkeypatch.setattr(floquet, "spectrum", recorded)
+        points = trace_isola(eps, grid, N=32)
+        monkeypatch.undo()
+        errors = [p.error for p in points]
+        assert None in errors and any(errors)
+        # each point continues the previous one unless that one failed
+        assert warm == [False] + [e is None for e in errors[:-1]]
+        for p, mu in zip(points, grid):
+            pair, err = self._cold(eps, mu)
+            assert p.error == err
+            if err is None:
+                assert abs(p.lambda_plus - pair[0]) <= 1e-12
+                assert abs(p.lambda_minus - pair[1]) <= 1e-12
+        assert points[-1].error is None and points[-2].error is not None
