@@ -303,13 +303,15 @@ class TestIsolaSearchCost:
         measure_isola(eps, N=32)
         assert len(iterations) <= 5 * len(solves)
 
-    #: (re_max, mu_width, im_center, mu_at_max) from the dense full-spectrum
-    #: search (scipy.linalg.eigvals per sample, Brent on the whole half
-    #: windows), scipy 1.17.1 with OpenBLAS.
+    #: (re_max, mu_width, im_center, mu_at_max) from dense eigenvalues alone
+    #: (scipy.linalg.eigvals and `_pick_pair` per sample): the vertex of the
+    #: least-squares parabola through the pair's gap^2 at 13 points within
+    #: +-0.3 half-widths, refitted once about it, and the edges by Brent's
+    #: method on the dense gap^2; scipy 1.17.1 with OpenBLAS.
     DENSE_SEARCH = {
-        0.04: (3.1582824675972384e-07, 9.448044329396499e-07, 0.7472421495089018, 0.2485719359205368),
-        0.06: (1.5729993669212587e-06, 4.688798490276591e-06, 0.7437722157144173, 0.24677805691057428),
-        0.08: (4.875911145222535e-06, 1.4460034617302941e-05, 0.738870112055532, 0.24424953163998028),
+        0.04: (3.158282450930796e-07, 9.448044191173732e-07, 0.7472421495064817, 0.24857193591872542),
+        0.06: (1.5729993700892604e-06, 4.688798495966484e-06, 0.74377221559658, 0.24677805682235202),
+        0.08: (4.875911215849701e-06, 1.4460034623742235e-05, 0.738870110430877, 0.24424953042518993),
     }
 
     @pytest.mark.parametrize("eps", [0.04, 0.06, 0.08])
