@@ -5,10 +5,10 @@ operator at Bloch exponent mu on the exponential basis e^{ijx}, j = -N..N,
 truncate, and find the few eigenvalues of the resulting matrix nearest the
 collision frequency by a shift-invert solve: a banded LU (the matrix is
 banded once the two components are interleaved) and block subspace
-iteration.  A solve starts from a fixed block, or, along a search in mu,
-from the converged block of a nearby solve (continuation), which roughly
-halves its iterations.  Nothing from the reduced-jet machinery enters here
-except the amplitude expansion of the Stokes profiles themselves.
+iteration, started from a fixed block or, along a search in mu, from the
+converged block of a nearby solve.  The isola search runs Newton's method on
+the discriminant of the tracked pair's 2x2 symplectic reduction, taken from
+the matrix and the converged block; it starts at the closed form's mu0(eps).
 
 In the two-component frame the operator reads
 
@@ -31,11 +31,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import zgbtrf, zgbtrs, zgeev, zgeqrf, zungqr
-from scipy.optimize import brentq, minimize_scalar
+from scipy.linalg.lapack import zgbtrf, zgbtrs, zgees, zgeev, zgeqrf, ztrsen, zungqr
 
 from .stokes import MAX_ORDER, a_coeff, p_coeff
 from .jets import assemble_reduced_jet
@@ -80,6 +79,14 @@ _RESHIFT_TOL = 1e-2
 _RESHIFT_GAP = 1e-3
 #: Offset of the retried shift when the first one is an exact eigenvalue.
 _SHIFT_NUDGE = 1e-9
+#: An iteration of `measure_isola` stops at a step of this many units in
+#: the last place of mu or fewer, and after `_MAX_STEPS` raises ValueError.
+_STEP_ULPS = 4
+_MAX_STEPS = 16
+#: Newton's method on D starts this fraction of the half-width beyond each
+#: edge, so its steps approach the edge from outside (D is concave), where
+#: D reads negative above the solver's noise.
+_EDGE_MARGIN = 1e-3
 
 
 class TrackingFailure(RuntimeError):
@@ -168,9 +175,9 @@ class SpectrumSample:
     pair singled out; ``re_max`` is the larger real part of the pair.
     ``eigenvalues`` holds every eigenvalue within the tracking disk and
     the two nearest the center, often nothing else.  ``block`` is the
-    read-only orthonormal block the solve converged on, which a solve at a
-    nearby mu can start from (`spectrum`'s ``start``); it takes no part in
-    comparisons or the repr."""
+    read-only orthonormal block the solve converged on, rows in
+    `_interleaved` order, which a solve at a nearby mu can start from
+    (`spectrum`'s ``start``); it takes no part in comparisons or the repr."""
 
     eigenvalues: np.ndarray
     tracked_pair: tuple[complex, complex]
@@ -202,18 +209,24 @@ def _pick_pair(
     return lp, lm
 
 
+def _interleaved(n: int) -> np.ndarray:
+    """Rows of an n-square `build` matrix in interleaved order (harmonic-major)."""
+    k = np.arange(n)
+    return (k % 2) * (n // 2) + k // 2
+
+
 @functools.lru_cache(maxsize=8)
 def _band_layout(n: int, kl: int) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays that gather the band of an n-square `build` matrix into
     LAPACK band storage for `zgbtrf` with kl sub- and superdiagonals.
 
-    Rows and columns are taken in interleaved order (harmonic-major,
-    component-minor), in which the matrix is banded.  Returned are the flat
-    indices of the band entries in the matrix and their flat indices in the
-    transpose of the band storage (entry (i, j) at [j, 2*kl + i - j])."""
+    Rows and columns are taken in `_interleaved` order, in which the matrix
+    is banded.  Returned are the flat indices of the band entries in the
+    matrix and their flat indices in the transpose of the band storage
+    (entry (i, j) at [j, 2*kl + i - j])."""
     ldab = 3 * kl + 1
     k = np.arange(n)
-    perm = (k % 2) * (n // 2) + k // 2
+    perm = _interleaved(n)
     offsets = np.arange(-kl, kl + 1)[:, None]
     i = k[None, :] + offsets
     j = np.broadcast_to(k[None, :], i.shape)
@@ -265,16 +278,15 @@ def _shift_invert(
     returns every Ritz value that meets it.
 
     Without ``start`` the block starts fixed (so repeated calls agree bit
-    for bit) and the shift at ``center``.  With ``start``, a sample at a
-    nearby mu of a matrix of the same size, the block starts from
-    ``start.block`` and the shift towards ``start``'s pair (`_toward_pair`).
-    Once the two nearest have loosely converged (`_RESHIFT_TOL`), the shift
-    moves once towards them, if it is far from their midpoint.  A continued
-    solve needs that only after a long step in mu; there it also moves a
-    shift that happens to lie within about 1e-6 of an eigenvalue, where
-    rounding keeps the other Ritz values in the disk from converging.  A
-    shift that is itself an eigenvalue makes the LU exactly singular; the
-    next is tried: ``center``, then ``center`` moved off by `_SHIFT_NUDGE`.
+    for bit) and the shift at ``center``; with ``start``, a sample at a
+    nearby mu of a matrix of the same size, from ``start.block`` and towards
+    ``start``'s pair (`_toward_pair`).  Once the two nearest have loosely
+    converged (`_RESHIFT_TOL`), the shift moves once towards them if it is
+    far from their midpoint: after a long step in mu, or when it lies within
+    about 1e-6 of an eigenvalue, where rounding keeps the other Ritz values
+    in the disk from converging.  A shift that is an eigenvalue makes the LU
+    exactly singular; the next is tried: ``center``, then ``center`` moved
+    off by `_SHIFT_NUDGE`.
     """
     matrix = op.matrix
     n = matrix.shape[0]
@@ -337,13 +349,6 @@ def _shift_invert(
     )
 
 
-def _nearest_eigenvalues(
-    op: DiscretizedOperator, center: complex, radius: float
-) -> np.ndarray:
-    """The eigenvalues of a cold `_shift_invert` solve, without its block."""
-    return _shift_invert(op, center, radius)[0]
-
-
 def spectrum(
     op: DiscretizedOperator,
     center: complex = DEFAULT_CENTER,
@@ -353,12 +358,9 @@ def spectrum(
     """The eigenvalues of ``op`` converged near ``center`` by the banded
     shift-invert solve (`_shift_invert`), plus the pair tracked among them.
 
-    ``start`` continues an earlier solve: a sample of a matrix of the same
-    size and ``stokes_order`` at a nearby mu, whose converged block and
-    pair seed this solve.  It changes the iterations, not the stopping rule,
-    so the result agrees with a cold solve to rounding; a ``start`` of
-    another size raises ValueError.  Without it the solve is cold and
-    deterministic.
+    ``start``, a sample at a nearby mu of a matrix of the same size and
+    ``stokes_order``, continues that solve; it changes the iterations, not
+    the stopping rule, and one of another size raises ValueError.
 
     Raises `TrackingFailure` when fewer than two eigenvalues lie in the
     tracking disk or the solve fails; with more than two, the two with
@@ -456,51 +458,36 @@ class IsolaMeasurement:
         return self.mu_right - self.mu_left
 
 
-def _pair_gap_squared(sample: SpectrumSample) -> tuple[float, float]:
-    """(lambda+ - lambda-)^2 of the tracked pair (real up to solver noise),
-    and the midpoint's imaginary part.  Positive inside the isola, negative
-    outside, with a single interior maximum in mu."""
-    lp, lm = sample.tracked_pair
-    gap2 = (lp - lm) ** 2
-    return gap2.real, 0.5 * (lp + lm).imag
+def _reduced_discriminant(op: DiscretizedOperator, sample: SpectrumSample) -> tuple[float, float]:
+    """The discriminant D = (lambda+ - lambda-)^2 of the tracked pair's 2x2
+    symplectic reduction, and dD/dmu.
 
-
-#: Samples within this many peak heights below zero feed the edge parabola;
-#: farther ones see the higher-order terms of the pair gap.
-_FIT_DEPTH = 100.0
-#: Half-size of an edge bracket, as a fraction of the estimated width.
-_BRACKET_FRAC = 0.02
-
-
-def _edge_estimates(
-    samples: dict[float, tuple[float, float]], mu_at_max: float, gap2_max: float
-) -> Optional[tuple[float, float]]:
-    """Both isola edges from the parabola through the peak and two more of
-    the samples solved so far; None when it does not open downward.
-
-    The squared gap is, to leading order, the discriminant of the reduced
-    2x2 block: a quadratic in mu.  The two samples are the ones farthest
-    from the peak among those at most `_FIT_DEPTH` peak heights below zero
-    (farther ones see the higher-order terms), else the nearest beyond that
-    depth.  The vertex is not assumed at the peak, which the bounded search
-    pins only to about 4e-9 in mu."""
-
-    def rank(mu: float) -> tuple[bool, float]:
-        distance = abs(mu - mu_at_max)
-        deep = samples[mu][0] < -_FIT_DEPTH * gap2_max
-        return deep, distance if deep else -distance
-
-    others = sorted((mu for mu in samples if mu != mu_at_max), key=rank)
-    if len(others) < 2:
-        return None
-    # gap^2 - gap2_max = t * (b + c * t), t = mu - mu_at_max, through both
-    (t1, g1), (t2, g2) = ((mu - mu_at_max, samples[mu][0] - gap2_max) for mu in others[:2])
-    c = (g2 / t2 - g1 / t1) / (t2 - t1)
-    b = g1 / t1 - c * t1
-    if c >= 0:
-        return None
-    root = math.sqrt(b * b - 4.0 * c * gap2_max)
-    return mu_at_max + (-b + root) / (2 * c), mu_at_max + (-b - root) / (2 * c)
+    Rayleigh-Ritz on the converged block, with the pair first in a complex
+    Schur form, gives an orthonormal basis U of the pair's invariant
+    subspace.  M = J*H with H Hermitian and J = [[0, I], [-I, 0]], and the
+    pair is closed under lambda -> -conj(lambda), so W = J*U spans its left
+    one: B = (W^H U)^-1 W^H M U, and the same with the exact dM/dmu =
+    [[i*P, diag(sign(j + mu))], [0, i*P]], P = 1 + p_eps, is dB/dmu up to a
+    similarity.  D = (b11 - b22)^2 + 4*b12*b21 (tr^2 - 4*det cancels)."""
+    n = op.matrix.shape[0]
+    q = sample.block[np.argsort(_interleaved(n))]
+    mq = op.matrix @ q
+    t, _, ritz, z, _, _ = zgees(lambda _: 0, q.conj().T @ mq)
+    near = np.abs(ritz - 0.5 * sum(sample.tracked_pair))
+    z = ztrsen(near <= np.sort(near)[1], t, z, job="N")[1][:, :2]
+    u = q @ z
+    u1, u2 = u[: n // 2], u[n // 2 :]
+    pu = _toeplitz_parts(op.eps, op.N, op.stokes_order)[0] @ np.hstack((u1, u2))
+    sign = np.sign(np.arange(-op.N, op.N + 1) + op.mu)[:, None]
+    m1u = np.vstack((1j * pu[:, :2] + sign * u2, 1j * pu[:, 2:]))
+    wh = np.vstack((u2, -u1)).conj().T
+    (g11, g12), (g21, g22) = wh @ u
+    adj = np.array([[g22, -g12], [-g21, g11]]) / (g11 * g22 - g12 * g21)
+    b, b1 = np.hsplit(adj @ (wh @ np.hstack((mq @ z, m1u))), 2)
+    split, split1 = b[0, 0] - b[1, 1], b1[0, 0] - b1[1, 1]
+    disc = split**2 + 4 * b[0, 1] * b[1, 0]
+    slope = 2 * split * split1 + 4 * (b1[0, 1] * b[1, 0] + b[0, 1] * b1[1, 0])
+    return float(disc.real), float(slope.real)
 
 
 def measure_isola(
@@ -511,72 +498,84 @@ def measure_isola(
 ) -> IsolaMeasurement:
     """Locate and measure the isola near mu = 1/4 without the closed form.
 
-    The only theory input is the search window: mu0(eps) +- window_scale*eps^3,
-    generous by orders of magnitude against the O(eps^4) isola width but well
-    clear of neighboring collisions.  Inside it, the squared pair gap is
-    maximized (bounded scalar minimization), giving the peak growth rate
-    re_max = sqrt(max gap^2)/2.  The two sign changes are the isola's
-    mu-extent, pinned by Brent's method on small brackets around the edges
-    of a parabola through the peak search's samples (each bracket checked
-    for a sign change, else the half window on that side).  Every mu is
-    solved once per call, each solve but the first continuing the one at
-    the nearest mu solved so far (`spectrum`'s ``start``).
+    The only theory input is the start mu0(eps) and the window every solve
+    must lie in, mu0 +- window_scale*eps^3: generous against the O(eps^4)
+    isola width but clear of neighboring collisions.  Each solve gives the
+    pair's discriminant D (`_reduced_discriminant`), positive exactly inside
+    the isola and nearly quadratic in mu.  Solves at mu0 and mu0 + eps^4
+    give its curvature D'' < 0; secant steps on dD/dmu find the vertex
+    mu_at_max, where the pair gives re_max = sqrt(max gap^2)/2 and
+    im_center; Newton's method on D runs from about mu_at_max -+
+    sqrt(-2*D/D'') to each edge.  An iteration stops at a step of a few ulp,
+    or one no shorter than the last (noise); an edge counts only if a solve
+    of its iteration at or beyond it reads D <= 0.  Each solve but the first
+    continues the one at the nearest mu solved (`spectrum`'s ``start``).
 
-    Raises `TrackingFailure` if the pair cannot be followed, ValueError if
-    the isola is not resolved in the window (max gap^2 <= 0).
+    Raises `TrackingFailure` if the pair cannot be followed, ValueError if a
+    solve would leave the window, the curvature is not negative, an
+    iteration takes more than `_MAX_STEPS` steps, no isola is resolved
+    (max gap^2 <= 0) or an edge shows no sign change of D.
     """
-    jet = assemble_reduced_jet()
-    mu0 = float(critical_curves(jet).mu0(eps))
+    mu0 = float(critical_curves(assemble_reduced_jet()).mu0(eps))
     half = window_scale * eps**3
     lo, hi = mu0 - half, mu0 + half
-    samples: dict[float, SpectrumSample] = {}
-    solved: dict[float, tuple[float, float]] = {}
+    samples: dict[float, tuple[SpectrumSample, float, float]] = {}
 
-    def solve(mu: float) -> tuple[float, float]:
-        if mu not in solved:
-            start = samples[min(samples, key=lambda m: abs(m - mu))] if samples else None
-            samples[mu] = spectrum(build(mu, eps, N, stokes_order), start=start)
-            solved[mu] = _pair_gap_squared(samples[mu])
-        return solved[mu]
+    def solve(mu: float) -> tuple[SpectrumSample, float, float]:
+        if mu not in samples:
+            if not lo <= mu <= hi:
+                raise ValueError(f"step to {mu!r} leaves the window [{lo!r}, {hi!r}] for eps={eps}")
+            start = samples[min(samples, key=lambda m: abs(m - mu))][0] if samples else None
+            op = build(mu, eps, N, stokes_order)
+            sample = spectrum(op, start=start)
+            samples[mu] = (sample, *_reduced_discriminant(op, sample))
+        return samples[mu]
 
-    def gap2(mu: float) -> float:
-        return solve(mu)[0]
+    def iterate(path: list[float], step: Callable[[list[float]], float], what: str) -> list[float]:
+        previous = math.inf
+        for _ in range(_MAX_STEPS):
+            s = step(path)
+            if abs(s) <= _STEP_ULPS * math.ulp(path[-1]) or abs(s) >= abs(previous):
+                return path
+            path.append(path[-1] + s)
+            previous = s
+        raise ValueError(f"{what} search for eps={eps} took more than {_MAX_STEPS} steps")
 
-    # scipy's bounded Brent adds sqrt(eps_mach)*|mu| (about 3.7e-9 here) to
-    # xatol, so mu_at_max is pinned to a few 1e-9, not 1e-13; the value is
-    # kept because it fixes the sequence of mu the search solves at.
-    res = minimize_scalar(
-        lambda mu: -gap2(mu), bounds=(lo, hi), method="bounded", options={"xatol": 1e-13}
-    )
-    mu_at_max = float(res.x)
-    gap2_max, im_center = solve(mu_at_max)
-    if gap2_max <= 0:
+    def secant(path: list[float]) -> float:
+        (m0, m1), (d0, d1) = path[-2:], (solve(m)[2] for m in path[-2:])
+        slope = (d1 - d0) / (m1 - m0)
+        return -d1 / slope if slope < 0 else math.inf    # not concave: noise
+
+    def newton(path: list[float]) -> float:
+        _, d, slope = solve(path[-1])
+        return -d / slope
+
+    h = eps**4
+    if not solve(mu0 + h)[2] < solve(mu0)[2]:
+        raise ValueError(f"curvature of D at mu={mu0!r} is not negative for eps={eps}")
+    curvature = (solve(mu0 + h)[2] - solve(mu0)[2]) / h
+    mu_at_max = iterate([mu0, mu0 + h], secant, "vertex")[-1]
+    vertex, d_max, _ = solve(mu_at_max)
+    lp, lm = vertex.tracked_pair
+    gap2_max = ((lp - lm) ** 2).real
+    if gap2_max <= 0 or d_max <= 0:
         raise ValueError(
-            f"no isola resolved for eps={eps}, N={N}: max pair gap^2 = {gap2_max:.3e}"
+            f"no isola resolved for eps={eps}, N={N}: max pair gap^2 {gap2_max:.3e}, D {d_max:.3e}"
         )
-    re_max = 0.5 * math.sqrt(gap2_max)
+    spread = (1 + _EDGE_MARGIN) * math.sqrt(-2.0 * d_max / curvature)
 
-    if gap2(lo) >= 0 or gap2(hi) >= 0:
-        raise ValueError(
-            f"window [{lo}, {hi}] does not bracket the isola for eps={eps}"
-        )
-    estimates = _edge_estimates(solved, mu_at_max, gap2_max)
-
-    def edge(side: int, a: float, b: float) -> float:
-        if estimates is not None:
-            d = _BRACKET_FRAC * (estimates[1] - estimates[0])
-            near_a = max(a, estimates[side] - d)
-            near_b = min(b, estimates[side] + d)
-            if near_a < near_b and gap2(near_a) * gap2(near_b) < 0:
-                a, b = near_a, near_b
-        return float(brentq(gap2, a, b, xtol=1e-16, rtol=8.9e-16))
+    def edge(side: int, name: str) -> float:
+        path = iterate([mu_at_max + side * spread], newton, f"{name} edge")
+        if not any(side * (mu - path[-1]) >= 0 and solve(mu)[1] <= 0 for mu in path):
+            raise ValueError(f"no sign change of D at the {name} edge for eps={eps}")
+        return path[-1]
 
     return IsolaMeasurement(
         eps=eps,
         N=N,
         mu_at_max=mu_at_max,
-        re_max=re_max,
-        im_center=im_center,
-        mu_left=edge(0, lo, mu_at_max),
-        mu_right=edge(1, mu_at_max, hi),
+        re_max=0.5 * math.sqrt(gap2_max),
+        im_center=0.5 * (lp + lm).imag,
+        mu_left=edge(-1, "left"),
+        mu_right=edge(1, "right"),
     )

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from stokes_isola import cli
+from stokes_isola import cli, floquet
 
 
 def run(capsys, *argv):
@@ -97,6 +97,18 @@ class TestIsola:
     def test_rejects_negative_eps(self, capsys):
         code, out, err = run(capsys, "isola", "--eps", "-0.1")
         assert code == 2
+
+    def test_large_amplitude(self, capsys):
+        code, out, err = run(capsys, "isola", "--eps", "0.2", "--samples", "3")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert "summary-oracle" in {r[6] for r in rows}
+
+    def test_search_failure_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setattr(floquet, "_MAX_STEPS", 1)
+        code, out, err = run(capsys, "isola", "--eps", "0.06")
+        assert code == 3
+        assert "numerical failure: vertex search" in err
 
 
 class TestConfigFile:

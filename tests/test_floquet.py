@@ -1,6 +1,9 @@
 """Truncated Fourier eigenvalue oracle: exactness, symmetry, isola extraction."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,6 +200,22 @@ class TestIsolaMeasurement:
             rel.append(abs(meas.re_max - closed_forms.BETA3_EFF * eps**4) / (closed_forms.BETA3_EFF * eps**4))
         assert rel[1] < rel[0]
 
+    @pytest.mark.parametrize("eps", [0.2, 0.25])
+    def test_large_amplitude_in_the_default_window(self, eps):
+        meas, wide = measure_isola(eps), measure_isola(eps, window_scale=2.0)
+        assert meas.re_max == pytest.approx(wide.re_max, rel=1e-9, abs=0)
+        assert meas.mu_at_max == pytest.approx(wide.mu_at_max, rel=0, abs=1e-12)
+
+    def test_search_loads_no_scipy_optimize(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); "
+            "import stokes_isola, stokes_isola.cli; "
+            "stokes_isola.floquet.measure_isola(0.06); "
+            "sys.exit('scipy.optimize' in sys.modules)"
+        )
+        subprocess.run([sys.executable, "-c", code, str(src)], check=True)
+
 
 class TestShiftInvertSolver:
     """The tracked pair from the shift-invert solve against the pair picked
@@ -281,7 +300,7 @@ class TestIsolaSearchCost:
 
         monkeypatch.setattr(floquet, "spectrum", counted)
         measure_isola(eps, N=32)
-        assert len(calls) <= 30
+        assert len(calls) <= 20
 
     @pytest.mark.parametrize("eps", [0.06, 0.12, 0.19])
     def test_iterations_per_solve(self, monkeypatch, eps):
@@ -324,6 +343,80 @@ class TestIsolaSearchCost:
         assert meas.mu_at_max == pytest.approx(mu_at_max, rel=0, abs=1e-10)
 
 
+class TestIsolaSearchFailures:
+    """Each diagnosed failure of `measure_isola` raises ValueError with its
+    own message."""
+
+    def test_step_leaves_the_window(self):
+        with pytest.raises(ValueError, match="leaves the window"):
+            measure_isola(0.06, window_scale=1e-3)
+
+    def test_curvature_not_negative(self, monkeypatch):
+        monkeypatch.setattr(floquet, "_reduced_discriminant", lambda op, sample: (-1.0, op.mu))
+        with pytest.raises(ValueError, match="curvature of D .* is not negative"):
+            measure_isola(0.06)
+
+    def test_no_sign_change_at_an_edge(self, monkeypatch):
+        reduced = floquet._reduced_discriminant
+
+        def never_negative(op, sample):
+            disc, slope = reduced(op, sample)
+            return max(disc, 1e-40), slope
+
+        monkeypatch.setattr(floquet, "_reduced_discriminant", never_negative)
+        with pytest.raises(ValueError, match="no sign change of D at the left edge"):
+            measure_isola(0.06)
+
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(floquet, "_MAX_STEPS", 1)
+        with pytest.raises(ValueError, match="vertex search .* took more than 1 steps"):
+            measure_isola(0.06)
+
+    def test_no_isola_resolved(self, monkeypatch):
+        reduced = floquet._reduced_discriminant
+        monkeypatch.setattr(
+            floquet, "_reduced_discriminant", lambda op, sample: (-1.0, reduced(op, sample)[1])
+        )
+        with pytest.raises(ValueError, match="no isola resolved"):
+            measure_isola(0.06)
+
+
+class TestReducedDiscriminant:
+    """The tracked pair's 2x2 reduction against the full dense spectrum, on a
+    seeded grid of eps and of mu within 3 isola widths of the vertex, so the
+    pair is split at some points and not at others."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        rng = np.random.default_rng(20260)
+        points = []
+        for _ in range(40):
+            meas = measure_isola(rng.uniform(0.02, 0.19))
+            points.append((meas.mu_at_max + rng.uniform(-3, 3) * meas.mu_width, meas))
+        return points
+
+    @staticmethod
+    def _reduced(mu, eps):
+        op = build(mu, eps)
+        return floquet._reduced_discriminant(op, spectrum(op))
+
+    def test_matches_dense_pair_gap(self, grid):
+        inside = 0
+        for mu, meas in grid:
+            disc, _ = self._reduced(mu, meas.eps)
+            lp, lm = _pick_pair(scipy.linalg.eigvals(build(mu, meas.eps).matrix), 0.75j, 0.2)
+            assert abs(disc - (lp - lm) ** 2) <= 1e-6 * 4 * meas.re_max**2
+            inside += meas.mu_left < mu < meas.mu_right
+        assert 0 < inside < len(grid)
+
+    def test_slope_matches_central_differences(self, grid):
+        for mu, meas in grid:
+            h = 1e-3 * meas.mu_width
+            _, slope = self._reduced(mu, meas.eps)
+            upper, lower = self._reduced(mu + h, meas.eps)[0], self._reduced(mu - h, meas.eps)[0]
+            assert slope == pytest.approx((upper - lower) / (2 * h), rel=1e-4)
+
+
 class TestBandedSolve:
     """The banded shift-invert solve against the full dense spectrum on a
     seeded grid of (mu, eps, N) that crosses the tracking disk's edge, so
@@ -360,7 +453,7 @@ class TestBandedSolve:
 
     def test_eigenvalues_are_converged_and_cover_the_disk(self, grid):
         for op, dense in grid:
-            eigs = floquet._nearest_eigenvalues(op, 0.75j, 0.2)
+            eigs = floquet._shift_invert(op, 0.75j, 0.2)[0]
             assert eigs.size >= 2
             for lam in eigs:
                 assert np.min(np.abs(dense - lam)) <= 1e-12
