@@ -70,11 +70,10 @@ _MARGIN = 0.05
 #: Iterations before the solve gives up.
 _MAX_ITER = 50
 #: Once the two nearest Ritz pairs reach this residual, the shift moves once
-#: to `_RESHIFT_GAP` short of their midpoint, if it is more than twice that
-#: away; a continued solve starts there from the earlier pair.  Not onto the
-#: midpoint: near an isola edge the pair is nearly defective, and a shift
-#: within its split swamps the rest of the block with spurious Ritz values,
-#: in the disk, that never converge.
+#: to `_RESHIFT_GAP` from them (`_toward_pair`); a continued solve starts
+#: there from the earlier pair.  Not onto the midpoint: near an isola edge the
+#: pair is nearly defective, and a shift within its split swamps the rest of
+#: the block with spurious Ritz values, in the disk, that never converge.
 _RESHIFT_TOL = 1e-2
 _RESHIFT_GAP = 1e-3
 #: Offset of the retried shift when the first one is an exact eigenvalue.
@@ -175,8 +174,8 @@ class SpectrumSample:
     pair singled out; ``re_max`` is the larger real part of the pair.
     ``eigenvalues`` holds every eigenvalue within the tracking disk and
     the two nearest the center, often nothing else.  ``block`` is the
-    read-only orthonormal block the solve converged on, rows in
-    `_interleaved` order, which a solve at a nearby mu can start from
+    read-only orthonormal block the solve converged on, rows in interleaved
+    order (`_band_layout`), which a solve at a nearby mu can start from
     (`spectrum`'s ``start``); it takes no part in comparisons or the repr."""
 
     eigenvalues: np.ndarray
@@ -209,24 +208,18 @@ def _pick_pair(
     return lp, lm
 
 
-def _interleaved(n: int) -> np.ndarray:
-    """Rows of an n-square `build` matrix in interleaved order (harmonic-major)."""
-    k = np.arange(n)
-    return (k % 2) * (n // 2) + k // 2
-
-
 @functools.lru_cache(maxsize=8)
 def _band_layout(n: int, kl: int) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays that gather the band of an n-square `build` matrix into
     LAPACK band storage for `zgbtrf` with kl sub- and superdiagonals.
 
-    Rows and columns are taken in `_interleaved` order, in which the matrix
-    is banded.  Returned are the flat indices of the band entries in the
-    matrix and their flat indices in the transpose of the band storage
-    (entry (i, j) at [j, 2*kl + i - j])."""
+    Rows and columns are taken in interleaved order (harmonic-major,
+    component-minor), in which the matrix is banded.  Returned are the flat
+    indices of the band entries in the matrix and their flat indices in the
+    transpose of the band storage (entry (i, j) at [j, 2*kl + i - j])."""
     ldab = 3 * kl + 1
     k = np.arange(n)
-    perm = _interleaved(n)
+    perm = (k % 2) * (n // 2) + k // 2
     offsets = np.arange(-kl, kl + 1)[:, None]
     i = k[None, :] + offsets
     j = np.broadcast_to(k[None, :], i.shape)
@@ -250,12 +243,19 @@ def _start_block(n: int) -> np.ndarray:
 
 
 def _toward_pair(shift: complex, lam0: complex, lam1: complex) -> Optional[complex]:
-    """`_RESHIFT_GAP` short of the midpoint of ``lam0`` and ``lam1``, on the
-    side of ``shift``; None when ``shift`` is within twice that already."""
+    """A shift `_RESHIFT_GAP` from the pair ``lam0``, ``lam1`` on the side of
+    ``shift``: short of their midpoint, or short of the nearer one where that
+    point lies within half the gap of it.  None when ``shift`` is within
+    twice the gap of the midpoint and at least half the gap from both."""
     away = shift - 0.5 * (lam0 + lam1)
-    if abs(away) <= 2 * _RESHIFT_GAP:
+    near = min(lam0, lam1, key=lambda lam: abs(shift - lam))
+    if abs(away) <= 2 * _RESHIFT_GAP and abs(shift - near) >= 0.5 * _RESHIFT_GAP:
         return None
-    return shift - away * (1 - _RESHIFT_GAP / abs(away))
+    target = shift - away * (1 - _RESHIFT_GAP / abs(away))
+    near = min(lam0, lam1, key=lambda lam: abs(target - lam))
+    if abs(target - near) < 0.5 * _RESHIFT_GAP:
+        target = near + (shift - near) * (_RESHIFT_GAP / abs(shift - near))
+    return target
 
 
 def _shift_invert(
@@ -279,14 +279,13 @@ def _shift_invert(
 
     Without ``start`` the block starts fixed (so repeated calls agree bit
     for bit) and the shift at ``center``; with ``start``, a sample at a
-    nearby mu of a matrix of the same size, from ``start.block`` and towards
+    nearby mu of a matrix of the same size, from ``start.block`` and near
     ``start``'s pair (`_toward_pair`).  Once the two nearest have loosely
-    converged (`_RESHIFT_TOL`), the shift moves once towards them if it is
-    far from their midpoint: after a long step in mu, or when it lies within
-    about 1e-6 of an eigenvalue, where rounding keeps the other Ritz values
-    in the disk from converging.  A shift that is an eigenvalue makes the LU
-    exactly singular; the next is tried: ``center``, then ``center`` moved
-    off by `_SHIFT_NUDGE`.
+    converged (`_RESHIFT_TOL`), the shift moves once if it is far from their
+    midpoint or near one of them: within about 1e-6 of an eigenvalue, it
+    keeps the other Ritz values in the disk from converging.  A shift that
+    is an eigenvalue makes the LU exactly singular; the next is tried:
+    ``center``, then ``center`` moved off by `_SHIFT_NUDGE`.
     """
     matrix = op.matrix
     n = matrix.shape[0]
@@ -470,7 +469,7 @@ def _reduced_discriminant(op: DiscretizedOperator, sample: SpectrumSample) -> tu
     [[i*P, diag(sign(j + mu))], [0, i*P]], P = 1 + p_eps, is dB/dmu up to a
     similarity.  D = (b11 - b22)^2 + 4*b12*b21 (tr^2 - 4*det cancels)."""
     n = op.matrix.shape[0]
-    q = sample.block[np.argsort(_interleaved(n))]
+    q = np.vstack((sample.block[0::2], sample.block[1::2]))    # de-interleave
     mq = op.matrix @ q
     t, _, ritz, z, _, _ = zgees(lambda _: 0, q.conj().T @ mq)
     near = np.abs(ritz - 0.5 * sum(sample.tracked_pair))

@@ -529,6 +529,25 @@ class TestWarmStart:
         assert abs(warm[0] - cold[0]) <= 1e-12
         assert abs(warm[1] - cold[1]) <= 1e-12
 
+    @pytest.mark.parametrize("eps,chain,mu", [
+        # the re-shift, 1e-3 short of the midpoint of a pair split by 2e-3,
+        # would land on an eigenvalue
+        (0.17543832460207331, [0.22353512683478868], 0.22258780426354066),
+        # the first shift lands 1.3e-6 from an eigenvalue, with the pair's
+        # midpoint less than twice the gap away (two steps of an isola trace)
+        (0.24528255893056056, [0.1899025746978994, 0.19011046786840763], 0.19031836103891586),
+    ])
+    def test_shift_kept_clear_of_the_pair(self, eps, chain, mu):
+        """The start continues along ``chain`` (the first solve cold)."""
+        start = None
+        for m in chain:
+            start = spectrum(build(m, eps, 32), start=start)
+        op = build(mu, eps, 32)
+        cold = spectrum(op).tracked_pair
+        warm = spectrum(op, start=start).tracked_pair
+        assert abs(warm[0] - cold[0]) <= 1e-12
+        assert abs(warm[1] - cold[1]) <= 1e-12
+
     def test_start_of_another_size_is_rejected(self):
         start = spectrum(build(0.25, 0.05, N=16))
         with pytest.raises(ValueError, match="start block"):
