@@ -27,12 +27,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import locale  # noqa: F401  argparse's gettext imports it on every parse
 import sys
 from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence, TextIO
 
 import numpy as np
-import scipy.linalg
 
 from . import closed_forms as cf
 from . import floquet, instability, jets
@@ -414,8 +414,8 @@ def cmd_isola(cfg: SweepConfig) -> int:
     header = ["eps", "mu", "re_plus", "im_plus", "re_minus", "im_minus", "source", "status"]
     rows: list[list] = []
     for eps in cfg.eps:
-        rows += _theory_rows(jet, curves, eps, cfg.samples)
         meas = floquet.measure_isola(eps, N=cfg.trunc[-1], stokes_order=cfg.stokes_order)
+        rows += _theory_rows(jet, curves, eps, cfg.samples)
         rows += _oracle_rows(cfg, eps, meas)
 
         growth = instability.max_growth_rate(jet, eps)
@@ -458,6 +458,8 @@ def cmd_isola(cfg: SweepConfig) -> int:
 
 
 def cmd_spectrum(cfg: SweepConfig) -> int:
+    import scipy.linalg
+
     if cfg.mu >= 0.5:
         print(
             f"warning: mu={cfg.mu} lies outside the fundamental Floquet window "

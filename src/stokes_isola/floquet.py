@@ -8,7 +8,9 @@ banded once the two components are interleaved) and block subspace
 iteration, started from a fixed block or, along a search in mu, from the
 converged block of a nearby solve.  The isola search runs Newton's method on
 the discriminant of the tracked pair's 2x2 symplectic reduction, taken from
-the matrix and the converged block; it starts at the closed form's mu0(eps).
+the converged block; it starts at the closed form's mu0(eps).  Both work from
+the operator's Toeplitz parts, never forming the dense matrix, and scipy's
+LAPACK wrappers load on the first solve, not on import.
 
 In the two-component frame the operator reads
 
@@ -34,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import zgbtrf, zgbtrs, zgees, zgeev, zgeqrf, ztrsen, zungqr
 
 from .stokes import MAX_ORDER, a_coeff, p_coeff
 from .jets import assemble_reduced_jet
@@ -95,13 +96,23 @@ class TrackingFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class DiscretizedOperator:
-    """Dense truncation of the linearized operator at fixed (mu, eps)."""
+    """Truncation of the linearized operator at fixed (mu, eps); ``matrix``,
+    dense and in block order (`build`), is assembled on first access."""
 
     mu: float
     eps: float
     N: int
     stokes_order: int
-    matrix: np.ndarray
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        d = np.arange(-self.N, self.N + 1, dtype=float) + self.mu
+        p_part, a_part = _toeplitz_parts(self.eps, self.N, self.stokes_order)
+        m00 = 1j * (d[:, None] * p_part)
+        m01 = np.diag(np.abs(d)).astype(complex)
+        m10 = -a_part.astype(complex)
+        m11 = 1j * (p_part * d[None, :])
+        return np.block([[m00, m01], [m10, m11]])
 
 
 def _exp_coeffs(which: str, eps: float, order: int) -> tuple[tuple[int, float], ...]:
@@ -123,8 +134,8 @@ def _exp_coeffs(which: str, eps: float, order: int) -> tuple[tuple[int, float], 
 @functools.lru_cache(maxsize=2)
 def _toeplitz_parts(eps: float, N: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """``1 + p_eps`` and ``1 + a_eps`` as read-only (2N+1)-square Toeplitz
-    matrices: the mu-independent parts of `build`, shared by every solve of
-    one search."""
+    matrices: the mu-independent parts of the operator, shared by every
+    solve of one search."""
     dim = 2 * N + 1
     parts = []
     for which in ("p", "a"):
@@ -137,34 +148,31 @@ def _toeplitz_parts(eps: float, N: int, order: int) -> tuple[np.ndarray, np.ndar
     return tuple(parts)
 
 
+def _check_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def build(
     mu: float,
     eps: float,
     N: int = DEFAULT_N,
     stokes_order: int = MAX_ORDER,
 ) -> DiscretizedOperator:
-    """Assemble the dense 2(2N+1) x 2(2N+1) truncation.
-
-    Harmonics run j = -N..N; rows/columns 0..2N hold the first component,
-    2N+1..4N+1 the second.  ``N`` below 8 would foul the tracking window
-    and is rejected; ``stokes_order`` is the truncation order of the
-    profile expansion, 0..4.
-    """
+    """The 2(2N+1)-square truncation at (mu, eps), its matrix formed on first
+    use: harmonics j = -N..N, rows/columns 0..2N the first component,
+    2N+1..4N+1 the second.  ``N`` below 8 would foul the tracking window;
+    ``stokes_order``, the order of the profile expansion, is 0..4.  Raises
+    ValueError for these, a negative eps and a non-finite mu or eps."""
     if N < 8:
         raise ValueError(f"N must be at least 8, got {N}")
     if not 0 <= stokes_order <= MAX_ORDER:
         raise ValueError(f"stokes_order must be in 0..{MAX_ORDER}, got {stokes_order}")
+    _check_finite(mu=mu, eps=eps)
     if eps < 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
-    d = np.arange(-N, N + 1, dtype=float) + mu
-    p_part, a_part = _toeplitz_parts(eps, N, stokes_order)
-    m00 = 1j * (d[:, None] * p_part)
-    m01 = np.diag(np.abs(d)).astype(complex)
-    m10 = -a_part.astype(complex)
-    m11 = 1j * (p_part * d[None, :])
-
-    matrix = np.block([[m00, m01], [m10, m11]])
-    return DiscretizedOperator(mu=mu, eps=eps, N=N, stokes_order=stokes_order, matrix=matrix)
+    return DiscretizedOperator(mu=mu, eps=eps, N=N, stokes_order=stokes_order)
 
 
 @dataclass(frozen=True)
@@ -175,7 +183,7 @@ class SpectrumSample:
     ``eigenvalues`` holds every eigenvalue within the tracking disk and
     the two nearest the center, often nothing else.  ``block`` is the
     read-only orthonormal block the solve converged on, rows in interleaved
-    order (`_band_layout`), which a solve at a nearby mu can start from
+    order (`_band_parts`), which a solve at a nearby mu can start from
     (`spectrum`'s ``start``); it takes no part in comparisons or the repr."""
 
     eigenvalues: np.ndarray
@@ -208,34 +216,56 @@ def _pick_pair(
     return lp, lm
 
 
-@functools.lru_cache(maxsize=8)
-def _band_layout(n: int, kl: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays that gather the band of an n-square `build` matrix into
-    LAPACK band storage for `zgbtrf` with kl sub- and superdiagonals.
-
-    Rows and columns are taken in interleaved order (harmonic-major,
-    component-minor), in which the matrix is banded.  Returned are the flat
-    indices of the band entries in the matrix and their flat indices in the
-    transpose of the band storage (entry (i, j) at [j, 2*kl + i - j])."""
-    ldab = 3 * kl + 1
+@functools.lru_cache(maxsize=2)
+def _band_parts(eps: float, N: int, order: int) -> tuple[np.ndarray, ...]:
+    """The mu-independent parts of `_band`, read-only.  In interleaved order
+    (harmonic-major, component-minor) the matrix has kl = 2*order + 1 sub- and
+    superdiagonals; entry (r, c) goes to flat index c*(3*kl + 1) + 2*kl + r - c
+    of the transposed LAPACK band.  Returned: that band holding the -(1 + a_eps)
+    entries; the flat indices of the diagonal blocks' entries i*d*P (d = j + mu,
+    P = 1 + p_eps), each one's j and P; those of the |d| entries, j ascending."""
+    p_part, a_part = _toeplitz_parts(eps, N, order)
+    n, kl = 2 * (2 * N + 1), 2 * order + 1
     k = np.arange(n)
-    perm = (k % 2) * (n // 2) + k // 2
-    offsets = np.arange(-kl, kl + 1)[:, None]
-    i = k[None, :] + offsets
-    j = np.broadcast_to(k[None, :], i.shape)
-    inside = (i >= 0) & (i < n)
-    i, j = i[inside], j[inside]
-    src = perm[i] * n + perm[j]
-    dst = j * ldab + 2 * kl + i - j
-    src.flags.writeable = False
-    dst.flags.writeable = False
-    return src, dst
+    i, j = np.nonzero(np.abs(k[:, None] - k) <= kl)
+    dst = j * (3 * kl + 1) + 2 * kl + i - j
+    (hi, ci), (hj, cj) = divmod(i, 2), divmod(j, 2)
+    base = np.zeros(n * (3 * kl + 1), dtype=complex)
+    low = (ci == 1) & (cj == 0)
+    base[dst[low]] = (-a_part.astype(complex))[hi[low], hj[low]]
+    lin, diag = ci == cj, (ci == 0) & (cj == 1) & (hi == hj)
+    parts = base, dst[lin], np.where(ci == 0, hi, hj)[lin], p_part[hi[lin], hj[lin]], dst[diag]
+    for part in parts:
+        part.flags.writeable = False
+    return parts
+
+
+def _band(op: DiscretizedOperator) -> np.ndarray:
+    """``op.matrix`` as the Fortran-ordered LAPACK band of `_band_parts`."""
+    base, lin, harmonic, p_lin, diag = _band_parts(op.eps, op.N, op.stokes_order)
+    d = np.arange(-op.N, op.N + 1, dtype=float) + op.mu
+    flat = base.copy()
+    flat[lin] = 1j * (d[harmonic] * p_lin)
+    flat[diag] = np.abs(d)
+    return flat.reshape(2 * d.size, -1).T
+
+
+def _apply(op: DiscretizedOperator, q: np.ndarray) -> np.ndarray:
+    """``op.matrix @ q`` from the Toeplitz parts P = 1 + p_eps, A = 1 + a_eps
+    and d = j + mu: [i*d*(P q1) + |d|*q2 ; -A q1 + i*P (d*q2)]."""
+    p_part, a_part = _toeplitz_parts(op.eps, op.N, op.stokes_order)
+    d = (np.arange(-op.N, op.N + 1, dtype=float) + op.mu)[:, None]
+    q1, q2 = np.vsplit(q, 2)
+    pq1, pdq2 = np.hsplit(p_part @ np.hstack((q1, d * q2)), 2)
+    return np.vstack((1j * d * pq1 + np.abs(d) * q2, 1j * pdq2 - a_part @ q1))
 
 
 @functools.lru_cache(maxsize=8)
 def _start_block(n: int) -> np.ndarray:
     """The fixed start of the subspace iteration: the orthonormalized
     columns e^{i*sqrt(2)*c*k}, k = 0..n-1, c = 1.._BLOCK."""
+    from scipy.linalg.lapack import zgeqrf, zungqr
+
     phases = np.sqrt(2.0) * np.outer(np.arange(n), np.arange(1, _BLOCK + 1))
     q = zungqr(*zgeqrf(np.exp(1j * phases))[:2])[0]
     q.flags.writeable = False
@@ -269,13 +299,14 @@ def _shift_invert(
     orthonormal block they converged on.
 
     In interleaved order ``op.matrix`` is banded with 2*stokes_order + 1
-    sub- and superdiagonals, and ``A - shift`` is factored by `zgbtrf`.  A
-    block of `_BLOCK` columns goes through the inverse once per step,
-    followed by a Rayleigh-Ritz step; a Ritz value nu of the inverse gives
-    the eigenvalue shift + 1/nu.  The iteration stops when every Ritz value
-    within ``radius + _MARGIN`` of ``center``, and the two nearest, have
-    relative residual |(A - shift)^-1 v - nu v| / |nu| at most `_TOL`, and
-    returns every Ritz value that meets it.
+    sub- and superdiagonals; the band is written from the Toeplitz parts
+    (`_band`), and ``A - shift`` is factored by `zgbtrf`.  A block of
+    `_BLOCK` columns goes through the inverse once per step, followed by a
+    Rayleigh-Ritz step; a Ritz value nu of the inverse gives the eigenvalue
+    shift + 1/nu.  The iteration stops when every Ritz value within
+    ``radius + _MARGIN`` of ``center``, and the two nearest, have relative
+    residual |(A - shift)^-1 v - nu v| / |nu| at most `_TOL`, and returns
+    every Ritz value that meets it.
 
     Without ``start`` the block starts fixed (so repeated calls agree bit
     for bit) and the shift at ``center``; with ``start``, a sample at a
@@ -287,8 +318,10 @@ def _shift_invert(
     is an eigenvalue makes the LU exactly singular; the next is tried:
     ``center``, then ``center`` moved off by `_SHIFT_NUDGE`.
     """
-    matrix = op.matrix
-    n = matrix.shape[0]
+    from scipy.linalg.lapack import zgbtrf, zgbtrs, zgeev, zgeqrf, zungqr
+
+    band = _band(op)
+    n = band.shape[1]
     shifts = [center, center + _SHIFT_NUDGE]
     if start is None:
         q = _start_block(n)
@@ -303,10 +336,6 @@ def _shift_invert(
         if warm is not None:
             shifts.insert(0, warm)
     kl = 2 * op.stokes_order + 1
-    src, dst = _band_layout(n, kl)
-    band_t = np.zeros((n, 3 * kl + 1), dtype=complex)
-    band_t.reshape(-1)[dst] = matrix.reshape(-1)[src]
-    band = band_t.T
 
     def factor(shift: complex):
         ab = band.copy(order="F")
@@ -343,8 +372,7 @@ def _shift_invert(
                 shift, lu, piv = moved
         q = zungqr(*zgeqrf(x)[:2])[0]
     raise TrackingFailure(
-        f"shift-invert solve near {center} failed: "
-        f"no convergence in {_MAX_ITER} iterations"
+        f"shift-invert solve near {center} failed: no convergence in {_MAX_ITER} iterations"
     )
 
 
@@ -432,9 +460,7 @@ def convergence_check(
     for n in N_list:
         sample = spectrum(build(mu, eps, int(n), stokes_order))
         lp, lm = sample.tracked_pair
-        delta = None
-        if prev is not None:
-            delta = max(abs(lp - prev[0]), abs(lm - prev[1]))
+        delta = None if prev is None else max(abs(lp - prev[0]), abs(lm - prev[1]))
         rows.append(ConvergenceRow(int(n), lp, lm, delta))
         prev = (lp, lm)
     return rows
@@ -467,15 +493,17 @@ def _reduced_discriminant(op: DiscretizedOperator, sample: SpectrumSample) -> tu
     pair is closed under lambda -> -conj(lambda), so W = J*U spans its left
     one: B = (W^H U)^-1 W^H M U, and the same with the exact dM/dmu =
     [[i*P, diag(sign(j + mu))], [0, i*P]], P = 1 + p_eps, is dB/dmu up to a
-    similarity.  D = (b11 - b22)^2 + 4*b12*b21 (tr^2 - 4*det cancels)."""
-    n = op.matrix.shape[0]
+    similarity.  D = (b11 - b22)^2 + 4*b12*b21 (tr^2 - 4*det cancels).
+    M*Q comes from the Toeplitz parts (`_apply`), not from ``op.matrix``."""
+    from scipy.linalg.lapack import zgees, ztrsen
+
     q = np.vstack((sample.block[0::2], sample.block[1::2]))    # de-interleave
-    mq = op.matrix @ q
+    mq = _apply(op, q)
     t, _, ritz, z, _, _ = zgees(lambda _: 0, q.conj().T @ mq)
     near = np.abs(ritz - 0.5 * sum(sample.tracked_pair))
     z = ztrsen(near <= np.sort(near)[1], t, z, job="N")[1][:, :2]
     u = q @ z
-    u1, u2 = u[: n // 2], u[n // 2 :]
+    u1, u2 = np.vsplit(u, 2)
     pu = _toeplitz_parts(op.eps, op.N, op.stokes_order)[0] @ np.hstack((u1, u2))
     sign = np.sign(np.arange(-op.N, op.N + 1) + op.mu)[:, None]
     m1u = np.vstack((1j * pu[:, :2] + sign * u2, 1j * pu[:, 2:]))
@@ -513,8 +541,10 @@ def measure_isola(
     Raises `TrackingFailure` if the pair cannot be followed, ValueError if a
     solve would leave the window, the curvature is not negative, an
     iteration takes more than `_MAX_STEPS` steps, no isola is resolved
-    (max gap^2 <= 0) or an edge shows no sign change of D.
+    (max gap^2 <= 0) or an edge shows no sign change of D, and before any
+    solve if ``eps`` or ``window_scale`` is not finite.
     """
+    _check_finite(eps=eps, window_scale=window_scale)
     mu0 = float(critical_curves(assemble_reduced_jet()).mu0(eps))
     half = window_scale * eps**3
     lo, hi = mu0 - half, mu0 + half

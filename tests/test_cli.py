@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -109,6 +112,48 @@ class TestIsola:
         code, out, err = run(capsys, "isola", "--eps", "0.06")
         assert code == 3
         assert "numerical failure: vertex search" in err
+
+
+class TestNonFiniteInput:
+    """A NaN or infinite amplitude or exponent is diagnosed by name, with
+    exit 3, before any solve."""
+
+    @pytest.mark.parametrize("argv,name,value", [
+        (("isola", "--eps", "nan"), "eps", "nan"),
+        (("isola", "--eps", "inf"), "eps", "inf"),
+        (("spectrum", "--eps", "inf"), "eps", "inf"),
+        (("spectrum", "--mu", "nan"), "mu", "nan"),
+        (("convergence", "--eps", "nan"), "eps", "nan"),
+        (("convergence", "--mu=-inf"), "mu", "-inf"),
+    ])
+    def test_exit_code_and_message(self, capsys, argv, name, value):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert err == f"numerical failure: {name} must be finite, got {value}\n"
+        assert out == ""
+
+
+class TestStartUp:
+    def test_scipy_loads_only_for_the_oracle(self):
+        """``verify`` and ``coeffs`` run without scipy in a fresh interpreter;
+        the first solve loads it."""
+        code = textwrap.dedent(
+            """
+            import io, sys
+            sys.path.insert(0, sys.argv[1])
+            import stokes_isola, stokes_isola.cli as cli
+            out, sys.stdout = sys.stdout, io.StringIO()
+            codes = cli.main(["verify"]), cli.main(["coeffs", "--format", "json"])
+            closed_form = "scipy" in sys.modules
+            stokes_isola.measure_isola(0.06)
+            print(*codes, closed_form, "scipy" in sys.modules, file=out)
+            """
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.split() == ["0", "0", "False", "True"]
 
 
 class TestConfigFile:

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 
 from stokes_isola import closed_forms, floquet
 from stokes_isola.floquet import (
@@ -41,6 +42,13 @@ class TestBuild:
             build(0.25, 0.05, N=16, stokes_order=5)
         with pytest.raises(ValueError):
             build(0.25, -0.01, N=16)
+
+    @pytest.mark.parametrize("mu,eps,name", [
+        (0.25, math.nan, "eps"), (0.25, math.inf, "eps"), (math.nan, 0.05, "mu"), (-math.inf, 0.05, "mu"),
+    ])
+    def test_rejects_non_finite_arguments(self, mu, eps, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            build(mu, eps, N=16)
 
     def test_flat_matrix_is_block_diagonal(self):
         op = build(0.3, 0.0, N=8)
@@ -272,7 +280,7 @@ class TestShiftInvertSolver:
             calls.append(kwargs)
             return ab, None, 1                    # info > 0: U has an exact zero pivot
 
-        monkeypatch.setattr(floquet, "zgbtrf", singular)
+        monkeypatch.setattr(scipy.linalg.lapack, "zgbtrf", singular)
         with pytest.raises(TrackingFailure, match="shift-invert"):
             spectrum(build(0.25, 0.05, N=16))
         assert len(calls) == 2                    # the nudged shift was tried too
@@ -307,7 +315,7 @@ class TestIsolaSearchCost:
         """Continued solves take at most 5 subspace iterations on average
         (cold ones take 6.0-7.6 at these amplitudes)."""
         solves, iterations = [], []
-        solve, inverse = floquet.spectrum, floquet.zgbtrs
+        solve, inverse = floquet.spectrum, scipy.linalg.lapack.zgbtrs
 
         def counted_solve(*args, **kwargs):
             solves.append(args)
@@ -318,7 +326,7 @@ class TestIsolaSearchCost:
             return inverse(*args, **kwargs)
 
         monkeypatch.setattr(floquet, "spectrum", counted_solve)
-        monkeypatch.setattr(floquet, "zgbtrs", counted_inverse)
+        monkeypatch.setattr(scipy.linalg.lapack, "zgbtrs", counted_inverse)
         measure_isola(eps, N=32)
         assert len(iterations) <= 5 * len(solves)
 
@@ -371,6 +379,14 @@ class TestIsolaSearchFailures:
         monkeypatch.setattr(floquet, "_MAX_STEPS", 1)
         with pytest.raises(ValueError, match="vertex search .* took more than 1 steps"):
             measure_isola(0.06)
+
+    @pytest.mark.parametrize("eps,scale,name", [
+        (math.nan, 8.0, "eps"), (math.inf, 8.0, "eps"), (0.06, math.nan, "window_scale"),
+    ])
+    def test_non_finite_argument(self, monkeypatch, eps, scale, name):
+        monkeypatch.setattr(floquet, "spectrum", None)        # no solve is attempted
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            measure_isola(eps, window_scale=scale)
 
     def test_no_isola_resolved(self, monkeypatch):
         reduced = floquet._reduced_discriminant
@@ -471,6 +487,56 @@ class TestBandedSolve:
         outside = np.abs(k[:, None] - k[None, :]) > kl
         assert np.all(p[outside] == 0)
         assert np.any(p[np.abs(k[:, None] - k[None, :]) == kl] != 0)
+
+
+class TestOperatorParts:
+    """The band and the products the solves take from the Toeplitz parts,
+    against the dense matrix, on a seeded grid of (mu, eps, N, order)."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        rng = np.random.default_rng(20270)
+        return [
+            build(rng.uniform(0.1, 0.6), rng.uniform(0.0, 0.25), int(rng.choice([8, 16, 32])), order)
+            for _ in range(8)
+            for order in range(5)
+        ]
+
+    @staticmethod
+    def _gathered_band(m, order):
+        """LAPACK band storage of ``m`` in interleaved order, entry by entry."""
+        n, kl = m.shape[0], 2 * order + 1
+        interleaved = [(k % 2) * (n // 2) + k // 2 for k in range(n)]
+        band = np.zeros((3 * kl + 1, n), dtype=complex, order="F")
+        for j in range(n):
+            for i in range(max(0, j - kl), min(n, j + kl + 1)):
+                band[2 * kl + i - j, j] = m[interleaved[i], interleaved[j]]
+        return band
+
+    def test_band_is_bit_identical_to_the_matrix(self, grid):
+        for op in grid:
+            band = floquet._band(op)
+            assert band.flags.f_contiguous
+            assert band.tobytes(order="F") == self._gathered_band(op.matrix, op.stokes_order).tobytes(order="F")
+
+    def test_product_matches_the_matrix(self, grid):
+        rng = np.random.default_rng(20271)
+        for op in grid:
+            n = op.matrix.shape[0]
+            q = np.linalg.qr(rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8)))[0]
+            err = np.max(np.abs(floquet._apply(op, q) - op.matrix @ q))
+            assert err <= 1e-13 * np.linalg.norm(op.matrix, 2)
+
+    def test_search_and_trace_never_form_the_matrix(self, monkeypatch):
+        def formed(op):
+            raise AssertionError("dense matrix formed")
+
+        monkeypatch.setattr(floquet.DiscretizedOperator, "matrix", property(formed))
+        meas = measure_isola(0.06)
+        points = trace_isola(0.06, [meas.mu_left, meas.mu_at_max, meas.mu_right])
+        assert all(p.error is None for p in points)
+        with pytest.raises(AssertionError, match="dense matrix formed"):
+            build(0.25, 0.06).matrix
 
 
 class TestWarmStart:
