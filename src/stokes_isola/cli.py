@@ -79,9 +79,9 @@ class SweepConfig:
             raise ValueError(f"stokes-order must be in 0..4, got {self.stokes_order}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
-        if self.tol <= 0:
+        if not self.tol > 0:    # NaN too
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.mu_width is not None and self.mu_width <= 0:
+        if self.mu_width is not None and not self.mu_width > 0:
             raise ValueError(f"mu-width must be positive, got {self.mu_width}")
 
 

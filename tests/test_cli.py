@@ -116,7 +116,8 @@ class TestIsola:
 
 class TestNonFiniteInput:
     """A NaN or infinite amplitude or exponent is diagnosed by name, with
-    exit 3, before any solve."""
+    exit 3, before any solve; a NaN tolerance or window width is a usage
+    error, not 73 failed checks or a failed trace."""
 
     @pytest.mark.parametrize("argv,name,value", [
         (("isola", "--eps", "nan"), "eps", "nan"),
@@ -131,6 +132,15 @@ class TestNonFiniteInput:
         assert code == 3
         assert err == f"numerical failure: {name} must be finite, got {value}\n"
         assert out == ""
+
+    @pytest.mark.parametrize("argv,name", [
+        (("verify", "--tol", "nan"), "tol"),
+        (("isola", "--mu-width", "nan"), "mu-width"),
+    ])
+    def test_nan_option_is_usage_error(self, capsys, argv, name):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err == f"error: {name} must be positive, got nan\n"
 
 
 class TestStartUp:
