@@ -44,7 +44,8 @@ class TestBuild:
             build(0.25, -0.01, N=16)
 
     @pytest.mark.parametrize("mu,eps,name", [
-        (0.25, math.nan, "eps"), (0.25, math.inf, "eps"), (math.nan, 0.05, "mu"), (-math.inf, 0.05, "mu"),
+        (0.25, math.nan, "eps"), (0.25, math.inf, "eps"),
+        (math.nan, 0.05, "mu"), (-math.inf, 0.05, "mu"),
     ])
     def test_rejects_non_finite_arguments(self, mu, eps, name):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
@@ -515,9 +516,9 @@ class TestOperatorParts:
 
     def test_band_is_bit_identical_to_the_matrix(self, grid):
         for op in grid:
-            band = floquet._band(op)
+            band, gathered = floquet._band(op), self._gathered_band(op.matrix, op.stokes_order)
             assert band.flags.f_contiguous
-            assert band.tobytes(order="F") == self._gathered_band(op.matrix, op.stokes_order).tobytes(order="F")
+            assert band.tobytes(order="F") == gathered.tobytes(order="F")
 
     def test_product_matches_the_matrix(self, grid):
         rng = np.random.default_rng(20271)
