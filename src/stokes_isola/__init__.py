@@ -7,9 +7,10 @@ truncated Fourier eigenvalue problem.
 
 Layers, bottom up:
 
-* `stokes`       -- exact small-amplitude expansions of the wave profiles
-                    and the flat dispersion relation;
-* `basis`        -- the symplectic eigenbasis of the flat problem;
+* `stokes`       -- exact harmonic tables of the wave profiles and the
+                    flat dispersion relation;
+* `basis`        -- mode labels and branch convention of the flat
+                    problem's symplectic eigenbasis;
 * `entanglement` -- mode-coupling coefficients, residue calculus, the
                     resolvent-chain algebra and its one pairing, `bracket`;
 * `jets`         -- the declarative table of named brackets, evaluated once
@@ -23,7 +24,7 @@ Layers, bottom up:
 * `cli`          -- the ``stokes-isola`` command.
 """
 
-from .basis import Mode, basis_vector, reversibility_image, symplectic_pairing
+from .basis import Mode
 from .entanglement import (
     JetIndex,
     bracket,
@@ -65,15 +66,12 @@ from .jets import (
     beta3_projector_route,
     term_ledger,
 )
-from .stokes import Collision, collision_frequency, eval_profile, omega
+from .stokes import omega
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Mode",
-    "basis_vector",
-    "reversibility_image",
-    "symplectic_pairing",
     "JetIndex",
     "bracket",
     "chain_apply",
@@ -107,9 +105,6 @@ __all__ = [
     "measure_isola",
     "spectrum",
     "trace_isola",
-    "Collision",
-    "collision_frequency",
-    "eval_profile",
     "omega",
     "__version__",
 ]

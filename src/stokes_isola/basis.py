@@ -1,6 +1,6 @@
-"""Symplectic eigenbasis of the flat (zero-amplitude) linearized operator.
+"""Labels and branch convention of the flat operator's symplectic eigenbasis.
 
-For ``j + mu != 0`` the mode ``(j, sigma)`` carries the eigenvector
+For ``j + mu != 0`` the mode ``(j, sigma)`` labels the eigenvector
 
     f_j^sigma(mu) = (2*Omega_j)^(-1/2) * ( -sqrt(sigma)*Omega_j , sqrt(-sigma) ) e^{i j x},
 
@@ -13,23 +13,15 @@ equals -i on (+,+) diagonal pairs, +i on (-,-) pairs, and 0 otherwise.
 
 The reversibility involution acts on a single-harmonic component vector
 (c1, c2) as (conj(c1), -conj(c2)); the basis vectors are eigenvectors of it
-with sign sigma.
+with sign sigma.  The vectors themselves are never formed: the coupling
+coefficients of `entanglement.ent_coeff` are their pairings in closed form.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-import numpy as np
-
-__all__ = [
-    "Mode",
-    "sqrt_sigma",
-    "basis_vector",
-    "symplectic_pairing",
-    "reversibility_image",
-]
+__all__ = ["Mode", "sqrt_sigma"]
 
 
 @dataclass(frozen=True, order=True)
@@ -54,34 +46,3 @@ def sqrt_sigma(sigma: int) -> complex:
     if sigma == -1:
         return 1j
     raise ValueError(f"sigma must be +1 or -1, got {sigma!r}")
-
-
-def basis_vector(mode: Mode, mu: float) -> np.ndarray:
-    """Component vector of ``f_j^sigma(mu)`` (the e^{ijx} factor is implicit)."""
-    r = mode.j + mu
-    if r == 0:
-        raise ValueError(f"basis vector undefined at j + mu = 0 (j={mode.j}, mu={mu})")
-    om = math.sqrt(abs(r))
-    norm = 1.0 / math.sqrt(2.0 * om)
-    return norm * np.array(
-        [-sqrt_sigma(mode.sigma) * om, sqrt_sigma(-mode.sigma)], dtype=complex
-    )
-
-
-def symplectic_pairing(f: np.ndarray, g: np.ndarray) -> complex:
-    """W(f, g) for two component vectors on the same harmonic."""
-    return complex(f[1] * np.conj(g[0]) - f[0] * np.conj(g[1]))
-
-
-def reversibility_image(mode: Mode, mu: float) -> tuple[np.ndarray, int]:
-    """Image of ``f_j^sigma`` under the reversibility involution and its sign.
-
-    Returns ``(image, s)`` with ``image == s * basis_vector(mode, mu)``;
-    ``s`` is +1 on the sigma = +1 branch and -1 on the sigma = -1 branch.
-    """
-    f = basis_vector(mode, mu)
-    image = np.array([np.conj(f[0]), -np.conj(f[1])], dtype=complex)
-    for s in (1, -1):
-        if np.allclose(image, s * f, rtol=0.0, atol=1e-15):
-            return image, s
-    raise AssertionError("reversibility image is not proportional to the basis vector")

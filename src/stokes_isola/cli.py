@@ -14,12 +14,17 @@ isola        for each --eps: closed-form eigenvalue curve across the
 spectrum     full truncated spectrum at one (mu, eps), tracked pair marked.
 convergence  tracked pair under truncation refinement (repeat --trunc).
 
+Each subcommand takes only the options it reads (`_COMMANDS`, or --help)
+and --config FILE, a JSON object keyed by those options' snake_case names
+(--perturb is flag-only).  A file value is converted as its flag's text
+would be: {"samples": "3"} is --samples 3, {"trunc": [8.5]} is an error.
+Options are resolved as flags > --config file > built-in defaults.
+
 Exit codes: 0 success, 1 verification mismatch, 2 usage/config error,
 3 numerical failure (tracking loss, unresolved isola).
 
 Output is CSV (default) or JSON via --format, to stdout or --out; floats are
-printed with 17 significant digits so files round-trip exactly.  Options are
-resolved as flags > --config JSON file > built-in defaults.
+printed with 17 significant digits so files round-trip exactly.
 """
 
 from __future__ import annotations
@@ -85,35 +90,57 @@ class SweepConfig:
             raise ValueError(f"mu-width must be positive, got {self.mu_width}")
 
 
-_LIST_FIELDS = {"eps": float, "trunc": int}
+#: Every option once: destination -> argparse keywords of ``--dest-with-dashes``.
+#: All but ``perturb`` are `SweepConfig` fields; ``append`` marks a repeatable one.
+_OPTIONS: dict[str, dict] = {
+    "eps": dict(action="append", type=float, help="wave amplitude (repeatable)"),
+    "mu": dict(type=float, help="Floquet exponent"),
+    "mu_center": dict(type=float, help="center of the mu window"),
+    "mu_width": dict(type=float, help="full width of the mu window"),
+    "samples": dict(type=int, help="points per curve (>= 2)"),
+    "trunc": dict(action="append", type=int, help="harmonic truncation N (repeatable)"),
+    "stokes_order": dict(type=int, help="profile expansion order (0..4)"),
+    "format": dict(choices=("csv", "json"), help="output format"),
+    "out": dict(help="output path (default: stdout)"),
+    "tol": dict(type=float, help="comparison tolerance for verify"),
+    "perturb": dict(help="offset the checks whose name contains this string (negative control)"),
+}
+
+_FIELDS = frozenset(f.name for f in fields(SweepConfig))
+
+
+def _from_file(key: str, raw, path: str):
+    """A --config value, converted as its flag's text would be."""
+    opt = _OPTIONS[key]
+    repeat = opt.get("action") == "append"
+    items = raw if repeat and isinstance(raw, list) else [raw]
+    try:
+        if not items or any(type(v) not in (str, int, float) for v in items):
+            raise ValueError  # null, true, {} or [] is no flag's text
+        values = [opt.get("type", str)(str(v)) for v in items]
+    except ValueError:
+        raise ValueError(f"config key {key!r} in {path}: invalid value {raw!r}") from None
+    return tuple(values) if repeat else values[0]
 
 
 def resolve_config(args: argparse.Namespace) -> SweepConfig:
-    """Defaults, overlaid by the --config file, overlaid by explicit flags."""
+    """Defaults, overlaid by the --config file, overlaid by explicit flags;
+    only the options of ``args.command`` can be set."""
+    settable = [name for name in _COMMANDS[args.command][2] if name in _FIELDS]
     values = {f.name: getattr(SweepConfig, f.name) for f in fields(SweepConfig)}
-    path = getattr(args, "config", None)
-    if path:
-        with open(path) as fh:
+    if args.config:
+        with open(args.config) as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
-            raise ValueError(f"config file {path} must hold a JSON object")
-        known = {f.name for f in fields(SweepConfig)}
+            raise ValueError(f"config file {args.config} must hold a JSON object")
         for key, val in raw.items():
-            if key not in known:
-                raise ValueError(f"unknown config key {key!r} in {path}")
-            if key in _LIST_FIELDS:
-                cast = _LIST_FIELDS[key]
-                seq = val if isinstance(val, (list, tuple)) else [val]
-                values[key] = tuple(cast(v) for v in seq)
-            else:
-                values[key] = val
-    for f in fields(SweepConfig):
-        flag = getattr(args, f.name, None)
+            if key not in settable:
+                raise ValueError(f"config key {key!r} is not an option of {args.command}")
+            values[key] = _from_file(key, val, args.config)
+    for name in settable:
+        flag = getattr(args, name)
         if flag is not None:
-            if f.name in _LIST_FIELDS:
-                values[f.name] = tuple(flag)
-            else:
-                values[f.name] = flag
+            values[name] = tuple(flag) if isinstance(flag, list) else flag
     cfg = SweepConfig(**values)
     cfg.validate()
     return cfg
@@ -516,23 +543,22 @@ def cmd_convergence(cfg: SweepConfig) -> int:
 # -------------------------------------------------------------------- main
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file with option defaults")
-    p.add_argument("--eps", action="append", type=float, help="wave amplitude (repeatable)")
-    p.add_argument("--mu", type=float, help="Floquet exponent")
-    p.add_argument("--mu-center", dest="mu_center", type=float, help="center of the mu window")
-    p.add_argument("--mu-width", dest="mu_width", type=float, help="full width of the mu window")
-    p.add_argument("--samples", type=int, help="points per curve (>= 2)")
-    p.add_argument(
-        "--trunc",
-        action="append",
-        type=int,
-        help="harmonic truncation N (repeatable; convergence uses the whole list)",
-    )
-    p.add_argument("--stokes-order", dest="stokes_order", type=int, help="profile expansion order (0..4)")
-    p.add_argument("--format", choices=("csv", "json"), help="output format")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--tol", type=float, help="comparison tolerance for verify")
+_OUTPUT = ("format", "out")
+_SOLVE = ("mu", "eps", "trunc", "stokes_order", *_OUTPUT)
+
+#: Subcommand -> (handler, help, the options it reads).  The handler takes the
+#: resolved `SweepConfig` plus, by keyword, each option that is not a field.
+_COMMANDS = {
+    "verify": (cmd_verify, "run the hermetic self-check table", ("tol", *_OUTPUT, "perturb")),
+    "coeffs": (cmd_coeffs, "emit jet coefficients and the intermediate-term ledger", _OUTPUT),
+    "isola": (
+        cmd_isola,
+        "closed-form curve vs truncated-eigenproblem trace",
+        ("eps", "mu_center", "mu_width", "samples", "trunc", "stokes_order", *_OUTPUT),
+    ),
+    "spectrum": (cmd_spectrum, "full truncated spectrum at one (mu, eps)", _SOLVE),
+    "convergence": (cmd_convergence, "tracked pair under truncation refinement", _SOLVE),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -541,50 +567,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="High-frequency instability isola of small-amplitude deep-water waves",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", help="run the hermetic self-check table")
-    _add_common(p_verify)
-    p_verify.add_argument(
-        "--perturb",
-        help="inject an offset into checks whose name contains this string (negative control)",
-    )
-
-    for name, help_text in [
-        ("coeffs", "emit jet coefficients and the intermediate-term ledger"),
-        ("isola", "closed-form curve vs truncated-eigenproblem trace"),
-        ("spectrum", "full truncated spectrum at one (mu, eps)"),
-        ("convergence", "tracked pair under truncation refinement"),
-    ]:
-        _add_common(sub.add_parser(name, help=help_text))
+    for command, (_, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="JSON file with option defaults")
+        for name in options:
+            p.add_argument("--" + name.replace("_", "-"), dest=name, **_OPTIONS[name])
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler, _, options = _COMMANDS[args.command]
+    flag_only = {name: getattr(args, name) for name in options if name not in _FIELDS}
     try:
         cfg = resolve_config(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.command == "verify":
-            return cmd_verify(cfg, args.perturb)
-        if args.command == "coeffs":
-            return cmd_coeffs(cfg)
-        if args.command == "isola":
-            return cmd_isola(cfg)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg)
-        if args.command == "convergence":
-            return cmd_convergence(cfg)
+        return handler(cfg, **flag_only)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (floquet.TrackingFailure, ValueError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

@@ -15,9 +15,10 @@ with vertical/horizontal axis ratio (gamma1 - alpha1)/T1.
 
 For the deep-water Stokes jet the quadratic gap coefficient beta1 vanishes
 and the isola is controlled by the effective quartic coefficient
-beta3_eff = beta3 - beta2*T2/T1 = 37*sqrt(3)/512.  The machinery stays
-generic: any coefficient set can be passed in, and the branch with
-beta1 != 0 (an order-eps^2 isola) is handled alongside the degenerate one.
+beta3_eff = beta3 - beta2*T2/T1 = 37*sqrt(3)/512.  Only this degenerate
+case, beta1 = 0, is modelled: any coefficient set with beta1 = 0 can be
+passed in, and the isola formulas raise `ValueError` for |beta1| > 1e-12
+(the order-eps^2 isola of finite depth) rather than return a wrong size.
 """
 
 from __future__ import annotations
@@ -50,6 +51,16 @@ __all__ = [
 #: D values within this window of zero are treated as an exact collision.
 _COLLISION_ATOL = 1e-14
 
+#: Largest |beta1| the degenerate (order-eps^4) formulas accept.
+_BETA1_TOL = 1e-12
+
+
+def _require_degenerate(jet: ReducedJet) -> None:
+    if abs(jet.beta1) > _BETA1_TOL:
+        raise ValueError(
+            f"beta1 = {jet.beta1!r}: only the degenerate case beta1 = 0 is modelled"
+        )
+
 
 @dataclass(frozen=True)
 class CriticalCurves:
@@ -59,8 +70,6 @@ class CriticalCurves:
     vanishes), ``mu_plus``/``mu_minus`` the lower/upper boundary curves, and
     ``nu_plus``/``nu_minus`` the same boundaries relative to the center.
     For eps > 0 small, mu_plus(eps) <= mu0(eps) <= mu_minus(eps).
-    ``degenerate`` records whether the quadratic gap coefficient was below
-    tolerance so that the band opens only at fourth order.
     """
 
     mu0: Polynomial
@@ -68,64 +77,52 @@ class CriticalCurves:
     mu_minus: Polynomial
     nu_plus: Polynomial
     nu_minus: Polynomial
-    degenerate: bool
 
     def width(self, eps: float) -> float:
         return float(self.mu_minus(eps) - self.mu_plus(eps))
 
 
-def critical_curves(jet: ReducedJet, beta1_tol: float = 1e-12) -> CriticalCurves:
+def critical_curves(jet: ReducedJet) -> CriticalCurves:
     """Center and boundary curves of the unstable band of ``jet``.
 
-    The boundaries are the leading-order roots in nu of the discriminant:
-    nu = -+ 2*|beta1|/T1 * eps^2 when beta1 is above tolerance, and
-    nu = -+ 2*|beta3_eff|/T1 * eps^4 in the degenerate case.
+    The boundaries are the leading-order roots in nu of the discriminant,
+    nu = -+ 2*|beta3_eff|/T1 * eps^4.
     """
+    _require_degenerate(jet)
     t1 = jet.T1
     if t1 == 0:
         raise ValueError("T1 = alpha1 + gamma1 must be nonzero")
     mu0 = Polynomial([jet.mu_star, 0.0, -jet.T2 / t1])
-    degenerate = abs(jet.beta1) <= beta1_tol
-    if degenerate:
-        half = 2.0 * abs(jet.beta3_eff) / abs(t1)
-        nu_plus = Polynomial([0.0, 0.0, 0.0, 0.0, -half])
-        nu_minus = Polynomial([0.0, 0.0, 0.0, 0.0, half])
-    else:
-        half = 2.0 * abs(jet.beta1) / abs(t1)
-        nu_plus = Polynomial([0.0, 0.0, -half])
-        nu_minus = Polynomial([0.0, 0.0, half])
+    half = 2.0 * abs(jet.beta3_eff) / abs(t1)
+    nu_plus = Polynomial([0.0, 0.0, 0.0, 0.0, -half])
+    nu_minus = Polynomial([0.0, 0.0, 0.0, 0.0, half])
     return CriticalCurves(
         mu0=mu0,
         mu_plus=mu0 + nu_plus,
         mu_minus=mu0 + nu_minus,
         nu_plus=nu_plus,
         nu_minus=nu_minus,
-        degenerate=degenerate,
     )
 
 
-def discriminant(jet: ReducedJet, nu, eps: float, beta1_tol: float = 1e-12):
+def discriminant(jet: ReducedJet, nu, eps: float):
     """Discriminant D(nu, eps) of the reduced eigenvalue problem.
 
-    Positive inside the isola, negative outside.  In the degenerate branch
-    the modeled form keeps exactly the three terms that matter through
-    order eps^8,
+    Positive inside the isola, negative outside.  The modeled form keeps
+    exactly the three terms that matter through order eps^8,
 
-        D = 4*beta3_eff^2*eps^8 - T1^2*nu^2 + 8*beta2*beta3_eff*nu*eps^6,
+        D = 4*beta3_eff^2*eps^8 - T1^2*nu^2 + 8*beta2*beta3_eff*nu*eps^6.
 
-    while the branch with beta1 above tolerance keeps the full square of
-    the gap entry.  ``nu`` may be a scalar or ndarray.
+    ``nu`` may be a scalar or ndarray.
     """
+    _require_degenerate(jet)
     t1 = jet.T1
     b3h = jet.beta3_eff
-    if abs(jet.beta1) <= beta1_tol:
-        return (
-            4.0 * b3h * b3h * eps**8
-            - t1 * t1 * np.square(nu)
-            + 8.0 * jet.beta2 * b3h * nu * eps**6
-        )
-    gap = jet.beta1 * eps**2 + jet.beta2 * nu * eps**2 + b3h * eps**4
-    return 4.0 * np.square(gap) - t1 * t1 * np.square(nu)
+    return (
+        4.0 * b3h * b3h * eps**8
+        - t1 * t1 * np.square(nu)
+        + 8.0 * jet.beta2 * b3h * nu * eps**6
+    )
 
 
 def trace_shift(jet: ReducedJet, nu, eps: float):
@@ -150,9 +147,7 @@ class EigenPair:
     regime: str
 
 
-def eigenvalues(
-    jet: ReducedJet, mu: float, eps: float, beta1_tol: float = 1e-12
-) -> EigenPair:
+def eigenvalues(jet: ReducedJet, mu: float, eps: float) -> EigenPair:
     """Eigenvalue pair at Floquet exponent ``mu`` and amplitude ``eps``.
 
     lambda_pm = i*S/2 +- sqrt(D)/2 with the principal square root, so that
@@ -161,7 +156,7 @@ def eigenvalues(
     (purely imaginary) and the product is -(S^2 + D)/4.
     """
     nu = mu - (jet.mu_star - jet.T2 / jet.T1 * eps**2)
-    d = float(discriminant(jet, nu, eps, beta1_tol))
+    d = float(discriminant(jet, nu, eps))
     s = float(trace_shift(jet, nu, eps))
     threshold = _COLLISION_ATOL * max(1.0, eps**8)
     half_trace = 0.5j * s
@@ -179,25 +174,15 @@ class GrowthRate(NamedTuple):
     nu_re: float
 
 
-def max_growth_rate(
-    jet: ReducedJet, eps: float, beta1_tol: float = 1e-12
-) -> GrowthRate:
-    """Maximum real part over the isola, to leading order.
-
-    Degenerate branch: re_max = |beta3_eff|*eps^4, attained at
-    nu = 4*(beta2/T1^2)*beta3_eff*eps^6 (the stationary point of D).
-    Branch with beta1 above tolerance: re_max = |beta1|*eps^2 at
-    nu = 4*beta1*beta2*eps^4/T1^2.
+def max_growth_rate(jet: ReducedJet, eps: float) -> GrowthRate:
+    """Maximum real part over the isola, to leading order:
+    re_max = |beta3_eff|*eps^4, attained at nu = 4*(beta2/T1^2)*beta3_eff*eps^6
+    (the stationary point of D).
     """
-    t1sq = jet.T1 * jet.T1
-    if abs(jet.beta1) <= beta1_tol:
-        return GrowthRate(
-            re_max=abs(jet.beta3_eff) * eps**4,
-            nu_re=4.0 * jet.beta2 * jet.beta3_eff * eps**6 / t1sq,
-        )
+    _require_degenerate(jet)
     return GrowthRate(
-        re_max=abs(jet.beta1) * eps**2,
-        nu_re=4.0 * jet.beta1 * jet.beta2 * eps**4 / t1sq,
+        re_max=abs(jet.beta3_eff) * eps**4,
+        nu_re=4.0 * jet.beta2 * jet.beta3_eff * eps**6 / (jet.T1 * jet.T1),
     )
 
 
@@ -225,6 +210,7 @@ def ellipse(jet: ReducedJet, eps: float) -> EllipseParams:
     to the collision point (0, omega*).  Requires gamma1 != alpha1 (otherwise
     the vertical extent of the curve is not resolved at this order).
     """
+    _require_degenerate(jet)
     d1 = jet.gamma1 - jet.alpha1
     if d1 == 0:
         raise ValueError("gamma1 == alpha1: ellipse axes not resolved at this order")

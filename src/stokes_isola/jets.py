@@ -39,7 +39,7 @@ import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .basis import Mode
 from .entanglement import (
@@ -294,9 +294,8 @@ class ReducedJet:
 
     Generic container: synthetic coefficient sets are valid inputs to the
     downstream eigenvalue machinery; `assemble_reduced_jet` builds the
-    Stokes-wave instance.  ``flat_alpha``/``flat_gamma`` give the exact
-    zero-amplitude diagonal as functions of delta = mu - mu_star; their
-    derivatives at 0 are ``alpha1``/``gamma1``.
+    Stokes-wave instance.  ``alpha1``/``gamma1`` are the derivatives at
+    delta = 0 of the exact zero-amplitude diagonal `flat_alpha`/`flat_gamma`.
     """
 
     alpha1: float
@@ -308,8 +307,6 @@ class ReducedJet:
     beta3: float
     mu_star: float = 0.25
     omega_star: float = 0.75
-    flat_alpha: Callable[[float], float] = flat_alpha
-    flat_gamma: Callable[[float], float] = flat_gamma
 
     @property
     def T1(self) -> float:

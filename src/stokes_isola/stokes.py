@@ -18,27 +18,15 @@ wave):
       omega_j^sigma(mu) = j + mu - sigma * Omega_j(mu),   sigma = +-1.
 
 Everything in this module is exact rational arithmetic except the float
-helpers `eval_profile` and `omega`.
+helper `omega`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
-import numpy as np
-
-__all__ = [
-    "p_coeff",
-    "a_coeff",
-    "eval_profile",
-    "omega",
-    "rational_sqrt",
-    "Collision",
-    "collision_frequency",
-]
+__all__ = ["p_coeff", "a_coeff", "omega", "rational_sqrt"]
 
 MAX_ORDER = 4
 
@@ -86,37 +74,6 @@ def a_coeff(n: int, kappa: int) -> Fraction:
     return _coeff(_A_TABLE, n, kappa)
 
 
-def eval_profile(
-    which: str,
-    eps: float,
-    x: Union[float, np.ndarray],
-    order: int = MAX_ORDER,
-) -> Union[float, np.ndarray]:
-    """Evaluate the truncated profile ``p`` or ``a`` at amplitude ``eps``.
-
-    ``order`` truncates the amplitude expansion (0 gives identically zero);
-    orders beyond the tabulated range are rejected rather than silently
-    extrapolated.
-    """
-    if which not in ("p", "a"):
-        raise ValueError(f"profile must be 'p' or 'a', got {which!r}")
-    if not isinstance(order, int) or not (0 <= order <= MAX_ORDER):
-        raise ValueError(f"order must be an integer in 0..{MAX_ORDER}, got {order!r}")
-    coeff = p_coeff if which == "p" else a_coeff
-    xarr = np.asarray(x, dtype=float)
-    total = np.zeros_like(xarr)
-    for n in range(1, order + 1):
-        layer = float(coeff(n, 0)) / 2.0 * np.ones_like(xarr)
-        for k in range(1, n + 1):
-            c = coeff(n, k)
-            if c != 0:
-                layer = layer + float(c) * np.cos(k * xarr)
-        total = total + (eps ** n) * layer
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(total)
-    return total
-
-
 def omega(j: int, sigma: int, mu: float) -> float:
     """Unperturbed frequency ``j + mu - sigma*sqrt(|j + mu|)``."""
     if sigma not in (1, -1):
@@ -133,30 +90,3 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
     if rn * rn == q.numerator and rd * rd == q.denominator:
         return Fraction(rn, rd)
     return None
-
-
-@dataclass(frozen=True)
-class Collision:
-    """An unperturbed eigenvalue collision seeding a potential isola.
-
-    ``omega_star`` is the common frequency, attained at Floquet exponent
-    ``mu`` by the mode pair ``(k, sigma=-1)`` and ``(k_prime, sigma=+1)``.
-    """
-
-    p: int
-    omega_star: Fraction
-    mu: Fraction
-    k: int
-    k_prime: int
-
-
-def collision_frequency(p: int) -> Collision:
-    """Collision data for the p-th family, omega* = (p^2 - 1)/4, p >= 2."""
-    if not isinstance(p, int) or p < 2:
-        raise ValueError(f"collision index p must be an integer >= 2, got {p!r}")
-    omega_star = Fraction(p * p - 1, 4)
-    if p % 2 == 0:
-        n = p // 2
-        return Collision(p, omega_star, Fraction(1, 4), n * n - n, n * n + n)
-    n = (p - 1) // 2
-    return Collision(p, omega_star, Fraction(0), n * n, (n + 1) * (n + 1))

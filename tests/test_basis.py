@@ -1,19 +1,8 @@
-"""Flat eigenbasis: normalization, pairing, reversibility, eigenrelation."""
+"""Flat eigenbasis labels: mode validation and the branch convention."""
 
-import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from stokes_isola.basis import (
-    Mode,
-    basis_vector,
-    reversibility_image,
-    sqrt_sigma,
-    symplectic_pairing,
-)
-from stokes_isola.stokes import omega
-
-MODES = [Mode(j, s) for j in range(-8, 9) for s in (1, -1)]
+from stokes_isola.basis import Mode, sqrt_sigma
 
 
 class TestMode:
@@ -34,75 +23,3 @@ class TestSqrtSigma:
         assert sqrt_sigma(-1) == 1j
         with pytest.raises(ValueError):
             sqrt_sigma(0)
-
-
-class TestBasisVector:
-    def test_frozen_low_mode(self):
-        f = basis_vector(Mode(0, -1), 0.25)
-        np.testing.assert_allclose(f, [-0.5j, 1.0], rtol=0, atol=1e-15)
-
-    def test_frozen_high_mode(self):
-        f = basis_vector(Mode(2, 1), 0.25)
-        np.testing.assert_allclose(
-            f, np.array([-1.5, 1j]) / np.sqrt(3.0), rtol=0, atol=1e-15
-        )
-
-    def test_undefined_at_zero_symbol(self):
-        with pytest.raises(ValueError):
-            basis_vector(Mode(0, 1), 0.0)
-        with pytest.raises(ValueError):
-            basis_vector(Mode(-2, -1), 2.0)
-
-
-class TestPairing:
-    def test_diagonal_values(self):
-        for mode in MODES:
-            f = basis_vector(mode, 0.25)
-            w = symplectic_pairing(f, f)
-            expected = -1j if mode.sigma == 1 else 1j
-            assert w == pytest.approx(expected, abs=1e-14)
-
-    def test_cross_branch_vanishes(self):
-        for j in range(-8, 9):
-            fp = basis_vector(Mode(j, 1), 0.25)
-            fm = basis_vector(Mode(j, -1), 0.25)
-            assert symplectic_pairing(fp, fm) == pytest.approx(0.0, abs=1e-14)
-            assert symplectic_pairing(fm, fp) == pytest.approx(0.0, abs=1e-14)
-
-
-class TestReversibility:
-    def test_signs_follow_branch(self):
-        for mode in MODES:
-            image, s = reversibility_image(mode, 0.25)
-            assert s == mode.sigma
-            np.testing.assert_allclose(
-                image, s * basis_vector(mode, 0.25), rtol=0, atol=1e-15
-            )
-
-
-class TestEigenRelation:
-    @staticmethod
-    def _flat_block(j: int, mu: float) -> np.ndarray:
-        return np.array(
-            [[1j * (j + mu), abs(j + mu)], [-1.0, 1j * (j + mu)]], dtype=complex
-        )
-
-    def test_basis_diagonalizes_flat_block(self):
-        for mu in (0.1, 0.25, 0.4):
-            for mode in MODES:
-                f = basis_vector(mode, mu)
-                lhs = self._flat_block(mode.j, mu) @ f
-                rhs = 1j * omega(mode.j, mode.sigma, mu) * f
-                np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
-
-    @given(
-        j=st.integers(min_value=-20, max_value=20),
-        sigma=st.sampled_from([1, -1]),
-        mu=st.floats(min_value=0.01, max_value=0.49),
-    )
-    def test_eigenrelation_property(self, j, sigma, mu):
-        mode = Mode(j, sigma)
-        f = basis_vector(mode, mu)
-        lhs = self._flat_block(j, mu) @ f
-        rhs = 1j * omega(j, sigma, mu) * f
-        np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-11)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import stokes_isola
 from stokes_isola import cli, floquet
 
 
@@ -166,6 +167,13 @@ class TestStartUp:
         assert proc.stdout.split() == ["0", "0", "False", "True"]
 
 
+class TestPublicApi:
+    def test_star_import_resolves_every_name(self):
+        namespace = {}
+        exec("from stokes_isola import *", namespace)
+        assert set(stokes_isola.__all__) <= set(namespace)
+
+
 class TestConfigFile:
     def test_flags_override_file(self, capsys, tmp_path):
         cfgfile = tmp_path / "run.json"
@@ -190,6 +198,63 @@ class TestConfigFile:
     def test_missing_file_rejected(self, capsys, tmp_path):
         code, out, err = run(capsys, "isola", "--config", str(tmp_path / "nope.json"))
         assert code == 2
+
+    @pytest.mark.parametrize("argv,config,flags", [
+        (("isola", "--eps", "0.06", "--trunc", "24"), {"samples": "3"}, ("--samples", "3")),
+        (("spectrum", "--trunc", "8"), {"stokes_order": "4"}, ("--stokes-order", "4")),
+        (("spectrum", "--trunc", "8"), {"mu": "0.3"}, ("--mu", "0.3")),
+    ])
+    def test_value_converted_as_its_flag(self, capsys, tmp_path, argv, config, flags):
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps(config))
+        code, from_file, err = run(capsys, *argv, "--format", "json", "--config", str(cfgfile))
+        assert (code, err) == (0, "")
+        assert from_file == run(capsys, *argv, "--format", "json", *flags)[1]
+
+    @pytest.mark.parametrize("command,config", [
+        ("verify", {"tol": "x"}),
+        ("isola", {"eps": None}),
+        ("isola", {"eps": []}),
+        ("spectrum", {"trunc": [8.5]}),
+        ("spectrum", {"stokes_order": True}),
+        ("coeffs", {"out": {"path": "x.csv"}}),
+    ])
+    def test_invalid_value_is_usage_error(self, capsys, tmp_path, command, config):
+        cfgfile = tmp_path / "bad.json"
+        cfgfile.write_text(json.dumps(config))
+        code, out, err = run(capsys, command, "--config", str(cfgfile))
+        assert code == 2
+        assert f"config key {next(iter(config))!r}" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command,config", [
+        ("coeffs", {"eps": 0.1}),
+        ("verify", {"trunc": 16}),
+        ("verify", {"perturb": "beta3"}),
+        ("isola", {"tol": 1e-3}),
+        ("spectrum", {"samples": 3}),
+    ])
+    def test_key_the_command_does_not_read_rejected(self, capsys, tmp_path, command, config):
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps(config))
+        code, out, err = run(capsys, command, "--config", str(cfgfile))
+        assert code == 2
+        assert f"{next(iter(config))!r} is not an option of {command}" in err
+
+
+class TestOptionsPerCommand:
+    @pytest.mark.parametrize("argv", [
+        ("coeffs", "--eps", "0.1"),
+        ("verify", "--trunc", "16"),
+        ("isola", "--tol", "1e-3"),
+        ("spectrum", "--samples", "3"),
+        ("convergence", "--mu-width", "1e-6"),
+    ])
+    def test_option_the_command_does_not_read_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
 class TestSpectrum:

@@ -115,6 +115,25 @@ class TestIsPole:
         assert is_pole(LOW, 0.25, 0.75)
         assert not is_pole(Mode(1, 1), 0.25, 0.75)
 
+    # The p-th collision family, p = 2..6: omega* = (p^2 - 1)/4 is reached by
+    # (k, -) and (k', +), at mu = 1/4 with k, k' = n^2 -+ n for p = 2n, and at
+    # mu = 0 with k, k' = n^2, (n + 1)^2 for p = 2n + 1.
+    @pytest.mark.parametrize("mode,mu,omega_star", [
+        (Mode(0, -1), Fraction(1, 4), Fraction(3, 4)),
+        (Mode(2, +1), Fraction(1, 4), Fraction(3, 4)),
+        (Mode(1, -1), Fraction(0), Fraction(2)),
+        (Mode(4, +1), Fraction(0), Fraction(2)),
+        (Mode(2, -1), Fraction(1, 4), Fraction(15, 4)),
+        (Mode(6, +1), Fraction(1, 4), Fraction(15, 4)),
+        (Mode(4, -1), Fraction(0), Fraction(6)),
+        (Mode(9, +1), Fraction(0), Fraction(6)),
+        (Mode(6, -1), Fraction(1, 4), Fraction(35, 4)),
+        (Mode(12, +1), Fraction(1, 4), Fraction(35, 4)),
+    ], ids=[f"p{p}-{branch}" for p in range(2, 7) for branch in ("minus", "plus")])
+    def test_collision_families_are_exact_poles(self, mode, mu, omega_star):
+        assert is_pole(mode, mu, omega_star)
+        assert not is_pole(Mode(mode.j, -mode.sigma), mu, omega_star)
+
     def test_verify_takes_each_exact_root_once(self, monkeypatch, capsys):
         asked, roots = [], []
         real_is_pole, real_sqrt = entanglement.is_pole, entanglement.rational_sqrt

@@ -33,6 +33,26 @@ def _synthetic(beta1=0.0, beta2=0.0, beta3=0.0, **kw) -> ReducedJet:
     return ReducedJet(**base)
 
 
+class TestDegenerateOnly:
+    """Only beta1 = 0 is modelled: a jet with an order-eps^2 gap is refused,
+    not sized with the quartic formulas."""
+
+    @pytest.mark.parametrize("formula", [
+        lambda jet: critical_curves(jet),
+        lambda jet: discriminant(jet, 0.0, 0.1),
+        lambda jet: eigenvalues(jet, 0.25, 0.1),
+        lambda jet: max_growth_rate(jet, 0.1),
+        lambda jet: ellipse(jet, 0.1),
+    ], ids=["critical_curves", "discriminant", "eigenvalues", "max_growth_rate", "ellipse"])
+    def test_rejects_nonzero_beta1(self, formula):
+        with pytest.raises(ValueError, match="beta1"):
+            formula(_synthetic(beta1=0.5, beta2=-0.1))
+
+    def test_accepts_rounding_level_beta1(self):
+        jet = _synthetic(beta1=1e-13, beta2=JET.beta2, beta3=JET.beta3)
+        assert max_growth_rate(jet, 0.1) == max_growth_rate(JET, 0.1)
+
+
 class TestCriticalCurves:
     def test_center_curve_coefficients(self):
         curves = critical_curves(JET)
@@ -43,7 +63,6 @@ class TestCriticalCurves:
 
     def test_band_edges_quartic(self):
         curves = critical_curves(JET)
-        assert curves.degenerate
         assert curves.nu_plus(1.0) == pytest.approx(-closed_forms.NU_EPS4, abs=1e-12)
         assert curves.nu_minus(1.0) == pytest.approx(closed_forms.NU_EPS4, abs=1e-12)
         assert curves.nu_plus.degree() == 4
@@ -53,13 +72,6 @@ class TestCriticalCurves:
         for eps in (0.0, 0.05, 0.1, 0.15):
             assert curves.mu_plus(eps) <= curves.mu0(eps) <= curves.mu_minus(eps)
         assert curves.width(0.1) == pytest.approx(2 * closed_forms.NU_EPS4 * 0.1**4, rel=1e-12)
-
-    def test_non_degenerate_branch(self):
-        jet = _synthetic(beta1=1.0)
-        curves = critical_curves(jet)
-        assert not curves.degenerate
-        assert curves.nu_plus.degree() == 2
-        assert curves.nu_plus(1.0) == pytest.approx(-2.0 / jet.T1, rel=1e-12)
 
     def test_requires_nonzero_T1(self):
         with pytest.raises(ValueError):
@@ -220,15 +232,6 @@ class TestGrowthRate:
         # the eps^10 truncation leftover
         assert max(res) <= rate.re_max * (1.0 + 1e-2)
         assert max(res) >= rate.re_max * 0.99
-
-    def test_non_degenerate_branch(self):
-        jet = _synthetic(beta1=0.5, beta2=-0.1)
-        eps = 0.1
-        rate = max_growth_rate(jet, eps)
-        assert rate.re_max == pytest.approx(0.5 * eps**2, rel=1e-12)
-        assert rate.nu_re == pytest.approx(
-            4.0 * 0.5 * (-0.1) / jet.T1**2 * eps**4, rel=1e-12
-        )
 
 
 class TestEllipse:
