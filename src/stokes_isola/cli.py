@@ -12,12 +12,15 @@ isola        for each --eps: closed-form eigenvalue curve across the
              unstable band, the truncated-eigenproblem trace over a mu
              window, and summary rows comparing the two.
 spectrum     full truncated spectrum at one (mu, eps), tracked pair marked.
-convergence  tracked pair under truncation refinement (repeat --trunc).
+convergence  tracked pair under truncation refinement, one row per --trunc
+             (default 16, 24, 32, 48).
 
 Each subcommand takes only the options it reads (`_COMMANDS`, or --help)
 and --config FILE, a JSON object keyed by those options' snake_case names
 (--perturb is flag-only).  A file value is converted as its flag's text
 would be: {"samples": "3"} is --samples 3, {"trunc": [8.5]} is an error.
+--eps repeats only for isola and --trunc only for convergence; a second
+value elsewhere, from flags or the file, is a usage error.
 Options are resolved as flags > --config file > built-in defaults.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage/config error,
@@ -91,14 +94,15 @@ class SweepConfig:
 
 
 #: Every option once: destination -> argparse keywords of ``--dest-with-dashes``.
-#: All but ``perturb`` are `SweepConfig` fields; ``append`` marks a repeatable one.
+#: All but ``perturb`` are `SweepConfig` fields; ``append`` marks one that a
+#: subcommand may repeat (`_REPEATED`).
 _OPTIONS: dict[str, dict] = {
-    "eps": dict(action="append", type=float, help="wave amplitude (repeatable)"),
+    "eps": dict(action="append", type=float, help="wave amplitude (isola: repeatable)"),
     "mu": dict(type=float, help="Floquet exponent"),
     "mu_center": dict(type=float, help="center of the mu window"),
     "mu_width": dict(type=float, help="full width of the mu window"),
     "samples": dict(type=int, help="points per curve (>= 2)"),
-    "trunc": dict(action="append", type=int, help="harmonic truncation N (repeatable)"),
+    "trunc": dict(action="append", type=int, help="harmonic truncation N (convergence: repeatable)"),
     "stokes_order": dict(type=int, help="profile expansion order (0..4)"),
     "format": dict(choices=("csv", "json"), help="output format"),
     "out": dict(help="output path (default: stdout)"),
@@ -125,9 +129,13 @@ def _from_file(key: str, raw, path: str):
 
 def resolve_config(args: argparse.Namespace) -> SweepConfig:
     """Defaults, overlaid by the --config file, overlaid by explicit flags;
-    only the options of ``args.command`` can be set."""
+    only the options of ``args.command`` can be set, and only those it
+    repeats (`_REPEATED`) hold more than one value, starting from its own
+    default."""
     settable = [name for name in _COMMANDS[args.command][2] if name in _FIELDS]
+    repeated = _REPEATED.get(args.command, {})
     values = {f.name: getattr(SweepConfig, f.name) for f in fields(SweepConfig)}
+    values.update(repeated)
     if args.config:
         with open(args.config) as fh:
             raw = json.load(fh)
@@ -141,6 +149,11 @@ def resolve_config(args: argparse.Namespace) -> SweepConfig:
         flag = getattr(args, name)
         if flag is not None:
             values[name] = tuple(flag) if isinstance(flag, list) else flag
+        if isinstance(values[name], tuple) and len(values[name]) > 1 and name not in repeated:
+            raise ValueError(
+                f"--{name.replace('_', '-')} takes one value for {args.command}, "
+                f"got {list(values[name])}"
+            )
     cfg = SweepConfig(**values)
     cfg.validate()
     return cfg
@@ -517,10 +530,9 @@ def cmd_spectrum(cfg: SweepConfig) -> int:
 
 
 def cmd_convergence(cfg: SweepConfig) -> int:
-    n_list = cfg.trunc if len(cfg.trunc) > 1 else (16, 24, 32, 48)
     eps = cfg.eps[-1]
     rows = []
-    for row in floquet.convergence_check(cfg.mu, eps, n_list, cfg.stokes_order):
+    for row in floquet.convergence_check(cfg.mu, eps, cfg.trunc, cfg.stokes_order):
         rows.append(
             [
                 row.N,
@@ -559,6 +571,10 @@ _COMMANDS = {
     "spectrum": (cmd_spectrum, "full truncated spectrum at one (mu, eps)", _SOLVE),
     "convergence": (cmd_convergence, "tracked pair under truncation refinement", _SOLVE),
 }
+
+#: Subcommand -> the options it repeats, each with its default; every other
+#: option takes one value.
+_REPEATED = {"isola": {"eps": SweepConfig.eps}, "convergence": {"trunc": (16, 24, 32, 48)}}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -59,10 +59,11 @@ DEFAULT_N = 32
 DEFAULT_CENTER = 0.75j
 DEFAULT_TRACKING_RADIUS = 0.2
 
-#: Columns of the shift-invert block.  It resolves the eight eigenvalues
-#: nearest the shift, and the tracking disk never holds more than two, so
-#: the disk count of `_pick_pair` is that of the full spectrum.
-_BLOCK = 8
+#: Columns of the shift-invert block: the tracked pair plus two spare, so a
+#: third eigenvalue entering the tracking disk is still resolved and the
+#: disk count of `_pick_pair` is that of the full spectrum.  A disk holding
+#: as many eigenvalues as the block has columns is diagnosed at the cap.
+_BLOCK = 4
 #: Relative residual at which a Ritz pair counts as converged.
 _TOL = 1e-13
 #: Ritz values this far outside the tracking disk must converge too, so that
@@ -182,8 +183,9 @@ class SpectrumSample:
     pair singled out; ``re_max`` is the larger real part of the pair.
     ``eigenvalues`` holds every eigenvalue within the tracking disk and
     the two nearest the center, often nothing else.  ``block`` is the
-    read-only orthonormal block the solve converged on, rows in interleaved
-    order (`_band_parts`), which a solve at a nearby mu can start from
+    read-only orthonormal block the solve converged on, `_BLOCK` (four)
+    columns, the pair plus two spare, rows in interleaved order
+    (`_band_parts`), which a solve at a nearby mu can start from
     (`spectrum`'s ``start``); it takes no part in comparisons or the repr."""
 
     eigenvalues: np.ndarray
@@ -250,14 +252,20 @@ def _band(op: DiscretizedOperator) -> np.ndarray:
     return flat.reshape(2 * d.size, -1).T
 
 
+def _real_times(part: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``part @ x`` for a real matrix and a complex block, as one real matmul
+    on the block's float view rather than on a complex copy of ``part``."""
+    return (part @ np.ascontiguousarray(x).view(float)).view(complex)
+
+
 def _apply(op: DiscretizedOperator, q: np.ndarray) -> np.ndarray:
     """``op.matrix @ q`` from the Toeplitz parts P = 1 + p_eps, A = 1 + a_eps
     and d = j + mu: [i*d*(P q1) + |d|*q2 ; -A q1 + i*P (d*q2)]."""
     p_part, a_part = _toeplitz_parts(op.eps, op.N, op.stokes_order)
     d = (np.arange(-op.N, op.N + 1, dtype=float) + op.mu)[:, None]
     q1, q2 = np.vsplit(q, 2)
-    pq1, pdq2 = np.hsplit(p_part @ np.hstack((q1, d * q2)), 2)
-    return np.vstack((1j * d * pq1 + np.abs(d) * q2, 1j * pdq2 - a_part @ q1))
+    pq1, pdq2 = np.hsplit(_real_times(p_part, np.hstack((q1, d * q2))), 2)
+    return np.vstack((1j * d * pq1 + np.abs(d) * q2, 1j * pdq2 - _real_times(a_part, q1)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -301,12 +309,15 @@ def _shift_invert(
     In interleaved order ``op.matrix`` is banded with 2*stokes_order + 1
     sub- and superdiagonals; the band is written from the Toeplitz parts
     (`_band`), and ``A - shift`` is factored by `zgbtrf`.  A block of
-    `_BLOCK` columns goes through the inverse once per step, followed by a
-    Rayleigh-Ritz step; a Ritz value nu of the inverse gives the eigenvalue
-    shift + 1/nu.  The iteration stops when every Ritz value within
-    ``radius + _MARGIN`` of ``center``, and the two nearest, have relative
-    residual |(A - shift)^-1 v - nu v| / |nu| at most `_TOL`, and returns
-    every Ritz value that meets it.
+    `_BLOCK` columns, four: the pair plus two spare, goes through the
+    inverse once per step, followed by a Rayleigh-Ritz step; a Ritz value
+    nu of the inverse gives the eigenvalue shift + 1/nu.  The iteration
+    stops when every Ritz value within ``radius + _MARGIN`` of ``center``,
+    and the two nearest, have relative residual
+    |(A - shift)^-1 v - nu v| / |nu| at most `_TOL`, and returns every Ritz
+    value that meets it.  When all four lie that close, the disk may hold
+    more eigenvalues than the block resolves; the spare columns then stall,
+    and the solve fails at `_MAX_ITER` saying so.
 
     Without ``start`` the block starts fixed (so repeated calls agree bit
     for bit) and the shift at ``center``; with ``start``, a sample at a
@@ -371,6 +382,11 @@ def _shift_invert(
             if moved is not None:
                 shift, lu, piv = moved
         q = zungqr(*zgeqrf(x)[:2])[0]
+    if np.all(need):
+        raise TrackingFailure(
+            f"shift-invert solve near {center} failed: at least {_BLOCK} eigenvalues, "
+            f"as many as the block has columns, lie within {radius} + {_MARGIN} of it"
+        )
     raise TrackingFailure(
         f"shift-invert solve near {center} failed: no convergence in {_MAX_ITER} iterations"
     )
@@ -504,7 +520,7 @@ def _reduced_discriminant(op: DiscretizedOperator, sample: SpectrumSample) -> tu
     z = ztrsen(near <= np.sort(near)[1], t, z, job="N")[1][:, :2]
     u = q @ z
     u1, u2 = np.vsplit(u, 2)
-    pu = _toeplitz_parts(op.eps, op.N, op.stokes_order)[0] @ np.hstack((u1, u2))
+    pu = _real_times(_toeplitz_parts(op.eps, op.N, op.stokes_order)[0], np.hstack((u1, u2)))
     sign = np.sign(np.arange(-op.N, op.N + 1) + op.mu)[:, None]
     m1u = np.vstack((1j * pu[:, :2] + sign * u2, 1j * pu[:, 2:]))
     wh = np.vstack((u2, -u1)).conj().T

@@ -256,6 +256,25 @@ class TestOptionsPerCommand:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,option", [
+        (("spectrum", "--trunc", "16", "--trunc", "24"), "--trunc"),
+        (("isola", "--eps", "0.06", "--trunc", "16", "--trunc", "24"), "--trunc"),
+        (("spectrum", "--eps", "0.05", "--eps", "0.06"), "--eps"),
+        (("convergence", "--eps", "0.05", "--eps", "0.06"), "--eps"),
+    ])
+    def test_second_value_of_a_single_option_rejected(self, capsys, argv, option):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert f"{option} takes one value for {argv[0]}" in err
+        assert out == ""
+
+    def test_second_value_from_the_file_rejected(self, capsys, tmp_path):
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({"trunc": [16, 24]}))
+        code, out, err = run(capsys, "spectrum", "--config", str(cfgfile))
+        assert code == 2
+        assert "--trunc takes one value for spectrum" in err
+
 
 class TestSpectrum:
     def test_tracked_pair_column(self, capsys):
@@ -296,6 +315,23 @@ class TestConvergence:
         assert [r[0] for r in rows] == ["12", "16"]
         assert rows[0][5] == ""
         assert float(rows[1][5]) < 1e-8
+
+    def test_single_trunc_gives_one_row(self, capsys):
+        code, out, err = run(
+            capsys, "convergence", "--mu", "0.246778", "--eps", "0.06", "--trunc", "24"
+        )
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert [r[0] for r in rows] == ["24"]
+        assert float(rows[0][1]) == pytest.approx(1.5725e-6, rel=1e-4)
+
+    def test_default_ladder(self, capsys):
+        code, out, err = run(capsys, "convergence", "--mu", "0.246778", "--eps", "0.06")
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert [r[0] for r in rows] == ["16", "24", "32", "48"]
+        # inside the isola: the pair is split at every N
+        assert all(float(r[1]) == pytest.approx(1.5725e-6, rel=1e-4) for r in rows)
 
     def test_shift_on_the_collision(self, capsys):
         # eps = 0, mu = 1/4: the flat double eigenvalue sits exactly on 0.75i

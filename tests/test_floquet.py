@@ -296,6 +296,46 @@ class TestShiftInvertSolver:
         first = spectrum(op).tracked_pair
         assert all(spectrum(op).tracked_pair == first for _ in range(3))
 
+    def test_full_disk_is_diagnosed(self):
+        """A disk holding as many eigenvalues as the block has columns stalls
+        the spare columns; the cap reports that, not a bare non-convergence."""
+        op = build(0.25, 0.05)
+        dense = scipy.linalg.eigvals(op.matrix)
+        assert np.sum(np.abs(dense - 0.75j) <= 0.65) >= floquet._BLOCK
+        with pytest.raises(TrackingFailure, match=f"at least {floquet._BLOCK} eigenvalues"):
+            spectrum(op, radius=0.65)
+
+
+class TestDiskCoverage:
+    """Every eigenvalue of the default tracking disk, against the full dense
+    spectrum, on a seeded grid of (mu, eps, N) that crosses the disk's edge."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        rng = np.random.default_rng(20280)
+        points = []
+        for _ in range(120):
+            mu, eps = rng.uniform(0.1, 0.45), rng.uniform(0.0, 0.25)
+            op = build(mu, eps, int(rng.choice([16, 24, 32, 48, 64])))
+            points.append((op, scipy.linalg.eigvals(op.matrix)))
+        return points
+
+    def test_no_disk_eigenvalue_is_missed(self, grid):
+        """Each solve returns every dense eigenvalue of the disk and fails
+        only where the disk holds fewer than two, never for a full block."""
+        failures = 0
+        for op, dense in grid:
+            disk = dense[np.abs(dense - 0.75j) <= 0.2]
+            sample, err = TestBandedSolve._outcome(lambda: spectrum(op))
+            assert (err is None) == (disk.size >= 2), err
+            if err is None:
+                for lam in disk:
+                    assert np.min(np.abs(sample.eigenvalues - lam)) <= 1e-12
+            else:
+                assert "at least" not in err
+                failures += 1
+        assert 10 <= failures <= len(grid) - 10
+
 
 class TestIsolaSearchCost:
     @pytest.mark.parametrize("eps", [0.02, 0.06, 0.12, 0.19])
@@ -311,10 +351,10 @@ class TestIsolaSearchCost:
         measure_isola(eps, N=32)
         assert len(calls) <= 20
 
-    @pytest.mark.parametrize("eps", [0.06, 0.12, 0.19])
-    def test_iterations_per_solve(self, monkeypatch, eps):
-        """Continued solves take at most 5 subspace iterations on average
-        (cold ones take 6.0-7.6 at these amplitudes)."""
+    @staticmethod
+    def _count_solves_and_iterations(monkeypatch):
+        """Lists that grow by one per `floquet.spectrum` call and per
+        `zgbtrs` call (one subspace iteration) while ``monkeypatch`` holds."""
         solves, iterations = [], []
         solve, inverse = floquet.spectrum, scipy.linalg.lapack.zgbtrs
 
@@ -328,7 +368,28 @@ class TestIsolaSearchCost:
 
         monkeypatch.setattr(floquet, "spectrum", counted_solve)
         monkeypatch.setattr(scipy.linalg.lapack, "zgbtrs", counted_inverse)
+        return solves, iterations
+
+    @pytest.mark.parametrize("eps", [0.06, 0.12, 0.19])
+    def test_iterations_per_solve(self, monkeypatch, eps):
+        """Continued solves take at most 5 subspace iterations on average
+        (cold ones take 6.0-8.1 at these amplitudes)."""
+        solves, iterations = self._count_solves_and_iterations(monkeypatch)
         measure_isola(eps, N=32)
+        assert len(iterations) <= 5 * len(solves)
+
+    @pytest.mark.parametrize("eps", [0.06, 0.12, 0.19])
+    def test_iterations_per_trace_solve(self, monkeypatch, eps):
+        """The `isola` trace (25 points over three measured widths about
+        the peak, the first cold) takes at most 5 subspace iterations per
+        solve on average."""
+        meas = measure_isola(eps, N=32)
+        width = 3.0 * meas.mu_width
+        grid = np.linspace(meas.mu_at_max - width / 2, meas.mu_at_max + width / 2, 25)
+        solves, iterations = self._count_solves_and_iterations(monkeypatch)
+        points = trace_isola(eps, grid, N=32)
+        assert all(p.error is None for p in points)
+        assert len(solves) == 25
         assert len(iterations) <= 5 * len(solves)
 
     #: (re_max, mu_width, im_center, mu_at_max) from dense eigenvalues alone
