@@ -393,59 +393,10 @@ def cmd_coeffs(cfg: SweepConfig) -> int:
 # ------------------------------------------------------------------- isola
 
 
-def _theory_rows(jet, curves, eps: float, samples: int) -> list[list]:
-    nu_lo = float(curves.nu_plus(eps))
-    nu_hi = float(curves.nu_minus(eps))
-    mu0 = float(curves.mu0(eps))
-    rows = []
-    for nu in np.linspace(nu_lo, nu_hi, samples):
-        mu = mu0 + float(nu)
-        pair = instability.eigenvalues(jet, mu, eps)
-        rows.append(
-            [
-                eps,
-                mu,
-                pair.lambda_plus.real,
-                pair.lambda_plus.imag,
-                pair.lambda_minus.real,
-                pair.lambda_minus.imag,
-                "theory",
-                pair.regime,
-            ]
-        )
-    return rows
-
-
-def _oracle_rows(cfg: SweepConfig, eps: float, meas) -> list[list]:
-    # default window: centered on the *measured* isola — the closed-form
-    # center is itself only accurate to the isola's own width
-    center = cfg.mu_center if cfg.mu_center is not None else meas.mu_at_max
-    width = cfg.mu_width if cfg.mu_width is not None else 3.0 * meas.mu_width
-    if width <= 0:
-        width = 1e-9
-    grid = np.linspace(center - width / 2, center + width / 2, cfg.samples)
-    rows = []
-    for pt in floquet.trace_isola(
-        eps, grid, N=cfg.trunc[-1], stokes_order=cfg.stokes_order
-    ):
-        if pt.error is None:
-            rows.append(
-                [
-                    eps,
-                    pt.mu,
-                    pt.lambda_plus.real,
-                    pt.lambda_plus.imag,
-                    pt.lambda_minus.real,
-                    pt.lambda_minus.imag,
-                    "oracle",
-                    "ok",
-                ]
-            )
-        else:
-            rows.append(
-                [eps, pt.mu, None, None, None, None, "oracle", f"tracking-failed: {pt.error}"]
-            )
-    return rows
+def _pair_row(eps: float, mu: float, lp, lm, source: str, status: str) -> list:
+    """One isola row; a pair of None (tracking failed) leaves its four cells empty."""
+    cells = [None] * 4 if lp is None else [lp.real, lp.imag, lm.real, lm.imag]
+    return [eps, mu, *cells, source, status]
 
 
 def cmd_isola(cfg: SweepConfig) -> int:
@@ -455,41 +406,36 @@ def cmd_isola(cfg: SweepConfig) -> int:
     rows: list[list] = []
     for eps in cfg.eps:
         meas = floquet.measure_isola(eps, N=cfg.trunc[-1], stokes_order=cfg.stokes_order)
-        rows += _theory_rows(jet, curves, eps, cfg.samples)
-        rows += _oracle_rows(cfg, eps, meas)
+        mu0 = float(curves.mu0(eps))
+        for nu in np.linspace(float(curves.nu_plus(eps)), float(curves.nu_minus(eps)), cfg.samples):
+            mu = mu0 + float(nu)
+            pair = instability.eigenvalues(jet, mu, eps)
+            rows.append(_pair_row(eps, mu, pair.lambda_plus, pair.lambda_minus, "theory", pair.regime))
+
+        # default window: centered on the *measured* isola — the closed-form
+        # center is itself only accurate to the isola's own width
+        center = cfg.mu_center if cfg.mu_center is not None else meas.mu_at_max
+        width = cfg.mu_width if cfg.mu_width is not None else 3.0 * meas.mu_width
+        grid = np.linspace(center - width / 2, center + width / 2, cfg.samples)
+        for pt in floquet.trace_isola(eps, grid, N=cfg.trunc[-1], stokes_order=cfg.stokes_order):
+            status = "ok" if pt.error is None else f"tracking-failed: {pt.error}"
+            rows.append(_pair_row(eps, pt.mu, pt.lambda_plus, pt.lambda_minus, "oracle", status))
 
         growth = instability.max_growth_rate(jet, eps)
         ell = instability.ellipse(jet, eps)
-        th_center = float(curves.mu0(eps)) + growth.nu_re
         th_width = curves.width(eps)
-        rows.append(
-            [
-                eps,
-                th_center,
-                growth.re_max,
-                ell.center_im,
-                -growth.re_max,
-                ell.center_im,
-                "summary-theory",
-                f"width={_g17(th_width)}",
-            ]
-        )
+        th = complex(growth.re_max, ell.center_im)
+        status = f"width={_g17(th_width)}"
+        rows.append(_pair_row(eps, mu0 + growth.nu_re, th, -th.conjugate(), "summary-theory", status))
         re_dev = abs(meas.re_max - growth.re_max) / abs(growth.re_max)
         im_dev = abs(meas.im_center - ell.center_im)
         width_dev = abs(meas.mu_width - th_width) / abs(th_width)
-        rows.append(
-            [
-                eps,
-                meas.mu_at_max,
-                meas.re_max,
-                meas.im_center,
-                -meas.re_max,
-                meas.im_center,
-                "summary-oracle",
-                f"width={_g17(meas.mu_width)};re_dev={re_dev:.3e};"
-                f"im_dev={im_dev:.3e};width_dev={width_dev:.3e}",
-            ]
+        status = (
+            f"width={_g17(meas.mu_width)};re_dev={re_dev:.3e};"
+            f"im_dev={im_dev:.3e};width_dev={width_dev:.3e}"
         )
+        oracle = complex(meas.re_max, meas.im_center)
+        rows.append(_pair_row(eps, meas.mu_at_max, oracle, -oracle.conjugate(), "summary-oracle", status))
     _emit(cfg, header, rows, "curves")
     return 0
 
@@ -511,9 +457,7 @@ def cmd_spectrum(cfg: SweepConfig) -> int:
     # the full spectrum is the output here, so this one solve stays dense
     eigs = scipy.linalg.eigvals(op.matrix)
     try:
-        tracked = set(
-            floquet._pick_pair(eigs, floquet.DEFAULT_CENTER, floquet.DEFAULT_TRACKING_RADIUS)
-        )
+        tracked = set(floquet._pick_pair(eigs))
     except floquet.TrackingFailure as exc:
         print(f"warning: {exc}", file=sys.stderr)
         tracked = set()

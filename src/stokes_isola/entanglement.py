@@ -30,9 +30,9 @@ with ``Omega_j = sqrt(|j + 1/4|)`` and ``s_j = sign(j + 1/4)``.  All other
 jet indices couple to zero at this order.  Coefficients obey the conjugation
 symmetry  conj(c[(i,n),k](j -> j+k, s -> s')) = c[(i,n),-k](j+k -> j, s' -> s).
 
-Pole bookkeeping is exact: with rational ``mu`` and ``omega*`` a mode
-``(j, sigma)`` sits on the contour's pole iff ``sqrt(|j + mu|)`` is rational
-and ``j + mu - sigma*sqrt(|j + mu|) == omega*`` as exact fractions.
+Pole bookkeeping is exact: with the fractions mu = 1/4 and omega* = 3/4 a
+mode ``(j, sigma)`` sits on the contour's pole iff ``sqrt(|j + mu|)`` is
+rational and ``j + mu - sigma*sqrt(|j + mu|) == omega*`` as exact fractions.
 
 Chains.  ``chain_apply(ops, source)`` implements
 
@@ -42,7 +42,8 @@ Chains.  ``chain_apply(ops, source)`` implements
 where ``ops[0]`` acts *first* (note: printed operator products act right to
 left, so transcriptions must be reversed into application order), each op is
 a pair ``(JetIndex, kappa)``, and the residue ``R`` spans the source, every
-intermediate, and the final mode of the path.  An optional projector
+intermediate, and the final mode of the path.  The source is a basis mode or,
+by linearity, a coefficient vector.  An optional projector
 restricts the final mode to the resonant pair P0 = {(0,-), (2,+)} or its
 complement.  ``bracket(op, left, right)`` is the one pairing primitive:
 ( B_op left , right ) for basis modes or coefficient vectors on either side.
@@ -68,19 +69,20 @@ __all__ = [
     "residue",
     "residue_contour",
     "chain_apply",
-    "chain_apply_vec",
     "project",
     "bracket",
 ]
 
 MU_STAR = Fraction(1, 4)
 OMEGA_STAR = Fraction(3, 4)
+#: The circle and the trapezoid nodes of `residue_contour`.
+_CONTOUR_RADIUS = 0.125
+_CONTOUR_NODES = 4096
 
 #: The two modes whose flat frequencies collide at omega* = 3/4.
 RESONANT_MODES: tuple[Mode, Mode] = (Mode(0, -1), Mode(2, +1))
 
 Projector = Optional[Literal["P0", "Q0"]]
-RationalLike = Union[Fraction, float]
 
 
 @dataclass(frozen=True)
@@ -163,20 +165,13 @@ def ent_coeff(
 # ---------------------------------------------------------------- residues
 
 
-def is_pole(
-    mode: Mode,
-    mu: RationalLike = MU_STAR,
-    omega_star: RationalLike = OMEGA_STAR,
-) -> bool:
-    """Whether the flat frequency of ``mode`` equals ``omega_star``.
-
-    With rational inputs the test is exact (a rational frequency requires
-    ``|j + mu|`` to be a rational square); float inputs fall back to a
-    1e-12 window.
-    """
-    if isinstance(mu, Fraction) and isinstance(omega_star, Fraction):
-        return _is_pole_exact(mode.j, mode.sigma, mu, omega_star)
-    return abs(omega(mode.j, mode.sigma, float(mu)) - float(omega_star)) < 1e-12
+def is_pole(mode: Mode, mu: Fraction = MU_STAR, omega_star: Fraction = OMEGA_STAR) -> bool:
+    """Whether the flat frequency of ``mode`` equals ``omega_star``, exactly
+    (a rational frequency requires ``|j + mu|`` to be a rational square).
+    Raises TypeError unless ``mu`` and ``omega_star`` are `Fraction`."""
+    if not (isinstance(mu, Fraction) and isinstance(omega_star, Fraction)):
+        raise TypeError(f"mu and omega_star must be Fraction, got {mu!r} and {omega_star!r}")
+    return _is_pole_exact(mode.j, mode.sigma, mu, omega_star)
 
 
 @functools.lru_cache(maxsize=256)
@@ -190,12 +185,8 @@ def _is_pole_exact(j: int, sigma: int, mu: Fraction, omega_star: Fraction) -> bo
     return r - sigma * s == omega_star
 
 
-def residue(
-    modes: Sequence[Mode],
-    mu: RationalLike = MU_STAR,
-    omega_star: RationalLike = OMEGA_STAR,
-) -> float:
-    """Contour-integral factor for a path of ``q+1`` modes.
+def residue(modes: Sequence[Mode]) -> float:
+    """Contour-integral factor for a path of ``q+1`` modes at mu = 1/4.
 
     Equals (-i)^q/(2 pi i) * integral over a small circle around i*omega* of
     the product of the q+1 resolvent factors 1/(lambda - i*omega_m).  Real,
@@ -211,19 +202,14 @@ def residue(
     """
     if len(modes) == 0:
         raise ValueError("residue needs at least one mode")
-    flags = [is_pole(m, mu, omega_star) for m in modes]
+    flags = [is_pole(m) for m in modes]
     npoles = sum(flags)
     if npoles == 0:
         return 0.0
     if npoles == len(modes) and len(modes) >= 2:
         return 0.0
-    omega_star_f = float(omega_star)
-    mu_f = float(mu)
-    rest = [
-        omega(m.j, m.sigma, mu_f) - omega_star_f
-        for m, f in zip(modes, flags)
-        if not f
-    ]
+    mu_f, omega_star_f = float(MU_STAR), float(OMEGA_STAR)
+    rest = [omega(m.j, m.sigma, mu_f) - omega_star_f for m, f in zip(modes, flags) if not f]
     if npoles == 1:
         out = 1.0
         for r in rest:
@@ -241,24 +227,20 @@ def residue(
     )
 
 
-def residue_contour(
-    modes: Sequence[Mode],
-    mu: float = 0.25,
-    omega_star: float = 0.75,
-    radius: float = 0.125,
-    nodes: int = 4096,
-) -> complex:
+def residue_contour(modes: Sequence[Mode]) -> complex:
     """Brute-force trapezoid evaluation of the defining contour integral.
 
-    Independent numerical check of `residue`; the circle must be small
-    enough that only frequencies equal to ``omega_star`` fall inside.
+    Independent numerical check of `residue`: `_CONTOUR_NODES` nodes on the
+    circle of radius `_CONTOUR_RADIUS` about i*omega*, small enough that
+    only frequencies equal to omega* fall inside.
     """
     q = len(modes) - 1
-    omegas = [omega(m.j, m.sigma, mu) for m in modes]
-    t = [2.0 * math.pi * k / nodes for k in range(nodes)]
+    omegas = [omega(m.j, m.sigma, float(MU_STAR)) for m in modes]
+    center, radius, nodes = 1j * float(OMEGA_STAR), _CONTOUR_RADIUS, _CONTOUR_NODES
     total = 0j
-    for tk in t:
-        lam = 1j * omega_star + radius * complex(math.cos(tk), math.sin(tk))
+    for k in range(nodes):
+        tk = 2.0 * math.pi * k / nodes
+        lam = center + radius * complex(math.cos(tk), math.sin(tk))
         dlam = radius * complex(-math.sin(tk), math.cos(tk))
         denom = 1.0 + 0j
         for om in omegas:
@@ -284,12 +266,21 @@ def project(vec: dict[Mode, complex], projector: Projector) -> dict[Mode, comple
 
 
 def chain_apply(
-    ops: Sequence[ChainOp], source: Mode, projector: Projector = None
+    ops: Sequence[ChainOp],
+    source: Union[Mode, dict[Mode, complex]],
+    projector: Projector = None,
 ) -> dict[Mode, complex]:
-    """Coefficients of ``P[ops] f_source`` on the basis; ``ops[0]`` acts first."""
+    """Coefficients of ``P[ops] source`` on the basis; ``ops[0]`` acts first.
+    ``source`` is a basis mode or a coefficient vector, as in `bracket`."""
     if len(ops) == 0:
         raise ValueError("a resolvent chain needs at least one operator")
     out: dict[Mode, complex] = {}
+    if not isinstance(source, Mode):
+        for mode, c in source.items():
+            if c != 0:
+                for final, cc in chain_apply(ops, mode).items():
+                    out[final] = out.get(final, 0j) + c * cc
+        return project(out, projector)
 
     def walk(path: list[Mode], acc: complex, depth: int) -> None:
         if depth == len(ops):
@@ -307,19 +298,6 @@ def chain_apply(
             walk(path + [Mode(prev.j + kappa, sig)], acc * sig * c, depth + 1)
 
     walk([source], 1.0 + 0j, 0)
-    return project(out, projector)
-
-
-def chain_apply_vec(
-    ops: Sequence[ChainOp], vec: dict[Mode, complex], projector: Projector = None
-) -> dict[Mode, complex]:
-    """Linear extension of `chain_apply` to a coefficient vector."""
-    out: dict[Mode, complex] = {}
-    for m, c in vec.items():
-        if c == 0:
-            continue
-        for mm, cc in chain_apply(ops, m).items():
-            out[mm] = out.get(mm, 0j) + c * cc
     return project(out, projector)
 
 

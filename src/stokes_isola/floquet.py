@@ -6,11 +6,14 @@ truncate, and find the few eigenvalues of the resulting matrix nearest the
 collision frequency by a shift-invert solve: a banded LU (the matrix is
 banded once the two components are interleaved) and block subspace
 iteration, started from a fixed block or, along a search in mu, from the
-converged block of a nearby solve.  The isola search runs Newton's method on
-the discriminant of the tracked pair's 2x2 symplectic reduction, taken from
-the converged block; it starts at the closed form's mu0(eps).  Both work from
-the operator's Toeplitz parts, never forming the dense matrix, and scipy's
-LAPACK wrappers load on the first solve, not on import.
+converged block of a nearby solve.  The tracked pair is the two eigenvalues
+in the fixed disk of radius `RADIUS` = 0.2 about `CENTER` = i*omega* = 0.75i;
+any other count there is a `TrackingFailure`.  The isola search runs
+Newton's method on the discriminant of the tracked pair's 2x2 symplectic
+reduction, taken from the converged block; it starts at the closed form's
+mu0(eps).  Both work from the operator's Toeplitz parts, never forming the
+dense matrix, and scipy's LAPACK wrappers load on the first solve, not on
+import.
 
 In the two-component frame the operator reads
 
@@ -56,13 +59,15 @@ __all__ = [
 ]
 
 DEFAULT_N = 32
-DEFAULT_CENTER = 0.75j
-DEFAULT_TRACKING_RADIUS = 0.2
+#: The tracking disk: the collision pair is the two eigenvalues within
+#: `RADIUS` of `CENTER` = i*omega*.
+CENTER = 0.75j
+RADIUS = 0.2
 
-#: Columns of the shift-invert block: the tracked pair plus two spare, so a
-#: third eigenvalue entering the tracking disk is still resolved and the
-#: disk count of `_pick_pair` is that of the full spectrum.  A disk holding
-#: as many eigenvalues as the block has columns is diagnosed at the cap.
+#: Columns of the shift-invert block: the tracked pair plus two spare, which
+#: speed the iteration's convergence.  They do not make the solve resolve
+#: every eigenvalue of a wider disk; a disk holding as many eigenvalues as
+#: the block has columns is diagnosed at the cap.
 _BLOCK = 4
 #: Relative residual at which a Ritz pair counts as converged.
 _TOL = 1e-13
@@ -91,7 +96,7 @@ _EDGE_MARGIN = 1e-3
 
 
 class TrackingFailure(RuntimeError):
-    """Fewer than two eigenvalues found in the tracking disk, or the
+    """Other than two eigenvalues found in the tracking disk, or the
     shift-invert solve for them failed."""
 
 
@@ -179,12 +184,12 @@ def build(
 @dataclass(frozen=True)
 class SpectrumSample:
     """The eigenvalues of one truncation that the shift-invert solve
-    converged near the tracking center, nearest first, with the collision
-    pair singled out; ``re_max`` is the larger real part of the pair.
-    ``eigenvalues`` holds every eigenvalue within the tracking disk and
-    the two nearest the center, often nothing else.  ``block`` is the
-    read-only orthonormal block the solve converged on, `_BLOCK` (four)
-    columns, the pair plus two spare, rows in interleaved order
+    converged near `CENTER`, nearest first, with the collision pair singled
+    out; ``re_max`` is the larger real part of the pair.  ``eigenvalues``
+    holds the two nearest `CENTER` and any other Ritz value that converged,
+    often nothing else; the solve does not promise every eigenvalue of the
+    tracking disk.  ``block`` is the read-only orthonormal block the solve
+    converged on, `_BLOCK` (four) columns, rows in interleaved order
     (`_band_parts`), which a solve at a nearby mu can start from
     (`spectrum`'s ``start``); it takes no part in comparisons or the repr."""
 
@@ -194,20 +199,11 @@ class SpectrumSample:
     block: np.ndarray = field(repr=False, compare=False)
 
 
-def _pick_pair(
-    eigs: np.ndarray, center: complex, radius: float
-) -> tuple[complex, complex]:
-    near = eigs[np.abs(eigs - center) <= radius]
-    if near.size < 2:
-        raise TrackingFailure(
-            f"{near.size} eigenvalue(s) within {radius} of {center}; need 2"
-        )
-    if near.size > 2:
-        # prefer the unstable pair; fall back to proximity, then Im for ties
-        order = np.lexsort(
-            (near.imag, np.abs(near - center), -np.abs(near.real))
-        )
-        near = near[order[:2]]
+def _pick_pair(eigs: np.ndarray) -> tuple[complex, complex]:
+    """The two eigenvalues of ``eigs`` in the tracking disk, else `TrackingFailure`."""
+    near = eigs[np.abs(eigs - CENTER) <= RADIUS]
+    if near.size != 2:
+        raise TrackingFailure(f"{near.size} eigenvalue(s) within {RADIUS} of {CENTER}; need 2")
     z0, z1 = near.tolist()
     # order by real part when the pair is split, by imaginary part when it
     # is (numerically) purely imaginary, so the labels are stable
@@ -263,9 +259,10 @@ def _apply(op: DiscretizedOperator, q: np.ndarray) -> np.ndarray:
     and d = j + mu: [i*d*(P q1) + |d|*q2 ; -A q1 + i*P (d*q2)]."""
     p_part, a_part = _toeplitz_parts(op.eps, op.N, op.stokes_order)
     d = (np.arange(-op.N, op.N + 1, dtype=float) + op.mu)[:, None]
-    q1, q2 = np.vsplit(q, 2)
-    pq1, pdq2 = np.hsplit(_real_times(p_part, np.hstack((q1, d * q2))), 2)
-    return np.vstack((1j * d * pq1 + np.abs(d) * q2, 1j * pdq2 - _real_times(a_part, q1)))
+    dim, k = d.size, q.shape[1]
+    q1, q2 = q[:dim], q[dim:]
+    pq = _real_times(p_part, np.hstack((q1, d * q2)))
+    return np.vstack((1j * d * pq[:, :k] + np.abs(d) * q2, 1j * pq[:, k:] - _real_times(a_part, q1)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -297,12 +294,9 @@ def _toward_pair(shift: complex, lam0: complex, lam1: complex) -> Optional[compl
 
 
 def _shift_invert(
-    op: DiscretizedOperator,
-    center: complex,
-    radius: float,
-    start: Optional[SpectrumSample] = None,
+    op: DiscretizedOperator, start: Optional[SpectrumSample] = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalues of ``op`` converged near ``center`` by block
+    """The eigenvalues of ``op`` converged near `CENTER` by block
     shift-invert subspace iteration on a banded LU, nearest first, and the
     orthonormal block they converged on.
 
@@ -312,28 +306,30 @@ def _shift_invert(
     `_BLOCK` columns, four: the pair plus two spare, goes through the
     inverse once per step, followed by a Rayleigh-Ritz step; a Ritz value
     nu of the inverse gives the eigenvalue shift + 1/nu.  The iteration
-    stops when every Ritz value within ``radius + _MARGIN`` of ``center``,
+    stops when every Ritz value within `RADIUS` + `_MARGIN` of `CENTER`,
     and the two nearest, have relative residual
     |(A - shift)^-1 v - nu v| / |nu| at most `_TOL`, and returns every Ritz
-    value that meets it.  When all four lie that close, the disk may hold
-    more eigenvalues than the block resolves; the spare columns then stall,
-    and the solve fails at `_MAX_ITER` saying so.
+    value that meets it.  Only eigenvalues that the block has turned toward
+    are counted: a third eigenvalue of the disk that no column resolves can
+    be missed, so the spare columns speed convergence but do not guarantee
+    the disk count.  When all four Ritz values lie that close, the spare
+    columns stall, and the solve fails at `_MAX_ITER` saying so.
 
     Without ``start`` the block starts fixed (so repeated calls agree bit
-    for bit) and the shift at ``center``; with ``start``, a sample at a
+    for bit) and the shift at `CENTER`; with ``start``, a sample at a
     nearby mu of a matrix of the same size, from ``start.block`` and near
     ``start``'s pair (`_toward_pair`).  Once the two nearest have loosely
     converged (`_RESHIFT_TOL`), the shift moves once if it is far from their
     midpoint or near one of them: within about 1e-6 of an eigenvalue, it
     keeps the other Ritz values in the disk from converging.  A shift that
     is an eigenvalue makes the LU exactly singular; the next is tried:
-    ``center``, then ``center`` moved off by `_SHIFT_NUDGE`.
+    `CENTER`, then `CENTER` moved off by `_SHIFT_NUDGE`.
     """
     from scipy.linalg.lapack import zgbtrf, zgbtrs, zgeev, zgeqrf, zungqr
 
     band = _band(op)
     n = band.shape[1]
-    shifts = [center, center + _SHIFT_NUDGE]
+    shifts = [CENTER, CENTER + _SHIFT_NUDGE]
     if start is None:
         q = _start_block(n)
     else:
@@ -343,7 +339,7 @@ def _shift_invert(
                 f"need {(n, _BLOCK)} for a {n}-square matrix"
             )
         q = start.block
-        warm = _toward_pair(center, *start.tracked_pair)
+        warm = _toward_pair(CENTER, *start.tracked_pair)
         if warm is not None:
             shifts.insert(0, warm)
     kl = 2 * op.stokes_order + 1
@@ -357,8 +353,8 @@ def _shift_invert(
     factored = next(filter(None, map(factor, shifts)), None)
     if factored is None:
         raise TrackingFailure(
-            f"shift-invert solve near {center} failed: banded LU exactly "
-            f"singular at {center} and {center + _SHIFT_NUDGE}"
+            f"shift-invert solve near {CENTER} failed: banded LU exactly "
+            f"singular at {CENTER} and {CENTER + _SHIFT_NUDGE}"
         )
     shift, lu, piv = factored
     reshift = True
@@ -368,9 +364,9 @@ def _shift_invert(
         nu, _, y, _ = zgeev(h, compute_vl=0)
         res = np.linalg.norm((x - q @ h) @ y, axis=0) / np.abs(nu)
         lam = shift + 1.0 / nu
-        order = np.argsort(np.abs(lam - center))
+        order = np.argsort(np.abs(lam - CENTER))
         lam, res = lam[order], res[order]
-        need = np.abs(lam - center) <= radius + _MARGIN
+        need = np.abs(lam - CENTER) <= RADIUS + _MARGIN
         need[:2] = True
         if np.all(res[need] <= _TOL):
             q.flags.writeable = False
@@ -384,33 +380,28 @@ def _shift_invert(
         q = zungqr(*zgeqrf(x)[:2])[0]
     if np.all(need):
         raise TrackingFailure(
-            f"shift-invert solve near {center} failed: at least {_BLOCK} eigenvalues, "
-            f"as many as the block has columns, lie within {radius} + {_MARGIN} of it"
+            f"shift-invert solve near {CENTER} failed: at least {_BLOCK} eigenvalues, "
+            f"as many as the block has columns, lie within {RADIUS} + {_MARGIN} of it"
         )
     raise TrackingFailure(
-        f"shift-invert solve near {center} failed: no convergence in {_MAX_ITER} iterations"
+        f"shift-invert solve near {CENTER} failed: no convergence in {_MAX_ITER} iterations"
     )
 
 
-def spectrum(
-    op: DiscretizedOperator,
-    center: complex = DEFAULT_CENTER,
-    radius: float = DEFAULT_TRACKING_RADIUS,
-    start: Optional[SpectrumSample] = None,
-) -> SpectrumSample:
-    """The eigenvalues of ``op`` converged near ``center`` by the banded
-    shift-invert solve (`_shift_invert`), plus the pair tracked among them.
+def spectrum(op: DiscretizedOperator, start: Optional[SpectrumSample] = None) -> SpectrumSample:
+    """The eigenvalues of ``op`` converged near `CENTER` by the banded
+    shift-invert solve (`_shift_invert`), plus the pair tracked among them:
+    the two within `RADIUS` of `CENTER`.
 
     ``start``, a sample at a nearby mu of a matrix of the same size and
     ``stokes_order``, continues that solve; it changes the iterations, not
     the stopping rule, and one of another size raises ValueError.
 
-    Raises `TrackingFailure` when fewer than two eigenvalues lie in the
-    tracking disk or the solve fails; with more than two, the two with
-    largest |Re| (then closest to center) are taken.
+    Raises `TrackingFailure` when other than two of the converged
+    eigenvalues lie in the tracking disk or the solve fails.
     """
-    eigs, block = _shift_invert(op, center, radius, start)
-    pair = _pick_pair(eigs, center, radius)
+    eigs, block = _shift_invert(op, start)
+    pair = _pick_pair(eigs)
     re_max = max(pair[0].real, pair[1].real)
     return SpectrumSample(eigenvalues=eigs, tracked_pair=pair, re_max=re_max, block=block)
 
@@ -431,9 +422,8 @@ def trace_isola(
     mu_grid: Sequence[float],
     N: int = DEFAULT_N,
     stokes_order: int = MAX_ORDER,
-    radius: float = DEFAULT_TRACKING_RADIUS,
 ) -> list[SpectrumPoint]:
-    """Tracked eigenvalue pair across a grid of Floquet exponents.
+    """Tracked eigenvalue pair (`spectrum`) across a grid of Floquet exponents.
 
     Each sample continues the solve of the previous one (`spectrum`'s
     ``start``); the first, and any after a failure, starts cold.
@@ -444,7 +434,7 @@ def trace_isola(
     previous: Optional[SpectrumSample] = None
     for mu in mu_grid:
         try:
-            previous = spectrum(build(mu, eps, N, stokes_order), radius=radius, start=previous)
+            previous = spectrum(build(mu, eps, N, stokes_order), start=previous)
             lp, lm = previous.tracked_pair
             points.append(SpectrumPoint(float(mu), lp, lm, previous.re_max))
         except TrackingFailure as exc:
@@ -519,14 +509,15 @@ def _reduced_discriminant(op: DiscretizedOperator, sample: SpectrumSample) -> tu
     near = np.abs(ritz - 0.5 * sum(sample.tracked_pair))
     z = ztrsen(near <= np.sort(near)[1], t, z, job="N")[1][:, :2]
     u = q @ z
-    u1, u2 = np.vsplit(u, 2)
+    u1, u2 = u[: 2 * op.N + 1], u[2 * op.N + 1 :]
     pu = _real_times(_toeplitz_parts(op.eps, op.N, op.stokes_order)[0], np.hstack((u1, u2)))
     sign = np.sign(np.arange(-op.N, op.N + 1) + op.mu)[:, None]
     m1u = np.vstack((1j * pu[:, :2] + sign * u2, 1j * pu[:, 2:]))
     wh = np.vstack((u2, -u1)).conj().T
     (g11, g12), (g21, g22) = wh @ u
     adj = np.array([[g22, -g12], [-g21, g11]]) / (g11 * g22 - g12 * g21)
-    b, b1 = np.hsplit(adj @ (wh @ np.hstack((mq @ z, m1u))), 2)
+    bb = adj @ (wh @ np.hstack((mq @ z, m1u)))
+    b, b1 = bb[:, :2], bb[:, 2:]
     split, split1 = b[0, 0] - b[1, 1], b1[0, 0] - b1[1, 1]
     disc = split**2 + 4 * b[0, 1] * b[1, 0]
     slope = 2 * split * split1 + 4 * (b1[0, 1] * b[1, 0] + b[0, 1] * b1[1, 0])

@@ -79,7 +79,8 @@ class CriticalCurves:
     nu_minus: Polynomial
 
     def width(self, eps: float) -> float:
-        return float(self.mu_minus(eps) - self.mu_plus(eps))
+        """mu_minus - mu_plus as nu_minus - nu_plus, which cancels no digits."""
+        return float(self.nu_minus(eps) - self.nu_plus(eps))
 
 
 def critical_curves(jet: ReducedJet) -> CriticalCurves:

@@ -47,7 +47,6 @@ from .entanglement import (
     JetIndex,
     bracket,
     chain_apply,
-    chain_apply_vec,
     ent_coeff,
     project,
 )
@@ -162,11 +161,6 @@ def _evaluate(source: Mode, target: Mode, chain, projector, slot) -> complex:
     return bracket(chain[0], source, chain_apply(tail, target, projector))
 
 
-def _loop_coefficient(chains: Sequence[list[ChainOp]], source: Mode, target: Mode) -> complex:
-    """``target`` component of the order-eps^2 projector jet applied to f_source."""
-    return sum(chain_apply(chain, source, "P0").get(target, 0j) for chain in chains)
-
-
 @functools.cache
 def _ledger() -> Mapping[str, complex]:
     """Every catalog row evaluated, plus the three resonant loop entries.
@@ -175,9 +169,10 @@ def _ledger() -> Mapping[str, complex]:
     is read-only so that no caller can change what the next one sees.
     """
     out = {name: _evaluate(*row) for name, *row, _ in _CATALOG}
-    # zeta_up: harmonic-raising projector jet, (0,-) -> (2,+); zeta_down the reverse
-    up = _loop_coefficient([[(B02, +2)], [(B01, +1), (B01, +1)]], LOW, HIGH)
-    down = _loop_coefficient([[(B02, -2)], [(B01, -1), (B01, -1)]], HIGH, LOW)
+    # zeta_up: (2,+) component of the harmonic-raising order-eps^2 projector
+    # jet applied to f_(0,-); zeta_down the reverse
+    up = _apply_composite([[(B02, +2)], [(B01, +1), (B01, +1)]], _ONE_LOW).get(HIGH, 0j)
+    down = _apply_composite([[(B02, -2)], [(B01, -1), (B01, -1)]], _ONE_HIGH).get(LOW, 0j)
     out["beta3.loop_up"] = up
     out["beta3.loop_down"] = down
     out["beta3.loopback"] = -0.5 * (
@@ -238,7 +233,7 @@ def _apply_composite(
 ) -> dict[Mode, complex]:
     out: dict[Mode, complex] = {}
     for chain in chains:
-        for m, c in chain_apply_vec(chain, vec).items():
+        for m, c in chain_apply(chain, vec).items():
             out[m] = out.get(m, 0j) + c
     return out
 

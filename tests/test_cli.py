@@ -108,6 +108,20 @@ class TestIsola:
         _, rows = parse_csv(out)
         assert "summary-oracle" in {r[6] for r in rows}
 
+    def test_tracking_failed_rows_keep_empty_cells(self, capsys):
+        code, out, err = run(
+            capsys, "isola", "--eps", "0.06", "--mu-center", "0.55", "--mu-width", "0.01",
+            "--samples", "3",
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        oracle = [r for r in rows if r[6] == "oracle"]
+        assert len(oracle) == 3
+        for r in oracle:
+            assert r[2:6] == ["", "", "", ""]
+            assert r[7].startswith("tracking-failed: ")
+            assert r[7].endswith("eigenvalue(s) within 0.2 of 0.75j; need 2")
+
     def test_search_failure_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(floquet, "_MAX_STEPS", 1)
         code, out, err = run(capsys, "isola", "--eps", "0.06")
@@ -240,6 +254,30 @@ class TestConfigFile:
         code, out, err = run(capsys, command, "--config", str(cfgfile))
         assert code == 2
         assert f"{next(iter(config))!r} is not an option of {command}" in err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv,message", [
+        (("spectrum", "--trunc", "4"), "trunc must be >= 8"),
+        (("spectrum", "--stokes-order", "5"), "stokes-order must be in 0..4, got 5"),
+    ])
+    def test_out_of_range_option(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert message in err
+        assert out == ""
+
+    @pytest.mark.parametrize("config,message", [
+        ({"format": "xml"}, "format must be csv or json, got 'xml'"),
+        (["format", "json"], "must hold a JSON object"),
+    ])
+    def test_bad_config_file(self, capsys, tmp_path, config, message):
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps(config))
+        code, out, err = run(capsys, "coeffs", "--config", str(cfgfile))
+        assert code == 2
+        assert message in err
+        assert out == ""
 
 
 class TestOptionsPerCommand:

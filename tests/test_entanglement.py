@@ -111,9 +111,11 @@ class TestIsPole:
         for mode in [Mode(0, 1), Mode(2, -1), Mode(1, 1), Mode(1, -1), Mode(-1, -1), Mode(3, 1)]:
             assert not is_pole(mode)
 
-    def test_float_fallback(self):
-        assert is_pole(LOW, 0.25, 0.75)
-        assert not is_pole(Mode(1, 1), 0.25, 0.75)
+    def test_float_input_rejected(self):
+        # 0.25 hashes like Fraction(1, 4): unchecked, a float would hit the memo
+        for mu, omega_star in [(0.25, Fraction(3, 4)), (Fraction(1, 4), 0.75), (0.3, 0.7)]:
+            with pytest.raises(TypeError, match="must be Fraction"):
+                is_pole(LOW, mu, omega_star)
 
     # The p-th collision family, p = 2..6: omega* = (p^2 - 1)/4 is reached by
     # (k, -) and (k', +), at mu = 1/4 with k, k' = n^2 -+ n for p = 2n, and at

@@ -232,7 +232,7 @@ class TestShiftInvertSolver:
 
     @staticmethod
     def _dense_pair(op):
-        return _pick_pair(scipy.linalg.eigvals(op.matrix), 0.75j, 0.2)
+        return _pick_pair(scipy.linalg.eigvals(op.matrix))
 
     @pytest.fixture(scope="class")
     def isola_mu(self):
@@ -296,14 +296,20 @@ class TestShiftInvertSolver:
         first = spectrum(op).tracked_pair
         assert all(spectrum(op).tracked_pair == first for _ in range(3))
 
-    def test_full_disk_is_diagnosed(self):
+    def test_full_disk_is_diagnosed(self, monkeypatch):
         """A disk holding as many eigenvalues as the block has columns stalls
         the spare columns; the cap reports that, not a bare non-convergence."""
         op = build(0.25, 0.05)
         dense = scipy.linalg.eigvals(op.matrix)
         assert np.sum(np.abs(dense - 0.75j) <= 0.65) >= floquet._BLOCK
+        monkeypatch.setattr(floquet, "RADIUS", 0.65)
         with pytest.raises(TrackingFailure, match=f"at least {floquet._BLOCK} eigenvalues"):
-            spectrum(op, radius=0.65)
+            spectrum(op)
+
+    def test_three_in_the_disk_is_tracking_failure(self):
+        eigs = np.array([0.75j, 0.7j + 1e-3, 0.7j - 1e-3, 0.1j])
+        with pytest.raises(TrackingFailure, match=r"^3 eigenvalue\(s\) within 0.2 of 0.75j; need 2$"):
+            _pick_pair(eigs)
 
 
 class TestDiskCoverage:
@@ -482,7 +488,7 @@ class TestReducedDiscriminant:
         inside = 0
         for mu, meas in grid:
             disc, _ = self._reduced(mu, meas.eps)
-            lp, lm = _pick_pair(scipy.linalg.eigvals(build(mu, meas.eps).matrix), 0.75j, 0.2)
+            lp, lm = _pick_pair(scipy.linalg.eigvals(build(mu, meas.eps).matrix))
             assert abs(disc - (lp - lm) ** 2) <= 1e-6 * 4 * meas.re_max**2
             inside += meas.mu_left < mu < meas.mu_right
         assert 0 < inside < len(grid)
@@ -519,7 +525,7 @@ class TestBandedSolve:
     def test_pair_and_failures_match_dense(self, grid):
         failures = 0
         for op, dense in grid:
-            dense_pair, dense_err = self._outcome(lambda: _pick_pair(dense, 0.75j, 0.2))
+            dense_pair, dense_err = self._outcome(lambda: _pick_pair(dense))
             sample, err = self._outcome(lambda: spectrum(op))
             assert err == dense_err
             if err is None:
@@ -531,7 +537,7 @@ class TestBandedSolve:
 
     def test_eigenvalues_are_converged_and_cover_the_disk(self, grid):
         for op, dense in grid:
-            eigs = floquet._shift_invert(op, 0.75j, 0.2)[0]
+            eigs = floquet._shift_invert(op)[0]
             assert eigs.size >= 2
             for lam in eigs:
                 assert np.min(np.abs(dense - lam)) <= 1e-12
@@ -624,7 +630,7 @@ class TestWarmStart:
     def test_pair_and_failures_match_dense(self, grid):
         failures = 0
         for op, start, dense in grid:
-            dense_pair, dense_err = TestBandedSolve._outcome(lambda: _pick_pair(dense, 0.75j, 0.2))
+            dense_pair, dense_err = TestBandedSolve._outcome(lambda: _pick_pair(dense))
             sample, err = TestBandedSolve._outcome(lambda: spectrum(op, start=start))
             assert err == dense_err
             if err is None:
@@ -636,7 +642,7 @@ class TestWarmStart:
 
     def test_eigenvalues_are_converged_and_cover_the_disk(self, grid):
         for op, start, dense in grid:
-            eigs, block = floquet._shift_invert(op, 0.75j, 0.2, start)
+            eigs, block = floquet._shift_invert(op, start)
             assert not block.flags.writeable
             for lam in eigs:
                 assert np.min(np.abs(dense - lam)) <= 1e-12

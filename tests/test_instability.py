@@ -73,6 +73,12 @@ class TestCriticalCurves:
             assert curves.mu_plus(eps) <= curves.mu0(eps) <= curves.mu_minus(eps)
         assert curves.width(0.1) == pytest.approx(2 * closed_forms.NU_EPS4 * 0.1**4, rel=1e-12)
 
+    @pytest.mark.parametrize("eps", [0.002, 0.005, 0.02, 0.06, 0.19])
+    def test_width_keeps_its_digits(self, eps):
+        # mu_minus - mu_plus would cancel two values near 1/4 (4e-6 relative at 0.002)
+        exact = 111 * math.sqrt(3) / 512 * eps**4
+        assert abs(critical_curves(JET).width(eps) - exact) <= 1e-13 * exact
+
     def test_requires_nonzero_T1(self):
         with pytest.raises(ValueError):
             critical_curves(_synthetic(alpha1=1.0, gamma1=-1.0))

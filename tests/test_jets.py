@@ -9,7 +9,7 @@ import pytest
 
 from stokes_isola import closed_forms, entanglement, jets
 from stokes_isola.basis import Mode
-from stokes_isola.entanglement import RESONANT_MODES, chain_apply_vec, project
+from stokes_isola.entanglement import RESONANT_MODES, chain_apply, project
 from stokes_isola.jets import (
     ReducedJet,
     assemble_reduced_jet,
@@ -163,7 +163,7 @@ class TestProjectorRoute:
     def _resonant_part(order: int, src: Mode) -> dict[Mode, complex]:
         total: dict[Mode, complex] = {}
         for chain in composite_projector_chains()[order]:
-            for m, c in chain_apply_vec(chain, {src: 1.0 + 0j}).items():
+            for m, c in chain_apply(chain, {src: 1.0 + 0j}).items():
                 total[m] = total.get(m, 0j) + c
         return project(total, "P0")
 
