@@ -27,7 +27,9 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage/config error,
 3 numerical failure (tracking loss, unresolved isola).
 
 Output is CSV (default) or JSON via --format, to stdout or --out; floats are
-printed with 17 significant digits so files round-trip exactly.
+printed with 17 significant digits so files round-trip exactly.  The JSON
+"config" object echoes the subcommand's own options that hold a value
+(--perturb excepted), so it reads back as that subcommand's --config file.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ import argparse
 import csv
 import json
 import locale  # noqa: F401  argparse's gettext imports it on every parse
+import math
 import sys
-from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence, TextIO
 
 import numpy as np
@@ -59,63 +61,35 @@ from .stokes import omega
 # ----------------------------------------------------------- configuration
 
 
-@dataclass
-class SweepConfig:
-    """Resolved options shared by the computing subcommands."""
+_POSITIVE = (("positive", lambda v: v > 0), ("finite", math.isfinite))
 
-    eps: tuple[float, ...] = (0.06,)
-    mu: float = 0.25
-    mu_center: Optional[float] = None
-    mu_width: Optional[float] = None
-    samples: int = 25
-    trunc: tuple[int, ...] = (32,)
-    stokes_order: int = 4
-    format: str = "csv"
-    out: Optional[str] = None
-    tol: float = 1e-12
-
-    def validate(self) -> None:
-        if self.samples < 2:
-            raise ValueError(f"samples must be >= 2, got {self.samples}")
-        for e in self.eps:
-            if e < 0:
-                raise ValueError(f"eps must be nonnegative, got {e}")
-        for n in self.trunc:
-            if n < 8:
-                raise ValueError(f"trunc must be >= 8, got {n}")
-        if not 0 <= self.stokes_order <= 4:
-            raise ValueError(f"stokes-order must be in 0..4, got {self.stokes_order}")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.format!r}")
-        if not self.tol > 0:    # NaN too
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.mu_width is not None and not self.mu_width > 0:
-            raise ValueError(f"mu-width must be positive, got {self.mu_width}")
-
-
-#: Every option once: destination -> argparse keywords of ``--dest-with-dashes``.
-#: All but ``perturb`` are `SweepConfig` fields; ``append`` marks one that a
-#: subcommand may repeat (`_REPEATED`).
-_OPTIONS: dict[str, dict] = {
-    "eps": dict(action="append", type=float, help="wave amplitude (isola: repeatable)"),
-    "mu": dict(type=float, help="Floquet exponent"),
-    "mu_center": dict(type=float, help="center of the mu window"),
-    "mu_width": dict(type=float, help="full width of the mu window"),
-    "samples": dict(type=int, help="points per curve (>= 2)"),
-    "trunc": dict(action="append", type=int, help="harmonic truncation N (convergence: repeatable)"),
-    "stokes_order": dict(type=int, help="profile expansion order (0..4)"),
-    "format": dict(choices=("csv", "json"), help="output format"),
-    "out": dict(help="output path (default: stdout)"),
-    "tol": dict(type=float, help="comparison tolerance for verify"),
-    "perturb": dict(help="offset the checks whose name contains this string (negative control)"),
+#: Every option once: name -> (default, argparse keywords of ``--name-with-dashes``,
+#: checks).  A check (requirement, test) rejects each value failing ``test``
+#: with "<name> must be <requirement>, got <value>".  ``append`` marks an
+#: option that a subcommand may repeat (`_COMMANDS`); its values are tuples.
+_OPTIONS: dict[str, tuple] = {
+    # a NaN or infinite eps passes here: `floquet` names it with exit 3
+    "eps": ((0.06,), dict(action="append", type=float, help="wave amplitude (isola: repeatable)"),
+            (("nonnegative", lambda v: not v < 0),)),
+    "mu": (0.25, dict(type=float, help="Floquet exponent"), ()),
+    "mu_center": (None, dict(type=float, help="center of the mu window"), (("finite", math.isfinite),)),
+    "mu_width": (None, dict(type=float, help="full width of the mu window"), _POSITIVE),
+    "samples": (25, dict(type=int, help="points per curve (>= 2)"), ((">= 2", lambda v: v >= 2),)),
+    "trunc": ((32,), dict(action="append", type=int, help="harmonic truncation N (convergence: repeatable)"),
+              ((">= 8", lambda v: v >= 8),)),
+    "stokes_order": (4, dict(type=int, help="profile expansion order (0..4)"),
+                     (("in 0..4", lambda v: 0 <= v <= 4),)),
+    "format": ("csv", dict(choices=("csv", "json"), help="output format"),
+               (("csv or json", lambda v: v in ("csv", "json")),)),
+    "out": (None, dict(help="output path (default: stdout)"), ()),
+    "tol": (1e-12, dict(type=float, help="comparison tolerance for verify"), _POSITIVE),
+    "perturb": (None, dict(help="offset the checks whose name contains this string (negative control)"), ()),
 }
-
-_FIELDS = frozenset(f.name for f in fields(SweepConfig))
 
 
 def _from_file(key: str, raw, path: str):
     """A --config value, converted as its flag's text would be."""
-    opt = _OPTIONS[key]
+    opt = _OPTIONS[key][1]
     repeat = opt.get("action") == "append"
     items = raw if repeat and isinstance(raw, list) else [raw]
     try:
@@ -127,36 +101,35 @@ def _from_file(key: str, raw, path: str):
     return tuple(values) if repeat else values[0]
 
 
-def resolve_config(args: argparse.Namespace) -> SweepConfig:
-    """Defaults, overlaid by the --config file, overlaid by explicit flags;
-    only the options of ``args.command`` can be set, and only those it
-    repeats (`_REPEATED`) hold more than one value, starting from its own
-    default."""
-    settable = [name for name in _COMMANDS[args.command][2] if name in _FIELDS]
-    repeated = _REPEATED.get(args.command, {})
-    values = {f.name: getattr(SweepConfig, f.name) for f in fields(SweepConfig)}
-    values.update(repeated)
+def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Exactly the options of ``args.command``: defaults, overlaid by the
+    --config file (any option but the flag-only ``perturb``), overlaid by
+    explicit flags.  Only the options the command repeats hold more than one
+    value, starting from its own default."""
+    _, _, names, repeats = _COMMANDS[args.command]
+    values = {name: repeats.get(name, _OPTIONS[name][0]) for name in names}
     if args.config:
         with open(args.config) as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
         for key, val in raw.items():
-            if key not in settable:
+            if key not in values or key == "perturb":
                 raise ValueError(f"config key {key!r} is not an option of {args.command}")
             values[key] = _from_file(key, val, args.config)
-    for name in settable:
+    for name in names:
         flag = getattr(args, name)
         if flag is not None:
             values[name] = tuple(flag) if isinstance(flag, list) else flag
-        if isinstance(values[name], tuple) and len(values[name]) > 1 and name not in repeated:
-            raise ValueError(
-                f"--{name.replace('_', '-')} takes one value for {args.command}, "
-                f"got {list(values[name])}"
-            )
-    cfg = SweepConfig(**values)
-    cfg.validate()
-    return cfg
+        dashed = name.replace("_", "-")
+        value = values[name]
+        if isinstance(value, tuple) and len(value) > 1 and name not in repeats:
+            raise ValueError(f"--{dashed} takes one value for {args.command}, got {list(value)}")
+        for requirement, test in _OPTIONS[name][2]:
+            for v in value if isinstance(value, tuple) else (value,):
+                if v is not None and not test(v):
+                    raise ValueError(f"{dashed} must be {requirement}, got {v!r}")
+    return argparse.Namespace(**values)
 
 
 # ----------------------------------------------------------------- writers
@@ -174,8 +147,10 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _emit(cfg: SweepConfig, header: Sequence[str], rows: Sequence[Sequence], payload_key: str) -> None:
-    """Write rows as CSV (header + data) or JSON (config echo + row dicts)."""
+def _emit(cfg: argparse.Namespace, header: Sequence[str], rows: Sequence[Sequence], payload_key: str) -> None:
+    """Write rows as CSV (header + data) or JSON (config echo + row dicts).
+
+    The echo holds the command's set options, so it reads back as --config."""
 
     def write(stream: TextIO) -> None:
         if cfg.format == "csv":
@@ -185,7 +160,7 @@ def _emit(cfg: SweepConfig, header: Sequence[str], rows: Sequence[Sequence], pay
                 writer.writerow([_cell(v) for v in row])
         else:
             doc = {
-                "config": asdict(cfg),
+                "config": {k: v for k, v in vars(cfg).items() if v is not None and k != "perturb"},
                 payload_key: [dict(zip(header, row)) for row in rows],
             }
             json.dump(doc, stream, indent=2, allow_nan=True)
@@ -320,19 +295,19 @@ def _verify_rows() -> list[tuple[str, complex, complex]]:
     return rows
 
 
-def cmd_verify(cfg: SweepConfig, perturb: Optional[str]) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
     rows = _verify_rows()
-    if perturb is not None:
+    if cfg.perturb is not None:
         hit = False
         bumped = []
         for name, exp, got in rows:
-            if perturb in name:
+            if cfg.perturb in name:
                 got = got + (1e-6 + 1e-6 * abs(exp))
                 hit = True
             bumped.append((name, exp, got))
         rows = bumped
         if not hit:
-            print(f"error: --perturb {perturb!r} matches no check name", file=sys.stderr)
+            print(f"error: --perturb {cfg.perturb!r} matches no check name", file=sys.stderr)
             return 2
     failures = 0
     table = []
@@ -362,7 +337,7 @@ def cmd_verify(cfg: SweepConfig, perturb: Optional[str]) -> int:
 # ------------------------------------------------------------------ coeffs
 
 
-def cmd_coeffs(cfg: SweepConfig) -> int:
+def cmd_coeffs(cfg: argparse.Namespace) -> int:
     jet = jets.assemble_reduced_jet()
     curves = instability.critical_curves(jet)
     rows: list[list] = []
@@ -399,7 +374,7 @@ def _pair_row(eps: float, mu: float, lp, lm, source: str, status: str) -> list:
     return [eps, mu, *cells, source, status]
 
 
-def cmd_isola(cfg: SweepConfig) -> int:
+def cmd_isola(cfg: argparse.Namespace) -> int:
     jet = jets.assemble_reduced_jet()
     curves = instability.critical_curves(jet)
     header = ["eps", "mu", "re_plus", "im_plus", "re_minus", "im_minus", "source", "status"]
@@ -443,17 +418,16 @@ def cmd_isola(cfg: SweepConfig) -> int:
 # ---------------------------------------------------------------- spectrum
 
 
-def cmd_spectrum(cfg: SweepConfig) -> int:
+def cmd_spectrum(cfg: argparse.Namespace) -> int:
     import scipy.linalg
 
-    if cfg.mu >= 0.5:
+    op = floquet.build(cfg.mu, cfg.eps[-1], N=cfg.trunc[-1], stokes_order=cfg.stokes_order)
+    if not 0 <= cfg.mu < 0.5:  # `build` has rejected a NaN
         print(
             f"warning: mu={cfg.mu} lies outside the fundamental Floquet window "
             "[0, 0.5); computing anyway",
             file=sys.stderr,
         )
-    eps = cfg.eps[-1]
-    op = floquet.build(cfg.mu, eps, N=cfg.trunc[-1], stokes_order=cfg.stokes_order)
     # the full spectrum is the output here, so this one solve stays dense
     eigs = scipy.linalg.eigvals(op.matrix)
     try:
@@ -473,7 +447,7 @@ def cmd_spectrum(cfg: SweepConfig) -> int:
 # ------------------------------------------------------------- convergence
 
 
-def cmd_convergence(cfg: SweepConfig) -> int:
+def cmd_convergence(cfg: argparse.Namespace) -> int:
     eps = cfg.eps[-1]
     rows = []
     for row in floquet.convergence_check(cfg.mu, eps, cfg.trunc, cfg.stokes_order):
@@ -502,23 +476,22 @@ def cmd_convergence(cfg: SweepConfig) -> int:
 _OUTPUT = ("format", "out")
 _SOLVE = ("mu", "eps", "trunc", "stokes_order", *_OUTPUT)
 
-#: Subcommand -> (handler, help, the options it reads).  The handler takes the
-#: resolved `SweepConfig` plus, by keyword, each option that is not a field.
+#: Subcommand -> (handler, help, the options it reads, the options it repeats
+#: with their defaults).  The handler takes the resolved options.
 _COMMANDS = {
-    "verify": (cmd_verify, "run the hermetic self-check table", ("tol", *_OUTPUT, "perturb")),
-    "coeffs": (cmd_coeffs, "emit jet coefficients and the intermediate-term ledger", _OUTPUT),
+    "verify": (cmd_verify, "run the hermetic self-check table", ("tol", *_OUTPUT, "perturb"), {}),
+    "coeffs": (cmd_coeffs, "emit jet coefficients and the intermediate-term ledger", _OUTPUT, {}),
     "isola": (
         cmd_isola,
         "closed-form curve vs truncated-eigenproblem trace",
         ("eps", "mu_center", "mu_width", "samples", "trunc", "stokes_order", *_OUTPUT),
+        {"eps": _OPTIONS["eps"][0]},
     ),
-    "spectrum": (cmd_spectrum, "full truncated spectrum at one (mu, eps)", _SOLVE),
-    "convergence": (cmd_convergence, "tracked pair under truncation refinement", _SOLVE),
+    "spectrum": (cmd_spectrum, "full truncated spectrum at one (mu, eps)", _SOLVE, {}),
+    "convergence": (
+        cmd_convergence, "tracked pair under truncation refinement", _SOLVE, {"trunc": (16, 24, 32, 48)},
+    ),
 }
-
-#: Subcommand -> the options it repeats, each with its default; every other
-#: option takes one value.
-_REPEATED = {"isola": {"eps": SweepConfig.eps}, "convergence": {"trunc": (16, 24, 32, 48)}}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -527,25 +500,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="High-frequency instability isola of small-amplitude deep-water waves",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, help_text, options) in _COMMANDS.items():
+    for command, (_, help_text, options, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON file with option defaults")
         for name in options:
-            p.add_argument("--" + name.replace("_", "-"), dest=name, **_OPTIONS[name])
+            p.add_argument("--" + name.replace("_", "-"), dest=name, **_OPTIONS[name][1])
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    handler, _, options = _COMMANDS[args.command]
-    flag_only = {name: getattr(args, name) for name in options if name not in _FIELDS}
     try:
         cfg = resolve_config(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        return handler(cfg, **flag_only)
+        return _COMMANDS[args.command][0](cfg)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -57,6 +57,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Optional, Sequence, Union
 
+import numpy as np
+
 from .basis import Mode, sqrt_sigma
 from .stokes import a_coeff, omega, p_coeff, rational_sqrt
 
@@ -235,19 +237,11 @@ def residue_contour(modes: Sequence[Mode]) -> complex:
     only frequencies equal to omega* fall inside.
     """
     q = len(modes) - 1
-    omegas = [omega(m.j, m.sigma, float(MU_STAR)) for m in modes]
-    center, radius, nodes = 1j * float(OMEGA_STAR), _CONTOUR_RADIUS, _CONTOUR_NODES
-    total = 0j
-    for k in range(nodes):
-        tk = 2.0 * math.pi * k / nodes
-        lam = center + radius * complex(math.cos(tk), math.sin(tk))
-        dlam = radius * complex(-math.sin(tk), math.cos(tk))
-        denom = 1.0 + 0j
-        for om in omegas:
-            denom *= lam - 1j * om
-        total += dlam / denom
-    total *= 2.0 * math.pi / nodes
-    return (-1j) ** q / (2j * math.pi) * total
+    unit = np.exp(2j * math.pi / _CONTOUR_NODES * np.arange(_CONTOUR_NODES))
+    lam = 1j * float(OMEGA_STAR) + _CONTOUR_RADIUS * unit
+    denom = np.prod([lam - 1j * omega(m.j, m.sigma, float(MU_STAR)) for m in modes], axis=0)
+    # (1/(2 pi i)) * sum of dlam/denom with dlam = i * radius * unit * 2 pi/nodes
+    return complex((-1j) ** q * _CONTOUR_RADIUS * np.mean(unit / denom))
 
 
 # ----------------------------------------------------------- chain algebra

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 import textwrap
@@ -131,8 +132,8 @@ class TestIsola:
 
 class TestNonFiniteInput:
     """A NaN or infinite amplitude or exponent is diagnosed by name, with
-    exit 3, before any solve; a NaN tolerance or window width is a usage
-    error, not 73 failed checks or a failed trace."""
+    exit 3, before any solve; a NaN or infinite tolerance or window option
+    is a usage error, not 73 failed or passed checks or a failed trace."""
 
     @pytest.mark.parametrize("argv,name,value", [
         (("isola", "--eps", "nan"), "eps", "nan"),
@@ -156,6 +157,27 @@ class TestNonFiniteInput:
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert err == f"error: {name} must be positive, got nan\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (("verify", "--tol", "inf", "--perturb", "beta3_eff"), "tol must be finite, got inf"),
+        (("isola", "--eps", "0.06", "--mu-width", "inf"), "mu-width must be finite, got inf"),
+        (("isola", "--mu-center", "nan"), "mu-center must be finite, got nan"),
+        (("isola", "--mu-center=-inf"), "mu-center must be finite, got -inf"),
+    ])
+    def test_non_finite_option_is_usage_error(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command,config,message", [
+        ("verify", {"tol": math.inf}, "tol must be finite, got inf"),
+        ("isola", {"mu_width": "inf"}, "mu-width must be finite, got inf"),
+        ("isola", {"mu_center": math.nan}, "mu-center must be finite, got nan"),
+    ])
+    def test_non_finite_file_value_is_usage_error(self, capsys, tmp_path, command, config, message):
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps(config))
+        code, out, err = run(capsys, command, "--config", str(cfgfile))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestStartUp:
@@ -255,6 +277,28 @@ class TestConfigFile:
         assert code == 2
         assert f"{next(iter(config))!r} is not an option of {command}" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("isola", "--eps", "0.06", "--samples", "3", "--trunc", "24", "--mu-width", "1e-5"),
+        ("spectrum",),
+        ("convergence", "--mu", "0.246778", "--eps", "0.06", "--trunc", "12", "--trunc", "16"),
+        ("coeffs",),
+        ("verify", "--out", "OUT"),
+    ], ids=lambda argv: argv[0])
+    def test_json_echo_reads_back_as_config(self, capsys, tmp_path, argv):
+        """The JSON ``config`` of a run, passed back with --config to the same
+        subcommand, reproduces its output byte for byte."""
+        out = tmp_path / "out.json"
+        argv = [str(out) if a == "OUT" else a for a in argv]
+        code, first, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        written = out.read_text() if out.exists() else None
+        cfgfile = tmp_path / "echo.json"
+        cfgfile.write_text(json.dumps(json.loads(written or first)["config"]))
+        out.unlink(missing_ok=True)
+        code, again, err = run(capsys, argv[0], "--config", str(cfgfile))
+        assert (code, err, again) == (0, "", first)
+        assert (out.read_text() if out.exists() else None) == written
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv,message", [
@@ -331,6 +375,12 @@ class TestSpectrum:
         )
         assert code == 0
         assert "Floquet window" in err
+
+    @pytest.mark.parametrize("mu,warns", [("-0.1", True), ("0", False), ("0.25", False)])
+    def test_window_warning_only_outside(self, capsys, mu, warns):
+        code, out, err = run(capsys, "spectrum", "--mu", mu, "--eps", "0.05", "--trunc", "16")
+        assert code == 0
+        assert ("Floquet window" in err) == warns
 
     def test_rows_sorted_by_imaginary_part(self, capsys):
         code, out, err = run(

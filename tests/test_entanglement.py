@@ -23,6 +23,7 @@ from stokes_isola.entanglement import (
     residue_contour,
 )
 from stokes_isola.closed_forms import ENT_01_PLUS
+from stokes_isola.stokes import omega
 
 LOW, HIGH = RESONANT_MODES
 
@@ -234,6 +235,28 @@ class TestResidue:
             assert abs(got.imag) <= 1e-8
             assert abs(got.real - want) <= 1e-8
             checked += 1
+
+    def test_contour_matches_the_loop_it_replaced(self):
+        """The numpy trapezoid sum against the node-by-node loop of the same
+        rule; the sums run in another order, so they agree to rounding."""
+
+        def loop(modes):
+            omegas = [omega(m.j, m.sigma, 0.25) for m in modes]
+            nodes, radius = entanglement._CONTOUR_NODES, entanglement._CONTOUR_RADIUS
+            total = 0j
+            for k in range(nodes):
+                tk = 2.0 * math.pi * k / nodes
+                lam = 0.75j + radius * complex(math.cos(tk), math.sin(tk))
+                denom = 1.0 + 0j
+                for om in omegas:
+                    denom *= lam - 1j * om
+                total += radius * complex(-math.sin(tk), math.cos(tk)) / denom
+            return (-1j) ** (len(modes) - 1) / (2j * math.pi) * total * (2.0 * math.pi / nodes)
+
+        rng = random.Random(20261018)
+        for _ in range(10):
+            path = [rng.choice(MODE_POOL) for _ in range(rng.randint(1, 4))]
+            assert abs(residue_contour(path) - loop(path)) <= 1e-12
 
 
 class TestProject:
