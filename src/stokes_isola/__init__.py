@@ -7,8 +7,8 @@ truncated Fourier eigenvalue problem.
 
 Layers, bottom up:
 
-* `stokes`       -- exact harmonic tables of the wave profiles and the
-                    flat dispersion relation;
+* `stokes`       -- exact harmonic tables of the wave profiles, the
+                    flat dispersion relation and the collision point;
 * `basis`        -- mode labels and branch convention of the flat
                     problem's symplectic eigenbasis;
 * `entanglement` -- mode-coupling coefficients, residue calculus, the

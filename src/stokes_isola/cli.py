@@ -19,8 +19,9 @@ Each subcommand takes only the options it reads (`_COMMANDS`, or --help)
 and --config FILE, a JSON object keyed by those options' snake_case names
 (--perturb is flag-only).  A file value is converted as its flag's text
 would be: {"samples": "3"} is --samples 3, {"trunc": [8.5]} is an error.
---eps repeats only for isola and --trunc only for convergence; a second
-value elsewhere, from flags or the file, is a usage error.
+--eps repeats only for isola and --trunc only for convergence, where the
+ladder must increase strictly; a second value of any other option, from
+flags or the file, is a usage error.
 Options are resolved as flags > --config file > built-in defaults.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage/config error,
@@ -55,7 +56,7 @@ from .entanglement import (
     residue,
     residue_contour,
 )
-from .stokes import omega
+from .stokes import MAX_ORDER, MU_STAR, OMEGA_STAR, omega
 
 
 # ----------------------------------------------------------- configuration
@@ -65,20 +66,23 @@ _POSITIVE = (("positive", lambda v: v > 0), ("finite", math.isfinite))
 
 #: Every option once: name -> (default, argparse keywords of ``--name-with-dashes``,
 #: checks).  A check (requirement, test) rejects each value failing ``test``
-#: with "<name> must be <requirement>, got <value>".  ``append`` marks an
-#: option that a subcommand may repeat (`_COMMANDS`); its values are tuples.
+#: with "<name> must be <requirement>, got <value>".  Every option collects
+#: its values, from flags or the file, and only a subcommand's repeated
+#: options (`_COMMANDS`) may hold more than one; an option with a tuple
+#: default keeps its values as a tuple, any other is resolved to its one value.
 _OPTIONS: dict[str, tuple] = {
     # a NaN or infinite eps passes here: `floquet` names it with exit 3
-    "eps": ((0.06,), dict(action="append", type=float, help="wave amplitude (isola: repeatable)"),
+    "eps": ((0.06,), dict(type=float, help="wave amplitude (isola: repeatable)"),
             (("nonnegative", lambda v: not v < 0),)),
-    "mu": (0.25, dict(type=float, help="Floquet exponent"), ()),
+    "mu": (float(MU_STAR), dict(type=float, help="Floquet exponent"), ()),
     "mu_center": (None, dict(type=float, help="center of the mu window"), (("finite", math.isfinite),)),
     "mu_width": (None, dict(type=float, help="full width of the mu window"), _POSITIVE),
     "samples": (25, dict(type=int, help="points per curve (>= 2)"), ((">= 2", lambda v: v >= 2),)),
-    "trunc": ((32,), dict(action="append", type=int, help="harmonic truncation N (convergence: repeatable)"),
+    "trunc": ((floquet.DEFAULT_N,),
+              dict(type=int, help="harmonic truncation N (convergence: repeatable)"),
               ((">= 8", lambda v: v >= 8),)),
-    "stokes_order": (4, dict(type=int, help="profile expansion order (0..4)"),
-                     (("in 0..4", lambda v: 0 <= v <= 4),)),
+    "stokes_order": (MAX_ORDER, dict(type=int, help=f"profile expansion order (0..{MAX_ORDER})"),
+                     ((f"in 0..{MAX_ORDER}", lambda v: 0 <= v <= MAX_ORDER),)),
     "format": ("csv", dict(choices=("csv", "json"), help="output format"),
                (("csv or json", lambda v: v in ("csv", "json")),)),
     "out": (None, dict(help="output path (default: stdout)"), ()),
@@ -87,18 +91,16 @@ _OPTIONS: dict[str, tuple] = {
 }
 
 
-def _from_file(key: str, raw, path: str):
-    """A --config value, converted as its flag's text would be."""
-    opt = _OPTIONS[key][1]
-    repeat = opt.get("action") == "append"
-    items = raw if repeat and isinstance(raw, list) else [raw]
+def _from_file(key: str, raw, path: str) -> tuple:
+    """The values of a --config entry, each converted as its flag's text
+    would be; a list holds as many values as that many flags."""
+    items = raw if isinstance(raw, list) else [raw]
     try:
         if not items or any(type(v) not in (str, int, float) for v in items):
             raise ValueError  # null, true, {} or [] is no flag's text
-        values = [opt.get("type", str)(str(v)) for v in items]
+        return tuple(_OPTIONS[key][1].get("type", str)(str(v)) for v in items)
     except ValueError:
         raise ValueError(f"config key {key!r} in {path}: invalid value {raw!r}") from None
-    return tuple(values) if repeat else values[0]
 
 
 def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
@@ -108,27 +110,32 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     value, starting from its own default."""
     _, _, names, repeats = _COMMANDS[args.command]
     values = {name: repeats.get(name, _OPTIONS[name][0]) for name in names}
-    if args.config:
-        with open(args.config) as fh:
+    values = {name: v if isinstance(v, tuple) else (v,) for name, v in values.items()}
+    if args.config is not None:
+        if len(args.config) > 1:
+            raise ValueError(f"--config takes one value for {args.command}, got {args.config}")
+        path = args.config[0]
+        with open(path) as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
-            raise ValueError(f"config file {args.config} must hold a JSON object")
+            raise ValueError(f"config file {path} must hold a JSON object")
         for key, val in raw.items():
             if key not in values or key == "perturb":
                 raise ValueError(f"config key {key!r} is not an option of {args.command}")
-            values[key] = _from_file(key, val, args.config)
+            values[key] = _from_file(key, val, path)
     for name in names:
-        flag = getattr(args, name)
-        if flag is not None:
-            values[name] = tuple(flag) if isinstance(flag, list) else flag
+        if getattr(args, name) is not None:
+            values[name] = tuple(getattr(args, name))
         dashed = name.replace("_", "-")
         value = values[name]
-        if isinstance(value, tuple) and len(value) > 1 and name not in repeats:
+        if len(value) > 1 and name not in repeats:
             raise ValueError(f"--{dashed} takes one value for {args.command}, got {list(value)}")
         for requirement, test in _OPTIONS[name][2]:
-            for v in value if isinstance(value, tuple) else (value,):
+            for v in value:
                 if v is not None and not test(v):
                     raise ValueError(f"{dashed} must be {requirement}, got {v!r}")
+        if not isinstance(_OPTIONS[name][0], tuple):
+            values[name] = value[0]
     return argparse.Namespace(**values)
 
 
@@ -232,7 +239,7 @@ def _verify_rows() -> list[tuple[str, complex, complex]]:
         (
             "const.im-center-eps2-coeff=-55/32",
             cf.IM_CENTER_EPS2,
-            ell.center_im - jet.omega_star,
+            ell.center_im - float(OMEGA_STAR),
         ),
         ("const.re-max-coeff=37*sqrt(3)/512", cf.BETA3_EFF, growth.re_max),
         ("const.nu_re-coeff=-333/4096", cf.NU_RE_EPS6, growth.nu_re),
@@ -242,7 +249,7 @@ def _verify_rows() -> list[tuple[str, complex, complex]]:
     # structural spot-checks, all with closed expected values or exact zeros
     b01 = JetIndex(0, 1)
     b02 = JetIndex(0, 2)
-    low, high = Mode(0, -1), Mode(2, +1)
+    low, high = jets.LOW, jets.HIGH
     rows.append(
         (
             "ent[(0,1),+1]((0,-)->(1,+))=i*5^(1/4)*(sqrt(5)-3)/8",
@@ -258,7 +265,7 @@ def _verify_rows() -> list[tuple[str, complex, complex]]:
             - ent_coeff(b02, -2, high, -1),
         )
     )
-    path = [Mode(0, -1), Mode(1, +1), Mode(2, +1)]
+    path = [low, Mode(1, +1), high]
     rows.append(
         (
             "residue.permutation[(0,-),(1,+),(2,+)]",
@@ -270,8 +277,7 @@ def _verify_rows() -> list[tuple[str, complex, complex]]:
         (
             "residue.contour[(0,-),(1,-)]",
             0.0,
-            residue([Mode(0, -1), Mode(1, -1)])
-            - residue_contour([Mode(0, -1), Mode(1, -1)]),
+            residue([low, Mode(1, -1)]) - residue_contour([low, Mode(1, -1)]),
         )
     )
     left = bracket((b01, +1), chain_apply([(b01, +1)], low), high)
@@ -352,8 +358,8 @@ def cmd_coeffs(cfg: argparse.Namespace) -> int:
         ("T1", jet.T1),
         ("T2", jet.T2),
         ("beta3_eff", jet.beta3_eff),
-        ("mu_star", jet.mu_star),
-        ("omega_star", jet.omega_star),
+        ("mu_star", float(MU_STAR)),
+        ("omega_star", float(OMEGA_STAR)),
         ("mu0_eps2_coeff", float(curves.mu0.coef[2])),
         ("nu_plus_eps4_coeff", float(curves.nu_plus.coef[4])),
         ("nu_minus_eps4_coeff", float(curves.nu_minus.coef[4])),
@@ -448,6 +454,10 @@ def cmd_spectrum(cfg: argparse.Namespace) -> int:
 
 
 def cmd_convergence(cfg: argparse.Namespace) -> int:
+    if any(a >= b for a, b in zip(cfg.trunc, cfg.trunc[1:])):
+        print(f"error: --trunc ladder {list(cfg.trunc)} does not refine: each N must "
+              "exceed the one before", file=sys.stderr)
+        return 2
     eps = cfg.eps[-1]
     rows = []
     for row in floquet.convergence_check(cfg.mu, eps, cfg.trunc, cfg.stokes_order):
@@ -502,9 +512,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text, options, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
-        p.add_argument("--config", help="JSON file with option defaults")
+        p.add_argument("--config", action="append", help="JSON file with option defaults")
         for name in options:
-            p.add_argument("--" + name.replace("_", "-"), dest=name, **_OPTIONS[name][1])
+            flag = "--" + name.replace("_", "-")
+            p.add_argument(flag, dest=name, action="append", **_OPTIONS[name][1])
     return parser
 
 

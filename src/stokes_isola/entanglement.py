@@ -60,7 +60,7 @@ from typing import Literal, Optional, Sequence, Union
 import numpy as np
 
 from .basis import Mode, sqrt_sigma
-from .stokes import a_coeff, omega, p_coeff, rational_sqrt
+from .stokes import MAX_ORDER, MU_STAR, OMEGA_STAR, a_coeff, omega, p_coeff, rational_sqrt
 
 __all__ = [
     "JetIndex",
@@ -75,8 +75,10 @@ __all__ = [
     "bracket",
 ]
 
-MU_STAR = Fraction(1, 4)
-OMEGA_STAR = Fraction(3, 4)
+#: The collision point as floats, converted once: `_omega_cap` runs on
+#: every coupling.
+_MU = float(MU_STAR)
+_OMEGA = float(OMEGA_STAR)
 #: The circle and the trapezoid nodes of `residue_contour`.
 _CONTOUR_RADIUS = 0.125
 _CONTOUR_NODES = 4096
@@ -95,10 +97,10 @@ class JetIndex:
     eps_order: int
 
     def __post_init__(self) -> None:
-        if self.mu_order not in (0, 1, 2):
-            raise ValueError(f"mu_order must be 0, 1 or 2, got {self.mu_order!r}")
-        if not (0 <= self.eps_order <= 4):
-            raise ValueError(f"eps_order must be in 0..4, got {self.eps_order!r}")
+        if self.mu_order not in (0, 1):
+            raise ValueError(f"mu_order must be 0 or 1, got {self.mu_order!r}")
+        if not (0 <= self.eps_order <= MAX_ORDER):
+            raise ValueError(f"eps_order must be in 0..{MAX_ORDER}, got {self.eps_order!r}")
         if (self.mu_order, self.eps_order) == (0, 0):
             raise ValueError("(0, 0) is the flat operator, not a jet direction")
 
@@ -106,25 +108,17 @@ class JetIndex:
 ChainOp = tuple[JetIndex, int]
 
 
-def _omega_cap(j: int, mu: float) -> tuple[float, int]:
-    r = j + mu
-    if r == 0:
-        raise ValueError(f"coupling undefined at j + mu = 0 (j={j}, mu={mu})")
+def _omega_cap(j: int) -> tuple[float, int]:
+    """Omega_j and s_j at mu*; j + mu* is never 0 for an integer j."""
+    r = j + _MU
     return math.sqrt(abs(r)), (1 if r > 0 else -1)
 
 
-def ent_coeff(
-    ell: JetIndex,
-    kappa: int,
-    source: Mode,
-    target_sigma: int,
-    *,
-    mu: float = 0.25,
-) -> complex:
+def ent_coeff(ell: JetIndex, kappa: int, source: Mode, target_sigma: int) -> complex:
     """Coupling coefficient of jet ``ell`` from ``source`` to ``(source.j + kappa, target_sigma)``.
 
-    Exactly zero whenever ``(ell, kappa)`` lies outside the supported
-    families described in the module docstring.
+    Evaluated at mu = 1/4; exactly zero whenever ``(ell, kappa)`` lies
+    outside the supported families described in the module docstring.
     """
     if target_sigma not in (1, -1):
         raise ValueError(f"target_sigma must be +1 or -1, got {target_sigma!r}")
@@ -136,14 +130,14 @@ def ent_coeff(
     if (i, n) == (1, 0):
         if kappa != 0:
             return 0j
-        om, s = _omega_cap(j, mu)
+        om, s = _omega_cap(j)
         return phase / (2.0 * om) * (sg * sg_t * s - (sg + sg_t) * om)
 
-    if i == 0 and 1 <= n <= 4:
+    if i == 0 and 1 <= n <= MAX_ORDER:
         if abs(kappa) > n or (kappa - n) % 2 != 0:
             return 0j
-        om_s, s_s = _omega_cap(j, mu)
-        om_t, s_t = _omega_cap(j + kappa, mu)
+        om_s, s_s = _omega_cap(j)
+        om_t, s_t = _omega_cap(j + kappa)
         p = float(p_coeff(n, kappa))
         a = float(a_coeff(n, kappa))
         return (
@@ -156,8 +150,8 @@ def ent_coeff(
     if i == 1 and 1 <= n <= 3:
         if abs(kappa) > n or (kappa - n) % 2 != 0:
             return 0j
-        om_s, _ = _omega_cap(j, mu)
-        om_t, _ = _omega_cap(j + kappa, mu)
+        om_s, _ = _omega_cap(j)
+        om_t, _ = _omega_cap(j + kappa)
         p = float(p_coeff(n, kappa))
         return -0.25 * phase * (sg * om_t + sg_t * om_s) * p / math.sqrt(om_s * om_t)
 
@@ -210,8 +204,7 @@ def residue(modes: Sequence[Mode]) -> float:
         return 0.0
     if npoles == len(modes) and len(modes) >= 2:
         return 0.0
-    mu_f, omega_star_f = float(MU_STAR), float(OMEGA_STAR)
-    rest = [omega(m.j, m.sigma, mu_f) - omega_star_f for m, f in zip(modes, flags) if not f]
+    rest = [omega(m.j, m.sigma, _MU) - _OMEGA for m, f in zip(modes, flags) if not f]
     if npoles == 1:
         out = 1.0
         for r in rest:
@@ -238,8 +231,8 @@ def residue_contour(modes: Sequence[Mode]) -> complex:
     """
     q = len(modes) - 1
     unit = np.exp(2j * math.pi / _CONTOUR_NODES * np.arange(_CONTOUR_NODES))
-    lam = 1j * float(OMEGA_STAR) + _CONTOUR_RADIUS * unit
-    denom = np.prod([lam - 1j * omega(m.j, m.sigma, float(MU_STAR)) for m in modes], axis=0)
+    lam = 1j * _OMEGA + _CONTOUR_RADIUS * unit
+    denom = np.prod([lam - 1j * omega(m.j, m.sigma, _MU) for m in modes], axis=0)
     # (1/(2 pi i)) * sum of dlam/denom with dlam = i * radius * unit * 2 pi/nodes
     return complex((-1j) ** q * _CONTOUR_RADIUS * np.mean(unit / denom))
 

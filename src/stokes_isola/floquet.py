@@ -40,7 +40,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .stokes import MAX_ORDER, a_coeff, p_coeff
+from .stokes import MAX_ORDER, OMEGA_STAR, a_coeff, p_coeff
 from .jets import assemble_reduced_jet
 from .instability import critical_curves
 
@@ -61,7 +61,7 @@ __all__ = [
 DEFAULT_N = 32
 #: The tracking disk: the collision pair is the two eigenvalues within
 #: `RADIUS` of `CENTER` = i*omega*.
-CENTER = 0.75j
+CENTER = 1j * float(OMEGA_STAR)
 RADIUS = 0.2
 
 #: Columns of the shift-invert block: the tracked pair plus two spare, which
@@ -185,17 +185,16 @@ def build(
 class SpectrumSample:
     """The eigenvalues of one truncation that the shift-invert solve
     converged near `CENTER`, nearest first, with the collision pair singled
-    out; ``re_max`` is the larger real part of the pair.  ``eigenvalues``
-    holds the two nearest `CENTER` and any other Ritz value that converged,
-    often nothing else; the solve does not promise every eigenvalue of the
-    tracking disk.  ``block`` is the read-only orthonormal block the solve
-    converged on, `_BLOCK` (four) columns, rows in interleaved order
-    (`_band_parts`), which a solve at a nearby mu can start from
-    (`spectrum`'s ``start``); it takes no part in comparisons or the repr."""
+    out.  ``eigenvalues`` holds the two nearest `CENTER` and any other Ritz
+    value that converged, often nothing else; the solve does not promise
+    every eigenvalue of the tracking disk.  ``block`` is the read-only
+    orthonormal block the solve converged on, `_BLOCK` (four) columns, rows
+    in interleaved order (`_band_parts`), which a solve at a nearby mu can
+    start from (`spectrum`'s ``start``); it takes no part in comparisons or
+    the repr."""
 
     eigenvalues: np.ndarray
     tracked_pair: tuple[complex, complex]
-    re_max: float
     block: np.ndarray = field(repr=False, compare=False)
 
 
@@ -401,9 +400,7 @@ def spectrum(op: DiscretizedOperator, start: Optional[SpectrumSample] = None) ->
     eigenvalues lie in the tracking disk or the solve fails.
     """
     eigs, block = _shift_invert(op, start)
-    pair = _pick_pair(eigs)
-    re_max = max(pair[0].real, pair[1].real)
-    return SpectrumSample(eigenvalues=eigs, tracked_pair=pair, re_max=re_max, block=block)
+    return SpectrumSample(eigenvalues=eigs, tracked_pair=_pick_pair(eigs), block=block)
 
 
 @dataclass(frozen=True)
@@ -413,7 +410,6 @@ class SpectrumPoint:
     mu: float
     lambda_plus: Optional[complex]
     lambda_minus: Optional[complex]
-    re_max: Optional[float]
     error: Optional[str] = None
 
 
@@ -436,10 +432,10 @@ def trace_isola(
         try:
             previous = spectrum(build(mu, eps, N, stokes_order), start=previous)
             lp, lm = previous.tracked_pair
-            points.append(SpectrumPoint(float(mu), lp, lm, previous.re_max))
+            points.append(SpectrumPoint(float(mu), lp, lm))
         except TrackingFailure as exc:
             previous = None
-            points.append(SpectrumPoint(float(mu), None, None, None, error=str(exc)))
+            points.append(SpectrumPoint(float(mu), None, None, error=str(exc)))
     return points
 
 

@@ -32,6 +32,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .jets import ReducedJet
+from .stokes import MU_STAR, OMEGA_STAR
 
 __all__ = [
     "CriticalCurves",
@@ -67,19 +68,17 @@ class CriticalCurves:
     """Truncated polynomial maps eps -> mu delimiting the unstable band.
 
     ``mu0`` is the center curve (where the trace of the reduced matrix
-    vanishes), ``mu_plus``/``mu_minus`` the lower/upper boundary curves, and
-    ``nu_plus``/``nu_minus`` the same boundaries relative to the center.
-    For eps > 0 small, mu_plus(eps) <= mu0(eps) <= mu_minus(eps).
+    vanishes), and ``nu_plus``/``nu_minus`` are the lower/upper boundary
+    curves relative to it: the band is mu0 + nu_plus <= mu <= mu0 + nu_minus,
+    with nu_plus(eps) <= 0 <= nu_minus(eps).
     """
 
     mu0: Polynomial
-    mu_plus: Polynomial
-    mu_minus: Polynomial
     nu_plus: Polynomial
     nu_minus: Polynomial
 
     def width(self, eps: float) -> float:
-        """mu_minus - mu_plus as nu_minus - nu_plus, which cancels no digits."""
+        """Band width nu_minus - nu_plus, which cancels no digits."""
         return float(self.nu_minus(eps) - self.nu_plus(eps))
 
 
@@ -93,16 +92,11 @@ def critical_curves(jet: ReducedJet) -> CriticalCurves:
     t1 = jet.T1
     if t1 == 0:
         raise ValueError("T1 = alpha1 + gamma1 must be nonzero")
-    mu0 = Polynomial([jet.mu_star, 0.0, -jet.T2 / t1])
     half = 2.0 * abs(jet.beta3_eff) / abs(t1)
-    nu_plus = Polynomial([0.0, 0.0, 0.0, 0.0, -half])
-    nu_minus = Polynomial([0.0, 0.0, 0.0, 0.0, half])
     return CriticalCurves(
-        mu0=mu0,
-        mu_plus=mu0 + nu_plus,
-        mu_minus=mu0 + nu_minus,
-        nu_plus=nu_plus,
-        nu_minus=nu_minus,
+        mu0=Polynomial([float(MU_STAR), 0.0, -jet.T2 / t1]),
+        nu_plus=Polynomial([0.0, 0.0, 0.0, 0.0, -half]),
+        nu_minus=Polynomial([0.0, 0.0, 0.0, 0.0, half]),
     )
 
 
@@ -134,7 +128,7 @@ def trace_shift(jet: ReducedJet, nu, eps: float):
     """
     d1 = jet.gamma1 - jet.alpha1
     d2 = (jet.gamma2 - jet.alpha2) - d1 * jet.T2 / jet.T1
-    return 2.0 * jet.omega_star + d1 * nu + d2 * eps**2
+    return 2.0 * float(OMEGA_STAR) + d1 * nu + d2 * eps**2
 
 
 @dataclass(frozen=True)
@@ -156,7 +150,7 @@ def eigenvalues(jet: ReducedJet, mu: float, eps: float) -> EigenPair:
     it carries the larger imaginary part.  The pair sum is exactly i*S
     (purely imaginary) and the product is -(S^2 + D)/4.
     """
-    nu = mu - (jet.mu_star - jet.T2 / jet.T1 * eps**2)
+    nu = mu - (float(MU_STAR) - jet.T2 / jet.T1 * eps**2)
     d = float(discriminant(jet, nu, eps))
     s = float(trace_shift(jet, nu, eps))
     threshold = _COLLISION_ATOL * max(1.0, eps**8)
@@ -190,9 +184,8 @@ def max_growth_rate(jet: ReducedJet, eps: float) -> GrowthRate:
 @dataclass(frozen=True)
 class EllipseParams:
     """The curve swept by the unstable eigenvalue, to leading order an
-    ellipse centered on the imaginary axis."""
+    ellipse centered on the imaginary axis at ``center_im``."""
 
-    center_re: float
     center_im: float
     semi_re: float
     semi_im: float
@@ -215,14 +208,12 @@ def ellipse(jet: ReducedJet, eps: float) -> EllipseParams:
     d1 = jet.gamma1 - jet.alpha1
     if d1 == 0:
         raise ValueError("gamma1 == alpha1: ellipse axes not resolved at this order")
-    center_im = jet.omega_star + (
+    center_im = float(OMEGA_STAR) + (
         (jet.gamma2 - jet.alpha2) / 2.0 - d1 * jet.T2 / (2.0 * jet.T1)
     ) * eps**2
     semi_re = abs(jet.beta3_eff) * eps**4
     semi_im = abs(d1 / jet.T1) * semi_re
-    return EllipseParams(
-        center_re=0.0, center_im=float(center_im), semi_re=semi_re, semi_im=semi_im
-    )
+    return EllipseParams(center_im=float(center_im), semi_re=semi_re, semi_im=semi_im)
 
 
 def instability_criterion(betas: Sequence[float], tol: float = 1e-12) -> str:

@@ -9,8 +9,8 @@ its two-dimensional invariant subspace is represented by a Hermitian matrix
 
 whose entries expand in delta = mu - 1/4 and the amplitude eps as
 
-    alpha = flat_alpha(delta) + alpha2*eps^2 + ...
-    gamma = flat_gamma(delta) + gamma2*eps^2 + ...
+    alpha = -omega_2^+(1/4 + delta) + alpha2*eps^2 + ...
+    gamma =  omega_0^-(1/4 + delta) + gamma2*eps^2 + ...
     beta  = beta1*eps^2 + beta2*delta*eps^2 + beta3*eps^4 + ...
 
 (all odd-eps and mixed terms through the computed order vanish by harmonic
@@ -36,13 +36,13 @@ loop coefficients ``beta3.loop_up`` / ``beta3.loop_down``.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .basis import Mode
 from .entanglement import (
+    RESONANT_MODES,
     ChainOp,
     JetIndex,
     bracket,
@@ -55,8 +55,6 @@ __all__ = [
     "LOW",
     "HIGH",
     "ReducedJet",
-    "flat_alpha",
-    "flat_gamma",
     "term_ledger",
     "beta3_projector_route",
     "composite_projector_chains",
@@ -72,22 +70,10 @@ B12 = JetIndex(1, 2)
 B03 = JetIndex(0, 3)
 B04 = JetIndex(0, 4)
 
-LOW = Mode(0, -1)
-HIGH = Mode(2, +1)
+LOW, HIGH = RESONANT_MODES
 
 _ONE_LOW = {LOW: 1.0 + 0j}
 _ONE_HIGH = {HIGH: 1.0 + 0j}
-
-
-def flat_alpha(delta: float) -> float:
-    """Exact zero-amplitude diagonal entry attached to the (2,+) mode:
-    minus its flat frequency at Floquet exponent 1/4 + delta."""
-    return -(9.0 / 4.0 + delta - math.sqrt(9.0 / 4.0 + delta))
-
-
-def flat_gamma(delta: float) -> float:
-    """Exact zero-amplitude diagonal entry attached to the (0,-) mode."""
-    return 1.0 / 4.0 + delta + math.sqrt(1.0 / 4.0 + delta)
 
 
 # ------------------------------------------------------------- term catalog
@@ -290,7 +276,9 @@ class ReducedJet:
     Generic container: synthetic coefficient sets are valid inputs to the
     downstream eigenvalue machinery; `assemble_reduced_jet` builds the
     Stokes-wave instance.  ``alpha1``/``gamma1`` are the derivatives at
-    delta = 0 of the exact zero-amplitude diagonal `flat_alpha`/`flat_gamma`.
+    delta = 0 of the exact zero-amplitude diagonal, -omega_2^+ and omega_0^-
+    at Floquet exponent 1/4 + delta (`stokes.omega`).  The collision point
+    itself is `stokes.MU_STAR`/`OMEGA_STAR`.
     """
 
     alpha1: float
@@ -300,8 +288,6 @@ class ReducedJet:
     beta1: float
     beta2: float
     beta3: float
-    mu_star: float = 0.25
-    omega_star: float = 0.75
 
     @property
     def T1(self) -> float:

@@ -1,4 +1,5 @@
-"""Small-amplitude Stokes-wave expansion data and the linear dispersion relation.
+"""Small-amplitude Stokes-wave expansion data, the linear dispersion relation
+and the collision point of the isola.
 
 Conventions used across the package (deep water; gravity, wavenumber and
 wave speed scaled to one; frequencies taken in the frame moving with the
@@ -17,6 +18,10 @@ wave):
 
       omega_j^sigma(mu) = j + mu - sigma * Omega_j(mu),   sigma = +-1.
 
+* Collision: at the Floquet exponent mu* = 1/4 the flat frequencies of the
+  modes (0,-) and (2,+) coincide at omega* = 3/4, the double eigenvalue
+  i*omega* from which the isola branches off.
+
 Everything in this module is exact rational arithmetic except the float
 helper `omega`.
 """
@@ -29,6 +34,10 @@ from fractions import Fraction
 __all__ = ["p_coeff", "a_coeff", "omega", "rational_sqrt"]
 
 MAX_ORDER = 4
+
+#: The collision: omega_0^-(MU_STAR) = omega_2^+(MU_STAR) = OMEGA_STAR.
+MU_STAR = Fraction(1, 4)
+OMEGA_STAR = Fraction(3, 4)
 
 # Harmonic tables c_n[|k|] for the two profiles ("p" multiplies the transport
 # part of the operator, "a" the zeroth-order part).  Keys: (n, |k|).

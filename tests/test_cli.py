@@ -343,6 +343,11 @@ class TestOptionsPerCommand:
         (("isola", "--eps", "0.06", "--trunc", "16", "--trunc", "24"), "--trunc"),
         (("spectrum", "--eps", "0.05", "--eps", "0.06"), "--eps"),
         (("convergence", "--eps", "0.05", "--eps", "0.06"), "--eps"),
+        (("isola", "--eps", "0.06", "--samples", "3", "--samples", "4"), "--samples"),
+        (("spectrum", "--mu", "0.25", "--mu", "0.3"), "--mu"),
+        (("coeffs", "--format", "csv", "--format", "json"), "--format"),
+        (("verify", "--perturb", "beta3", "--perturb", "beta2"), "--perturb"),
+        (("coeffs", "--config", "a.json", "--config", "b.json"), "--config"),
     ])
     def test_second_value_of_a_single_option_rejected(self, capsys, argv, option):
         code, out, err = run(capsys, *argv)
@@ -352,10 +357,16 @@ class TestOptionsPerCommand:
 
     def test_second_value_from_the_file_rejected(self, capsys, tmp_path):
         cfgfile = tmp_path / "run.json"
-        cfgfile.write_text(json.dumps({"trunc": [16, 24]}))
-        code, out, err = run(capsys, "spectrum", "--config", str(cfgfile))
-        assert code == 2
-        assert "--trunc takes one value for spectrum" in err
+        for command, config in [
+            ("spectrum", {"trunc": [16, 24]}),
+            ("isola", {"samples": [3, 4]}),
+            ("spectrum", {"mu": [0.25, 0.3]}),
+        ]:
+            cfgfile.write_text(json.dumps(config))
+            code, out, err = run(capsys, command, "--config", str(cfgfile))
+            assert code == 2
+            option = next(iter(config)).replace("_", "-")
+            assert f"--{option} takes one value for {command}" in err
 
 
 class TestSpectrum:
@@ -420,6 +431,14 @@ class TestConvergence:
         assert [r[0] for r in rows] == ["16", "24", "32", "48"]
         # inside the isola: the pair is split at every N
         assert all(float(r[1]) == pytest.approx(1.5725e-6, rel=1e-4) for r in rows)
+
+    @pytest.mark.parametrize("ladder", [("16", "16"), ("24", "16"), ("12", "24", "16")])
+    def test_ladder_must_refine(self, capsys, ladder):
+        trunc = [arg for n in ladder for arg in ("--trunc", n)]
+        code, out, err = run(capsys, "convergence", "--mu", "0.246778", "--eps", "0.06", *trunc)
+        assert code == 2
+        assert f"--trunc ladder {[int(n) for n in ladder]} does not refine" in err
+        assert out == ""
 
     def test_shift_on_the_collision(self, capsys):
         # eps = 0, mu = 1/4: the flat double eigenvalue sits exactly on 0.75i

@@ -70,12 +70,12 @@ class TestCriticalCurves:
     def test_ordering_and_width(self):
         curves = critical_curves(JET)
         for eps in (0.0, 0.05, 0.1, 0.15):
-            assert curves.mu_plus(eps) <= curves.mu0(eps) <= curves.mu_minus(eps)
+            assert curves.nu_plus(eps) <= 0 <= curves.nu_minus(eps)
         assert curves.width(0.1) == pytest.approx(2 * closed_forms.NU_EPS4 * 0.1**4, rel=1e-12)
 
     @pytest.mark.parametrize("eps", [0.002, 0.005, 0.02, 0.06, 0.19])
     def test_width_keeps_its_digits(self, eps):
-        # mu_minus - mu_plus would cancel two values near 1/4 (4e-6 relative at 0.002)
+        # subtracting the two band edges would cancel two values near 1/4 (4e-6 relative at 0.002)
         exact = 111 * math.sqrt(3) / 512 * eps**4
         assert abs(critical_curves(JET).width(eps) - exact) <= 1e-13 * exact
 
@@ -145,7 +145,7 @@ class TestEigenvalues:
         for _ in range(200):
             eps = rng.uniform(0.0, 0.15)
             mu = 0.25 + rng.uniform(-0.05, 0.05)
-            nu = mu - (JET.mu_star - JET.T2 / JET.T1 * eps**2)
+            nu = mu - (0.25 - JET.T2 / JET.T1 * eps**2)
             d = float(discriminant(JET, nu, eps))
             s = float(trace_shift(JET, nu, eps))
             pair = eigenvalues(JET, mu, eps)
@@ -159,7 +159,7 @@ class TestEigenvalues:
         for _ in range(100):
             eps = rng.uniform(0.0, 0.15)
             mu = 0.25 + rng.uniform(-0.05, 0.05)
-            nu = mu - (JET.mu_star - JET.T2 / JET.T1 * eps**2)
+            nu = mu - (0.25 - JET.T2 / JET.T1 * eps**2)
             pair = eigenvalues(JET, mu, eps)
             mid = 0.5 * (pair.lambda_plus + pair.lambda_minus).imag
             want = 0.75 + (4.0 / 3.0) * nu + closed_forms.IM_CENTER_EPS2 * eps**2
@@ -244,7 +244,6 @@ class TestEllipse:
     def test_stokes_parameters(self):
         eps = 0.1
         ell = ellipse(JET, eps)
-        assert ell.center_re == 0.0
         assert ell.center_im == pytest.approx(0.75 + closed_forms.IM_CENTER_EPS2 * eps**2, abs=1e-12)
         assert ell.semi_re == pytest.approx(closed_forms.BETA3_EFF * eps**4, rel=1e-12)
         assert ell.semi_im == pytest.approx(2.0 * closed_forms.BETA3_EFF * eps**4, rel=1e-12)
@@ -269,7 +268,7 @@ class TestEllipse:
                 float(curves.nu_minus(eps)) - float(curves.nu_plus(eps))
             )
             lam = eigenvalues(JET, center + nu, eps).lambda_plus
-            q = ((lam.real - ell.center_re) / ell.semi_re) ** 2 + (
+            q = (lam.real / ell.semi_re) ** 2 + (
                 (lam.imag - ell.center_im) / ell.semi_im
             ) ** 2
             # the truncation leftover perturbs the curve at relative order eps^2

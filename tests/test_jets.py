@@ -15,10 +15,9 @@ from stokes_isola.jets import (
     assemble_reduced_jet,
     beta3_projector_route,
     composite_projector_chains,
-    flat_alpha,
-    flat_gamma,
     term_ledger,
 )
+from stokes_isola.stokes import omega
 
 S3 = math.sqrt(3.0)
 
@@ -202,14 +201,11 @@ class TestReducedJet:
         jet = assemble_reduced_jet()
         assert jet.beta3_eff == pytest.approx(closed_forms.BETA3_EFF, abs=1e-12)
 
-    def test_flat_curve_values(self):
-        assert flat_alpha(0.0) == pytest.approx(-0.75, abs=1e-15)
-        assert flat_gamma(0.0) == pytest.approx(0.75, abs=1e-15)
-
     def test_linear_terms_are_flat_curve_slopes(self):
+        # alpha = -omega_2^+ and gamma = omega_0^- at zero amplitude
         h = 1e-6
-        d_alpha = (flat_alpha(h) - flat_alpha(-h)) / (2 * h)
-        d_gamma = (flat_gamma(h) - flat_gamma(-h)) / (2 * h)
+        d_alpha = -(omega(2, +1, 0.25 + h) - omega(2, +1, 0.25 - h)) / (2 * h)
+        d_gamma = (omega(0, -1, 0.25 + h) - omega(0, -1, 0.25 - h)) / (2 * h)
         assert d_alpha == pytest.approx(closed_forms.ALPHA1, abs=1e-8)
         assert d_gamma == pytest.approx(closed_forms.GAMMA1, abs=1e-8)
 

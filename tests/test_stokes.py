@@ -5,7 +5,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stokes_isola.stokes import MAX_ORDER, a_coeff, omega, p_coeff, rational_sqrt
+from stokes_isola import floquet
+from stokes_isola.stokes import (
+    MAX_ORDER,
+    MU_STAR,
+    OMEGA_STAR,
+    a_coeff,
+    omega,
+    p_coeff,
+    rational_sqrt,
+)
 
 
 class TestTables:
@@ -63,6 +72,12 @@ class TestDispersion:
     def test_resonant_pair_collides(self):
         assert omega(0, -1, 0.25) == pytest.approx(0.75, abs=1e-15)
         assert omega(2, +1, 0.25) == pytest.approx(0.75, abs=1e-15)
+
+    def test_collision_point_is_a_collision_of_the_flat_dispersion(self):
+        # 1/4, 3/4 and sqrt(1/4), sqrt(9/4) are exact in binary
+        mu = float(MU_STAR)
+        assert omega(0, -1, mu) == omega(2, +1, mu) == float(OMEGA_STAR)
+        assert floquet.CENTER == 1j * float(OMEGA_STAR)
 
     def test_generic_value(self):
         # omega_j^sigma(mu) = j + mu - sigma*sqrt(|j + mu|)
