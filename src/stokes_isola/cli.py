@@ -74,7 +74,7 @@ _OPTIONS: dict[str, tuple] = {
     # a NaN or infinite eps passes here: `floquet` names it with exit 3
     "eps": ((0.06,), dict(type=float, help="wave amplitude (isola: repeatable)"),
             (("nonnegative", lambda v: not v < 0),)),
-    "mu": (float(MU_STAR), dict(type=float, help="Floquet exponent"), ()),
+    "mu": (MU_STAR, dict(type=float, help="Floquet exponent"), ()),
     "mu_center": (None, dict(type=float, help="center of the mu window"), (("finite", math.isfinite),)),
     "mu_width": (None, dict(type=float, help="full width of the mu window"), _POSITIVE),
     "samples": (25, dict(type=int, help="points per curve (>= 2)"), ((">= 2", lambda v: v >= 2),)),
@@ -239,7 +239,7 @@ def _verify_rows() -> list[tuple[str, complex, complex]]:
         (
             "const.im-center-eps2-coeff=-55/32",
             cf.IM_CENTER_EPS2,
-            ell.center_im - float(OMEGA_STAR),
+            ell.center_im - OMEGA_STAR,
         ),
         ("const.re-max-coeff=37*sqrt(3)/512", cf.BETA3_EFF, growth.re_max),
         ("const.nu_re-coeff=-333/4096", cf.NU_RE_EPS6, growth.nu_re),
@@ -358,8 +358,8 @@ def cmd_coeffs(cfg: argparse.Namespace) -> int:
         ("T1", jet.T1),
         ("T2", jet.T2),
         ("beta3_eff", jet.beta3_eff),
-        ("mu_star", float(MU_STAR)),
-        ("omega_star", float(OMEGA_STAR)),
+        ("mu_star", MU_STAR),
+        ("omega_star", OMEGA_STAR),
         ("mu0_eps2_coeff", float(curves.mu0.coef[2])),
         ("nu_plus_eps4_coeff", float(curves.nu_plus.coef[4])),
         ("nu_minus_eps4_coeff", float(curves.nu_minus.coef[4])),

@@ -30,9 +30,9 @@ with ``Omega_j = sqrt(|j + 1/4|)`` and ``s_j = sign(j + 1/4)``.  All other
 jet indices couple to zero at this order.  Coefficients obey the conjugation
 symmetry  conj(c[(i,n),k](j -> j+k, s -> s')) = c[(i,n),-k](j+k -> j, s' -> s).
 
-Pole bookkeeping is exact: with the fractions mu = 1/4 and omega* = 3/4 a
-mode ``(j, sigma)`` sits on the contour's pole iff ``sqrt(|j + mu|)`` is
-rational and ``j + mu - sigma*sqrt(|j + mu|) == omega*`` as exact fractions.
+Poles.  The flat frequency of a mode equals omega* only for the resonant
+pair (0,-), (2,+) (`is_pole` gives the proof), so a mode is a pole of the
+residue iff it lies in `RESONANT_MODES`, the same set P0 projects onto.
 
 Chains.  ``chain_apply(ops, source)`` implements
 
@@ -51,16 +51,14 @@ complement.  ``bracket(op, left, right)`` is the one pairing primitive:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Literal, Optional, Sequence, Union
 
 import numpy as np
 
 from .basis import Mode, sqrt_sigma
-from .stokes import MAX_ORDER, MU_STAR, OMEGA_STAR, a_coeff, omega, p_coeff, rational_sqrt
+from .stokes import MAX_ORDER, MU_STAR, OMEGA_STAR, a_coeff, omega, p_coeff
 
 __all__ = [
     "JetIndex",
@@ -75,10 +73,6 @@ __all__ = [
     "bracket",
 ]
 
-#: The collision point as floats, converted once: `_omega_cap` runs on
-#: every coupling.
-_MU = float(MU_STAR)
-_OMEGA = float(OMEGA_STAR)
 #: The circle and the trapezoid nodes of `residue_contour`.
 _CONTOUR_RADIUS = 0.125
 _CONTOUR_NODES = 4096
@@ -110,7 +104,7 @@ ChainOp = tuple[JetIndex, int]
 
 def _omega_cap(j: int) -> tuple[float, int]:
     """Omega_j and s_j at mu*; j + mu* is never 0 for an integer j."""
-    r = j + _MU
+    r = j + MU_STAR
     return math.sqrt(abs(r)), (1 if r > 0 else -1)
 
 
@@ -161,24 +155,17 @@ def ent_coeff(ell: JetIndex, kappa: int, source: Mode, target_sigma: int) -> com
 # ---------------------------------------------------------------- residues
 
 
-def is_pole(mode: Mode, mu: Fraction = MU_STAR, omega_star: Fraction = OMEGA_STAR) -> bool:
-    """Whether the flat frequency of ``mode`` equals ``omega_star``, exactly
-    (a rational frequency requires ``|j + mu|`` to be a rational square).
-    Raises TypeError unless ``mu`` and ``omega_star`` are `Fraction`."""
-    if not (isinstance(mu, Fraction) and isinstance(omega_star, Fraction)):
-        raise TypeError(f"mu and omega_star must be Fraction, got {mu!r} and {omega_star!r}")
-    return _is_pole_exact(mode.j, mode.sigma, mu, omega_star)
+def is_pole(mode: Mode) -> bool:
+    """Whether the flat frequency of ``mode`` equals omega* = 3/4 at mu* = 1/4,
+    that is, whether ``mode`` is one of `RESONANT_MODES`.
 
-
-@functools.lru_cache(maxsize=256)
-def _is_pole_exact(j: int, sigma: int, mu: Fraction, omega_star: Fraction) -> bool:
-    """`is_pole` in exact arithmetic.  Memoized: every chain evaluation asks
-    again about the same few modes, and `Fraction` arithmetic is slow."""
-    r = j + mu
-    s = rational_sqrt(abs(r))
-    if s is None:
-        return False
-    return r - sigma * s == omega_star
+    Proof.  Let s = sqrt|j + 1/4| > 0, so omega_j^sigma = j + 1/4 - sigma*s.
+    For j >= 0, j + 1/4 = s^2 and the condition reads s^2 - sigma*s = 3/4,
+    whose positive root is s = 3/2 for sigma = +1 (j = 2) and s = 1/2 for
+    sigma = -1 (j = 0).  For j < 0, j + 1/4 = -s^2 and it reads
+    s^2 + sigma*s + 3/4 = 0, which has no real root (discriminant -2).
+    """
+    return mode in RESONANT_MODES
 
 
 def residue(modes: Sequence[Mode]) -> float:
@@ -204,7 +191,7 @@ def residue(modes: Sequence[Mode]) -> float:
         return 0.0
     if npoles == len(modes) and len(modes) >= 2:
         return 0.0
-    rest = [omega(m.j, m.sigma, _MU) - _OMEGA for m, f in zip(modes, flags) if not f]
+    rest = [omega(m.j, m.sigma, MU_STAR) - OMEGA_STAR for m, f in zip(modes, flags) if not f]
     if npoles == 1:
         out = 1.0
         for r in rest:
@@ -226,13 +213,15 @@ def residue_contour(modes: Sequence[Mode]) -> complex:
     """Brute-force trapezoid evaluation of the defining contour integral.
 
     Independent numerical check of `residue`: `_CONTOUR_NODES` nodes on the
-    circle of radius `_CONTOUR_RADIUS` about i*omega*, small enough that
-    only frequencies equal to omega* fall inside.
+    circle of radius `_CONTOUR_RADIUS` about i*omega*.  Every flat frequency
+    other than the resonant pair's lies at least 0.618 from omega* (the
+    nearest is (1,+)), so the circle encloses exactly the poles `is_pole`
+    names.
     """
     q = len(modes) - 1
     unit = np.exp(2j * math.pi / _CONTOUR_NODES * np.arange(_CONTOUR_NODES))
-    lam = 1j * _OMEGA + _CONTOUR_RADIUS * unit
-    denom = np.prod([lam - 1j * omega(m.j, m.sigma, _MU) for m in modes], axis=0)
+    lam = 1j * OMEGA_STAR + _CONTOUR_RADIUS * unit
+    denom = np.prod([lam - 1j * omega(m.j, m.sigma, MU_STAR) for m in modes], axis=0)
     # (1/(2 pi i)) * sum of dlam/denom with dlam = i * radius * unit * 2 pi/nodes
     return complex((-1j) ** q * _CONTOUR_RADIUS * np.mean(unit / denom))
 

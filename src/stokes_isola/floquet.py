@@ -61,7 +61,7 @@ __all__ = [
 DEFAULT_N = 32
 #: The tracking disk: the collision pair is the two eigenvalues within
 #: `RADIUS` of `CENTER` = i*omega*.
-CENTER = 1j * float(OMEGA_STAR)
+CENTER = 1j * OMEGA_STAR
 RADIUS = 0.2
 
 #: Columns of the shift-invert block: the tracked pair plus two spare, which
@@ -456,14 +456,18 @@ def convergence_check(
     N_list: Sequence[int],
     stokes_order: int = MAX_ORDER,
 ) -> list[ConvergenceRow]:
-    """Cauchy-difference table of the tracked pair under N-refinement."""
+    """Cauchy-difference table of the tracked pair under N-refinement.
+    Raises ValueError unless each N exceeds the one before."""
+    ladder = [int(n) for n in N_list]
+    if any(a >= b for a, b in zip(ladder, ladder[1:])):
+        raise ValueError(f"N ladder {ladder} does not refine: each N must exceed the one before")
     rows: list[ConvergenceRow] = []
     prev: Optional[tuple[complex, complex]] = None
-    for n in N_list:
-        sample = spectrum(build(mu, eps, int(n), stokes_order))
+    for n in ladder:
+        sample = spectrum(build(mu, eps, n, stokes_order))
         lp, lm = sample.tracked_pair
         delta = None if prev is None else max(abs(lp - prev[0]), abs(lm - prev[1]))
-        rows.append(ConvergenceRow(int(n), lp, lm, delta))
+        rows.append(ConvergenceRow(n, lp, lm, delta))
         prev = (lp, lm)
     return rows
 

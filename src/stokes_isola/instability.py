@@ -94,7 +94,7 @@ def critical_curves(jet: ReducedJet) -> CriticalCurves:
         raise ValueError("T1 = alpha1 + gamma1 must be nonzero")
     half = 2.0 * abs(jet.beta3_eff) / abs(t1)
     return CriticalCurves(
-        mu0=Polynomial([float(MU_STAR), 0.0, -jet.T2 / t1]),
+        mu0=Polynomial([MU_STAR, 0.0, -jet.T2 / t1]),
         nu_plus=Polynomial([0.0, 0.0, 0.0, 0.0, -half]),
         nu_minus=Polynomial([0.0, 0.0, 0.0, 0.0, half]),
     )
@@ -128,7 +128,7 @@ def trace_shift(jet: ReducedJet, nu, eps: float):
     """
     d1 = jet.gamma1 - jet.alpha1
     d2 = (jet.gamma2 - jet.alpha2) - d1 * jet.T2 / jet.T1
-    return 2.0 * float(OMEGA_STAR) + d1 * nu + d2 * eps**2
+    return 2.0 * OMEGA_STAR + d1 * nu + d2 * eps**2
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,7 @@ def eigenvalues(jet: ReducedJet, mu: float, eps: float) -> EigenPair:
     it carries the larger imaginary part.  The pair sum is exactly i*S
     (purely imaginary) and the product is -(S^2 + D)/4.
     """
-    nu = mu - (float(MU_STAR) - jet.T2 / jet.T1 * eps**2)
+    nu = mu - (MU_STAR - jet.T2 / jet.T1 * eps**2)
     d = float(discriminant(jet, nu, eps))
     s = float(trace_shift(jet, nu, eps))
     threshold = _COLLISION_ATOL * max(1.0, eps**8)
@@ -208,7 +208,7 @@ def ellipse(jet: ReducedJet, eps: float) -> EllipseParams:
     d1 = jet.gamma1 - jet.alpha1
     if d1 == 0:
         raise ValueError("gamma1 == alpha1: ellipse axes not resolved at this order")
-    center_im = float(OMEGA_STAR) + (
+    center_im = OMEGA_STAR + (
         (jet.gamma2 - jet.alpha2) / 2.0 - d1 * jet.T2 / (2.0 * jet.T1)
     ) * eps**2
     semi_re = abs(jet.beta3_eff) * eps**4

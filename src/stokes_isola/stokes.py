@@ -21,9 +21,6 @@ wave):
 * Collision: at the Floquet exponent mu* = 1/4 the flat frequencies of the
   modes (0,-) and (2,+) coincide at omega* = 3/4, the double eigenvalue
   i*omega* from which the isola branches off.
-
-Everything in this module is exact rational arithmetic except the float
-helper `omega`.
 """
 
 from __future__ import annotations
@@ -31,13 +28,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-__all__ = ["p_coeff", "a_coeff", "omega", "rational_sqrt"]
+__all__ = ["p_coeff", "a_coeff", "omega"]
 
 MAX_ORDER = 4
 
-#: The collision: omega_0^-(MU_STAR) = omega_2^+(MU_STAR) = OMEGA_STAR.
-MU_STAR = Fraction(1, 4)
-OMEGA_STAR = Fraction(3, 4)
+#: The collision: omega_0^-(MU_STAR) = omega_2^+(MU_STAR) = OMEGA_STAR, both
+#: exact in binary (as are sqrt(1/4) and sqrt(9/4)).
+MU_STAR = 0.25
+OMEGA_STAR = 0.75
 
 # Harmonic tables c_n[|k|] for the two profiles ("p" multiplies the transport
 # part of the operator, "a" the zeroth-order part).  Keys: (n, |k|).
@@ -89,13 +87,3 @@ def omega(j: int, sigma: int, mu: float) -> float:
         raise ValueError(f"sigma must be +1 or -1, got {sigma!r}")
     return j + mu - sigma * math.sqrt(abs(j + mu))
 
-
-def rational_sqrt(q: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if q < 0:
-        raise ValueError("rational_sqrt expects a nonnegative argument")
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from stokes_isola import closed_forms, entanglement, jets
+from stokes_isola import closed_forms, jets
 from stokes_isola.basis import Mode
 from stokes_isola.entanglement import (
     RESONANT_MODES,
@@ -55,7 +55,6 @@ def _measured(eps: float):
 
 def test_criterion_1_golden_coefficient_suite():
     jets._ledger.cache_clear()  # time an evaluation, not a cached copy
-    entanglement._is_pole_exact.cache_clear()
     t0 = time.perf_counter()
     ledger = term_ledger()
     worst = 0.0

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import stokes_isola
-from stokes_isola import cli, floquet
+from stokes_isola import cli, floquet, jets
 
 
 def run(capsys, *argv):
@@ -477,6 +477,10 @@ class TestCoeffs:
         code, out, err = run(capsys, "coeffs", "--format", "json")
         assert code == 0
         assert out == reference.read_text()
+
+    def test_beta3_projector_route_is_bit_identical(self):
+        # the one closed-form value `verify` prints that coeffs.json does not pin
+        assert jets.beta3_projector_route().hex() == "-0x1.0e332e595ceeep-3"
 
 
 class TestOutFile:

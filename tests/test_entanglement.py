@@ -2,12 +2,11 @@
 
 import math
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stokes_isola import cli, entanglement, jets
+from stokes_isola import entanglement
 from stokes_isola.basis import Mode
 from stokes_isola.entanglement import (
     MU_STAR,
@@ -107,52 +106,27 @@ class TestIsPole:
         for mode in [Mode(0, 1), Mode(2, -1), Mode(1, 1), Mode(1, -1), Mode(-1, -1), Mode(3, 1)]:
             assert not is_pole(mode)
 
-    def test_float_input_rejected(self):
-        # 0.25 hashes like Fraction(1, 4): unchecked, a float would hit the memo
-        for mu, omega_star in [(0.25, Fraction(3, 4)), (Fraction(1, 4), 0.75), (0.3, 0.7)]:
-            with pytest.raises(TypeError, match="must be Fraction"):
-                is_pole(LOW, mu, omega_star)
-
-    # The p-th collision family, p = 2..6: omega* = (p^2 - 1)/4 is reached by
-    # (k, -) and (k', +), at mu = 1/4 with k, k' = n^2 -+ n for p = 2n, and at
-    # mu = 0 with k, k' = n^2, (n + 1)^2 for p = 2n + 1.
-    @pytest.mark.parametrize("mode,mu,omega_star", [
-        (Mode(0, -1), Fraction(1, 4), Fraction(3, 4)),
-        (Mode(2, +1), Fraction(1, 4), Fraction(3, 4)),
-        (Mode(1, -1), Fraction(0), Fraction(2)),
-        (Mode(4, +1), Fraction(0), Fraction(2)),
-        (Mode(2, -1), Fraction(1, 4), Fraction(15, 4)),
-        (Mode(6, +1), Fraction(1, 4), Fraction(15, 4)),
-        (Mode(4, -1), Fraction(0), Fraction(6)),
-        (Mode(9, +1), Fraction(0), Fraction(6)),
-        (Mode(6, -1), Fraction(1, 4), Fraction(35, 4)),
-        (Mode(12, +1), Fraction(1, 4), Fraction(35, 4)),
-    ], ids=[f"p{p}-{branch}" for p in range(2, 7) for branch in ("minus", "plus")])
-    def test_collision_families_are_exact_poles(self, mode, mu, omega_star):
-        assert is_pole(mode, mu, omega_star)
-        assert not is_pole(Mode(mode.j, -mode.sigma), mu, omega_star)
-
-    def test_verify_takes_each_exact_root_once(self, monkeypatch, capsys):
-        asked, roots = [], []
-        real_is_pole, real_sqrt = entanglement.is_pole, entanglement.rational_sqrt
-
-        def spy_is_pole(mode, mu=MU_STAR, omega_star=OMEGA_STAR):
-            if isinstance(mu, Fraction) and isinstance(omega_star, Fraction):
-                asked.append((mode.j, mode.sigma, mu, omega_star))
-            return real_is_pole(mode, mu, omega_star)
-
-        def spy_sqrt(q):
-            roots.append(q)
-            return real_sqrt(q)
-
-        monkeypatch.setattr(entanglement, "is_pole", spy_is_pole)
-        monkeypatch.setattr(entanglement, "rational_sqrt", spy_sqrt)
-        jets._ledger.cache_clear()
-        entanglement._is_pole_exact.cache_clear()
-        assert cli.main(["verify"]) == 0
-        capsys.readouterr()
-        assert len(asked) > 10 * len(set(asked))      # the same modes, over and over
-        assert len(roots) == len(set(asked))
+    def test_poles_are_the_resonant_pair(self):
+        # 4*omega_j^sigma(1/4) = 4j + 1 - 2*sigma*sqrt|4j + 1| equals 3 only if
+        # that root is an integer k, so the reference is integer arithmetic
+        poles = []
+        for j in range(-10**4, 10**4 + 1):
+            k = math.isqrt(abs(4 * j + 1))
+            for sigma in (1, -1):
+                exact = k * k == abs(4 * j + 1) and 4 * j + 1 - 2 * sigma * k == 3
+                assert is_pole(Mode(j, sigma)) == exact, (j, sigma)
+                if exact:
+                    poles.append(Mode(j, sigma))
+        assert poles == [LOW, HIGH]
+        # every other flat frequency lies outside the circle of residue_contour
+        gap = min(
+            abs(omega(j, sigma, 0.25) - 0.75)
+            for j in range(-10**4, 10**4 + 1)
+            for sigma in (1, -1)
+            if Mode(j, sigma) not in RESONANT_MODES
+        )
+        assert gap == pytest.approx(abs(omega(1, 1, 0.25) - 0.75), abs=0)
+        assert gap >= 0.618 > entanglement._CONTOUR_RADIUS
 
 
 class TestResidue:
@@ -358,8 +332,8 @@ class TestChainAlgebra:
 
 class TestExactConstants:
     def test_stars(self):
-        assert float(MU_STAR) == 0.25
-        assert float(OMEGA_STAR) == 0.75
+        assert MU_STAR == 0.25
+        assert OMEGA_STAR == 0.75
         assert LOW == Mode(0, -1)
         assert HIGH == Mode(2, 1)
 

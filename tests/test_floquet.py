@@ -1,6 +1,7 @@
 """Truncated Fourier eigenvalue oracle: exactness, symmetry, isola extraction."""
 
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ from stokes_isola.floquet import (
     spectrum,
     trace_isola,
 )
-from stokes_isola.instability import critical_curves, ellipse
+from stokes_isola.instability import critical_curves, ellipse, max_growth_rate
 from stokes_isola.jets import assemble_reduced_jet
 from stokes_isola.stokes import omega
 
@@ -173,6 +174,15 @@ class TestConvergence:
         # the wave data has four harmonics; truncation error is tiny already
         assert rows[-1].delta <= 1e-10
 
+    @pytest.mark.parametrize("ladder", [[16, 16], [24, 16], [12, 24, 16]])
+    def test_ladder_must_refine(self, monkeypatch, ladder):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the ladder was checked")
+
+        monkeypatch.setattr(floquet, "build", no_solve)
+        with pytest.raises(ValueError, match=re.escape(f"N ladder {ladder} does not refine")):
+            convergence_check(0.246778, 0.06, ladder)
+
 
 class TestIsolaMeasurement:
     def test_geometry_at_moderate_amplitude(self):
@@ -196,6 +206,17 @@ class TestIsolaMeasurement:
         slope, intercept = np.polyfit(np.log(eps_grid), np.log(res), 1)
         assert abs(slope - 4.0) <= 0.3
         assert abs(intercept - math.log(closed_forms.BETA3_EFF)) <= 0.4
+
+    def test_third_order_wave_data_has_the_leading_order_isola(self):
+        # the one order-4 catalog row, beta3.theta, is 0: truncating the wave
+        # data at order 3 moves the isola by O(eps^2) relative, not away
+        dev = {
+            eps: measure_isola(eps, N=32, stokes_order=3).re_max
+            / max_growth_rate(JET, eps).re_max - 1.0
+            for eps in (0.02, 0.04)
+        }
+        assert abs(dev[0.02]) <= 0.02
+        assert dev[0.04] / dev[0.02] == pytest.approx(4.0, abs=0.2)
 
     def test_deterministic(self):
         first, second = measure_isola(0.06), measure_isola(0.06)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from stokes_isola import closed_forms, entanglement, jets
+from stokes_isola import closed_forms, jets
 from stokes_isola.basis import Mode
 from stokes_isola.entanglement import RESONANT_MODES, chain_apply, project
 from stokes_isola.jets import (
@@ -36,7 +36,6 @@ class TestGoldenTerms:
         import time
 
         jets._ledger.cache_clear()  # time an evaluation, not a cached copy
-        entanglement._is_pole_exact.cache_clear()
         t0 = time.perf_counter()
         term_ledger()
         assert time.perf_counter() - t0 < 1.0

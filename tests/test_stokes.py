@@ -1,4 +1,4 @@
-"""Wave-profile coefficient tables, dispersion relation, exact square roots."""
+"""Wave-profile coefficient tables, dispersion relation and the collision point."""
 
 from fractions import Fraction
 
@@ -13,7 +13,6 @@ from stokes_isola.stokes import (
     a_coeff,
     omega,
     p_coeff,
-    rational_sqrt,
 )
 
 
@@ -75,19 +74,11 @@ class TestDispersion:
 
     def test_collision_point_is_a_collision_of_the_flat_dispersion(self):
         # 1/4, 3/4 and sqrt(1/4), sqrt(9/4) are exact in binary
-        mu = float(MU_STAR)
-        assert omega(0, -1, mu) == omega(2, +1, mu) == float(OMEGA_STAR)
-        assert floquet.CENTER == 1j * float(OMEGA_STAR)
+        assert omega(0, -1, MU_STAR) == omega(2, +1, MU_STAR) == OMEGA_STAR
+        assert floquet.CENTER == 1j * OMEGA_STAR
 
     def test_generic_value(self):
         # omega_j^sigma(mu) = j + mu - sigma*sqrt(|j + mu|)
         assert omega(1, +1, 0.25) == pytest.approx(1.25 - np.sqrt(1.25), abs=1e-15)
         assert omega(-1, -1, 0.25) == pytest.approx(-0.75 + np.sqrt(0.75), abs=1e-15)
 
-
-class TestExactArithmetic:
-    def test_rational_sqrt(self):
-        assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
-        assert rational_sqrt(Fraction(0)) == Fraction(0)
-        assert rational_sqrt(Fraction(2)) is None
-        assert rational_sqrt(Fraction(49, 36)) == Fraction(7, 6)
