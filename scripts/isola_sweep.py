@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from stokes_isola.floquet import measure_isola
-from stokes_isola.instability import critical_curves, ellipse
+from stokes_isola.instability import isola
 from stokes_isola.jets import assemble_reduced_jet
 
 
@@ -29,19 +29,18 @@ def main(argv=None) -> int:
     eps_grid = args.eps or [0.04, 0.06, 0.08, 0.10]
 
     jet = assemble_reduced_jet()
-    curves = critical_curves(jet)
 
     print(f"{'eps':>6} {'re_max oracle':>14} {'re_max theory':>14} {'rel.err':>8} "
           f"{'im dev':>9} {'width ratio':>11}")
     measured = []
     for eps in eps_grid:
         meas = measure_isola(eps, N=args.trunc)
-        ell = ellipse(jet, eps)
-        rel = abs(meas.re_max - ell.semi_re) / ell.semi_re
-        im_dev = meas.im_center - ell.center_im
-        width_ratio = meas.mu_width / curves.width(eps)
+        th = isola(jet, eps)
+        rel = abs(meas.re_max - th.re_max) / th.re_max
+        im_dev = meas.im_center - th.im_center
+        width_ratio = meas.mu_width / th.width
         measured.append((eps, meas.re_max))
-        print(f"{eps:6.3f} {meas.re_max:14.6e} {ell.semi_re:14.6e} {rel:8.4f} "
+        print(f"{eps:6.3f} {meas.re_max:14.6e} {th.re_max:14.6e} {rel:8.4f} "
               f"{im_dev:9.2e} {width_ratio:11.4f}")
 
     if len(measured) >= 2:

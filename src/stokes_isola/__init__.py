@@ -15,8 +15,8 @@ Layers, bottom up:
                     resolvent-chain algebra and its one pairing, `bracket`;
 * `jets`         -- the declarative table of named brackets, evaluated once
                     into the term ledger and the reduced 2x2 matrix jet;
-* `instability`  -- closed-form isola: critical curves, eigenvalues,
-                    growth rate, ellipse, stability criterion;
+* `instability`  -- closed-form isola: one `Isola` record (band, peak
+                    growth rate, ellipse), eigenvalues, stability criterion;
 * `floquet`      -- the independent truncated-Fourier eigenvalue oracle;
 * `closed_forms` -- hand-written exact values of every ledger term and
                     derived constant, which `verify` and the tests check
@@ -47,16 +47,12 @@ from .floquet import (
     trace_isola,
 )
 from .instability import (
-    CriticalCurves,
     EigenPair,
-    EllipseParams,
-    GrowthRate,
-    critical_curves,
+    Isola,
     discriminant,
     eigenvalues,
-    ellipse,
     instability_criterion,
-    max_growth_rate,
+    isola,
     stokes_beta_sequence,
     trace_shift,
 )
@@ -82,16 +78,12 @@ __all__ = [
     "assemble_reduced_jet",
     "beta3_projector_route",
     "term_ledger",
-    "CriticalCurves",
     "EigenPair",
-    "EllipseParams",
-    "GrowthRate",
-    "critical_curves",
+    "Isola",
     "discriminant",
     "eigenvalues",
-    "ellipse",
     "instability_criterion",
-    "max_growth_rate",
+    "isola",
     "stokes_beta_sequence",
     "trace_shift",
     "ConvergenceRow",

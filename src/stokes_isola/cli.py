@@ -209,9 +209,7 @@ def _verify_rows() -> list[tuple[str, complex, complex]]:
         ("beta3_eff=beta3-beta2*T2/T1=37*sqrt(3)/512", cf.BETA3_EFF, jet.beta3_eff),
     ]
 
-    curves = instability.critical_curves(jet)
-    growth = instability.max_growth_rate(jet, 1.0)
-    ell = instability.ellipse(jet, 1.0)
+    unit = instability.isola(jet, 1.0)
     disc_eps8 = float(instability.discriminant(jet, 0.0, 1.0))
     disc_nu2 = float(
         instability.discriminant(jet, 1.0, 0.0) - instability.discriminant(jet, 0.0, 0.0)
@@ -222,28 +220,16 @@ def _verify_rows() -> list[tuple[str, complex, complex]]:
         - disc_nu2
     )
     rows += [
-        ("const.mu0-eps2-coeff=-57/64", cf.MU0_EPS2, float(curves.mu0.coef[2])),
-        (
-            "const.nu_plus-eps4-coeff=-111*sqrt(3)/1024",
-            -cf.NU_EPS4,
-            float(curves.nu_plus.coef[4]),
-        ),
-        (
-            "const.nu_minus-eps4-coeff=111*sqrt(3)/1024",
-            cf.NU_EPS4,
-            float(curves.nu_minus.coef[4]),
-        ),
+        ("const.mu0-eps2-coeff=-57/64", cf.MU0_EPS2, -jet.T2 / jet.T1),
+        ("const.nu_plus-eps4-coeff=-111*sqrt(3)/1024", -cf.NU_EPS4, unit.nu_plus),
+        ("const.nu_minus-eps4-coeff=111*sqrt(3)/1024", cf.NU_EPS4, unit.nu_minus),
         ("const.D-eps8-coeff=4107/65536", cf.D_EPS8, disc_eps8),
         ("const.D-nu2-coeff=-16/9", cf.D_NU2, disc_nu2),
         ("const.D-nu-eps6-coeff=-37/128", cf.D_NU_EPS6, disc_cross),
-        (
-            "const.im-center-eps2-coeff=-55/32",
-            cf.IM_CENTER_EPS2,
-            ell.center_im - OMEGA_STAR,
-        ),
-        ("const.re-max-coeff=37*sqrt(3)/512", cf.BETA3_EFF, growth.re_max),
-        ("const.nu_re-coeff=-333/4096", cf.NU_RE_EPS6, growth.nu_re),
-        ("const.axis-ratio=2", cf.AXIS_RATIO, ell.axis_ratio),
+        ("const.im-center-eps2-coeff=-55/32", cf.IM_CENTER_EPS2, unit.im_center - OMEGA_STAR),
+        ("const.re-max-coeff=37*sqrt(3)/512", cf.BETA3_EFF, unit.re_max),
+        ("const.nu_re-coeff=-333/4096", cf.NU_RE_EPS6, unit.nu_re),
+        ("const.axis-ratio=2", cf.AXIS_RATIO, unit.axis_ratio),
     ]
 
     # structural spot-checks, all with closed expected values or exact zeros
@@ -345,7 +331,7 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
 
 def cmd_coeffs(cfg: argparse.Namespace) -> int:
     jet = jets.assemble_reduced_jet()
-    curves = instability.critical_curves(jet)
+    unit = instability.isola(jet, 1.0)
     rows: list[list] = []
     for name, value in [
         ("alpha1", jet.alpha1),
@@ -360,9 +346,9 @@ def cmd_coeffs(cfg: argparse.Namespace) -> int:
         ("beta3_eff", jet.beta3_eff),
         ("mu_star", MU_STAR),
         ("omega_star", OMEGA_STAR),
-        ("mu0_eps2_coeff", float(curves.mu0.coef[2])),
-        ("nu_plus_eps4_coeff", float(curves.nu_plus.coef[4])),
-        ("nu_minus_eps4_coeff", float(curves.nu_minus.coef[4])),
+        ("mu0_eps2_coeff", -jet.T2 / jet.T1),
+        ("nu_plus_eps4_coeff", unit.nu_plus),
+        ("nu_minus_eps4_coeff", unit.nu_minus),
     ]:
         rows.append([name, value, 0.0])
     for name, value in jets.term_ledger().items():
@@ -382,14 +368,13 @@ def _pair_row(eps: float, mu: float, lp, lm, source: str, status: str) -> list:
 
 def cmd_isola(cfg: argparse.Namespace) -> int:
     jet = jets.assemble_reduced_jet()
-    curves = instability.critical_curves(jet)
     header = ["eps", "mu", "re_plus", "im_plus", "re_minus", "im_minus", "source", "status"]
     rows: list[list] = []
     for eps in cfg.eps:
         meas = floquet.measure_isola(eps, N=cfg.trunc[-1], stokes_order=cfg.stokes_order)
-        mu0 = float(curves.mu0(eps))
-        for nu in np.linspace(float(curves.nu_plus(eps)), float(curves.nu_minus(eps)), cfg.samples):
-            mu = mu0 + float(nu)
+        th = instability.isola(jet, eps)
+        for nu in np.linspace(th.nu_plus, th.nu_minus, cfg.samples):
+            mu = th.mu0 + float(nu)
             pair = instability.eigenvalues(jet, mu, eps)
             rows.append(_pair_row(eps, mu, pair.lambda_plus, pair.lambda_minus, "theory", pair.regime))
 
@@ -402,15 +387,12 @@ def cmd_isola(cfg: argparse.Namespace) -> int:
             status = "ok" if pt.error is None else f"tracking-failed: {pt.error}"
             rows.append(_pair_row(eps, pt.mu, pt.lambda_plus, pt.lambda_minus, "oracle", status))
 
-        growth = instability.max_growth_rate(jet, eps)
-        ell = instability.ellipse(jet, eps)
-        th_width = curves.width(eps)
-        th = complex(growth.re_max, ell.center_im)
-        status = f"width={_g17(th_width)}"
-        rows.append(_pair_row(eps, mu0 + growth.nu_re, th, -th.conjugate(), "summary-theory", status))
-        re_dev = abs(meas.re_max - growth.re_max) / abs(growth.re_max)
-        im_dev = abs(meas.im_center - ell.center_im)
-        width_dev = abs(meas.mu_width - th_width) / abs(th_width)
+        peak = complex(th.re_max, th.im_center)
+        status = f"width={_g17(th.width)}"
+        rows.append(_pair_row(eps, th.mu_at_max, peak, -peak.conjugate(), "summary-theory", status))
+        re_dev = abs(meas.re_max - th.re_max) / abs(th.re_max)
+        im_dev = abs(meas.im_center - th.im_center)
+        width_dev = abs(meas.mu_width - th.width) / abs(th.width)
         status = (
             f"width={_g17(meas.mu_width)};re_dev={re_dev:.3e};"
             f"im_dev={im_dev:.3e};width_dev={width_dev:.3e}"

@@ -42,7 +42,7 @@ import numpy as np
 
 from .stokes import MAX_ORDER, OMEGA_STAR, a_coeff, p_coeff
 from .jets import assemble_reduced_jet
-from .instability import critical_curves
+from .instability import isola
 
 __all__ = [
     "DiscretizedOperator",
@@ -552,7 +552,7 @@ def measure_isola(
     solve if ``eps`` or ``window_scale`` is not finite.
     """
     _check_finite(eps=eps, window_scale=window_scale)
-    mu0 = float(critical_curves(assemble_reduced_jet()).mu0(eps))
+    mu0 = isola(assemble_reduced_jet(), eps).mu0
     half = window_scale * eps**3
     lo, hi = mu0 - half, mu0 + half
     samples: dict[float, tuple[SpectrumSample, float, float]] = {}

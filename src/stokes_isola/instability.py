@@ -11,7 +11,8 @@ with S the (truncated) imaginary trace along the critical curve and D the
 discriminant.  Instability (an eigenvalue with positive real part) happens
 exactly where D > 0; the unstable set in mu is an interval of width
 O(eps^4) centered near mu0, and the unstable eigenvalue sweeps an ellipse
-with vertical/horizontal axis ratio (gamma1 - alpha1)/T1.
+with vertical/horizontal axis ratio (gamma1 - alpha1)/T1.  One record,
+`Isola`, holds the band, the peak growth rate and the ellipse at one eps.
 
 For the deep-water Stokes jet the quadratic gap coefficient beta1 vanishes
 and the isola is controlled by the effective quartic coefficient
@@ -26,31 +27,27 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .jets import ReducedJet
 from .stokes import MU_STAR, OMEGA_STAR
 
 __all__ = [
-    "CriticalCurves",
     "EigenPair",
-    "GrowthRate",
-    "EllipseParams",
-    "critical_curves",
+    "Isola",
+    "isola",
     "discriminant",
     "trace_shift",
     "eigenvalues",
-    "max_growth_rate",
-    "ellipse",
     "instability_criterion",
     "stokes_beta_sequence",
 ]
 
-#: D values within this window of zero are treated as an exact collision.
-_COLLISION_ATOL = 1e-14
+#: D values within this fraction of D's peak, 4*beta3_eff^2*eps^8, of zero
+#: are treated as an exact collision.
+_COLLISION_RTOL = 1e-9
 
 #: Largest |beta1| the degenerate (order-eps^4) formulas accept.
 _BETA1_TOL = 1e-12
@@ -64,39 +61,74 @@ def _require_degenerate(jet: ReducedJet) -> None:
 
 
 @dataclass(frozen=True)
-class CriticalCurves:
-    """Truncated polynomial maps eps -> mu delimiting the unstable band.
+class Isola:
+    """The isola at one amplitude, to leading order in eps.
 
-    ``mu0`` is the center curve (where the trace of the reduced matrix
-    vanishes), and ``nu_plus``/``nu_minus`` are the lower/upper boundary
-    curves relative to it: the band is mu0 + nu_plus <= mu <= mu0 + nu_minus,
-    with nu_plus(eps) <= 0 <= nu_minus(eps).
+    The unstable band is mu0 + nu_plus <= mu <= mu0 + nu_minus, with
+    nu_plus <= 0 <= nu_minus, about the center curve ``mu0`` where the trace
+    of the reduced matrix vanishes.  The growth rate peaks at ``re_max`` at
+    mu0 + ``nu_re``.  lambda_plus sweeps an ellipse centered on the imaginary
+    axis at ``im_center``, with horizontal semi-axis ``re_max`` and vertical
+    semi-axis ``semi_im``.  Field names match `floquet.IsolaMeasurement`.
     """
 
-    mu0: Polynomial
-    nu_plus: Polynomial
-    nu_minus: Polynomial
+    mu0: float
+    nu_plus: float
+    nu_minus: float
+    re_max: float
+    nu_re: float
+    im_center: float
+    semi_im: float
 
-    def width(self, eps: float) -> float:
+    @property
+    def width(self) -> float:
         """Band width nu_minus - nu_plus, which cancels no digits."""
-        return float(self.nu_minus(eps) - self.nu_plus(eps))
+        return self.nu_minus - self.nu_plus
+
+    @property
+    def axis_ratio(self) -> float:
+        return self.semi_im / self.re_max if self.re_max != 0 else math.nan
+
+    @property
+    def mu_at_max(self) -> float:
+        return self.mu0 + self.nu_re
 
 
-def critical_curves(jet: ReducedJet) -> CriticalCurves:
-    """Center and boundary curves of the unstable band of ``jet``.
+def isola(jet: ReducedJet, eps: float) -> Isola:
+    """Leading-order isola of ``jet`` at amplitude ``eps``.
 
-    The boundaries are the leading-order roots in nu of the discriminant,
-    nu = -+ 2*|beta3_eff|/T1 * eps^4.
+    mu0 = mu* - (T2/T1)*eps^2.  The band edges are the leading-order roots in
+    nu of the discriminant, nu = -+ 2*|beta3_eff|/T1 * eps^4.  The peak
+    growth rate re_max = |beta3_eff|*eps^4 sits at the stationary point of D,
+    nu_re = 4*(beta2/T1^2)*beta3_eff*eps^6.  The ellipse is centered at
+    omega* + ((gamma2 - alpha2)/2 - (gamma1 - alpha1)*T2/(2*T1)) * eps^2, and
+    its vertical semi-axis is (gamma1 - alpha1)/T1 times re_max.  At eps = 0
+    the isola degenerates to the collision point (mu*, omega*).
+
+    Raises ValueError if T1 = 0, or if gamma1 == alpha1 (the vertical extent
+    of the ellipse is then not resolved at this order).
     """
     _require_degenerate(jet)
     t1 = jet.T1
     if t1 == 0:
         raise ValueError("T1 = alpha1 + gamma1 must be nonzero")
+    d1 = jet.gamma1 - jet.alpha1
+    if d1 == 0:
+        raise ValueError("gamma1 == alpha1: ellipse axes not resolved at this order")
     half = 2.0 * abs(jet.beta3_eff) / abs(t1)
-    return CriticalCurves(
-        mu0=Polynomial([MU_STAR, 0.0, -jet.T2 / t1]),
-        nu_plus=Polynomial([0.0, 0.0, 0.0, 0.0, -half]),
-        nu_minus=Polynomial([0.0, 0.0, 0.0, 0.0, half]),
+    re_max = abs(jet.beta3_eff) * eps**4
+    # (c*eps)*eps rather than c*eps**2 rounds as the goldens in tests/data
+    # pin; `0.0 +` keeps the edges +0.0 at eps = 0
+    return Isola(
+        mu0=MU_STAR + -jet.T2 / t1 * eps * eps,
+        nu_plus=0.0 + -half * eps * eps * eps * eps,
+        nu_minus=0.0 + half * eps * eps * eps * eps,
+        re_max=re_max,
+        nu_re=4.0 * jet.beta2 * jet.beta3_eff * eps**6 / (jet.T1 * jet.T1),
+        im_center=OMEGA_STAR + (
+            (jet.gamma2 - jet.alpha2) / 2.0 - d1 * jet.T2 / (2.0 * jet.T1)
+        ) * eps**2,
+        semi_im=abs(d1 / jet.T1) * re_max,
     )
 
 
@@ -153,67 +185,13 @@ def eigenvalues(jet: ReducedJet, mu: float, eps: float) -> EigenPair:
     nu = mu - (MU_STAR - jet.T2 / jet.T1 * eps**2)
     d = float(discriminant(jet, nu, eps))
     s = float(trace_shift(jet, nu, eps))
-    threshold = _COLLISION_ATOL * max(1.0, eps**8)
+    threshold = _COLLISION_RTOL * 4.0 * jet.beta3_eff**2 * eps**8
     half_trace = 0.5j * s
     if abs(d) <= threshold:
         return EigenPair(half_trace, half_trace, "collision")
     root = 0.5 * cmath.sqrt(complex(d, 0.0))
     regime = "inside-isola" if d > 0 else "outside"
     return EigenPair(half_trace + root, half_trace - root, regime)
-
-
-class GrowthRate(NamedTuple):
-    """Peak growth rate of the isola and the nu-offset where it is attained."""
-
-    re_max: float
-    nu_re: float
-
-
-def max_growth_rate(jet: ReducedJet, eps: float) -> GrowthRate:
-    """Maximum real part over the isola, to leading order:
-    re_max = |beta3_eff|*eps^4, attained at nu = 4*(beta2/T1^2)*beta3_eff*eps^6
-    (the stationary point of D).
-    """
-    _require_degenerate(jet)
-    return GrowthRate(
-        re_max=abs(jet.beta3_eff) * eps**4,
-        nu_re=4.0 * jet.beta2 * jet.beta3_eff * eps**6 / (jet.T1 * jet.T1),
-    )
-
-
-@dataclass(frozen=True)
-class EllipseParams:
-    """The curve swept by the unstable eigenvalue, to leading order an
-    ellipse centered on the imaginary axis at ``center_im``."""
-
-    center_im: float
-    semi_re: float
-    semi_im: float
-
-    @property
-    def axis_ratio(self) -> float:
-        return self.semi_im / self.semi_re if self.semi_re != 0 else math.nan
-
-
-def ellipse(jet: ReducedJet, eps: float) -> EllipseParams:
-    """Leading-order ellipse traced by lambda_plus as mu crosses the isola.
-
-    center = (0, omega* + ((gamma2 - alpha2)/2 - (gamma1 - alpha1)*T2/(2*T1)) * eps^2),
-    horizontal semi-axis |beta3_eff|*eps^4, vertical semi-axis
-    (gamma1 - alpha1)/T1 times larger.  At eps = 0 the ellipse degenerates
-    to the collision point (0, omega*).  Requires gamma1 != alpha1 (otherwise
-    the vertical extent of the curve is not resolved at this order).
-    """
-    _require_degenerate(jet)
-    d1 = jet.gamma1 - jet.alpha1
-    if d1 == 0:
-        raise ValueError("gamma1 == alpha1: ellipse axes not resolved at this order")
-    center_im = OMEGA_STAR + (
-        (jet.gamma2 - jet.alpha2) / 2.0 - d1 * jet.T2 / (2.0 * jet.T1)
-    ) * eps**2
-    semi_re = abs(jet.beta3_eff) * eps**4
-    semi_im = abs(d1 / jet.T1) * semi_re
-    return EllipseParams(center_im=float(center_im), semi_re=semi_re, semi_im=semi_im)
 
 
 def instability_criterion(betas: Sequence[float], tol: float = 1e-12) -> str:

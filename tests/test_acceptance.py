@@ -28,11 +28,9 @@ from stokes_isola.entanglement import (
 )
 from stokes_isola.floquet import build, measure_isola, spectrum
 from stokes_isola.instability import (
-    critical_curves,
     discriminant,
-    ellipse,
     instability_criterion,
-    max_growth_rate,
+    isola,
     stokes_beta_sequence,
 )
 from stokes_isola.jets import assemble_reduced_jet, term_ledger
@@ -82,16 +80,14 @@ def test_criterion_1_golden_coefficient_suite():
 
 
 def test_criterion_2_derived_constants():
-    curves = critical_curves(JET)
-    ell = ellipse(JET, 1.0)
-    rate = max_growth_rate(JET, 1.0)
+    unit = isola(JET, 1.0)
     checks = [
         ("T1", JET.T1, closed_forms.T1),
         ("T2", JET.T2, closed_forms.T2),
         ("beta3_eff", JET.beta3_eff, closed_forms.BETA3_EFF),
-        ("mu0-eps2", curves.mu0.coef[2], closed_forms.MU0_EPS2),
-        ("nu_plus-eps4", curves.nu_plus(1.0), -closed_forms.NU_EPS4),
-        ("nu_minus-eps4", curves.nu_minus(1.0), closed_forms.NU_EPS4),
+        ("mu0-eps2", unit.mu0 - 0.25, closed_forms.MU0_EPS2),
+        ("nu_plus-eps4", unit.nu_plus, -closed_forms.NU_EPS4),
+        ("nu_minus-eps4", unit.nu_minus, closed_forms.NU_EPS4),
         ("D-eps8", discriminant(JET, 0.0, 1.0), closed_forms.D_EPS8),
         ("D-nu2", discriminant(JET, 1.0, 0.0), closed_forms.D_NU2),
         (
@@ -101,10 +97,10 @@ def test_criterion_2_derived_constants():
             - discriminant(JET, 1.0, 0.0),
             closed_forms.D_NU_EPS6,
         ),
-        ("im-center-eps2", ell.center_im - 0.75, closed_forms.IM_CENTER_EPS2),
-        ("re-max-eps4", rate.re_max, closed_forms.BETA3_EFF),
-        ("nu-re-eps6", rate.nu_re, closed_forms.NU_RE_EPS6),
-        ("axis-ratio", ell.axis_ratio, closed_forms.AXIS_RATIO),
+        ("im-center-eps2", unit.im_center - 0.75, closed_forms.IM_CENTER_EPS2),
+        ("re-max-eps4", unit.re_max, closed_forms.BETA3_EFF),
+        ("nu-re-eps6", unit.nu_re, closed_forms.NU_RE_EPS6),
+        ("axis-ratio", unit.axis_ratio, closed_forms.AXIS_RATIO),
     ]
     worst = max(abs(got - want) for _, got, want in checks)
     _report("derived-constants", worst <= 1e-12, f"worst={worst:.2e}")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from stokes_isola.floquet import measure_isola
-from stokes_isola.instability import critical_curves, ellipse, max_growth_rate
+from stokes_isola.instability import isola
 from stokes_isola.jets import assemble_reduced_jet
 
 EPS = (0.005, 0.01, 0.02, 0.04)
@@ -21,14 +21,13 @@ JET = assemble_reduced_jet()
 
 @pytest.fixture(scope="module")
 def errors():
-    curves = critical_curves(JET)
     out = {"re_max": [], "width": [], "im_center": []}
     for eps in EPS:
         meas = measure_isola(eps, N=32)
-        re_theory = max_growth_rate(JET, eps).re_max
-        out["re_max"].append(meas.re_max / re_theory - 1.0)
-        out["width"].append(meas.mu_width / curves.width(eps) - 1.0)
-        out["im_center"].append(meas.im_center - ellipse(JET, eps).center_im)
+        th = isola(JET, eps)
+        out["re_max"].append(meas.re_max / th.re_max - 1.0)
+        out["width"].append(meas.mu_width / th.width - 1.0)
+        out["im_center"].append(meas.im_center - th.im_center)
     return out
 
 

@@ -53,6 +53,14 @@ class TestVerify:
         assert header[0] == "name"
         assert len(rows) >= 70
 
+    def test_closed_form_lines_match_reference(self, capsys):
+        # the two oracle.* lines carry LAPACK round-off and are left out
+        reference = Path(__file__).with_name("data") / "verify.txt"
+        code, out, err = run(capsys, "verify")
+        assert code == 0
+        lines = out.splitlines(keepends=True)
+        assert "".join(ln for ln in lines if "  oracle." not in ln) == reference.read_text()
+
 
 class TestIsola:
     def test_csv_shape(self, capsys):
@@ -87,6 +95,14 @@ class TestIsola:
         assert doc["config"]["samples"] == 3
         assert doc["config"]["eps"] == [0.05]
         assert len(doc["curves"]) >= 3
+
+    def test_theory_rows_match_reference(self, capsys):
+        reference = Path(__file__).with_name("data") / "isola_theory.json"
+        code, out, err = run(capsys, "isola", "--eps", "0.06", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["curves"]
+        theory = [r for r in rows if r["source"] in ("theory", "summary-theory")]
+        assert theory == json.loads(reference.read_text())
 
     def test_deterministic_output(self, capsys):
         args = ("isola", "--eps", "0.05", "--samples", "3", "--trunc", "24")
@@ -182,8 +198,9 @@ class TestNonFiniteInput:
 
 class TestStartUp:
     def test_scipy_loads_only_for_the_oracle(self):
-        """``verify`` and ``coeffs`` run without scipy in a fresh interpreter;
-        the first solve loads it."""
+        """``verify`` and ``coeffs`` run without scipy or numpy.polynomial in
+        a fresh interpreter; the first solve loads scipy (which itself loads
+        numpy.polynomial)."""
         code = textwrap.dedent(
             """
             import io, sys
@@ -191,16 +208,16 @@ class TestStartUp:
             import stokes_isola, stokes_isola.cli as cli
             out, sys.stdout = sys.stdout, io.StringIO()
             codes = cli.main(["verify"]), cli.main(["coeffs", "--format", "json"])
-            closed_form = "scipy" in sys.modules
+            closed_form = "scipy" in sys.modules, "numpy.polynomial" in sys.modules
             stokes_isola.measure_isola(0.06)
-            print(*codes, closed_form, "scipy" in sys.modules, file=out)
+            print(*codes, *closed_form, "scipy" in sys.modules, file=out)
             """
         )
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(
             [sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True
         )
-        assert proc.stdout.split() == ["0", "0", "False", "True"]
+        assert proc.stdout.split() == ["0", "0", "False", "False", "True"]
 
 
 class TestPublicApi:

@@ -1,4 +1,4 @@
-"""Closed-form isola: critical curves, discriminant, eigenvalues, criterion."""
+"""Closed-form isola: the `Isola` record, discriminant, eigenvalues, criterion."""
 
 import math
 import random
@@ -9,12 +9,10 @@ from numpy.polynomial import Polynomial
 
 from stokes_isola import closed_forms
 from stokes_isola.instability import (
-    critical_curves,
     discriminant,
     eigenvalues,
-    ellipse,
     instability_criterion,
-    max_growth_rate,
+    isola,
     stokes_beta_sequence,
     trace_shift,
 )
@@ -38,50 +36,50 @@ class TestDegenerateOnly:
     not sized with the quartic formulas."""
 
     @pytest.mark.parametrize("formula", [
-        lambda jet: critical_curves(jet),
+        lambda jet: isola(jet, 0.1),
         lambda jet: discriminant(jet, 0.0, 0.1),
         lambda jet: eigenvalues(jet, 0.25, 0.1),
-        lambda jet: max_growth_rate(jet, 0.1),
-        lambda jet: ellipse(jet, 0.1),
-    ], ids=["critical_curves", "discriminant", "eigenvalues", "max_growth_rate", "ellipse"])
+    ], ids=["isola", "discriminant", "eigenvalues"])
     def test_rejects_nonzero_beta1(self, formula):
         with pytest.raises(ValueError, match="beta1"):
             formula(_synthetic(beta1=0.5, beta2=-0.1))
 
     def test_accepts_rounding_level_beta1(self):
         jet = _synthetic(beta1=1e-13, beta2=JET.beta2, beta3=JET.beta3)
-        assert max_growth_rate(jet, 0.1) == max_growth_rate(JET, 0.1)
+        assert isola(jet, 0.1) == isola(JET, 0.1)
 
 
 class TestCriticalCurves:
+    """The band fields of `Isola`: center curve mu0 and edges nu_plus, nu_minus."""
+
     def test_center_curve_coefficients(self):
-        curves = critical_curves(JET)
-        coef = curves.mu0.coef
-        assert coef[0] == pytest.approx(0.25, abs=1e-15)
-        assert coef[1] == pytest.approx(0.0, abs=1e-15)
-        assert coef[2] == pytest.approx(closed_forms.MU0_EPS2, abs=1e-12)
+        # mu0 = 1/4 + c2*eps^2: the constant at eps = 0, no odd part, c2 at eps = 1
+        assert isola(JET, 0.0).mu0 == pytest.approx(0.25, abs=1e-15)
+        assert isola(JET, 1.0).mu0 - isola(JET, -1.0).mu0 == pytest.approx(0.0, abs=1e-15)
+        assert isola(JET, 1.0).mu0 - 0.25 == pytest.approx(closed_forms.MU0_EPS2, abs=1e-12)
 
     def test_band_edges_quartic(self):
-        curves = critical_curves(JET)
-        assert curves.nu_plus(1.0) == pytest.approx(-closed_forms.NU_EPS4, abs=1e-12)
-        assert curves.nu_minus(1.0) == pytest.approx(closed_forms.NU_EPS4, abs=1e-12)
-        assert curves.nu_plus.degree() == 4
+        assert isola(JET, 1.0).nu_plus == pytest.approx(-closed_forms.NU_EPS4, abs=1e-12)
+        assert isola(JET, 1.0).nu_minus == pytest.approx(closed_forms.NU_EPS4, abs=1e-12)
+        # a factor 2 is exact in binary: a pure quartic gains exactly 16
+        e = 0.1
+        assert isola(JET, 2 * e).nu_plus == 16 * isola(JET, e).nu_plus
 
     def test_ordering_and_width(self):
-        curves = critical_curves(JET)
         for eps in (0.0, 0.05, 0.1, 0.15):
-            assert curves.nu_plus(eps) <= 0 <= curves.nu_minus(eps)
-        assert curves.width(0.1) == pytest.approx(2 * closed_forms.NU_EPS4 * 0.1**4, rel=1e-12)
+            band = isola(JET, eps)
+            assert band.nu_plus <= 0 <= band.nu_minus
+        assert isola(JET, 0.1).width == pytest.approx(2 * closed_forms.NU_EPS4 * 0.1**4, rel=1e-12)
 
     @pytest.mark.parametrize("eps", [0.002, 0.005, 0.02, 0.06, 0.19])
     def test_width_keeps_its_digits(self, eps):
         # subtracting the two band edges would cancel two values near 1/4 (4e-6 relative at 0.002)
         exact = 111 * math.sqrt(3) / 512 * eps**4
-        assert abs(critical_curves(JET).width(eps) - exact) <= 1e-13 * exact
+        assert abs(isola(JET, eps).width - exact) <= 1e-13 * exact
 
     def test_requires_nonzero_T1(self):
         with pytest.raises(ValueError):
-            critical_curves(_synthetic(alpha1=1.0, gamma1=-1.0))
+            isola(_synthetic(alpha1=1.0, gamma1=-1.0), 0.1)
 
 
 class TestDiscriminant:
@@ -97,9 +95,9 @@ class TestDiscriminant:
     def test_vanishes_on_band_edges_through_eps8(self):
         # composing D with the edge curves must cancel every power up to
         # eps^8; the eps^10 cross term is the expected truncation leftover
-        curves = critical_curves(JET)
+        unit = isola(JET, 1.0)
         x = Polynomial([0.0, 1.0])
-        for nu in (curves.nu_plus, curves.nu_minus):
+        for nu in (unit.nu_plus * x**4, unit.nu_minus * x**4):
             composed = (
                 4.0 * JET.beta3_eff**2 * x**8
                 - JET.T1**2 * nu**2
@@ -116,9 +114,8 @@ class TestDiscriminant:
 
     def test_sign_structure(self):
         eps = 0.08
-        curves = critical_curves(JET)
         assert discriminant(JET, 0.0, eps) > 0.0
-        assert discriminant(JET, 2.0 * curves.nu_minus(eps), eps) < 0.0
+        assert discriminant(JET, 2.0 * isola(JET, eps).nu_minus, eps) < 0.0
 
 
 class TestTraceShift:
@@ -167,14 +164,14 @@ class TestEigenvalues:
 
     def test_regimes(self):
         eps = 0.08
-        curves = critical_curves(JET)
-        center = float(curves.mu0(eps))
+        band = isola(JET, eps)
+        center = band.mu0
         inside = eigenvalues(JET, center, eps)
         assert inside.regime == "inside-isola"
         assert inside.lambda_plus.real > 0.0
         assert inside.lambda_plus.real == pytest.approx(-inside.lambda_minus.real, abs=1e-18)
 
-        outside = eigenvalues(JET, center + 3.0 * float(curves.nu_minus(eps)), eps)
+        outside = eigenvalues(JET, center + 3.0 * band.nu_minus, eps)
         assert outside.regime == "outside"
         assert outside.lambda_plus.real == 0.0
         assert outside.lambda_minus.real == 0.0
@@ -183,18 +180,27 @@ class TestEigenvalues:
         # with beta2 = 0 the band edges are exact discriminant roots
         jet = _synthetic(beta3=closed_forms.BETA3_EFF, alpha2=0.0, gamma2=0.0)
         eps = 0.1
-        curves = critical_curves(jet)
-        mu_edge = float(curves.mu0(eps) + curves.nu_plus(eps))
+        band = isola(jet, eps)
+        mu_edge = band.mu0 + band.nu_plus
         pair = eigenvalues(jet, mu_edge, eps)
         assert pair.regime == "collision"
         assert pair.lambda_plus == pair.lambda_minus
 
+    def test_small_amplitude_peak_is_inside_the_isola(self):
+        # D peaks at 4*beta3_eff^2*eps^8 = 1.6e-15 at eps = 0.02: a collision
+        # window fixed in absolute terms would swallow the whole isola
+        eps = 0.02
+        th = isola(JET, eps)
+        pair = eigenvalues(JET, th.mu0 + th.nu_re, eps)
+        assert pair.regime == "inside-isola"
+        assert pair.lambda_plus.real == pytest.approx(th.re_max, rel=1e-6)
+
     def test_concave_growth_inside_isola(self):
         for eps in (0.05, 0.1):
-            curves = critical_curves(JET)
-            lo = 0.9 * float(curves.nu_plus(eps))
-            hi = 0.9 * float(curves.nu_minus(eps))
-            center = float(curves.mu0(eps))
+            band = isola(JET, eps)
+            lo = 0.9 * band.nu_plus
+            hi = 0.9 * band.nu_minus
+            center = band.mu0
             mus = center + np.linspace(lo, hi, 41)
             re = np.array([eigenvalues(JET, float(m), eps).lambda_plus.real for m in mus])
             assert np.all(re > 0.0)
@@ -205,10 +211,10 @@ class TestEigenvalues:
         # along the isola the real part changes ever faster relative to the
         # imaginary part as the band edge is approached
         eps = 0.05
-        curves = critical_curves(JET)
-        center = float(curves.mu0(eps))
-        nu_hi = float(curves.nu_minus(eps))
-        span = nu_hi - float(curves.nu_plus(eps))
+        band = isola(JET, eps)
+        center = band.mu0
+        nu_hi = band.nu_minus
+        span = nu_hi - band.nu_plus
         ratios = []
         for t_a, t_b in ((0.2, 0.1), (0.05, 0.025), (0.0125, 0.00625)):
             pa = eigenvalues(JET, center + nu_hi - t_a * span, eps)
@@ -221,18 +227,19 @@ class TestEigenvalues:
 
 
 class TestGrowthRate:
+    """The peak fields of `Isola`: re_max at nu_re."""
+
     def test_peak_value_and_location(self):
         eps = 0.1
-        rate = max_growth_rate(JET, eps)
+        rate = isola(JET, eps)
         assert rate.re_max == pytest.approx(closed_forms.BETA3_EFF * eps**4, rel=1e-12)
         assert rate.nu_re == pytest.approx(closed_forms.NU_RE_EPS6 * eps**6, rel=1e-12)
 
     def test_peak_dominates_samples(self):
         eps = 0.08
-        rate = max_growth_rate(JET, eps)
-        curves = critical_curves(JET)
-        center = float(curves.mu0(eps))
-        nus = np.linspace(float(curves.nu_plus(eps)), float(curves.nu_minus(eps)), 101)
+        rate = isola(JET, eps)
+        center = rate.mu0
+        nus = np.linspace(rate.nu_plus, rate.nu_minus, 101)
         res = [eigenvalues(JET, center + float(n), eps).lambda_plus.real for n in nus]
         # the sampled maximum cannot exceed the closed-form peak by more than
         # the eps^10 truncation leftover
@@ -241,35 +248,33 @@ class TestGrowthRate:
 
 
 class TestEllipse:
+    """The ellipse fields of `Isola`: im_center, semi-axes re_max and semi_im."""
+
     def test_stokes_parameters(self):
         eps = 0.1
-        ell = ellipse(JET, eps)
-        assert ell.center_im == pytest.approx(0.75 + closed_forms.IM_CENTER_EPS2 * eps**2, abs=1e-12)
-        assert ell.semi_re == pytest.approx(closed_forms.BETA3_EFF * eps**4, rel=1e-12)
+        ell = isola(JET, eps)
+        assert ell.im_center == pytest.approx(0.75 + closed_forms.IM_CENTER_EPS2 * eps**2, abs=1e-12)
+        assert ell.re_max == pytest.approx(closed_forms.BETA3_EFF * eps**4, rel=1e-12)
         assert ell.semi_im == pytest.approx(2.0 * closed_forms.BETA3_EFF * eps**4, rel=1e-12)
         assert ell.axis_ratio == pytest.approx(closed_forms.AXIS_RATIO, abs=1e-12)
 
     def test_degenerates_to_point_at_zero_amplitude(self):
-        ell = ellipse(JET, 0.0)
-        assert (ell.semi_re, ell.semi_im) == (0.0, 0.0)
-        assert ell.center_im == pytest.approx(0.75, abs=1e-15)
+        ell = isola(JET, 0.0)
+        assert (ell.re_max, ell.semi_im) == (0.0, 0.0)
+        assert ell.im_center == pytest.approx(0.75, abs=1e-15)
 
     def test_rejects_equal_diagonal_slopes(self):
         with pytest.raises(ValueError):
-            ellipse(_synthetic(alpha1=1.0, gamma1=1.0), 0.1)
+            isola(_synthetic(alpha1=1.0, gamma1=1.0), 0.1)
 
     def test_eigenvalues_trace_the_ellipse(self):
         eps = 0.06
-        ell = ellipse(JET, eps)
-        curves = critical_curves(JET)
-        center = float(curves.mu0(eps))
+        ell = isola(JET, eps)
         for t in np.linspace(0.15, 0.85, 9):
-            nu = float(curves.nu_plus(eps)) + t * (
-                float(curves.nu_minus(eps)) - float(curves.nu_plus(eps))
-            )
-            lam = eigenvalues(JET, center + nu, eps).lambda_plus
-            q = (lam.real / ell.semi_re) ** 2 + (
-                (lam.imag - ell.center_im) / ell.semi_im
+            nu = ell.nu_plus + t * (ell.nu_minus - ell.nu_plus)
+            lam = eigenvalues(JET, ell.mu0 + nu, eps).lambda_plus
+            q = (lam.real / ell.re_max) ** 2 + (
+                (lam.imag - ell.im_center) / ell.semi_im
             ) ** 2
             # the truncation leftover perturbs the curve at relative order eps^2
             assert q == pytest.approx(1.0, abs=0.05)
