@@ -15,8 +15,9 @@ Layers, bottom up:
                     resolvent-chain algebra and its one pairing, `bracket`;
 * `jets`         -- the declarative table of named brackets, evaluated once
                     into the term ledger and the reduced 2x2 matrix jet;
-* `instability`  -- closed-form isola: one `Isola` record (band, peak
-                    growth rate, ellipse), eigenvalues, stability criterion;
+* `instability`  -- the closed-form 2x2 model: one `Isola` record (band,
+                    peak growth rate, ellipse; D, trace and eigenvalue
+                    pair at any nu), stability criterion;
 * `floquet`      -- the independent truncated-Fourier eigenvalue oracle;
 * `closed_forms` -- hand-written exact values of every ledger term and
                     derived constant, which `verify` and the tests check
@@ -49,12 +50,9 @@ from .floquet import (
 from .instability import (
     EigenPair,
     Isola,
-    discriminant,
-    eigenvalues,
     instability_criterion,
     isola,
     stokes_beta_sequence,
-    trace_shift,
 )
 from .jets import (
     ReducedJet,
@@ -80,12 +78,9 @@ __all__ = [
     "term_ledger",
     "EigenPair",
     "Isola",
-    "discriminant",
-    "eigenvalues",
     "instability_criterion",
     "isola",
     "stokes_beta_sequence",
-    "trace_shift",
     "ConvergenceRow",
     "DiscretizedOperator",
     "IsolaMeasurement",

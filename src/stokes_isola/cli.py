@@ -210,17 +210,12 @@ def _verify_rows() -> list[tuple[str, complex, complex]]:
     ]
 
     unit = instability.isola(jet, 1.0)
-    disc_eps8 = float(instability.discriminant(jet, 0.0, 1.0))
-    disc_nu2 = float(
-        instability.discriminant(jet, 1.0, 0.0) - instability.discriminant(jet, 0.0, 0.0)
-    )
-    disc_cross = float(
-        instability.discriminant(jet, 1.0, 1.0)
-        - disc_eps8
-        - disc_nu2
-    )
+    flat = instability.isola(jet, 0.0)
+    disc_eps8 = unit.discriminant(0.0)
+    disc_nu2 = flat.discriminant(1.0) - flat.discriminant(0.0)
+    disc_cross = unit.discriminant(1.0) - disc_eps8 - disc_nu2
     rows += [
-        ("const.mu0-eps2-coeff=-57/64", cf.MU0_EPS2, -jet.T2 / jet.T1),
+        ("const.mu0-eps2-coeff=-57/64", cf.MU0_EPS2, unit.mu0 - MU_STAR),
         ("const.nu_plus-eps4-coeff=-111*sqrt(3)/1024", -cf.NU_EPS4, unit.nu_plus),
         ("const.nu_minus-eps4-coeff=111*sqrt(3)/1024", cf.NU_EPS4, unit.nu_minus),
         ("const.D-eps8-coeff=4107/65536", cf.D_EPS8, disc_eps8),
@@ -346,7 +341,7 @@ def cmd_coeffs(cfg: argparse.Namespace) -> int:
         ("beta3_eff", jet.beta3_eff),
         ("mu_star", MU_STAR),
         ("omega_star", OMEGA_STAR),
-        ("mu0_eps2_coeff", -jet.T2 / jet.T1),
+        ("mu0_eps2_coeff", unit.mu0 - MU_STAR),
         ("nu_plus_eps4_coeff", unit.nu_plus),
         ("nu_minus_eps4_coeff", unit.nu_minus),
     ]:
@@ -373,9 +368,11 @@ def cmd_isola(cfg: argparse.Namespace) -> int:
     for eps in cfg.eps:
         meas = floquet.measure_isola(eps, N=cfg.trunc[-1], stokes_order=cfg.stokes_order)
         th = instability.isola(jet, eps)
-        for nu in np.linspace(th.nu_plus, th.nu_minus, cfg.samples):
-            mu = th.mu0 + float(nu)
-            pair = instability.eigenvalues(jet, mu, eps)
+        # from root to root of the modelled D, about its vertex nu_re
+        half = math.sqrt(th.discriminant(th.nu_re) / th.t1_sq)
+        for nu in np.linspace(th.nu_re - half, th.nu_re + half, cfg.samples).tolist():
+            mu = th.mu0 + nu
+            pair = th.eigenvalues(nu)
             rows.append(_pair_row(eps, mu, pair.lambda_plus, pair.lambda_minus, "theory", pair.regime))
 
         # default window: centered on the *measured* isola — the closed-form

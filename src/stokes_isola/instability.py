@@ -11,14 +11,16 @@ with S the (truncated) imaginary trace along the critical curve and D the
 discriminant.  Instability (an eigenvalue with positive real part) happens
 exactly where D > 0; the unstable set in mu is an interval of width
 O(eps^4) centered near mu0, and the unstable eigenvalue sweeps an ellipse
-with vertical/horizontal axis ratio (gamma1 - alpha1)/T1.  One record,
-`Isola`, holds the band, the peak growth rate and the ellipse at one eps.
+with vertical/horizontal axis ratio (gamma1 - alpha1)/T1.  The whole model
+at one eps is one record, `Isola`, built by `isola(jet, eps)`: its fields
+hold the band, the peak growth rate, the ellipse and the coefficients of D
+and S, and its methods answer D, S and the eigenvalue pair at any nu.
 
 For the deep-water Stokes jet the quadratic gap coefficient beta1 vanishes
 and the isola is controlled by the effective quartic coefficient
 beta3_eff = beta3 - beta2*T2/T1 = 37*sqrt(3)/512.  Only this degenerate
 case, beta1 = 0, is modelled: any coefficient set with beta1 = 0 can be
-passed in, and the isola formulas raise `ValueError` for |beta1| > 1e-12
+passed in, and `isola` raises `ValueError` for |beta1| > 1e-12
 (the order-eps^2 isola of finite depth) rather than return a wrong size.
 """
 
@@ -29,8 +31,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .jets import ReducedJet
 from .stokes import MU_STAR, OMEGA_STAR
 
@@ -38,9 +38,6 @@ __all__ = [
     "EigenPair",
     "Isola",
     "isola",
-    "discriminant",
-    "trace_shift",
-    "eigenvalues",
     "instability_criterion",
     "stokes_beta_sequence",
 ]
@@ -53,16 +50,20 @@ _COLLISION_RTOL = 1e-9
 _BETA1_TOL = 1e-12
 
 
-def _require_degenerate(jet: ReducedJet) -> None:
-    if abs(jet.beta1) > _BETA1_TOL:
-        raise ValueError(
-            f"beta1 = {jet.beta1!r}: only the degenerate case beta1 = 0 is modelled"
-        )
+@dataclass(frozen=True)
+class EigenPair:
+    """The two eigenvalues split off the collision, plus where they sit:
+    ``regime`` is "inside-isola" (D > 0, symmetric real parts), "outside"
+    (D < 0, purely imaginary) or "collision" (D ~ 0, double eigenvalue)."""
+
+    lambda_plus: complex
+    lambda_minus: complex
+    regime: str
 
 
 @dataclass(frozen=True)
 class Isola:
-    """The isola at one amplitude, to leading order in eps.
+    """The reduced 2x2 model at one amplitude, and its isola to leading order.
 
     The unstable band is mu0 + nu_plus <= mu <= mu0 + nu_minus, with
     nu_plus <= 0 <= nu_minus, about the center curve ``mu0`` where the trace
@@ -70,6 +71,9 @@ class Isola:
     mu0 + ``nu_re``.  lambda_plus sweeps an ellipse centered on the imaginary
     axis at ``im_center``, with horizontal semi-axis ``re_max`` and vertical
     semi-axis ``semi_im``.  Field names match `floquet.IsolaMeasurement`.
+
+    The last four fields are the model's coefficients in nu = mu - mu0:
+    D = d_peak - t1_sq*nu^2 + d_cross*nu and S = 2*im_center + d1*nu.
     """
 
     mu0: float
@@ -79,6 +83,10 @@ class Isola:
     nu_re: float
     im_center: float
     semi_im: float
+    d_peak: float
+    t1_sq: float
+    d_cross: float
+    d1: float
 
     @property
     def width(self) -> float:
@@ -93,9 +101,35 @@ class Isola:
     def mu_at_max(self) -> float:
         return self.mu0 + self.nu_re
 
+    def discriminant(self, nu):
+        """D at ``nu`` (a scalar or ndarray): positive inside the isola,
+        negative outside.  It keeps exactly the three terms that matter
+        through order eps^8."""
+        return self.d_peak - self.t1_sq * (nu * nu) + self.d_cross * nu
+
+    def trace(self, nu):
+        """Truncated imaginary trace S at ``nu``: the pair sums to i*S."""
+        return 2.0 * self.im_center + self.d1 * nu
+
+    def eigenvalues(self, nu: float) -> EigenPair:
+        """Eigenvalue pair at ``nu``.
+
+        lambda_pm = i*S/2 +- sqrt(D)/2 with the principal square root, so
+        that inside the isola lambda_plus carries the positive real part and
+        outside it carries the larger imaginary part.  The pair sum is
+        exactly i*S (purely imaginary) and the product is -(S^2 + D)/4.
+        """
+        d = self.discriminant(nu)
+        half_trace = 0.5j * self.trace(nu)
+        if abs(d) <= _COLLISION_RTOL * self.d_peak:
+            return EigenPair(half_trace, half_trace, "collision")
+        root = 0.5 * cmath.sqrt(complex(d, 0.0))
+        regime = "inside-isola" if d > 0 else "outside"
+        return EigenPair(half_trace + root, half_trace - root, regime)
+
 
 def isola(jet: ReducedJet, eps: float) -> Isola:
-    """Leading-order isola of ``jet`` at amplitude ``eps``.
+    """Reduced model and leading-order isola of ``jet`` at amplitude ``eps``.
 
     mu0 = mu* - (T2/T1)*eps^2.  The band edges are the leading-order roots in
     nu of the discriminant, nu = -+ 2*|beta3_eff|/T1 * eps^4.  The peak
@@ -105,10 +139,14 @@ def isola(jet: ReducedJet, eps: float) -> Isola:
     its vertical semi-axis is (gamma1 - alpha1)/T1 times re_max.  At eps = 0
     the isola degenerates to the collision point (mu*, omega*).
 
-    Raises ValueError if T1 = 0, or if gamma1 == alpha1 (the vertical extent
-    of the ellipse is then not resolved at this order).
+    Raises ValueError if |beta1| > 1e-12 (only the degenerate case is
+    modelled), if T1 = 0, or if gamma1 == alpha1 (the vertical extent of the
+    ellipse is then not resolved at this order).
     """
-    _require_degenerate(jet)
+    if abs(jet.beta1) > _BETA1_TOL:
+        raise ValueError(
+            f"beta1 = {jet.beta1!r}: only the degenerate case beta1 = 0 is modelled"
+        )
     t1 = jet.T1
     if t1 == 0:
         raise ValueError("T1 = alpha1 + gamma1 must be nonzero")
@@ -129,69 +167,11 @@ def isola(jet: ReducedJet, eps: float) -> Isola:
             (jet.gamma2 - jet.alpha2) / 2.0 - d1 * jet.T2 / (2.0 * jet.T1)
         ) * eps**2,
         semi_im=abs(d1 / jet.T1) * re_max,
+        d_peak=4.0 * jet.beta3_eff**2 * eps**8,
+        t1_sq=t1 * t1,
+        d_cross=8.0 * jet.beta2 * jet.beta3_eff * eps**6,
+        d1=d1,
     )
-
-
-def discriminant(jet: ReducedJet, nu, eps: float):
-    """Discriminant D(nu, eps) of the reduced eigenvalue problem.
-
-    Positive inside the isola, negative outside.  The modeled form keeps
-    exactly the three terms that matter through order eps^8,
-
-        D = 4*beta3_eff^2*eps^8 - T1^2*nu^2 + 8*beta2*beta3_eff*nu*eps^6.
-
-    ``nu`` may be a scalar or ndarray.
-    """
-    _require_degenerate(jet)
-    t1 = jet.T1
-    b3h = jet.beta3_eff
-    return (
-        4.0 * b3h * b3h * eps**8
-        - t1 * t1 * np.square(nu)
-        + 8.0 * jet.beta2 * b3h * nu * eps**6
-    )
-
-
-def trace_shift(jet: ReducedJet, nu, eps: float):
-    """Truncated imaginary trace S(nu, eps): sum of the two eigenvalues is i*S.
-
-    S = 2*omega* + (gamma1 - alpha1)*nu
-        + ((gamma2 - alpha2) - (gamma1 - alpha1)*T2/T1) * eps^2.
-    """
-    d1 = jet.gamma1 - jet.alpha1
-    d2 = (jet.gamma2 - jet.alpha2) - d1 * jet.T2 / jet.T1
-    return 2.0 * OMEGA_STAR + d1 * nu + d2 * eps**2
-
-
-@dataclass(frozen=True)
-class EigenPair:
-    """The two eigenvalues split off the collision, plus where they sit:
-    ``regime`` is "inside-isola" (D > 0, symmetric real parts), "outside"
-    (D < 0, purely imaginary) or "collision" (D ~ 0, double eigenvalue)."""
-
-    lambda_plus: complex
-    lambda_minus: complex
-    regime: str
-
-
-def eigenvalues(jet: ReducedJet, mu: float, eps: float) -> EigenPair:
-    """Eigenvalue pair at Floquet exponent ``mu`` and amplitude ``eps``.
-
-    lambda_pm = i*S/2 +- sqrt(D)/2 with the principal square root, so that
-    inside the isola lambda_plus carries the positive real part and outside
-    it carries the larger imaginary part.  The pair sum is exactly i*S
-    (purely imaginary) and the product is -(S^2 + D)/4.
-    """
-    nu = mu - (MU_STAR - jet.T2 / jet.T1 * eps**2)
-    d = float(discriminant(jet, nu, eps))
-    s = float(trace_shift(jet, nu, eps))
-    threshold = _COLLISION_RTOL * 4.0 * jet.beta3_eff**2 * eps**8
-    half_trace = 0.5j * s
-    if abs(d) <= threshold:
-        return EigenPair(half_trace, half_trace, "collision")
-    root = 0.5 * cmath.sqrt(complex(d, 0.0))
-    regime = "inside-isola" if d > 0 else "outside"
-    return EigenPair(half_trace + root, half_trace - root, regime)
 
 
 def instability_criterion(betas: Sequence[float], tol: float = 1e-12) -> str:

@@ -57,7 +57,6 @@ __all__ = [
     "ReducedJet",
     "term_ledger",
     "beta3_projector_route",
-    "composite_projector_chains",
     "assemble_reduced_jet",
 ]
 
@@ -182,7 +181,7 @@ def _coefficient(prefix: str) -> complex:
 # ---------------------------------------------- projector-route cross-check
 
 
-def composite_projector_chains() -> dict[int, list[list[ChainOp]]]:
+def _composite_projector_chains() -> dict[int, list[list[ChainOp]]]:
     """Chains (application order) whose resolvent brackets sum to the order-k
     correction of the spectral projector, k = 1, 2, 3."""
     p1 = [[(B01, +1)], [(B01, -1)]]
@@ -239,7 +238,7 @@ def beta3_projector_route() -> float:
     No hand-evaluated weights enter: the projector decompositions alone
     reproduce the catalog total, which is what the cross-check test asserts.
     """
-    chains = composite_projector_chains()
+    chains = _composite_projector_chains()
     total = 0j
     total += bracket((B04, None), _ONE_LOW, HIGH)
 

@@ -28,7 +28,6 @@ from stokes_isola.entanglement import (
 )
 from stokes_isola.floquet import build, measure_isola, spectrum
 from stokes_isola.instability import (
-    discriminant,
     instability_criterion,
     isola,
     stokes_beta_sequence,
@@ -88,13 +87,13 @@ def test_criterion_2_derived_constants():
         ("mu0-eps2", unit.mu0 - 0.25, closed_forms.MU0_EPS2),
         ("nu_plus-eps4", unit.nu_plus, -closed_forms.NU_EPS4),
         ("nu_minus-eps4", unit.nu_minus, closed_forms.NU_EPS4),
-        ("D-eps8", discriminant(JET, 0.0, 1.0), closed_forms.D_EPS8),
-        ("D-nu2", discriminant(JET, 1.0, 0.0), closed_forms.D_NU2),
+        ("D-eps8", unit.discriminant(0.0), closed_forms.D_EPS8),
+        ("D-nu2", isola(JET, 0.0).discriminant(1.0), closed_forms.D_NU2),
         (
             "D-cross",
-            discriminant(JET, 1.0, 1.0)
-            - discriminant(JET, 0.0, 1.0)
-            - discriminant(JET, 1.0, 0.0),
+            unit.discriminant(1.0)
+            - unit.discriminant(0.0)
+            - isola(JET, 0.0).discriminant(1.0),
             closed_forms.D_NU_EPS6,
         ),
         ("im-center-eps2", unit.im_center - 0.75, closed_forms.IM_CENTER_EPS2),

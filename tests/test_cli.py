@@ -104,6 +104,19 @@ class TestIsola:
         theory = [r for r in rows if r["source"] in ("theory", "summary-theory")]
         assert theory == json.loads(reference.read_text())
 
+    @pytest.mark.parametrize("eps", ["0.02", "0.06", "0.12", "0.19", "0.25"])
+    def test_theory_curve_ends_on_the_collision(self, capsys, eps):
+        # the end samples are the roots of the modelled D, not its
+        # leading-order edges, which miss D = 0 by the eps^6 cross term
+        code, out, err = run(capsys, "isola", "--eps", eps, "--samples", "3")
+        assert code == 0
+        _, rows = parse_csv(out)
+        theory = [r for r in rows if r[6] == "theory"]
+        assert len(theory) == 3
+        for r in (theory[0], theory[-1]):
+            assert r[7] == "collision"
+            assert float(r[2]) == float(r[4]) == 0.0
+
     def test_deterministic_output(self, capsys):
         args = ("isola", "--eps", "0.05", "--samples", "3", "--trunc", "24")
         _, first, _ = run(capsys, *args)

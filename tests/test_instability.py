@@ -1,4 +1,4 @@
-"""Closed-form isola: the `Isola` record, discriminant, eigenvalues, criterion."""
+"""Closed-form 2x2 model: the `Isola` record, its D, trace and eigenvalues, criterion."""
 
 import math
 import random
@@ -9,12 +9,9 @@ from numpy.polynomial import Polynomial
 
 from stokes_isola import closed_forms
 from stokes_isola.instability import (
-    discriminant,
-    eigenvalues,
     instability_criterion,
     isola,
     stokes_beta_sequence,
-    trace_shift,
 )
 from stokes_isola.jets import ReducedJet, assemble_reduced_jet
 
@@ -35,14 +32,9 @@ class TestDegenerateOnly:
     """Only beta1 = 0 is modelled: a jet with an order-eps^2 gap is refused,
     not sized with the quartic formulas."""
 
-    @pytest.mark.parametrize("formula", [
-        lambda jet: isola(jet, 0.1),
-        lambda jet: discriminant(jet, 0.0, 0.1),
-        lambda jet: eigenvalues(jet, 0.25, 0.1),
-    ], ids=["isola", "discriminant", "eigenvalues"])
-    def test_rejects_nonzero_beta1(self, formula):
+    def test_rejects_nonzero_beta1(self):
         with pytest.raises(ValueError, match="beta1"):
-            formula(_synthetic(beta1=0.5, beta2=-0.1))
+            isola(_synthetic(beta1=0.5, beta2=-0.1), 0.1)
 
     def test_accepts_rounding_level_beta1(self):
         jet = _synthetic(beta1=1e-13, beta2=JET.beta2, beta3=JET.beta3)
@@ -85,9 +77,9 @@ class TestCriticalCurves:
 class TestDiscriminant:
     def test_probed_coefficients(self):
         # D(nu, eps) = (4107/65536) eps^8 - (16/9) nu^2 - (37/128) nu eps^6
-        d_eps8 = discriminant(JET, 0.0, 1.0)
-        d_nu2 = discriminant(JET, 1.0, 0.0)
-        d_cross = discriminant(JET, 1.0, 1.0) - d_eps8 - d_nu2
+        d_eps8 = isola(JET, 1.0).discriminant(0.0)
+        d_nu2 = isola(JET, 0.0).discriminant(1.0)
+        d_cross = isola(JET, 1.0).discriminant(1.0) - d_eps8 - d_nu2
         assert d_eps8 == pytest.approx(closed_forms.D_EPS8, abs=1e-12)
         assert d_nu2 == pytest.approx(closed_forms.D_NU2, abs=1e-12)
         assert d_cross == pytest.approx(closed_forms.D_NU_EPS6, abs=1e-12)
@@ -109,21 +101,22 @@ class TestDiscriminant:
 
     def test_accepts_arrays(self):
         nu = np.linspace(-1e-5, 1e-5, 7)
-        d = discriminant(JET, nu, 0.08)
+        d = isola(JET, 0.08).discriminant(nu)
         assert d.shape == nu.shape
 
     def test_sign_structure(self):
         eps = 0.08
-        assert discriminant(JET, 0.0, eps) > 0.0
-        assert discriminant(JET, 2.0 * isola(JET, eps).nu_minus, eps) < 0.0
+        th = isola(JET, eps)
+        assert th.discriminant(0.0) > 0.0
+        assert th.discriminant(2.0 * th.nu_minus) < 0.0
 
 
 class TestTraceShift:
     def test_coefficients(self):
-        assert trace_shift(JET, 0.0, 0.0) == pytest.approx(1.5, abs=1e-15)
-        assert trace_shift(JET, 1.0, 0.0) - 1.5 == pytest.approx(8.0 / 3.0, rel=1e-14)
+        assert isola(JET, 0.0).trace(0.0) == pytest.approx(1.5, abs=1e-15)
+        assert isola(JET, 0.0).trace(1.0) - 1.5 == pytest.approx(8.0 / 3.0, rel=1e-14)
         # the eps^2 trace coefficient is twice the imaginary-center slope
-        assert trace_shift(JET, 0.0, 1.0) - 1.5 == pytest.approx(
+        assert isola(JET, 1.0).trace(0.0) - 1.5 == pytest.approx(
             2.0 * closed_forms.IM_CENTER_EPS2, abs=1e-12
         )
 
@@ -134,7 +127,8 @@ class TestEigenvalues:
         for _ in range(500):
             eps = rng.uniform(0.0, 0.15)
             mu = 0.25 + rng.uniform(-0.05, 0.05)
-            pair = eigenvalues(JET, mu, eps)
+            th = isola(JET, eps)
+            pair = th.eigenvalues(mu - th.mu0)
             assert abs((pair.lambda_plus + pair.lambda_minus).real) <= 1e-15
 
     def test_pair_product_identity(self):
@@ -142,10 +136,11 @@ class TestEigenvalues:
         for _ in range(200):
             eps = rng.uniform(0.0, 0.15)
             mu = 0.25 + rng.uniform(-0.05, 0.05)
-            nu = mu - (0.25 - JET.T2 / JET.T1 * eps**2)
-            d = float(discriminant(JET, nu, eps))
-            s = float(trace_shift(JET, nu, eps))
-            pair = eigenvalues(JET, mu, eps)
+            th = isola(JET, eps)
+            nu = mu - th.mu0
+            d = th.discriminant(nu)
+            s = th.trace(nu)
+            pair = th.eigenvalues(nu)
             got = pair.lambda_plus * pair.lambda_minus
             want = -(s * s + d) / 4.0
             assert got.real == pytest.approx(want, rel=1e-12, abs=1e-15)
@@ -157,7 +152,7 @@ class TestEigenvalues:
             eps = rng.uniform(0.0, 0.15)
             mu = 0.25 + rng.uniform(-0.05, 0.05)
             nu = mu - (0.25 - JET.T2 / JET.T1 * eps**2)
-            pair = eigenvalues(JET, mu, eps)
+            pair = isola(JET, eps).eigenvalues(nu)
             mid = 0.5 * (pair.lambda_plus + pair.lambda_minus).imag
             want = 0.75 + (4.0 / 3.0) * nu + closed_forms.IM_CENTER_EPS2 * eps**2
             assert mid == pytest.approx(want, abs=1e-14)
@@ -165,13 +160,12 @@ class TestEigenvalues:
     def test_regimes(self):
         eps = 0.08
         band = isola(JET, eps)
-        center = band.mu0
-        inside = eigenvalues(JET, center, eps)
+        inside = band.eigenvalues(0.0)
         assert inside.regime == "inside-isola"
         assert inside.lambda_plus.real > 0.0
         assert inside.lambda_plus.real == pytest.approx(-inside.lambda_minus.real, abs=1e-18)
 
-        outside = eigenvalues(JET, center + 3.0 * band.nu_minus, eps)
+        outside = band.eigenvalues(3.0 * band.nu_minus)
         assert outside.regime == "outside"
         assert outside.lambda_plus.real == 0.0
         assert outside.lambda_minus.real == 0.0
@@ -181,8 +175,7 @@ class TestEigenvalues:
         jet = _synthetic(beta3=closed_forms.BETA3_EFF, alpha2=0.0, gamma2=0.0)
         eps = 0.1
         band = isola(jet, eps)
-        mu_edge = band.mu0 + band.nu_plus
-        pair = eigenvalues(jet, mu_edge, eps)
+        pair = band.eigenvalues(band.nu_plus)
         assert pair.regime == "collision"
         assert pair.lambda_plus == pair.lambda_minus
 
@@ -191,7 +184,7 @@ class TestEigenvalues:
         # window fixed in absolute terms would swallow the whole isola
         eps = 0.02
         th = isola(JET, eps)
-        pair = eigenvalues(JET, th.mu0 + th.nu_re, eps)
+        pair = th.eigenvalues(th.nu_re)
         assert pair.regime == "inside-isola"
         assert pair.lambda_plus.real == pytest.approx(th.re_max, rel=1e-6)
 
@@ -200,9 +193,8 @@ class TestEigenvalues:
             band = isola(JET, eps)
             lo = 0.9 * band.nu_plus
             hi = 0.9 * band.nu_minus
-            center = band.mu0
-            mus = center + np.linspace(lo, hi, 41)
-            re = np.array([eigenvalues(JET, float(m), eps).lambda_plus.real for m in mus])
+            nus = np.linspace(lo, hi, 41)
+            re = np.array([band.eigenvalues(float(n)).lambda_plus.real for n in nus])
             assert np.all(re > 0.0)
             d2 = np.diff(re, 2)
             assert np.all(d2 <= 1e-10)
@@ -212,13 +204,12 @@ class TestEigenvalues:
         # imaginary part as the band edge is approached
         eps = 0.05
         band = isola(JET, eps)
-        center = band.mu0
         nu_hi = band.nu_minus
         span = nu_hi - band.nu_plus
         ratios = []
         for t_a, t_b in ((0.2, 0.1), (0.05, 0.025), (0.0125, 0.00625)):
-            pa = eigenvalues(JET, center + nu_hi - t_a * span, eps)
-            pb = eigenvalues(JET, center + nu_hi - t_b * span, eps)
+            pa = band.eigenvalues(nu_hi - t_a * span)
+            pb = band.eigenvalues(nu_hi - t_b * span)
             assert pa.regime == pb.regime == "inside-isola"
             dx = pa.lambda_plus.real - pb.lambda_plus.real
             dy = pa.lambda_plus.imag - pb.lambda_plus.imag
@@ -238,9 +229,8 @@ class TestGrowthRate:
     def test_peak_dominates_samples(self):
         eps = 0.08
         rate = isola(JET, eps)
-        center = rate.mu0
         nus = np.linspace(rate.nu_plus, rate.nu_minus, 101)
-        res = [eigenvalues(JET, center + float(n), eps).lambda_plus.real for n in nus]
+        res = [rate.eigenvalues(float(n)).lambda_plus.real for n in nus]
         # the sampled maximum cannot exceed the closed-form peak by more than
         # the eps^10 truncation leftover
         assert max(res) <= rate.re_max * (1.0 + 1e-2)
@@ -272,7 +262,7 @@ class TestEllipse:
         ell = isola(JET, eps)
         for t in np.linspace(0.15, 0.85, 9):
             nu = ell.nu_plus + t * (ell.nu_minus - ell.nu_plus)
-            lam = eigenvalues(JET, ell.mu0 + nu, eps).lambda_plus
+            lam = ell.eigenvalues(float(nu)).lambda_plus
             q = (lam.real / ell.re_max) ** 2 + (
                 (lam.imag - ell.im_center) / ell.semi_im
             ) ** 2

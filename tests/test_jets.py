@@ -14,7 +14,6 @@ from stokes_isola.jets import (
     ReducedJet,
     assemble_reduced_jet,
     beta3_projector_route,
-    composite_projector_chains,
     term_ledger,
 )
 from stokes_isola.stokes import omega
@@ -160,7 +159,7 @@ class TestProjectorRoute:
     @staticmethod
     def _resonant_part(order: int, src: Mode) -> dict[Mode, complex]:
         total: dict[Mode, complex] = {}
-        for chain in composite_projector_chains()[order]:
+        for chain in jets._composite_projector_chains()[order]:
             for m, c in chain_apply(chain, {src: 1.0 + 0j}).items():
                 total[m] = total.get(m, 0j) + c
         return project(total, "P0")
@@ -168,7 +167,7 @@ class TestProjectorRoute:
     def test_odd_corrections_have_no_resonant_component(self):
         # odd-order corrections shift the harmonic by an odd amount, so
         # P0 * P_k * P0 = 0 for k = 1, 3
-        assert set(composite_projector_chains()) == {1, 2, 3}
+        assert set(jets._composite_projector_chains()) == {1, 2, 3}
         for order in (1, 3):
             for src in RESONANT_MODES:
                 for m, c in self._resonant_part(order, src).items():
