@@ -228,42 +228,19 @@ def _verify_rows() -> list[tuple[str, complex, complex]]:
     ]
 
     # structural spot-checks, all with closed expected values or exact zeros
-    b01 = JetIndex(0, 1)
-    b02 = JetIndex(0, 2)
-    low, high = jets.LOW, jets.HIGH
-    rows.append(
-        (
-            "ent[(0,1),+1]((0,-)->(1,+))=i*5^(1/4)*(sqrt(5)-3)/8",
-            cf.ENT_01_PLUS,
-            ent_coeff(b01, +1, low, +1),
-        )
-    )
-    rows.append(
-        (
-            "conjugation[(0,2),+2]((0,-)->(2,+))",
-            0.0,
-            ent_coeff(b02, +2, low, +1).conjugate()
-            - ent_coeff(b02, -2, high, -1),
-        )
-    )
+    b01, b02, low, high = JetIndex(0, 1), JetIndex(0, 2), jets.LOW, jets.HIGH
     path = [low, Mode(1, +1), high]
-    rows.append(
-        (
-            "residue.permutation[(0,-),(1,+),(2,+)]",
-            0.0,
-            residue(path) - residue(list(reversed(path))),
-        )
-    )
-    rows.append(
-        (
-            "residue.contour[(0,-),(1,-)]",
-            0.0,
-            residue([low, Mode(1, -1)]) - residue_contour([low, Mode(1, -1)]),
-        )
-    )
     left = bracket((b01, +1), chain_apply([(b01, +1)], low), high)
     right = bracket((b01, +1), low, chain_apply([(b01, -1)], high))
-    rows.append(("dual-bracket[(0,1)+1;(0,1)+1]", 0.0, left - right))
+    rows += [
+        ("ent[(0,1),+1]((0,-)->(1,+))=i*5^(1/4)*(sqrt(5)-3)/8", cf.ENT_01_PLUS, ent_coeff(b01, +1, low, +1)),
+        ("conjugation[(0,2),+2]((0,-)->(2,+))", 0.0,
+         ent_coeff(b02, +2, low, +1).conjugate() - ent_coeff(b02, -2, high, -1)),
+        ("residue.permutation[(0,-),(1,+),(2,+)]", 0.0, residue(path) - residue(list(reversed(path)))),
+        ("residue.contour[(0,-),(1,-)]", 0.0,
+         residue([low, Mode(1, -1)]) - residue_contour([low, Mode(1, -1)])),
+        ("dual-bracket[(0,1)+1;(0,1)+1]", 0.0, left - right),
+    ]
 
     op = floquet.build(0.3, 0.0, N=16)
     eigs = np.linalg.eigvals(op.matrix)

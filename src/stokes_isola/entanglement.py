@@ -58,7 +58,7 @@ from typing import Literal, Optional, Sequence, Union
 import numpy as np
 
 from .basis import Mode, sqrt_sigma
-from .stokes import MAX_ORDER, MU_STAR, OMEGA_STAR, a_coeff, omega, p_coeff
+from .stokes import A_FLOAT, MAX_ORDER, MU_STAR, OMEGA_STAR, P_FLOAT, omega
 
 __all__ = [
     "JetIndex",
@@ -132,8 +132,8 @@ def ent_coeff(ell: JetIndex, kappa: int, source: Mode, target_sigma: int) -> com
             return 0j
         om_s, s_s = _omega_cap(j)
         om_t, s_t = _omega_cap(j + kappa)
-        p = float(p_coeff(n, kappa))
-        a = float(a_coeff(n, kappa))
+        p = P_FLOAT.get((n, abs(kappa)), 0.0)
+        a = A_FLOAT.get((n, abs(kappa)), 0.0)
         return (
             0.25
             * phase
@@ -146,7 +146,7 @@ def ent_coeff(ell: JetIndex, kappa: int, source: Mode, target_sigma: int) -> com
             return 0j
         om_s, _ = _omega_cap(j)
         om_t, _ = _omega_cap(j + kappa)
-        p = float(p_coeff(n, kappa))
+        p = P_FLOAT.get((n, abs(kappa)), 0.0)
         return -0.25 * phase * (sg * om_t + sg_t * om_s) * p / math.sqrt(om_s * om_t)
 
     return 0j

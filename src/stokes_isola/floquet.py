@@ -9,11 +9,12 @@ iteration, started from a fixed block or, along a search in mu, from the
 converged block of a nearby solve.  The tracked pair is the two eigenvalues
 in the fixed disk of radius `RADIUS` = 0.2 about `CENTER` = i*omega* = 0.75i;
 any other count there is a `TrackingFailure`.  The isola search runs
-Newton's method on the discriminant of the tracked pair's 2x2 symplectic
-reduction, taken from the converged block; it starts at the closed form's
-mu0(eps).  Both work from the operator's Toeplitz parts, never forming the
-dense matrix, and scipy's LAPACK wrappers load on the first solve, not on
-import.
+secant and Newton steps on the discriminant of the tracked pair's 2x2
+symplectic reduction, taken from the converged block, from the closed
+form's mu0(eps): 9-17 solves of 3-4 subspace iterations each at N = 32.
+Both work from the operator's Toeplitz parts, built once per amplitude,
+never forming the dense matrix; scipy's LAPACK wrappers load on the first
+solve, not on import.
 
 In the two-component frame the operator reads
 
@@ -40,7 +41,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .stokes import MAX_ORDER, OMEGA_STAR, a_coeff, p_coeff
+from .stokes import A_FLOAT, MAX_ORDER, OMEGA_STAR, P_FLOAT
 from .jets import assemble_reduced_jet
 from .instability import isola
 
@@ -85,8 +86,8 @@ _RESHIFT_TOL = 1e-2
 _RESHIFT_GAP = 1e-3
 #: Offset of the retried shift when the first one is an exact eigenvalue.
 _SHIFT_NUDGE = 1e-9
-#: An iteration of `measure_isola` stops at a step of this many units in
-#: the last place of mu or fewer, and after `_MAX_STEPS` raises ValueError.
+#: An iteration of `measure_isola` stops at a step, or on an edge a predicted
+#: step, of this many ulp of mu or fewer; after `_MAX_STEPS` it raises ValueError.
 _STEP_ULPS = 4
 _MAX_STEPS = 16
 #: Newton's method on D starts this fraction of the half-width beyond each
@@ -126,14 +127,14 @@ def _exp_coeffs(which: str, eps: float, order: int) -> tuple[tuple[int, float], 
     as (kappa, coefficient) pairs sorted by kappa: the coefficient of
     e^{i*kappa*x} is half the cosine-series coefficient, uniformly in kappa
     (the constant term is stored halved in the tables)."""
-    table = p_coeff if which == "p" else a_coeff
+    table = P_FLOAT if which == "p" else A_FLOAT
     out: dict[int, float] = {}
     for n in range(1, order + 1):
         scale = 0.5 * eps**n
         for kappa in range(-n, n + 1):
-            c = table(n, kappa)
+            c = table.get((n, abs(kappa)), 0.0)
             if c != 0:
-                out[kappa] = out.get(kappa, 0.0) + scale * float(c)
+                out[kappa] = out.get(kappa, 0.0) + scale * c
     return tuple(sorted(out.items()))
 
 
@@ -141,14 +142,14 @@ def _exp_coeffs(which: str, eps: float, order: int) -> tuple[tuple[int, float], 
 def _toeplitz_parts(eps: float, N: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """``1 + p_eps`` and ``1 + a_eps`` as read-only (2N+1)-square Toeplitz
     matrices: the mu-independent parts of the operator, shared by every
-    solve of one search."""
+    solve of one search.  Each coefficient of harmonic kappa is added along
+    its diagonal, row - column = kappa, a strided view of the flat array."""
     dim = 2 * N + 1
     parts = []
     for which in ("p", "a"):
-        toeplitz = np.zeros((dim, dim))
+        part = np.eye(dim)
         for kappa, c in _exp_coeffs(which, eps, order):
-            toeplitz += c * np.eye(dim, k=-kappa)
-        part = np.eye(dim) + toeplitz
+            part.reshape(-1)[kappa * dim if kappa >= 0 else -kappa :: dim + 1][: dim - abs(kappa)] += c
         part.flags.writeable = False
         parts.append(part)
     return tuple(parts)
@@ -189,7 +190,7 @@ class SpectrumSample:
     value that converged, often nothing else; the solve does not promise
     every eigenvalue of the tracking disk.  ``block`` is the read-only
     orthonormal block the solve converged on, `_BLOCK` (four) columns, rows
-    in interleaved order (`_band_parts`), which a solve at a nearby mu can
+    in interleaved order (`_band_layout`), which a solve at a nearby mu can
     start from (`spectrum`'s ``start``); it takes no part in comparisons or
     the repr."""
 
@@ -213,28 +214,39 @@ def _pick_pair(eigs: np.ndarray) -> tuple[complex, complex]:
     return lp, lm
 
 
-@functools.lru_cache(maxsize=2)
-def _band_parts(eps: float, N: int, order: int) -> tuple[np.ndarray, ...]:
-    """The mu-independent parts of `_band`, read-only.  In interleaved order
-    (harmonic-major, component-minor) the matrix has kl = 2*order + 1 sub- and
-    superdiagonals; entry (r, c) goes to flat index c*(3*kl + 1) + 2*kl + r - c
-    of the transposed LAPACK band.  Returned: that band holding the -(1 + a_eps)
-    entries; the flat indices of the diagonal blocks' entries i*d*P (d = j + mu,
-    P = 1 + p_eps), each one's j and P; those of the |d| entries, j ascending."""
-    p_part, a_part = _toeplitz_parts(eps, N, order)
-    n, kl = 2 * (2 * N + 1), 2 * order + 1
-    k = np.arange(n)
+@functools.lru_cache(maxsize=8)
+def _band_layout(N: int, order: int) -> tuple[np.ndarray, ...]:
+    """The (N, order)-only index layout of `_band_parts`, read-only.  In
+    interleaved order (harmonic-major, component-minor) the matrix has
+    kl = 2*order + 1 sub- and superdiagonals; entry (r, c) goes to flat index
+    c*(3*kl + 1) + 2*kl + r - c of the transposed LAPACK band.  Returned: the
+    band and flat Toeplitz-part indices of the -(1 + a_eps) entries, the same
+    and each one's j for the i*d*P entries, the band indices of the |d| ones."""
+    dim, kl = 2 * N + 1, 2 * order + 1
+    k = np.arange(2 * dim)
     i, j = np.nonzero(np.abs(k[:, None] - k) <= kl)
     dst = j * (3 * kl + 1) + 2 * kl + i - j
     (hi, ci), (hj, cj) = divmod(i, 2), divmod(j, 2)
-    base = np.zeros(n * (3 * kl + 1), dtype=complex)
-    low = (ci == 1) & (cj == 0)
-    base[dst[low]] = (-a_part.astype(complex))[hi[low], hj[low]]
-    lin, diag = ci == cj, (ci == 0) & (cj == 1) & (hi == hj)
-    parts = base, dst[lin], np.where(ci == 0, hi, hj)[lin], p_part[hi[lin], hj[lin]], dst[diag]
-    for part in parts:
+    src = hi * dim + hj
+    low, lin, diag = (ci == 1) & (cj == 0), ci == cj, (ci == 0) & (cj == 1) & (hi == hj)
+    layout = dst[low], src[low], dst[lin], src[lin], np.where(ci == 0, hi, hj)[lin], dst[diag]
+    for part in layout:
         part.flags.writeable = False
-    return parts
+    return layout
+
+
+@functools.lru_cache(maxsize=2)
+def _band_parts(eps: float, N: int, order: int) -> tuple[np.ndarray, ...]:
+    """The mu-independent parts of `_band`, read-only: the band holding the
+    -(1 + a_eps) entries; the indices of the i*d*P entries, each one's j and
+    P; those of the |d| entries, j ascending (`_band_layout`)."""
+    p_part, a_part = _toeplitz_parts(eps, N, order)
+    low, a_src, lin, p_src, harmonic, diag = _band_layout(N, order)
+    base = np.zeros(2 * (2 * N + 1) * (6 * order + 4), dtype=complex)    # n*(3*kl + 1)
+    base[low] = -a_part.take(a_src).astype(complex)
+    p_lin = p_part.take(p_src)
+    base.flags.writeable = p_lin.flags.writeable = False
+    return base, lin, harmonic, p_lin, diag
 
 
 def _band(op: DiscretizedOperator) -> np.ndarray:
@@ -361,23 +373,21 @@ def _shift_invert(
         x = zgbtrs(lu, kl, kl, q, piv)[0]
         h = q.conj().T @ x
         nu, _, y, _ = zgeev(h, compute_vl=0)
-        res = np.linalg.norm((x - q @ h) @ y, axis=0) / np.abs(nu)
-        lam = shift + 1.0 / nu
-        order = np.argsort(np.abs(lam - CENTER))
-        lam, res = lam[order], res[order]
-        need = np.abs(lam - CENTER) <= RADIUS + _MARGIN
-        need[:2] = True
-        if np.all(res[need] <= _TOL):
+        r = (x - q @ h) @ y
+        res = (np.sqrt(np.add.reduce((r.conj() * r).real, 0)) / np.abs(nu)).tolist()
+        ritz = sorted(zip((shift + 1.0 / nu).tolist(), res), key=lambda pair: abs(pair[0] - CENTER))
+        need = [k < 2 or abs(lam - CENTER) <= RADIUS + _MARGIN for k, (lam, _) in enumerate(ritz)]
+        if all(e <= _TOL for (_, e), needed in zip(ritz, need) if needed):
             q.flags.writeable = False
-            return lam[res <= _TOL], q
-        if reshift and np.all(res[:2] <= _RESHIFT_TOL):
+            return np.array([lam for lam, e in ritz if e <= _TOL]), q
+        if reshift and ritz[0][1] <= _RESHIFT_TOL and ritz[1][1] <= _RESHIFT_TOL:
             reshift = False
-            target = _toward_pair(shift, lam[0], lam[1])
+            target = _toward_pair(shift, ritz[0][0], ritz[1][0])
             moved = None if target is None else factor(target)
             if moved is not None:
                 shift, lu, piv = moved
         q = zungqr(*zgeqrf(x)[:2])[0]
-    if np.all(need):
+    if all(need):
         raise TrackingFailure(
             f"shift-invert solve near {CENTER} failed: at least {_BLOCK} eigenvalues, "
             f"as many as the block has columns, lie within {RADIUS} + {_MARGIN} of it"
@@ -503,25 +513,29 @@ def _reduced_discriminant(op: DiscretizedOperator, sample: SpectrumSample) -> tu
     M*Q comes from the Toeplitz parts (`_apply`), not from ``op.matrix``."""
     from scipy.linalg.lapack import zgees, ztrsen
 
-    q = np.vstack((sample.block[0::2], sample.block[1::2]))    # de-interleave
+    dim = 2 * op.N + 1
+    q = np.empty(sample.block.shape, dtype=complex)
+    q[:dim], q[dim:] = sample.block[0::2], sample.block[1::2]    # de-interleave
     mq = _apply(op, q)
     t, _, ritz, z, _, _ = zgees(lambda _: 0, q.conj().T @ mq)
     near = np.abs(ritz - 0.5 * sum(sample.tracked_pair))
     z = ztrsen(near <= np.sort(near)[1], t, z, job="N")[1][:, :2]
     u = q @ z
-    u1, u2 = u[: 2 * op.N + 1], u[2 * op.N + 1 :]
-    pu = _real_times(_toeplitz_parts(op.eps, op.N, op.stokes_order)[0], np.hstack((u1, u2)))
-    sign = np.sign(np.arange(-op.N, op.N + 1) + op.mu)[:, None]
-    m1u = np.vstack((1j * pu[:, :2] + sign * u2, 1j * pu[:, 2:]))
-    wh = np.vstack((u2, -u1)).conj().T
-    (g11, g12), (g21, g22) = wh @ u
+    u12 = u.reshape(2, dim, 2).transpose(1, 0, 2).reshape(dim, 4)    # [U1 | U2]
+    pu = _real_times(_toeplitz_parts(op.eps, op.N, op.stokes_order)[0], u12)
+    w, x = np.empty((2 * dim, 2), dtype=complex), np.empty((2 * dim, 4), dtype=complex)
+    w[:dim], w[dim:] = u[dim:], -u[:dim]                      # W = J*U
+    x[:, :2] = mq @ z                                         # [M U | dM/dmu U]
+    x[:dim, 2:] = 1j * pu[:, :2] + np.sign(np.arange(-op.N, op.N + 1) + op.mu)[:, None] * u[dim:]
+    x[dim:, 2:] = 1j * pu[:, 2:]
+    wh = w.conj().T
+    (g11, g12), (g21, g22) = (wh @ u).tolist()
     adj = np.array([[g22, -g12], [-g21, g11]]) / (g11 * g22 - g12 * g21)
-    bb = adj @ (wh @ np.hstack((mq @ z, m1u)))
-    b, b1 = bb[:, :2], bb[:, 2:]
-    split, split1 = b[0, 0] - b[1, 1], b1[0, 0] - b1[1, 1]
-    disc = split**2 + 4 * b[0, 1] * b[1, 0]
-    slope = 2 * split * split1 + 4 * (b1[0, 1] * b[1, 0] + b[0, 1] * b1[1, 0])
-    return float(disc.real), float(slope.real)
+    (b11, b12, c11, c12), (b21, b22, c21, c22) = (adj @ (wh @ x)).tolist()
+    split, split1 = b11 - b22, c11 - c22
+    disc = split**2 + 4 * b12 * b21
+    slope = 2 * split * split1 + 4 * (c12 * b21 + b12 * c21)
+    return disc.real, slope.real
 
 
 def measure_isola(
@@ -540,10 +554,12 @@ def measure_isola(
     give its curvature D'' < 0; secant steps on dD/dmu find the vertex
     mu_at_max, where the pair gives re_max = sqrt(max gap^2)/2 and
     im_center; Newton's method on D runs from about mu_at_max -+
-    sqrt(-2*D/D'') to each edge.  An iteration stops at a step of a few ulp,
-    or one no shorter than the last (noise); an edge counts only if a solve
-    of its iteration at or beyond it reads D <= 0.  Each solve but the first
-    continues the one at the nearest mu solved (`spectrum`'s ``start``).
+    sqrt(-2*D/D'') to each edge.  An iteration stops at a step of a few ulp
+    or one no shorter than the last (noise); an edge's also stops, unsolved,
+    at a point whose next step, predicted from the step s to it as
+    (D''/2D')*s^2, is a few ulp.  An edge counts only if a solve of its
+    iteration at or beyond it reads D <= 0.  Each solve but the first
+    continues the one at the nearest mu solved.
 
     Raises `TrackingFailure` if the pair cannot be followed, ValueError if a
     solve would leave the window, the curvature is not negative, an
@@ -567,24 +583,27 @@ def measure_isola(
             samples[mu] = (sample, *_reduced_discriminant(op, sample))
         return samples[mu]
 
-    def iterate(path: list[float], step: Callable[[list[float]], float], what: str) -> list[float]:
+    def iterate(path: list[float], step: Callable[..., tuple[float, float]], what: str) -> list[float]:
         previous = math.inf
         for _ in range(_MAX_STEPS):
-            s = step(path)
+            s, following = step(path)
             if abs(s) <= _STEP_ULPS * math.ulp(path[-1]) or abs(s) >= abs(previous):
                 return path
             path.append(path[-1] + s)
+            if following <= _STEP_ULPS * math.ulp(path[-1]):
+                return path
             previous = s
         raise ValueError(f"{what} search for eps={eps} took more than {_MAX_STEPS} steps")
 
-    def secant(path: list[float]) -> float:
+    def secant(path: list[float]) -> tuple[float, float]:
         (m0, m1), (d0, d1) = path[-2:], (solve(m)[2] for m in path[-2:])
         slope = (d1 - d0) / (m1 - m0)
-        return -d1 / slope if slope < 0 else math.inf    # not concave: noise
+        return (-d1 / slope if slope < 0 else math.inf), math.inf    # not concave: noise
 
-    def newton(path: list[float]) -> float:
+    def newton(path: list[float]) -> tuple[float, float]:
         _, d, slope = solve(path[-1])
-        return -d / slope
+        s = -d / slope
+        return s, abs(0.5 * curvature / slope) * s * s
 
     h = eps**4
     if not solve(mu0 + h)[2] < solve(mu0)[2]:
@@ -602,7 +621,7 @@ def measure_isola(
 
     def edge(side: int, name: str) -> float:
         path = iterate([mu_at_max + side * spread], newton, f"{name} edge")
-        if not any(side * (mu - path[-1]) >= 0 and solve(mu)[1] <= 0 for mu in path):
+        if not any(side * (mu - path[-1]) >= 0 and samples[mu][1] <= 0 for mu in path if mu in samples):
             raise ValueError(f"no sign change of D at the {name} edge for eps={eps}")
         return path[-1]
 

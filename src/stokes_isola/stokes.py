@@ -61,6 +61,10 @@ _A_TABLE: dict[tuple[int, int], Fraction] = {
     (4, 4): Fraction(-16, 3),
 }
 
+#: The tables as floats, computed once: (n, |k|) -> float(c_n[k]), absent at 0.
+P_FLOAT = {key: float(c) for key, c in _P_TABLE.items()}
+A_FLOAT = {key: float(c) for key, c in _A_TABLE.items()}
+
 
 def _coeff(table: dict[tuple[int, int], Fraction], n: int, kappa: int) -> Fraction:
     if not isinstance(n, int) or not (1 <= n <= MAX_ORDER):

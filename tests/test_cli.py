@@ -104,6 +104,38 @@ class TestIsola:
         theory = [r for r in rows if r["source"] in ("theory", "summary-theory")]
         assert theory == json.loads(reference.read_text())
 
+    def test_oracle_rows_match_reference(self, capsys):
+        """The oracle rows against their reference: mu to 1e-12 relative,
+        each eigenvalue's parts to 1e-12 of its modulus (a real part at the
+        solver's noise floor, about 1e-17, carries no relative digits), every
+        trace row's status exactly, and the summary's width to 1e-12 of mu
+        and its deviations at their printed precision."""
+        reference = Path(__file__).with_name("data") / "isola_oracle.json"
+        code, out, err = run(capsys, "isola", "--eps", "0.06", "--format", "json")
+        assert code == 0
+        rows = [r for r in json.loads(out)["curves"] if r["source"] in ("oracle", "summary-oracle")]
+        expected = json.loads(reference.read_text())
+        assert [r["source"] for r in rows] == [r["source"] for r in expected]
+        for got, want in zip(rows, expected):
+            assert got["eps"] == want["eps"]
+            assert got["mu"] == pytest.approx(want["mu"], rel=1e-12, abs=0)
+            for sign in ("plus", "minus"):
+                scale = abs(complex(want[f"re_{sign}"], want[f"im_{sign}"]))
+                for part in ("re", "im"):
+                    cell = f"{part}_{sign}"
+                    assert got[cell] == pytest.approx(want[cell], rel=0, abs=1e-12 * scale)
+            if want["source"] == "oracle":
+                assert got["status"] == want["status"]
+                continue
+            got_fields = dict(f.split("=") for f in got["status"].split(";"))
+            want_fields = dict(f.split("=") for f in want["status"].split(";"))
+            assert got_fields.keys() == want_fields.keys()
+            width = float(want_fields.pop("width"))
+            assert float(got_fields.pop("width")) == pytest.approx(width, rel=0, abs=1e-12 * want["mu"])
+            for name, printed in want_fields.items():
+                unit = 10.0 ** (int(printed.split("e")[1]) - 3)
+                assert abs(float(got_fields[name]) - float(printed)) <= unit
+
     @pytest.mark.parametrize("eps", ["0.02", "0.06", "0.12", "0.19", "0.25"])
     def test_theory_curve_ends_on_the_collision(self, capsys, eps):
         # the end samples are the roots of the modelled D, not its

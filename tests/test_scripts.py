@@ -1,5 +1,6 @@
 """The scripts under ``scripts/`` still run against the library."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -19,3 +20,30 @@ def test_isola_sweep_runs():
     rows = [line.split() for line in lines[1:] if line.strip() and not line.startswith("growth fit:")]
     assert [float(r[0]) for r in rows] == [0.06, 0.08]
     assert sum(line.startswith("growth fit:") for line in lines) == 1
+
+
+def test_bench_pairs_summary_applies_the_gain_and_bound_rules():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    bench = {"end_to_end": [
+        {"name": "light_op_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "heavy_op_s", "unit": "s", "better": "lower", "bound": 0.25},
+    ]}
+    records = []
+    for k in range(10):
+        # light: the change wins 9 of 10 pairs by 30%; heavy: 40% worse in every pair
+        light = {"parent": 1.0 + 0.01 * k, "change": 0.7 + 0.01 * k if k else 1.0}
+        heavy = {"parent": 1.0, "change": 1.4}
+        for side in ("parent", "change"):
+            metrics = {"light_op_s": {"value": light[side]}, "heavy_op_s": {"value": heavy[side]}}
+            records.append({
+                "workload": "w", "pair": k, "seed": 100 + k, "side": side,
+                "result": {"failed": 0, "attempted": 2, "metrics": metrics},
+                "info": {"env": {"python": "3", "src_sha256": side}},
+            })
+    row = bench_pairs.summarize(records, bench)["workloads"]["w"]
+    light, heavy = row["metrics"]["light_op_s"], row["metrics"]["heavy_op_s"]
+    assert row["pairs"] == 10 and row["attempted"] == {"parent": 20, "change": 20}
+    assert light["change_wins"] == 9 and light["gain_rule_met"] and light["within_bound"]
+    assert heavy["change_wins"] == 0 and not heavy["gain_rule_met"] and not heavy["within_bound"]
