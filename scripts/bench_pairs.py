@@ -1,23 +1,24 @@
 #!/usr/bin/env python3
 """Paired benchmark series of two checkouts, summarized into one BENCH file.
 
-``run`` runs the command that ``BENCHMARK.json`` declares
-(``benchmarks/run.py``) in a parent and a change checkout, alternating which
-side goes first, one JSON line per run.  ``tier1`` times the Tier-1 suite in
-both, alternating likewise.  ``summarize`` turns the lines into medians,
-quartiles and pair wins per workload and end-to-end metric, the failures,
-the ``src/`` line counts, the Tier-1 wall times and the machine and BLAS
-details that the runs report.
+``run`` runs the command that ``BENCHMARK.json`` declares, for its
+``run_seconds``, in a parent and a change checkout: `PAIRS` pairs, alternating
+which side goes first, one JSON line per run.  ``tier1`` times the Tier-1
+suite `TIER1_RUNS` times in both, alternating likewise.  ``summarize`` turns
+the lines into medians, quartiles and pair wins per workload and end-to-end
+metric, the failures, the ``src/`` line counts, the Tier-1 wall times and
+the machine and BLAS details that the runs report.
 
     python3 scripts/bench_pairs.py run --parent P --change C --workload xval \\
-        --seed 1701 --pairs 10 --seconds 60 --out runs.jsonl
-    python3 scripts/bench_pairs.py tier1 --parent P --change C --runs 5 --out runs.jsonl
-    python3 scripts/bench_pairs.py summarize runs.jsonl --bench BENCHMARK.json > BENCH.json
+        --seed 1701 --out runs.jsonl
+    python3 scripts/bench_pairs.py tier1 --parent P --change C --out runs.jsonl
+    python3 scripts/bench_pairs.py summarize runs.jsonl --parent P --change C > BENCH.json
 
 A pair is one run of each side on the same seed; the change wins it when
-its value is better, and ties count for neither.  The gain rule: wins in at
-least nine tenths of the pairs, and medians further apart than the
-parent's interquartile spread.  The bound rule: the change's median is no
+its value is better, and ties count for neither.  The gain rule: at least
+`PAIRS` pairs, no more failed operations than the parent, wins in at least
+nine tenths of the pairs, and medians further apart than the parent's
+interquartile spread.  The bound rule: the change's median is no
 worse than the parent's by more than the benchmark's relative bound.
 """
 
@@ -33,6 +34,10 @@ import sys
 import time
 from pathlib import Path
 
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+#: Pairs per workload, the fewest the gain rule accepts; Tier-1 runs per side.
+PAIRS = 10
+TIER1_RUNS = 5
 TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
 
 
@@ -42,15 +47,16 @@ def _sides(args: argparse.Namespace, k: int) -> list[tuple[str, Path]]:
 
 
 def cmd_run(args: argparse.Namespace) -> None:
+    bench = json.loads(BENCHMARK.read_text())
     with open(args.out, "a") as fh:
-        for k in range(args.pairs):
+        for k in range(PAIRS):
             seed = args.seed + k
             order = _sides(args, k)
             for side, root in order:
                 start = time.time()
                 proc = subprocess.run(
-                    [sys.executable, "benchmarks/run.py", "--workload", args.workload,
-                     "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0"],
+                    [*bench["command"], "--workload", args.workload,
+                     "--seed", str(seed), "--seconds", str(bench["run_seconds"])],
                     cwd=root, capture_output=True, text=True,
                 )
                 lines = proc.stdout.strip().splitlines()
@@ -67,7 +73,7 @@ def cmd_run(args: argparse.Namespace) -> None:
 
 def cmd_tier1(args: argparse.Namespace) -> None:
     with open(args.out, "a") as fh:
-        for k in range(args.runs):
+        for k in range(TIER1_RUNS):
             for side, root in _sides(args, k):
                 start = time.perf_counter()
                 proc = subprocess.run(
@@ -114,7 +120,8 @@ def summarize(records: list[dict], bench: dict) -> dict:
                 "change_wins": wins,
                 "median_ratio": c["median"] / p["median"],
                 "gain_rule_met": (
-                    wins >= 0.9 * len(pairs) and sign * (p["median"] - c["median"]) > p["q3"] - p["q1"]
+                    len(pairs) >= PAIRS and row["failed"]["change"] <= row["failed"]["parent"]
+                    and wins >= 0.9 * len(pairs) and sign * (p["median"] - c["median"]) > p["q3"] - p["q1"]
                 ),
                 "within_bound": sign * (c["median"] - p["median"]) <= spec["bound"] * p["median"],
             }
@@ -149,12 +156,8 @@ def main(argv=None) -> int:
         p.add_argument("--out", required=True, help="JSON lines file to append to")
     run.add_argument("--workload", required=True)
     run.add_argument("--seed", type=int, required=True, help="seed of the first pair; +1 per pair")
-    run.add_argument("--pairs", type=int, default=10)
-    run.add_argument("--seconds", type=float, default=60.0)
-    tier.add_argument("--runs", type=int, default=5)
     summ = sub.add_parser("summarize", help="BENCH JSON from the lines, on stdout")
     summ.add_argument("lines")
-    summ.add_argument("--bench", default="BENCHMARK.json", help="the benchmark's declaration")
     summ.add_argument("--parent", help="parent checkout, for its src/ line count")
     summ.add_argument("--change", help="change checkout, for its src/ line count")
     args = ap.parse_args(argv)
@@ -164,7 +167,7 @@ def main(argv=None) -> int:
         cmd_tier1(args)
     else:
         records = [json.loads(line) for line in Path(args.lines).read_text().splitlines() if line.strip()]
-        doc = summarize(records, json.loads(Path(args.bench).read_text()))
+        doc = summarize(records, json.loads(BENCHMARK.read_text()))
         doc["src_lines"] = {s: _src_lines(Path(getattr(args, s))) for s in ("parent", "change") if getattr(args, s)}
         json.dump(doc, sys.stdout, indent=1)
         sys.stdout.write("\n")

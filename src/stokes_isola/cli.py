@@ -228,19 +228,42 @@ def _verify_rows() -> list[tuple[str, complex, complex]]:
     ]
 
     # structural spot-checks, all with closed expected values or exact zeros
-    b01, b02, low, high = JetIndex(0, 1), JetIndex(0, 2), jets.LOW, jets.HIGH
+    b01 = JetIndex(0, 1)
+    b02 = JetIndex(0, 2)
+    low, high = jets.LOW, jets.HIGH
+    rows.append(
+        (
+            "ent[(0,1),+1]((0,-)->(1,+))=i*5^(1/4)*(sqrt(5)-3)/8",
+            cf.ENT_01_PLUS,
+            ent_coeff(b01, +1, low, +1),
+        )
+    )
+    rows.append(
+        (
+            "conjugation[(0,2),+2]((0,-)->(2,+))",
+            0.0,
+            ent_coeff(b02, +2, low, +1).conjugate()
+            - ent_coeff(b02, -2, high, -1),
+        )
+    )
     path = [low, Mode(1, +1), high]
+    rows.append(
+        (
+            "residue.permutation[(0,-),(1,+),(2,+)]",
+            0.0,
+            residue(path) - residue(list(reversed(path))),
+        )
+    )
+    rows.append(
+        (
+            "residue.contour[(0,-),(1,-)]",
+            0.0,
+            residue([low, Mode(1, -1)]) - residue_contour([low, Mode(1, -1)]),
+        )
+    )
     left = bracket((b01, +1), chain_apply([(b01, +1)], low), high)
     right = bracket((b01, +1), low, chain_apply([(b01, -1)], high))
-    rows += [
-        ("ent[(0,1),+1]((0,-)->(1,+))=i*5^(1/4)*(sqrt(5)-3)/8", cf.ENT_01_PLUS, ent_coeff(b01, +1, low, +1)),
-        ("conjugation[(0,2),+2]((0,-)->(2,+))", 0.0,
-         ent_coeff(b02, +2, low, +1).conjugate() - ent_coeff(b02, -2, high, -1)),
-        ("residue.permutation[(0,-),(1,+),(2,+)]", 0.0, residue(path) - residue(list(reversed(path)))),
-        ("residue.contour[(0,-),(1,-)]", 0.0,
-         residue([low, Mode(1, -1)]) - residue_contour([low, Mode(1, -1)])),
-        ("dual-bracket[(0,1)+1;(0,1)+1]", 0.0, left - right),
-    ]
+    rows.append(("dual-bracket[(0,1)+1;(0,1)+1]", 0.0, left - right))
 
     op = floquet.build(0.3, 0.0, N=16)
     eigs = np.linalg.eigvals(op.matrix)
@@ -262,39 +285,28 @@ def _verify_rows() -> list[tuple[str, complex, complex]]:
 def cmd_verify(cfg: argparse.Namespace) -> int:
     rows = _verify_rows()
     if cfg.perturb is not None:
-        hit = False
-        bumped = []
-        for name, exp, got in rows:
-            if cfg.perturb in name:
-                got = got + (1e-6 + 1e-6 * abs(exp))
-                hit = True
-            bumped.append((name, exp, got))
-        rows = bumped
-        if not hit:
+        if not any(cfg.perturb in name for name, _, _ in rows):
             print(f"error: --perturb {cfg.perturb!r} matches no check name", file=sys.stderr)
             return 2
-    failures = 0
+        rows = [(n, e, g + (1e-6 + 1e-6 * abs(e)) if cfg.perturb in n else g) for n, e, g in rows]
     table = []
     for name, exp, got in rows:
-        err = abs(complex(got) - complex(exp))
-        ok = err <= cfg.tol
-        failures += 0 if ok else 1
-        table.append((name, exp, got, err, "pass" if ok else "FAIL"))
+        exp, got = complex(exp), complex(got)
+        err = abs(got - exp)
+        status = "pass" if err <= cfg.tol else "FAIL"
+        table.append([name, exp.real, exp.imag, got.real, got.imag, err, status])
         print(
-            f"{'pass' if ok else 'FAIL'}  {name:<52s} expected={_fmt_complex(complex(exp)):<26s} "
-            f"computed={_fmt_complex(complex(got)):<26s} |err|={err:.3e}"
+            f"{status}  {name:<52s} expected={_fmt_complex(exp):<26s} "
+            f"computed={_fmt_complex(got):<26s} |err|={err:.3e}"
         )
+    failures = sum(row[-1] == "FAIL" for row in table)
     print(
         f"{len(rows) - failures}/{len(rows)} checks passed"
         + (f", {failures} FAILED" if failures else "")
     )
     if cfg.out:
         header = ["name", "expected_re", "expected_im", "computed_re", "computed_im", "abs_err", "status"]
-        out_rows = [
-            [n, complex(e).real, complex(e).imag, complex(g).real, complex(g).imag, err, st]
-            for n, e, g, err, st in table
-        ]
-        _emit(cfg, header, out_rows, "checks")
+        _emit(cfg, header, table, "checks")
     return 1 if failures else 0
 
 

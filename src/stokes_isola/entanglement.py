@@ -132,8 +132,8 @@ def ent_coeff(ell: JetIndex, kappa: int, source: Mode, target_sigma: int) -> com
             return 0j
         om_s, s_s = _omega_cap(j)
         om_t, s_t = _omega_cap(j + kappa)
-        p = P_FLOAT.get((n, abs(kappa)), 0.0)
-        a = A_FLOAT.get((n, abs(kappa)), 0.0)
+        p = P_FLOAT[n, kappa]
+        a = A_FLOAT[n, kappa]
         return (
             0.25
             * phase
@@ -146,7 +146,7 @@ def ent_coeff(ell: JetIndex, kappa: int, source: Mode, target_sigma: int) -> com
             return 0j
         om_s, _ = _omega_cap(j)
         om_t, _ = _omega_cap(j + kappa)
-        p = P_FLOAT.get((n, abs(kappa)), 0.0)
+        p = P_FLOAT[n, kappa]
         return -0.25 * phase * (sg * om_t + sg_t * om_s) * p / math.sqrt(om_s * om_t)
 
     return 0j
@@ -191,22 +191,17 @@ def residue(modes: Sequence[Mode]) -> float:
         return 0.0
     if npoles == len(modes) and len(modes) >= 2:
         return 0.0
-    rest = [omega(m.j, m.sigma, MU_STAR) - OMEGA_STAR for m, f in zip(modes, flags) if not f]
-    if npoles == 1:
-        out = 1.0
-        for r in rest:
-            out /= r
-        return out
-    if npoles == 2:
-        prod = 1.0
-        acc = 0.0
-        for r in rest:
+    if npoles > 2:
+        raise ValueError(
+            f"{npoles} poles on a path of {len(modes)} modes: not covered by the case analysis"
+        )
+    prod, acc = 1.0, 0.0
+    for m, f in zip(modes, flags):
+        if not f:
+            r = omega(m.j, m.sigma, MU_STAR) - OMEGA_STAR
             prod /= r
             acc += 1.0 / r
-        return -acc * prod
-    raise ValueError(
-        f"{npoles} poles on a path of {len(modes)} modes: not covered by the case analysis"
-    )
+    return prod if npoles == 1 else -acc * prod
 
 
 def residue_contour(modes: Sequence[Mode]) -> complex:

@@ -127,14 +127,10 @@ def _exp_coeffs(which: str, eps: float, order: int) -> tuple[tuple[int, float], 
     as (kappa, coefficient) pairs sorted by kappa: the coefficient of
     e^{i*kappa*x} is half the cosine-series coefficient, uniformly in kappa
     (the constant term is stored halved in the tables)."""
-    table = P_FLOAT if which == "p" else A_FLOAT
     out: dict[int, float] = {}
-    for n in range(1, order + 1):
-        scale = 0.5 * eps**n
-        for kappa in range(-n, n + 1):
-            c = table.get((n, abs(kappa)), 0.0)
-            if c != 0:
-                out[kappa] = out.get(kappa, 0.0) + scale * c
+    for (n, kappa), c in (P_FLOAT if which == "p" else A_FLOAT).items():
+        if n <= order and c != 0:
+            out[kappa] = out.get(kappa, 0.0) + 0.5 * eps**n * c
     return tuple(sorted(out.items()))
 
 
@@ -149,7 +145,8 @@ def _toeplitz_parts(eps: float, N: int, order: int) -> tuple[np.ndarray, np.ndar
     for which in ("p", "a"):
         part = np.eye(dim)
         for kappa, c in _exp_coeffs(which, eps, order):
-            part.reshape(-1)[kappa * dim if kappa >= 0 else -kappa :: dim + 1][: dim - abs(kappa)] += c
+            first = kappa * dim if kappa >= 0 else -kappa    # flat index of its first entry
+            part.reshape(-1)[first :: dim + 1][: dim - abs(kappa)] += c
         part.flags.writeable = False
         parts.append(part)
     return tuple(parts)

@@ -242,23 +242,14 @@ def beta3_projector_route() -> float:
     total = 0j
     total += bracket((B04, None), _ONE_LOW, HIGH)
 
-    p1_low = _apply_composite(chains[1], _ONE_LOW)
-    p1_high = _apply_composite(chains[1], _ONE_HIGH)
-    total += 0.5 * bracket((B03, None), p1_low, HIGH)
-    total += 0.5 * bracket((B03, None), LOW, p1_high)
+    # the B3 P1, B2 Phat2 and B1 Phat3 brackets, each with its dual
+    corrected = {}
+    for k, ell, projector in ((1, B03, None), (2, B02, "Q0"), (3, B01, "Q0")):
+        low, high = corrected[k] = [_apply_composite(chains[k], one) for one in (_ONE_LOW, _ONE_HIGH)]
+        total += 0.5 * bracket((ell, None), project(low, projector), HIGH)
+        total += 0.5 * bracket((ell, None), LOW, project(high, projector))
 
-    p2_low = _apply_composite(chains[2], _ONE_LOW)
-    p2_high = _apply_composite(chains[2], _ONE_HIGH)
-    total += 0.5 * bracket((B02, None), project(p2_low, "Q0"), HIGH)
-    total += 0.5 * bracket((B02, None), LOW, project(p2_high, "Q0"))
-
-    p3_low = _apply_composite(chains[3], _ONE_LOW)
-    p3_high = _apply_composite(chains[3], _ONE_HIGH)
-    total += 0.5 * bracket((B01, None), project(p3_low, "Q0"), HIGH)
-    total += 0.5 * bracket((B01, None), LOW, project(p3_high, "Q0"))
-
-    loop_low = _apply_composite(chains[1], project(p2_low, "P0"))
-    loop_high = _apply_composite(chains[1], project(p2_high, "P0"))
+    loop_low, loop_high = (_apply_composite(chains[1], project(p2, "P0")) for p2 in corrected[2])
     total -= 0.5 * bracket((B01, None), loop_low, HIGH)
     total -= 0.5 * bracket((B01, None), LOW, loop_high)
 

@@ -61,18 +61,11 @@ _A_TABLE: dict[tuple[int, int], Fraction] = {
     (4, 4): Fraction(-16, 3),
 }
 
-#: The tables as floats, computed once: (n, |k|) -> float(c_n[k]), absent at 0.
-P_FLOAT = {key: float(c) for key, c in _P_TABLE.items()}
-A_FLOAT = {key: float(c) for key, c in _A_TABLE.items()}
-
 
 def _coeff(table: dict[tuple[int, int], Fraction], n: int, kappa: int) -> Fraction:
     if not isinstance(n, int) or not (1 <= n <= MAX_ORDER):
         raise ValueError(f"expansion order n must be an integer in 1..{MAX_ORDER}, got {n!r}")
-    k = abs(kappa)
-    if k > n or (k - n) % 2 != 0:
-        return Fraction(0)
-    return table.get((n, k), Fraction(0))
+    return table.get((n, abs(kappa)), Fraction(0))    # the tables hold every nonzero
 
 
 def p_coeff(n: int, kappa: int) -> Fraction:
@@ -83,6 +76,14 @@ def p_coeff(n: int, kappa: int) -> Fraction:
 def a_coeff(n: int, kappa: int) -> Fraction:
     """Harmonic-``kappa`` coefficient of the order-``n`` zeroth-order profile."""
     return _coeff(_A_TABLE, n, kappa)
+
+
+#: The tables as floats, computed once: (n, kappa) -> float(c_n[kappa]) for
+#: n = 1..MAX_ORDER and every kappa in -n..n, zeros included, in that order.
+P_FLOAT, A_FLOAT = (
+    {(n, k): float(_coeff(table, n, k)) for n in range(1, MAX_ORDER + 1) for k in range(-n, n + 1)}
+    for table in (_P_TABLE, _A_TABLE)
+)
 
 
 def omega(j: int, sigma: int, mu: float) -> float:

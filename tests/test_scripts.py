@@ -47,3 +47,11 @@ def test_bench_pairs_summary_applies_the_gain_and_bound_rules():
     assert row["pairs"] == 10 and row["attempted"] == {"parent": 20, "change": 20}
     assert light["change_wins"] == 9 and light["gain_rule_met"] and light["within_bound"]
     assert heavy["change_wins"] == 0 and not heavy["gain_rule_met"] and not heavy["within_bound"]
+
+    # the same light series falls short of the rule with fewer than ten pairs,
+    # or when the change fails more operations than the parent
+    short = [r for r in records if r["pair"] < 9]
+    assert not bench_pairs.summarize(short, bench)["workloads"]["w"]["metrics"]["light_op_s"]["gain_rule_met"]
+    records[1]["result"] = {**records[1]["result"], "failed": 1}
+    assert records[1]["side"] == "change"
+    assert not bench_pairs.summarize(records, bench)["workloads"]["w"]["metrics"]["light_op_s"]["gain_rule_met"]

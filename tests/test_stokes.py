@@ -7,9 +7,11 @@ import pytest
 
 from stokes_isola import floquet
 from stokes_isola.stokes import (
+    A_FLOAT,
     MAX_ORDER,
     MU_STAR,
     OMEGA_STAR,
+    P_FLOAT,
     a_coeff,
     omega,
     p_coeff,
@@ -65,6 +67,15 @@ class TestTables:
             p_coeff(5, 1)
         with pytest.raises(ValueError):
             a_coeff(0, 0)
+
+    def test_float_views_hold_every_harmonic_of_every_order(self):
+        keys = [(n, k) for n in range(1, MAX_ORDER + 1) for k in range(-n, n + 1)]
+        assert list(P_FLOAT) == list(A_FLOAT) == keys
+        for n, k in keys:
+            assert P_FLOAT[n, k] == float(p_coeff(n, k))
+            assert A_FLOAT[n, k] == float(a_coeff(n, k))
+            if (k - n) % 2:
+                assert P_FLOAT[n, k] == A_FLOAT[n, k] == 0.0
 
 
 class TestDispersion:
