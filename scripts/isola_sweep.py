@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from stokes_isola.floquet import measure_isola
+from stokes_isola.floquet import DEFAULT_N, measure_isola
 from stokes_isola.instability import isola
 from stokes_isola.jets import assemble_reduced_jet
 
@@ -24,7 +24,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--eps", action="append", type=float, default=None,
                     help="amplitudes to sweep (repeatable; default 0.04 0.06 0.08 0.10)")
-    ap.add_argument("--trunc", type=int, default=32, help="Fourier truncation (default 32)")
+    ap.add_argument("--trunc", type=int, default=DEFAULT_N, help=f"Fourier truncation (default {DEFAULT_N})")
     args = ap.parse_args(argv)
     eps_grid = args.eps or [0.04, 0.06, 0.08, 0.10]
 

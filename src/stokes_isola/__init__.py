@@ -23,75 +23,27 @@ Layers, bottom up:
                     derived constant, which `verify` and the tests check
                     against;
 * `cli`          -- the ``stokes-isola`` command.
+
+The package re-exports each module's ``__all__``, the one list of its public
+names; ``__all__`` here is their concatenation plus ``__version__``.
 """
 
-from .basis import Mode
-from .entanglement import (
-    JetIndex,
-    bracket,
-    chain_apply,
-    ent_coeff,
-    residue,
-    residue_contour,
-)
-from .floquet import (
-    ConvergenceRow,
-    DiscretizedOperator,
-    IsolaMeasurement,
-    SpectrumPoint,
-    SpectrumSample,
-    TrackingFailure,
-    build,
-    convergence_check,
-    measure_isola,
-    spectrum,
-    trace_isola,
-)
-from .instability import (
-    EigenPair,
-    Isola,
-    instability_criterion,
-    isola,
-    stokes_beta_sequence,
-)
-from .jets import (
-    ReducedJet,
-    assemble_reduced_jet,
-    beta3_projector_route,
-    term_ledger,
-)
-from .stokes import omega
+from .basis import *
+from .entanglement import *
+from .floquet import *
+from .instability import *
+from .jets import *
+from .stokes import *
+from . import basis, entanglement, floquet, instability, jets, stokes
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Mode",
-    "JetIndex",
-    "bracket",
-    "chain_apply",
-    "ent_coeff",
-    "residue",
-    "residue_contour",
-    "ReducedJet",
-    "assemble_reduced_jet",
-    "beta3_projector_route",
-    "term_ledger",
-    "EigenPair",
-    "Isola",
-    "instability_criterion",
-    "isola",
-    "stokes_beta_sequence",
-    "ConvergenceRow",
-    "DiscretizedOperator",
-    "IsolaMeasurement",
-    "SpectrumPoint",
-    "SpectrumSample",
-    "TrackingFailure",
-    "build",
-    "convergence_check",
-    "measure_isola",
-    "spectrum",
-    "trace_isola",
-    "omega",
+    *basis.__all__,
+    *entanglement.__all__,
+    *floquet.__all__,
+    *instability.__all__,
+    *jets.__all__,
+    *stokes.__all__,
     "__version__",
 ]

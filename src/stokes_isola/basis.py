@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["Mode", "sqrt_sigma"]
+__all__ = ["Mode"]
 
 
 @dataclass(frozen=True, order=True)

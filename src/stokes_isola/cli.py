@@ -393,8 +393,6 @@ def cmd_isola(cfg: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(cfg: argparse.Namespace) -> int:
-    import scipy.linalg
-
     op = floquet.build(cfg.mu, cfg.eps[-1], N=cfg.trunc[-1], stokes_order=cfg.stokes_order)
     if not 0 <= cfg.mu < 0.5:  # `build` has rejected a NaN
         print(
@@ -403,7 +401,7 @@ def cmd_spectrum(cfg: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     # the full spectrum is the output here, so this one solve stays dense
-    eigs = scipy.linalg.eigvals(op.matrix)
+    eigs = np.linalg.eigvals(op.matrix)
     try:
         tracked = set(floquet._pick_pair(eigs))
     except floquet.TrackingFailure as exc:

@@ -62,14 +62,10 @@ from .stokes import A_FLOAT, MAX_ORDER, MU_STAR, OMEGA_STAR, P_FLOAT, omega
 
 __all__ = [
     "JetIndex",
-    "ChainOp",
-    "RESONANT_MODES",
     "ent_coeff",
-    "is_pole",
     "residue",
     "residue_contour",
     "chain_apply",
-    "project",
     "bracket",
 ]
 

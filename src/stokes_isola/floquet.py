@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -158,6 +159,14 @@ def _check_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _check_integer(**values: int) -> None:
+    for name, value in values.items():
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def build(
     mu: float,
     eps: float,
@@ -168,7 +177,9 @@ def build(
     use: harmonics j = -N..N, rows/columns 0..2N the first component,
     2N+1..4N+1 the second.  ``N`` below 8 would foul the tracking window;
     ``stokes_order``, the order of the profile expansion, is 0..4.  Raises
-    ValueError for these, a negative eps and a non-finite mu or eps."""
+    ValueError for these, a non-integer N or stokes_order (numpy integers
+    pass), a negative eps and a non-finite mu or eps."""
+    _check_integer(N=N, stokes_order=stokes_order)
     if N < 8:
         raise ValueError(f"N must be at least 8, got {N}")
     if not 0 <= stokes_order <= MAX_ORDER:
@@ -464,8 +475,9 @@ def convergence_check(
     stokes_order: int = MAX_ORDER,
 ) -> list[ConvergenceRow]:
     """Cauchy-difference table of the tracked pair under N-refinement.
-    Raises ValueError unless each N exceeds the one before."""
-    ladder = [int(n) for n in N_list]
+    Raises ValueError unless each N is an integer (`build`) and exceeds the
+    one before."""
+    ladder = list(N_list)
     if any(a >= b for a, b in zip(ladder, ladder[1:])):
         raise ValueError(f"N ladder {ladder} does not refine: each N must exceed the one before")
     rows: list[ConvergenceRow] = []

@@ -70,7 +70,9 @@ class Isola:
     of the reduced matrix vanishes.  The growth rate peaks at ``re_max`` at
     mu0 + ``nu_re``.  lambda_plus sweeps an ellipse centered on the imaginary
     axis at ``im_center``, with horizontal semi-axis ``re_max`` and vertical
-    semi-axis ``semi_im``.  Field names match `floquet.IsolaMeasurement`.
+    semi-axis ``semi_im``.  `floquet.IsolaMeasurement` shares ``re_max`` and
+    ``im_center``; its ``mu_left``, ``mu_right``, ``mu_at_max`` and ``mu_width``
+    are mu0 + nu_plus, mu0 + nu_minus, mu0 + nu_re and ``width`` here.
 
     The last four fields are the model's coefficients in nu = mu - mu0:
     D = d_peak - t1_sq*nu^2 + d_cross*nu and S = 2*im_center + d1*nu.

@@ -52,8 +52,6 @@ from .entanglement import (
 )
 
 __all__ = [
-    "LOW",
-    "HIGH",
     "ReducedJet",
     "term_ledger",
     "beta3_projector_route",

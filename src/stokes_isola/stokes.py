@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-__all__ = ["p_coeff", "a_coeff", "omega"]
+__all__ = ["omega"]
 
 MAX_ORDER = 4
 
@@ -38,7 +38,8 @@ MU_STAR = 0.25
 OMEGA_STAR = 0.75
 
 # Harmonic tables c_n[|k|] for the two profiles ("p" multiplies the transport
-# part of the operator, "a" the zeroth-order part).  Keys: (n, |k|).
+# part of the operator, "a" the zeroth-order part).  Keys: (n, |k|); the
+# tables hold every nonzero, so an absent key is a zero coefficient.
 _P_TABLE: dict[tuple[int, int], Fraction] = {
     (1, 1): Fraction(-2),
     (2, 0): Fraction(3),
@@ -61,27 +62,10 @@ _A_TABLE: dict[tuple[int, int], Fraction] = {
     (4, 4): Fraction(-16, 3),
 }
 
-
-def _coeff(table: dict[tuple[int, int], Fraction], n: int, kappa: int) -> Fraction:
-    if not isinstance(n, int) or not (1 <= n <= MAX_ORDER):
-        raise ValueError(f"expansion order n must be an integer in 1..{MAX_ORDER}, got {n!r}")
-    return table.get((n, abs(kappa)), Fraction(0))    # the tables hold every nonzero
-
-
-def p_coeff(n: int, kappa: int) -> Fraction:
-    """Harmonic-``kappa`` coefficient of the order-``n`` transport profile."""
-    return _coeff(_P_TABLE, n, kappa)
-
-
-def a_coeff(n: int, kappa: int) -> Fraction:
-    """Harmonic-``kappa`` coefficient of the order-``n`` zeroth-order profile."""
-    return _coeff(_A_TABLE, n, kappa)
-
-
 #: The tables as floats, computed once: (n, kappa) -> float(c_n[kappa]) for
 #: n = 1..MAX_ORDER and every kappa in -n..n, zeros included, in that order.
 P_FLOAT, A_FLOAT = (
-    {(n, k): float(_coeff(table, n, k)) for n in range(1, MAX_ORDER + 1) for k in range(-n, n + 1)}
+    {(n, k): float(table.get((n, abs(k)), 0)) for n in range(1, MAX_ORDER + 1) for k in range(-n, n + 1)}
     for table in (_P_TABLE, _A_TABLE)
 )
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import stokes_isola
-from stokes_isola import cli, floquet, jets
+from stokes_isola import basis, cli, entanglement, floquet, instability, jets, stokes
 
 
 def run(capsys, *argv):
@@ -243,9 +243,9 @@ class TestNonFiniteInput:
 
 class TestStartUp:
     def test_scipy_loads_only_for_the_oracle(self):
-        """``verify`` and ``coeffs`` run without scipy or numpy.polynomial in
-        a fresh interpreter; the first solve loads scipy (which itself loads
-        numpy.polynomial)."""
+        """``verify``, ``coeffs`` and the dense ``spectrum`` run without scipy
+        or numpy.polynomial in a fresh interpreter; the first shift-invert
+        solve loads scipy (which itself loads numpy.polynomial)."""
         code = textwrap.dedent(
             """
             import io, sys
@@ -254,15 +254,17 @@ class TestStartUp:
             out, sys.stdout = sys.stdout, io.StringIO()
             codes = cli.main(["verify"]), cli.main(["coeffs", "--format", "json"])
             closed_form = "scipy" in sys.modules, "numpy.polynomial" in sys.modules
+            codes += (cli.main(["spectrum", "--mu", "0.25", "--eps", "0.06", "--trunc", "16"]),)
+            dense = "scipy" in sys.modules
             stokes_isola.measure_isola(0.06)
-            print(*codes, *closed_form, "scipy" in sys.modules, file=out)
+            print(*codes, *closed_form, dense, "scipy" in sys.modules, file=out)
             """
         )
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(
             [sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True
         )
-        assert proc.stdout.split() == ["0", "0", "False", "False", "True"]
+        assert proc.stdout.split() == ["0", "0", "0", "False", "False", "False", "True"]
 
 
 class TestPublicApi:
@@ -270,6 +272,17 @@ class TestPublicApi:
         namespace = {}
         exec("from stokes_isola import *", namespace)
         assert set(stokes_isola.__all__) <= set(namespace)
+
+    def test_package_exports_exactly_the_modules_lists(self):
+        modules = [basis, entanglement, floquet, instability, jets, stokes]
+        names = [name for module in modules for name in module.__all__]
+        assert stokes_isola.__all__ == names + ["__version__"]
+        assert len(set(stokes_isola.__all__)) == len(stokes_isola.__all__)
+        for module in modules:
+            for name in module.__all__:
+                obj = getattr(module, name)
+                assert obj.__module__ == module.__name__, name    # defined there, not re-exported
+                assert getattr(stokes_isola, name) is obj
 
 
 class TestConfigFile:

@@ -36,6 +36,7 @@ class TestBuild:
         op = build(0.25, 0.05, N=16)
         assert op.matrix.shape == (66, 66)
         assert (op.mu, op.eps, op.N, op.stokes_order) == (0.25, 0.05, 16, 4)
+        assert build(0.25, 0.05, N=np.int64(16), stokes_order=np.int32(4)).matrix.shape == (66, 66)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -44,6 +45,13 @@ class TestBuild:
             build(0.25, 0.05, N=16, stokes_order=5)
         with pytest.raises(ValueError):
             build(0.25, -0.01, N=16)
+
+    @pytest.mark.parametrize("kwargs,name", [
+        (dict(N=16.5), "N"), (dict(N=16.0), "N"), (dict(N=16, stokes_order=2.5), "stokes_order"),
+    ])
+    def test_rejects_non_integer_sizes(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            build(0.25, 0.05, **kwargs)
 
     @pytest.mark.parametrize("mu,eps,name", [
         (0.25, math.nan, "eps"), (0.25, math.inf, "eps"),
@@ -182,6 +190,11 @@ class TestConvergence:
         monkeypatch.setattr(floquet, "build", no_solve)
         with pytest.raises(ValueError, match=re.escape(f"N ladder {ladder} does not refine")):
             convergence_check(0.246778, 0.06, ladder)
+
+    def test_ladder_of_non_integers_is_rejected(self):
+        # truncating 16.5 and 24.9 would label the rows N = 16 and 24
+        with pytest.raises(ValueError, match="N must be an integer, got 16.5"):
+            convergence_check(0.246778, 0.06, [16.5, 24.9])
 
 
 class TestIsolaMeasurement:
@@ -487,6 +500,10 @@ class TestIsolaSearchFailures:
             return
         assert meas.mu_left < meas.mu_at_max < meas.mu_right
         assert meas.re_max > 0
+
+    def test_non_integer_truncation(self):
+        with pytest.raises(ValueError, match="N must be an integer, got 24.5"):
+            measure_isola(0.06, N=24.5)
 
     def test_no_isola_resolved(self, monkeypatch):
         reduced = floquet._reduced_discriminant

@@ -7,75 +7,73 @@ import pytest
 
 from stokes_isola import floquet
 from stokes_isola.stokes import (
+    _A_TABLE,
+    _P_TABLE,
     A_FLOAT,
     MAX_ORDER,
     MU_STAR,
     OMEGA_STAR,
     P_FLOAT,
-    a_coeff,
     omega,
-    p_coeff,
 )
 
 
 class TestTables:
     def test_order_one(self):
-        assert p_coeff(1, 1) == Fraction(-2)
-        assert a_coeff(1, 1) == Fraction(-2)
+        assert _P_TABLE[1, 1] == Fraction(-2)
+        assert _A_TABLE[1, 1] == Fraction(-2)
 
     def test_order_two(self):
-        assert p_coeff(2, 0) == Fraction(3)
-        assert a_coeff(2, 0) == Fraction(4)
-        assert p_coeff(2, 2) == Fraction(-2)
-        assert a_coeff(2, 2) == Fraction(-2)
+        assert _P_TABLE[2, 0] == Fraction(3)
+        assert _A_TABLE[2, 0] == Fraction(4)
+        assert _P_TABLE[2, 2] == Fraction(-2)
+        assert _A_TABLE[2, 2] == Fraction(-2)
 
     def test_order_three(self):
-        assert p_coeff(3, 1) == Fraction(3)
-        assert a_coeff(3, 1) == Fraction(4)
-        assert p_coeff(3, 3) == Fraction(-3)
-        assert a_coeff(3, 3) == Fraction(-3)
+        assert _P_TABLE[3, 1] == Fraction(3)
+        assert _A_TABLE[3, 1] == Fraction(4)
+        assert _P_TABLE[3, 3] == Fraction(-3)
+        assert _A_TABLE[3, 3] == Fraction(-3)
 
     def test_order_four(self):
-        assert p_coeff(4, 0) == Fraction(1, 4)
-        assert a_coeff(4, 0) == Fraction(-2)
-        assert p_coeff(4, 2) == Fraction(4)
-        assert a_coeff(4, 2) == Fraction(4)
-        assert p_coeff(4, 4) == Fraction(-16, 3)
-        assert a_coeff(4, 4) == Fraction(-16, 3)
+        assert _P_TABLE[4, 0] == Fraction(1, 4)
+        assert _A_TABLE[4, 0] == Fraction(-2)
+        assert _P_TABLE[4, 2] == Fraction(4)
+        assert _A_TABLE[4, 2] == Fraction(4)
+        assert _P_TABLE[4, 4] == Fraction(-16, 3)
+        assert _A_TABLE[4, 4] == Fraction(-16, 3)
 
     def test_parity_gaps_are_zero(self):
         # each order n only carries harmonics of the same parity as n
-        assert p_coeff(2, 1) == 0
-        assert a_coeff(3, 0) == 0
-        assert p_coeff(3, 2) == 0
-        assert a_coeff(4, 1) == 0
-        assert p_coeff(1, 0) == 0
+        assert P_FLOAT[2, 1] == 0
+        assert A_FLOAT[3, 0] == 0
+        assert P_FLOAT[3, 2] == 0
+        assert A_FLOAT[4, 1] == 0
+        assert P_FLOAT[1, 0] == 0
+        for n, k in P_FLOAT:
+            if (k - n) % 2:
+                assert P_FLOAT[n, k] == A_FLOAT[n, k] == 0.0
+                assert (n, abs(k)) not in _P_TABLE and (n, abs(k)) not in _A_TABLE
 
     def test_out_of_support_is_zero(self):
-        assert p_coeff(2, 4) == 0
-        assert a_coeff(1, 3) == 0
-        assert p_coeff(4, 6) == 0
+        assert (2, 4) not in _P_TABLE and (2, 4) not in P_FLOAT
+        assert (1, 3) not in _A_TABLE and (1, 3) not in A_FLOAT
+        assert (4, 6) not in _P_TABLE and (4, -6) not in P_FLOAT
+        assert all(0 <= k <= n <= MAX_ORDER for n, k in (*_P_TABLE, *_A_TABLE))
 
     def test_negative_harmonic_symmetric(self):
         for n in range(1, MAX_ORDER + 1):
             for kappa in range(0, n + 1):
-                assert p_coeff(n, -kappa) == p_coeff(n, kappa)
-                assert a_coeff(n, -kappa) == a_coeff(n, kappa)
-
-    def test_order_out_of_range(self):
-        with pytest.raises(ValueError):
-            p_coeff(5, 1)
-        with pytest.raises(ValueError):
-            a_coeff(0, 0)
+                assert P_FLOAT[n, -kappa] == P_FLOAT[n, kappa]
+                assert A_FLOAT[n, -kappa] == A_FLOAT[n, kappa]
 
     def test_float_views_hold_every_harmonic_of_every_order(self):
         keys = [(n, k) for n in range(1, MAX_ORDER + 1) for k in range(-n, n + 1)]
         assert list(P_FLOAT) == list(A_FLOAT) == keys
-        for n, k in keys:
-            assert P_FLOAT[n, k] == float(p_coeff(n, k))
-            assert A_FLOAT[n, k] == float(a_coeff(n, k))
-            if (k - n) % 2:
-                assert P_FLOAT[n, k] == A_FLOAT[n, k] == 0.0
+        for exact, view in ((_P_TABLE, P_FLOAT), (_A_TABLE, A_FLOAT)):
+            assert {(n, abs(k)) for (n, k), c in view.items() if c} == set(exact)
+            for (n, k), c in exact.items():
+                assert view[n, k] == view[n, -k] == float(c)
 
 
 class TestDispersion:
