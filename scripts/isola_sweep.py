@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from stokes_isola.floquet import DEFAULT_N, measure_isola
+from stokes_isola.floquet import DEFAULT_N, TrackingFailure, measure_isola
 from stokes_isola.instability import isola
 from stokes_isola.jets import assemble_reduced_jet
 
@@ -33,15 +33,19 @@ def main(argv=None) -> int:
     print(f"{'eps':>6} {'re_max oracle':>14} {'re_max theory':>14} {'rel.err':>8} "
           f"{'im dev':>9} {'width ratio':>11}")
     measured = []
-    for eps in eps_grid:
-        meas = measure_isola(eps, N=args.trunc)
-        th = isola(jet, eps)
-        rel = abs(meas.re_max - th.re_max) / th.re_max
-        im_dev = meas.im_center - th.im_center
-        width_ratio = meas.mu_width / th.width
-        measured.append((eps, meas.re_max))
-        print(f"{eps:6.3f} {meas.re_max:14.6e} {th.re_max:14.6e} {rel:8.4f} "
-              f"{im_dev:9.2e} {width_ratio:11.4f}")
+    try:
+        for eps in eps_grid:
+            meas = measure_isola(eps, N=args.trunc)
+            th = isola(jet, eps)
+            rel = abs(meas.re_max - th.re_max) / th.re_max
+            im_dev = meas.im_center - th.im_center
+            width_ratio = meas.mu_width / th.width
+            measured.append((eps, meas.re_max))
+            print(f"{eps:6.3f} {meas.re_max:14.6e} {th.re_max:14.6e} {rel:8.4f} "
+                  f"{im_dev:9.2e} {width_ratio:11.4f}")
+    except (TrackingFailure, ValueError, ArithmeticError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
 
     if len(measured) >= 2:
         logs = np.log([e for e, _ in measured])

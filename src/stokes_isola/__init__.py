@@ -9,10 +9,10 @@ Layers, bottom up:
 
 * `stokes`       -- exact harmonic tables of the wave profiles, the
                     flat dispersion relation and the collision point;
-* `basis`        -- mode labels and branch convention of the flat
-                    problem's symplectic eigenbasis;
-* `entanglement` -- mode-coupling coefficients, residue calculus, the
-                    resolvent-chain algebra and its one pairing, `bracket`;
+* `entanglement` -- mode labels ``(j, sigma)`` and branch convention of the
+                    flat problem's symplectic eigenbasis, mode-coupling
+                    coefficients, residue calculus, the resolvent-chain
+                    algebra and its one pairing, `bracket`;
 * `jets`         -- the declarative table of named brackets, evaluated once
                     into the term ledger and the reduced 2x2 matrix jet;
 * `instability`  -- the closed-form 2x2 model: one `Isola` record (band,
@@ -28,18 +28,16 @@ The package re-exports each module's ``__all__``, the one list of its public
 names; ``__all__`` here is their concatenation plus ``__version__``.
 """
 
-from .basis import *
 from .entanglement import *
 from .floquet import *
 from .instability import *
 from .jets import *
 from .stokes import *
-from . import basis, entanglement, floquet, instability, jets, stokes
+from . import entanglement, floquet, instability, jets, stokes
 
 __version__ = "0.1.0"
 
 __all__ = [
-    *basis.__all__,
     *entanglement.__all__,
     *floquet.__all__,
     *instability.__all__,

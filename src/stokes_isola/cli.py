@@ -47,9 +47,10 @@ import numpy as np
 
 from . import closed_forms as cf
 from . import floquet, instability, jets
-from .basis import Mode
 from .entanglement import (
+    RESONANT_MODES,
     JetIndex,
+    Mode,
     bracket,
     chain_apply,
     ent_coeff,
@@ -230,7 +231,7 @@ def _verify_rows() -> list[tuple[str, complex, complex]]:
     # structural spot-checks, all with closed expected values or exact zeros
     b01 = JetIndex(0, 1)
     b02 = JetIndex(0, 2)
-    low, high = jets.LOW, jets.HIGH
+    low, high = RESONANT_MODES
     rows.append(
         (
             "ent[(0,1),+1]((0,-)->(1,+))=i*5^(1/4)*(sqrt(5)-3)/8",

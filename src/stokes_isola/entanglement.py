@@ -8,6 +8,22 @@ matrix entry is a finite sum of products
 where the residue factor is a contour integral of a product of resolvents
 of the flat operator around the collision frequency i*omega*.
 
+Basis.  For ``j + mu != 0`` the mode ``(j, sigma)`` labels the eigenvector
+
+    f_j^sigma(mu) = (2*Omega_j)^(-1/2) * ( -sqrt(sigma)*Omega_j , sqrt(-sigma) ) e^{i j x},
+
+with the branch convention sqrt(+1) = 1, sqrt(-1) = i.  The vectors are
+normalized so that the complex symplectic pairing
+
+    W(f, g) = f[1]*conj(g[0]) - f[0]*conj(g[1])      (same harmonic j)
+
+equals -i on (+,+) diagonal pairs, +i on (-,-) pairs, and 0 otherwise.
+
+The reversibility involution acts on a single-harmonic component vector
+(c1, c2) as (conj(c1), -conj(c2)); the basis vectors are eigenvectors of it
+with sign sigma.  The vectors themselves are never formed: the coupling
+coefficients of `ent_coeff` are their pairings in closed form.
+
 Grading convention.  A jet index ``(i, n)`` labels the coefficient of
 ``delta^i * eps^n`` in the expansion of the operator's self-adjoint part,
 where ``delta`` is the Floquet offset ``mu - 1/4`` and ``eps`` the wave
@@ -31,8 +47,8 @@ jet indices couple to zero at this order.  Coefficients obey the conjugation
 symmetry  conj(c[(i,n),k](j -> j+k, s -> s')) = c[(i,n),-k](j+k -> j, s' -> s).
 
 Poles.  The flat frequency of a mode equals omega* only for the resonant
-pair (0,-), (2,+) (`is_pole` gives the proof), so a mode is a pole of the
-residue iff it lies in `RESONANT_MODES`, the same set P0 projects onto.
+pair (0,-), (2,+) (the proof is at `RESONANT_MODES`), so a mode is a pole of
+the residue iff it lies in `RESONANT_MODES`, the same set P0 projects onto.
 
 Chains.  ``chain_apply(ops, source)`` implements
 
@@ -57,10 +73,10 @@ from typing import Literal, Optional, Sequence, Union
 
 import numpy as np
 
-from .basis import Mode, sqrt_sigma
 from .stokes import A_FLOAT, MAX_ORDER, MU_STAR, OMEGA_STAR, P_FLOAT, omega
 
 __all__ = [
+    "Mode",
     "JetIndex",
     "ent_coeff",
     "residue",
@@ -73,7 +89,32 @@ __all__ = [
 _CONTOUR_RADIUS = 0.125
 _CONTOUR_NODES = 4096
 
-#: The two modes whose flat frequencies collide at omega* = 3/4.
+
+@dataclass(frozen=True, order=True)
+class Mode:
+    """A Fourier harmonic ``j`` together with a branch sign ``sigma``."""
+
+    j: int
+    sigma: int
+
+    def __post_init__(self) -> None:
+        if self.sigma not in (1, -1):
+            raise ValueError(f"sigma must be +1 or -1, got {self.sigma!r}")
+
+    def __repr__(self) -> str:  # compact: (2,+) instead of Mode(j=2, sigma=1)
+        return f"({self.j},{'+' if self.sigma > 0 else '-'})"
+
+
+#: Branch convention sqrt(+1) = 1, sqrt(-1) = i.
+_SQRT_SIGMA = {1: 1.0 + 0.0j, -1: 1j}
+
+#: The two modes whose flat frequencies collide at omega* = 3/4: the poles
+#: of `residue`, and the only modes with flat frequency omega* at mu* = 1/4.
+#: Proof.  Let s = sqrt|j + 1/4| > 0, so omega_j^sigma = j + 1/4 - sigma*s.
+#: For j >= 0, j + 1/4 = s^2 and the condition reads s^2 - sigma*s = 3/4,
+#: whose positive root is s = 3/2 for sigma = +1 (j = 2) and s = 1/2 for
+#: sigma = -1 (j = 0).  For j < 0, j + 1/4 = -s^2 and it reads
+#: s^2 + sigma*s + 3/4 = 0, which has no real root (discriminant -2).
 RESONANT_MODES: tuple[Mode, Mode] = (Mode(0, -1), Mode(2, +1))
 
 Projector = Optional[Literal["P0", "Q0"]]
@@ -115,7 +156,7 @@ def ent_coeff(ell: JetIndex, kappa: int, source: Mode, target_sigma: int) -> com
     i, n = ell.mu_order, ell.eps_order
     j, sg = source.j, source.sigma
     sg_t = target_sigma
-    phase = sqrt_sigma(sg) * sqrt_sigma(sg_t).conjugate()
+    phase = _SQRT_SIGMA[sg] * _SQRT_SIGMA[sg_t].conjugate()
 
     if (i, n) == (1, 0):
         if kappa != 0:
@@ -151,19 +192,6 @@ def ent_coeff(ell: JetIndex, kappa: int, source: Mode, target_sigma: int) -> com
 # ---------------------------------------------------------------- residues
 
 
-def is_pole(mode: Mode) -> bool:
-    """Whether the flat frequency of ``mode`` equals omega* = 3/4 at mu* = 1/4,
-    that is, whether ``mode`` is one of `RESONANT_MODES`.
-
-    Proof.  Let s = sqrt|j + 1/4| > 0, so omega_j^sigma = j + 1/4 - sigma*s.
-    For j >= 0, j + 1/4 = s^2 and the condition reads s^2 - sigma*s = 3/4,
-    whose positive root is s = 3/2 for sigma = +1 (j = 2) and s = 1/2 for
-    sigma = -1 (j = 0).  For j < 0, j + 1/4 = -s^2 and it reads
-    s^2 + sigma*s + 3/4 = 0, which has no real root (discriminant -2).
-    """
-    return mode in RESONANT_MODES
-
-
 def residue(modes: Sequence[Mode]) -> float:
     """Contour-integral factor for a path of ``q+1`` modes at mu = 1/4.
 
@@ -181,7 +209,7 @@ def residue(modes: Sequence[Mode]) -> float:
     """
     if len(modes) == 0:
         raise ValueError("residue needs at least one mode")
-    flags = [is_pole(m) for m in modes]
+    flags = [m in RESONANT_MODES for m in modes]
     npoles = sum(flags)
     if npoles == 0:
         return 0.0
@@ -206,8 +234,7 @@ def residue_contour(modes: Sequence[Mode]) -> complex:
     Independent numerical check of `residue`: `_CONTOUR_NODES` nodes on the
     circle of radius `_CONTOUR_RADIUS` about i*omega*.  Every flat frequency
     other than the resonant pair's lies at least 0.618 from omega* (the
-    nearest is (1,+)), so the circle encloses exactly the poles `is_pole`
-    names.
+    nearest is (1,+)), so the circle encloses exactly `RESONANT_MODES`.
     """
     q = len(modes) - 1
     unit = np.exp(2j * math.pi / _CONTOUR_NODES * np.arange(_CONTOUR_NODES))

@@ -38,13 +38,13 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, Union
 
-from .basis import Mode
 from .entanglement import (
     RESONANT_MODES,
     ChainOp,
     JetIndex,
+    Mode,
     bracket,
     chain_apply,
     ent_coeff,
@@ -68,9 +68,6 @@ B03 = JetIndex(0, 3)
 B04 = JetIndex(0, 4)
 
 LOW, HIGH = RESONANT_MODES
-
-_ONE_LOW = {LOW: 1.0 + 0j}
-_ONE_HIGH = {HIGH: 1.0 + 0j}
 
 
 # ------------------------------------------------------------- term catalog
@@ -152,10 +149,11 @@ def _ledger() -> Mapping[str, complex]:
     is read-only so that no caller can change what the next one sees.
     """
     out = {name: _evaluate(*row) for name, *row, _ in _CATALOG}
-    # zeta_up: (2,+) component of the harmonic-raising order-eps^2 projector
-    # jet applied to f_(0,-); zeta_down the reverse
-    up = _apply_composite([[(B02, +2)], [(B01, +1), (B01, +1)]], _ONE_LOW).get(HIGH, 0j)
-    down = _apply_composite([[(B02, -2)], [(B01, -1), (B01, -1)]], _ONE_HIGH).get(LOW, 0j)
+    # zeta_up: (2,+) component of the harmonic-raising chains of the order-eps^2
+    # projector applied to f_(0,-); zeta_down the lowering chains on f_(2,+)
+    p2 = _composite_projector_chains()[2]
+    up = _apply_composite(p2[:2], LOW).get(HIGH, 0j)
+    down = _apply_composite(p2[2:4], HIGH).get(LOW, 0j)
     out["beta3.loop_up"] = up
     out["beta3.loop_down"] = down
     out["beta3.loopback"] = -0.5 * (
@@ -212,7 +210,7 @@ def _composite_projector_chains() -> dict[int, list[list[ChainOp]]]:
 
 
 def _apply_composite(
-    chains: Sequence[list[ChainOp]], vec: dict[Mode, complex]
+    chains: Sequence[list[ChainOp]], vec: Union[Mode, dict[Mode, complex]]
 ) -> dict[Mode, complex]:
     out: dict[Mode, complex] = {}
     for chain in chains:
@@ -238,12 +236,12 @@ def beta3_projector_route() -> float:
     """
     chains = _composite_projector_chains()
     total = 0j
-    total += bracket((B04, None), _ONE_LOW, HIGH)
+    total += bracket((B04, None), LOW, HIGH)
 
     # the B3 P1, B2 Phat2 and B1 Phat3 brackets, each with its dual
     corrected = {}
     for k, ell, projector in ((1, B03, None), (2, B02, "Q0"), (3, B01, "Q0")):
-        low, high = corrected[k] = [_apply_composite(chains[k], one) for one in (_ONE_LOW, _ONE_HIGH)]
+        low, high = corrected[k] = [_apply_composite(chains[k], one) for one in (LOW, HIGH)]
         total += 0.5 * bracket((ell, None), project(low, projector), HIGH)
         total += 0.5 * bracket((ell, None), LOW, project(high, projector))
 

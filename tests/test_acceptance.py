@@ -15,14 +15,13 @@ import pytest
 import scipy.linalg
 
 from stokes_isola import closed_forms, jets
-from stokes_isola.basis import Mode
 from stokes_isola.entanglement import (
     RESONANT_MODES,
     JetIndex,
+    Mode,
     bracket,
     chain_apply,
     ent_coeff,
-    is_pole,
     residue,
     residue_contour,
 )
@@ -158,7 +157,7 @@ def _random_paths(rng: random.Random, count: int):
     out = []
     while len(out) < count:
         path = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
-        npoles = sum(is_pole(m) for m in path)
+        npoles = sum(m in RESONANT_MODES for m in path)
         if 2 < npoles < len(path):
             continue
         out.append(path)

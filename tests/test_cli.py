@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import stokes_isola
-from stokes_isola import basis, cli, entanglement, floquet, instability, jets, stokes
+from stokes_isola import cli, entanglement, floquet, instability, jets, stokes
 
 
 def run(capsys, *argv):
@@ -274,7 +274,7 @@ class TestPublicApi:
         assert set(stokes_isola.__all__) <= set(namespace)
 
     def test_package_exports_exactly_the_modules_lists(self):
-        modules = [basis, entanglement, floquet, instability, jets, stokes]
+        modules = [entanglement, floquet, instability, jets, stokes]
         names = [name for module in modules for name in module.__all__]
         assert stokes_isola.__all__ == names + ["__version__"]
         assert len(set(stokes_isola.__all__)) == len(stokes_isola.__all__)

@@ -7,16 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stokes_isola import entanglement
-from stokes_isola.basis import Mode
 from stokes_isola.entanglement import (
     MU_STAR,
     OMEGA_STAR,
     RESONANT_MODES,
     JetIndex,
+    Mode,
     bracket,
     chain_apply,
     ent_coeff,
-    is_pole,
     project,
     residue,
     residue_contour,
@@ -97,14 +96,26 @@ class TestEntCoeff:
         assert abs(lhs.conjugate() - rhs) <= 1e-13
 
 
-class TestIsPole:
+class TestMode:
+    def test_rejects_bad_sigma(self):
+        with pytest.raises(ValueError):
+            Mode(0, 0)
+        with pytest.raises(ValueError):
+            Mode(1, 2)
+
+    def test_repr_is_compact(self):
+        assert repr(Mode(2, 1)) == "(2,+)"
+        assert repr(Mode(0, -1)) == "(0,-)"
+
+
+class TestResonantModes:
     def test_resonant_pair(self):
-        assert is_pole(LOW)
-        assert is_pole(HIGH)
+        assert LOW in RESONANT_MODES
+        assert HIGH in RESONANT_MODES
 
     def test_non_poles(self):
         for mode in [Mode(0, 1), Mode(2, -1), Mode(1, 1), Mode(1, -1), Mode(-1, -1), Mode(3, 1)]:
-            assert not is_pole(mode)
+            assert mode not in RESONANT_MODES
 
     def test_poles_are_the_resonant_pair(self):
         # 4*omega_j^sigma(1/4) = 4j + 1 - 2*sigma*sqrt|4j + 1| equals 3 only if
@@ -114,7 +125,7 @@ class TestIsPole:
             k = math.isqrt(abs(4 * j + 1))
             for sigma in (1, -1):
                 exact = k * k == abs(4 * j + 1) and 4 * j + 1 - 2 * sigma * k == 3
-                assert is_pole(Mode(j, sigma)) == exact, (j, sigma)
+                assert (Mode(j, sigma) in RESONANT_MODES) == exact, (j, sigma)
                 if exact:
                     poles.append(Mode(j, sigma))
         assert poles == [LOW, HIGH]
@@ -184,7 +195,7 @@ class TestResidue:
         seed=st.integers(min_value=0, max_value=2**16),
     )
     def test_permutation_invariance_property(self, path, seed):
-        flags = sum(is_pole(m) for m in path)
+        flags = sum(m in RESONANT_MODES for m in path)
         if flags >= 3 and flags < len(path):
             return  # outside the supported case analysis
         shuffled = path[:]
@@ -196,7 +207,7 @@ class TestResidue:
         checked = 0
         while checked < 50:
             path = [rng.choice(MODE_POOL) for _ in range(rng.randint(1, 4))]
-            npoles = sum(is_pole(m) for m in path)
+            npoles = sum(m in RESONANT_MODES for m in path)
             if npoles > 2 and npoles < len(path):
                 continue
             got = residue_contour(path)

@@ -8,8 +8,7 @@ from pathlib import Path
 import pytest
 
 from stokes_isola import closed_forms, jets
-from stokes_isola.basis import Mode
-from stokes_isola.entanglement import RESONANT_MODES, chain_apply, project
+from stokes_isola.entanglement import RESONANT_MODES, Mode, chain_apply, project
 from stokes_isola.jets import (
     ReducedJet,
     assemble_reduced_jet,

@@ -9,17 +9,30 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_isola_sweep_runs():
+def _isola_sweep(*args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "isola_sweep.py"), "--eps", "0.06", "--eps", "0.08"],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "isola_sweep.py"), *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_isola_sweep_runs():
+    proc = _isola_sweep("--eps", "0.06", "--eps", "0.08")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     rows = [line.split() for line in lines[1:] if line.strip() and not line.startswith("growth fit:")]
     assert [float(r[0]) for r in rows] == [0.06, 0.08]
     assert sum(line.startswith("growth fit:") for line in lines) == 1
+
+
+def test_isola_sweep_diagnoses_a_numerical_failure():
+    # at eps = 0.5 the tracking disk holds one eigenvalue, not the pair
+    proc = _isola_sweep("--eps", "0.5")
+    assert proc.returncode == 3, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("numerical failure: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_bench_pairs_summary_applies_the_gain_and_bound_rules():
