@@ -171,8 +171,7 @@ def _emit(cfg: argparse.Namespace, header: Sequence[str], rows: Sequence[Sequenc
                 "config": {k: v for k, v in vars(cfg).items() if v is not None and k != "perturb"},
                 payload_key: [dict(zip(header, row)) for row in rows],
             }
-            json.dump(doc, stream, indent=2, allow_nan=True)
-            stream.write("\n")
+            stream.write(json.dumps(doc, indent=2, allow_nan=True) + "\n")    # one write, not one per token
 
     if cfg.out:
         with open(cfg.out, "w") as fh:

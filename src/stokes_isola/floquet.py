@@ -6,12 +6,13 @@ truncate, and find the few eigenvalues of the resulting matrix nearest the
 collision frequency by a shift-invert solve: a banded LU (the matrix is
 banded once the two components are interleaved) and block subspace
 iteration, started from a fixed block or, along a search in mu, from the
-converged block of a nearby solve.  The tracked pair is the two eigenvalues
+pair's invariant subspaces at the two nearest solves, which extrapolate it
+linearly in mu.  The tracked pair is the two eigenvalues
 in the fixed disk of radius `RADIUS` = 0.2 about `CENTER` = i*omega* = 0.75i;
 any other count there is a `TrackingFailure`.  The isola search runs
 secant and Newton steps on the discriminant of the tracked pair's 2x2
 symplectic reduction, taken from the converged block, from the closed
-form's mu0(eps): 9-17 solves of 3-4 subspace iterations each at N = 32.
+form's mu0(eps): 9-17 solves of 2-3 subspace iterations each at N = 32.
 Both work from the operator's Toeplitz parts, built once per amplitude,
 never forming the dense matrix; scipy's LAPACK wrappers load on the first
 solve, not on import.
@@ -198,9 +199,10 @@ class SpectrumSample:
     value that converged, often nothing else; the solve does not promise
     every eigenvalue of the tracking disk.  ``block`` is the read-only
     orthonormal block the solve converged on, `_BLOCK` (four) columns, rows
-    in interleaved order (`_band_layout`), which a solve at a nearby mu can
-    start from (`spectrum`'s ``start``); it takes no part in comparisons or
-    the repr."""
+    in interleaved order (`_band_layout`), pair first: its first two
+    columns span the tracked pair's Ritz vectors.  A solve at a nearby mu
+    can start from it (`spectrum`'s ``start``); it takes no part in
+    comparisons or the repr."""
 
     eigenvalues: np.ndarray
     tracked_pair: tuple[complex, complex]
@@ -313,11 +315,12 @@ def _toward_pair(shift: complex, lam0: complex, lam1: complex) -> Optional[compl
 
 
 def _shift_invert(
-    op: DiscretizedOperator, start: Optional[SpectrumSample] = None
+    op: DiscretizedOperator, start: SpectrumSample | Sequence[SpectrumSample] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The eigenvalues of ``op`` converged near `CENTER` by block
     shift-invert subspace iteration on a banded LU, nearest first, and the
-    orthonormal block they converged on.
+    orthonormal block they converged on, rotated so that its first two
+    columns span the Ritz vectors of the two nearest.
 
     In interleaved order ``op.matrix`` is banded with 2*stokes_order + 1
     sub- and superdiagonals; the band is written from the Toeplitz parts
@@ -335,9 +338,12 @@ def _shift_invert(
     columns stall, and the solve fails at `_MAX_ITER` saying so.
 
     Without ``start`` the block starts fixed (so repeated calls agree bit
-    for bit) and the shift at `CENTER`; with ``start``, a sample at a
-    nearby mu of a matrix of the same size, from ``start.block`` and near
-    ``start``'s pair (`_toward_pair`).  Once the two nearest have loosely
+    for bit) and the shift at `CENTER`.  ``start`` is a sample at a nearby
+    mu of a matrix of the same size, or two, nearest first; the block then
+    starts from the orthonormalized first two columns of each (all four of
+    one alone), so that with two the Rayleigh-Ritz step extrapolates the
+    pair's subspace linearly in mu, and the shift near the nearest one's
+    pair (`_toward_pair`).  Once the two nearest have loosely
     converged (`_RESHIFT_TOL`), the shift moves once if it is far from their
     midpoint or near one of them: within about 1e-6 of an eigenvalue, it
     keeps the other Ritz values in the disk from converging.  A shift that
@@ -349,16 +355,15 @@ def _shift_invert(
     band = _band(op)
     n = band.shape[1]
     shifts = [CENTER, CENTER + _SHIFT_NUDGE]
-    if start is None:
+    starts = (start,) if isinstance(start, SpectrumSample) else tuple(start or ())
+    if not starts:
         q = _start_block(n)
     else:
-        if start.block.shape != (n, _BLOCK):
-            raise ValueError(
-                f"start block has shape {start.block.shape}, "
-                f"need {(n, _BLOCK)} for a {n}-square matrix"
-            )
-        q = start.block
-        warm = _toward_pair(CENTER, *start.tracked_pair)
+        shapes = [s.block.shape for s in starts]
+        if len(starts) > 2 or any(shape != (n, _BLOCK) for shape in shapes):
+            raise ValueError(f"start blocks {shapes}: need one or two of {(n, _BLOCK)} for a {n}-square matrix")
+        q = zungqr(*zgeqrf(np.hstack([s.block[:, : _BLOCK // len(starts)] for s in starts]))[:2])[0]
+        warm = _toward_pair(CENTER, *starts[0].tracked_pair)
         if warm is not None:
             shifts.insert(0, warm)
     kl = 2 * op.stokes_order + 1
@@ -383,9 +388,12 @@ def _shift_invert(
         nu, _, y, _ = zgeev(h, compute_vl=0)
         r = (x - q @ h) @ y
         res = (np.sqrt(np.add.reduce((r.conj() * r).real, 0)) / np.abs(nu)).tolist()
-        ritz = sorted(zip((shift + 1.0 / nu).tolist(), res), key=lambda pair: abs(pair[0] - CENTER))
+        lams = (shift + 1.0 / nu).tolist()
+        order = sorted(range(_BLOCK), key=lambda k: abs(lams[k] - CENTER))
+        ritz = [(lams[k], res[k]) for k in order]
         need = [k < 2 or abs(lam - CENTER) <= RADIUS + _MARGIN for k, (lam, _) in enumerate(ritz)]
         if all(e <= _TOL for (_, e), needed in zip(ritz, need) if needed):
+            q = q @ zungqr(*zgeqrf(y[:, order])[:2])[0]    # the Ritz vectors, nearest first
             q.flags.writeable = False
             return np.array([lam for lam, e in ritz if e <= _TOL]), q
         if reshift and ritz[0][1] <= _RESHIFT_TOL and ritz[1][1] <= _RESHIFT_TOL:
@@ -405,14 +413,17 @@ def _shift_invert(
     )
 
 
-def spectrum(op: DiscretizedOperator, start: Optional[SpectrumSample] = None) -> SpectrumSample:
+def spectrum(
+    op: DiscretizedOperator, start: SpectrumSample | Sequence[SpectrumSample] | None = None
+) -> SpectrumSample:
     """The eigenvalues of ``op`` converged near `CENTER` by the banded
     shift-invert solve (`_shift_invert`), plus the pair tracked among them:
     the two within `RADIUS` of `CENTER`.
 
     ``start``, a sample at a nearby mu of a matrix of the same size and
-    ``stokes_order``, continues that solve; it changes the iterations, not
-    the stopping rule, and one of another size raises ValueError.
+    ``stokes_order``, or two, nearest first, continues those solves; it
+    changes the iterations, not the stopping rule, and one of another size
+    or more than two raise ValueError.
 
     Raises `TrackingFailure` when other than two of the converged
     eigenvalues lie in the tracking disk or the solve fails.
@@ -439,20 +450,21 @@ def trace_isola(
 ) -> list[SpectrumPoint]:
     """Tracked eigenvalue pair (`spectrum`) across a grid of Floquet exponents.
 
-    Each sample continues the solve of the previous one (`spectrum`'s
-    ``start``); the first, and any after a failure, starts cold.
+    Each sample continues the solves of the previous two samples, or one
+    (`spectrum`'s ``start``); the first, and any after a failure, starts cold.
     Per-sample tracking failures are recorded in the output rather than
     raised, so one bad sample cannot kill a sweep.
     """
     points: list[SpectrumPoint] = []
-    previous: Optional[SpectrumSample] = None
+    previous: list[SpectrumSample] = []    # the last two solved, latest first
     for mu in mu_grid:
         try:
-            previous = spectrum(build(mu, eps, N, stokes_order), start=previous)
-            lp, lm = previous.tracked_pair
+            sample = spectrum(build(mu, eps, N, stokes_order), start=previous or None)
+            previous = [sample, *previous[:1]]
+            lp, lm = sample.tracked_pair
             points.append(SpectrumPoint(float(mu), lp, lm))
         except TrackingFailure as exc:
-            previous = None
+            previous = []
             points.append(SpectrumPoint(float(mu), None, None, error=str(exc)))
     return points
 
@@ -512,29 +524,25 @@ def _reduced_discriminant(op: DiscretizedOperator, sample: SpectrumSample) -> tu
     """The discriminant D = (lambda+ - lambda-)^2 of the tracked pair's 2x2
     symplectic reduction, and dD/dmu.
 
-    Rayleigh-Ritz on the converged block, with the pair first in a complex
-    Schur form, gives an orthonormal basis U of the pair's invariant
-    subspace.  M = J*H with H Hermitian and J = [[0, I], [-I, 0]], and the
-    pair is closed under lambda -> -conj(lambda), so W = J*U spans its left
-    one: B = (W^H U)^-1 W^H M U, and the same with the exact dM/dmu =
-    [[i*P, diag(sign(j + mu))], [0, i*P]], P = 1 + p_eps, is dB/dmu up to a
-    similarity.  D = (b11 - b22)^2 + 4*b12*b21 (tr^2 - 4*det cancels).
-    M*Q comes from the Toeplitz parts (`_apply`), not from ``op.matrix``."""
-    from scipy.linalg.lapack import zgees, ztrsen
-
+    The first two columns of the converged block, the pair's Ritz vectors
+    orthonormalized (`_shift_invert`), are a basis U of its invariant
+    subspace; no Schur form is taken.  M = J*H with H Hermitian and
+    J = [[0, I], [-I, 0]], and the pair is closed under lambda ->
+    -conj(lambda), so W = J*U spans its left one: B = (W^H U)^-1 W^H M U,
+    and the same with the exact dM/dmu = [[i*P, diag(sign(j + mu))],
+    [0, i*P]], P = 1 + p_eps, is dB/dmu up to a similarity.  An error of U
+    outside the subspace enters B only at second order, even where the
+    nearly defective pair leaves its Ritz vectors nearly parallel.
+    D = (b11 - b22)^2 + 4*b12*b21 (tr^2 - 4*det cancels).
+    M*U comes from the Toeplitz parts (`_apply`), not from ``op.matrix``."""
     dim = 2 * op.N + 1
-    q = np.empty(sample.block.shape, dtype=complex)
-    q[:dim], q[dim:] = sample.block[0::2], sample.block[1::2]    # de-interleave
-    mq = _apply(op, q)
-    t, _, ritz, z, _, _ = zgees(lambda _: 0, q.conj().T @ mq)
-    near = np.abs(ritz - 0.5 * sum(sample.tracked_pair))
-    z = ztrsen(near <= np.sort(near)[1], t, z, job="N")[1][:, :2]
-    u = q @ z
+    u = np.empty((2 * dim, 2), dtype=complex)
+    u[:dim], u[dim:] = sample.block[0::2, :2], sample.block[1::2, :2]    # de-interleave
     u12 = u.reshape(2, dim, 2).transpose(1, 0, 2).reshape(dim, 4)    # [U1 | U2]
     pu = _real_times(_toeplitz_parts(op.eps, op.N, op.stokes_order)[0], u12)
     w, x = np.empty((2 * dim, 2), dtype=complex), np.empty((2 * dim, 4), dtype=complex)
     w[:dim], w[dim:] = u[dim:], -u[:dim]                      # W = J*U
-    x[:, :2] = mq @ z                                         # [M U | dM/dmu U]
+    x[:, :2] = _apply(op, u)                                  # [M U | dM/dmu U]
     x[:dim, 2:] = 1j * pu[:, :2] + np.sign(np.arange(-op.N, op.N + 1) + op.mu)[:, None] * u[dim:]
     x[dim:, 2:] = 1j * pu[:, 2:]
     wh = w.conj().T
@@ -568,15 +576,19 @@ def measure_isola(
     at a point whose next step, predicted from the step s to it as
     (D''/2D')*s^2, is a few ulp.  An edge counts only if a solve of its
     iteration at or beyond it reads D <= 0.  Each solve but the first
-    continues the one at the nearest mu solved.
+    continues those at the two nearest mu solved (`spectrum`'s ``start``).
 
     Raises `TrackingFailure` if the pair cannot be followed, ValueError if a
     solve would leave the window, the curvature is not negative, an
     iteration takes more than `_MAX_STEPS` steps, no isola is resolved
     (max gap^2 <= 0) or an edge shows no sign change of D, and before any
-    solve if ``eps`` or ``window_scale`` is not finite.
+    solve if eps < 0, window_scale <= 0 or either is not finite.
     """
     _check_finite(eps=eps, window_scale=window_scale)
+    if eps < 0:
+        raise ValueError(f"eps must be nonnegative, got {eps}")
+    if window_scale <= 0:
+        raise ValueError(f"window_scale must be positive, got {window_scale}")
     mu0 = isola(assemble_reduced_jet(), eps).mu0
     half = window_scale * eps**3
     lo, hi = mu0 - half, mu0 + half
@@ -586,7 +598,7 @@ def measure_isola(
         if mu not in samples:
             if not lo <= mu <= hi:
                 raise ValueError(f"step to {mu!r} leaves the window [{lo!r}, {hi!r}] for eps={eps}")
-            start = samples[min(samples, key=lambda m: abs(m - mu))][0] if samples else None
+            start = [samples[m][0] for m in sorted(samples, key=lambda m: abs(m - mu))[:2]] or None
             op = build(mu, eps, N, stokes_order)
             sample = spectrum(op, start=start)
             samples[mu] = (sample, *_reduced_discriminant(op, sample))

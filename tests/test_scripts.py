@@ -35,6 +35,12 @@ def test_isola_sweep_diagnoses_a_numerical_failure():
     assert "Traceback" not in proc.stderr
 
 
+def test_isola_sweep_names_a_negative_amplitude():
+    proc = _isola_sweep("--eps", "-0.06")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == "numerical failure: eps must be nonnegative, got -0.06\n"
+
+
 def test_bench_pairs_summary_applies_the_gain_and_bound_rules():
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(spec)
