@@ -4,14 +4,18 @@
 ``run`` runs the command that ``BENCHMARK.json`` declares, for its
 ``run_seconds``, in a parent and a change checkout: `PAIRS` pairs, alternating
 which side goes first, one JSON line per run.  ``tier1`` times the Tier-1
-suite `TIER1_RUNS` times in both, alternating likewise.  ``summarize`` turns
-the lines into medians, quartiles and pair wins per workload and end-to-end
-metric, the failures, the ``src/`` line counts, the Tier-1 wall times and
-the machine and BLAS details that the runs report.
+suite `TIER1_RUNS` times in both, alternating likewise.  ``cold`` times
+`PAIRS` fresh interpreters of each `COLD` command in both, alternating
+likewise, with nothing preloaded: the import of the package and the CLI,
+each subcommand and ``scripts/isola_sweep.py``.  ``summarize`` turns the
+lines into medians, quartiles and pair wins per workload and end-to-end
+metric and per cold command, the failures, the ``src/`` line counts, the
+Tier-1 wall times and the machine and BLAS details that the runs report.
 
     python3 scripts/bench_pairs.py run --parent P --change C --workload xval \\
         --seed 1701 --out runs.jsonl
     python3 scripts/bench_pairs.py tier1 --parent P --change C --out runs.jsonl
+    python3 scripts/bench_pairs.py cold --parent P --change C --out runs.jsonl
     python3 scripts/bench_pairs.py summarize runs.jsonl --parent P --change C > BENCH.json
 
 A pair is one run of each side on the same seed; the change wins it when
@@ -39,11 +43,32 @@ BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 PAIRS = 10
 TIER1_RUNS = 5
 TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+#: The cold commands: name -> interpreter arguments, run in the checkout.
+CLI = ["-m", "stokes_isola.cli"]
+COLD = {
+    "import": ["-c", "import stokes_isola, stokes_isola.cli"],
+    "verify": [*CLI, "verify"],
+    "coeffs": [*CLI, "coeffs"],
+    "isola": [*CLI, "isola", "--eps", "0.06"],
+    "spectrum": [*CLI, "spectrum"],
+    "convergence": [*CLI, "convergence"],
+    "isola_sweep": ["scripts/isola_sweep.py", "--eps", "0.06"],
+}
 
 
 def _sides(args: argparse.Namespace, k: int) -> list[tuple[str, Path]]:
     sides = [("parent", Path(args.parent).resolve()), ("change", Path(args.change).resolve())]
     return sides if k % 2 == 0 else sides[::-1]
+
+
+def _run_python(root: Path, argv: list[str]) -> tuple[float, subprocess.CompletedProcess]:
+    """Wall time and result of a fresh interpreter in ``root`` on its ``src/``."""
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, *argv], cwd=root, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    return time.perf_counter() - start, proc
 
 
 def cmd_run(args: argparse.Namespace) -> None:
@@ -75,15 +100,25 @@ def cmd_tier1(args: argparse.Namespace) -> None:
     with open(args.out, "a") as fh:
         for k in range(TIER1_RUNS):
             for side, root in _sides(args, k):
-                start = time.perf_counter()
-                proc = subprocess.run(
-                    [sys.executable, *TIER1], cwd=root, capture_output=True, text=True,
-                    env={**os.environ, "PYTHONPATH": str(root / "src")},
-                )
-                wall = time.perf_counter() - start
+                wall, proc = _run_python(root, TIER1)
                 summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
                 fh.write(json.dumps({"tier1": side, "wall_s": wall, "summary": summary}) + "\n")
                 fh.flush()
+
+
+def cmd_cold(args: argparse.Namespace) -> None:
+    """`PAIRS` timed pairs of every `COLD` command, after one untimed run
+    per side that leaves its bytecode cached, as an installed package has."""
+    with open(args.out, "a") as fh:
+        for name, argv in COLD.items():
+            for _, root in _sides(args, 0):
+                _run_python(root, argv)
+            for k in range(PAIRS):
+                for side, root in _sides(args, k):
+                    wall, proc = _run_python(root, argv)
+                    fh.write(json.dumps({"cold": name, "pair": k, "side": side,
+                                         "wall_s": wall, "rc": proc.returncode}) + "\n")
+                    fh.flush()
 
 
 def _quartiles(values: list[float]) -> dict[str, float]:
@@ -91,9 +126,27 @@ def _quartiles(values: list[float]) -> dict[str, float]:
     return {"q1": q1, "median": median, "q3": q3}
 
 
+def _compare(parent: list[float], change: list[float], sign: float) -> dict:
+    """Each side's quartiles and runs, pair by pair; the change's wins and
+    median ratio; whether the gain rule holds, failures aside.  ``sign`` is
+    1 where lower is better, -1 where higher is."""
+    wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+    p, c = _quartiles(parent), _quartiles(change)
+    return {
+        "parent": {**p, "runs": parent}, "change": {**c, "runs": change},
+        "change_wins": wins,
+        "median_ratio": c["median"] / p["median"],
+        "gain_rule_met": (
+            len(parent) >= PAIRS and wins >= 0.9 * len(parent)
+            and sign * (p["median"] - c["median"]) > p["q3"] - p["q1"]
+        ),
+    }
+
+
 def summarize(records: list[dict], bench: dict) -> dict:
-    """Per workload and end-to-end metric: each side's quartiles, the pair
-    wins and the verdicts of the gain and bound rules."""
+    """Per workload and end-to-end metric, and per cold command: each side's
+    quartiles, the pair wins and the verdicts of the gain rule, and of the
+    bound rule where the benchmark sets a bound."""
     metrics = {m["name"]: m for m in bench["end_to_end"]}
     out: dict = {"workloads": {}}
     runs = [r for r in records if "workload" in r]
@@ -112,20 +165,29 @@ def summarize(records: list[dict], bench: dict) -> dict:
             sign = 1.0 if spec["better"] == "lower" else -1.0
             parent = [by[(k, "parent")]["result"]["metrics"][name]["value"] for k in pairs]
             change = [by[(k, "change")]["result"]["metrics"][name]["value"] for k in pairs]
-            wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
-            p, c = _quartiles(parent), _quartiles(change)
+            verdict = _compare(parent, change, sign)
+            p, c = verdict["parent"], verdict["change"]
             row["metrics"][name] = {
                 "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
-                "parent": {**p, "runs": parent}, "change": {**c, "runs": change},
-                "change_wins": wins,
-                "median_ratio": c["median"] / p["median"],
-                "gain_rule_met": (
-                    len(pairs) >= PAIRS and row["failed"]["change"] <= row["failed"]["parent"]
-                    and wins >= 0.9 * len(pairs) and sign * (p["median"] - c["median"]) > p["q3"] - p["q1"]
-                ),
+                **verdict,
+                "gain_rule_met": verdict["gain_rule_met"] and row["failed"]["change"] <= row["failed"]["parent"],
                 "within_bound": sign * (c["median"] - p["median"]) <= spec["bound"] * p["median"],
             }
         out["workloads"][workload] = row
+    cold = [r for r in records if "cold" in r]
+    if cold:
+        out["cold"] = {}
+        for name in dict.fromkeys(r["cold"] for r in cold):
+            by = {(r["pair"], r["side"]): r for r in cold if r["cold"] == name}
+            pairs = sorted({k for k, _ in by})
+            failed = {s: sum(by[(k, s)]["rc"] != 0 for k in pairs) for s in ("parent", "change")}
+            parent, change = ([by[(k, s)]["wall_s"] for k in pairs] for s in ("parent", "change"))
+            verdict = _compare(parent, change, 1.0)
+            out["cold"][name] = {
+                "unit": "s", "better": "lower", "pairs": len(pairs), "failed": failed,
+                **verdict,
+                "gain_rule_met": verdict["gain_rule_met"] and failed["change"] <= failed["parent"],
+            }
     tier1 = [r for r in records if "tier1" in r]
     if tier1:
         out["tier1"] = {
@@ -150,7 +212,8 @@ def main(argv=None) -> int:
     sub = ap.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="alternating benchmark runs of both checkouts")
     tier = sub.add_parser("tier1", help="alternating Tier-1 suite runs of both checkouts")
-    for p in (run, tier):
+    cold = sub.add_parser("cold", help="alternating fresh-process runs of each cold command in both checkouts")
+    for p in (run, tier, cold):
         p.add_argument("--parent", required=True, help="parent checkout")
         p.add_argument("--change", required=True, help="change checkout")
         p.add_argument("--out", required=True, help="JSON lines file to append to")
@@ -165,6 +228,8 @@ def main(argv=None) -> int:
         cmd_run(args)
     elif args.command == "tier1":
         cmd_tier1(args)
+    elif args.command == "cold":
+        cmd_cold(args)
     else:
         records = [json.loads(line) for line in Path(args.lines).read_text().splitlines() if line.strip()]
         doc = summarize(records, json.loads(BENCHMARK.read_text()))

@@ -7,6 +7,10 @@ band width are tabulated against the fourth-order predictions.  Finishes with
 the log-log growth fit, which should sit near slope 4.
 
     python3 scripts/isola_sweep.py --eps 0.04 --eps 0.06 --eps 0.08
+
+Exits 2 with one ``error: ...`` line on stderr when the library rejects an
+argument before any solve (``--eps -0.06``, ``--trunc 4``), and 3 with one
+``numerical failure: ...`` line when a solve or search fails.
 """
 
 import argparse
@@ -15,7 +19,7 @@ import sys
 
 import numpy as np
 
-from stokes_isola.floquet import DEFAULT_N, TrackingFailure, measure_isola
+from stokes_isola.floquet import DEFAULT_N, TrackingFailure, _ArgumentError, measure_isola
 from stokes_isola.instability import isola
 from stokes_isola.jets import assemble_reduced_jet
 
@@ -43,6 +47,9 @@ def main(argv=None) -> int:
             measured.append((eps, meas.re_max))
             print(f"{eps:6.3f} {meas.re_max:14.6e} {th.re_max:14.6e} {rel:8.4f} "
                   f"{im_dev:9.2e} {width_ratio:11.4f}")
+    except _ArgumentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (TrackingFailure, ValueError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

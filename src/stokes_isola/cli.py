@@ -43,8 +43,6 @@ import math
 import sys
 from typing import Optional, Sequence, TextIO
 
-import numpy as np
-
 from . import closed_forms as cf
 from . import floquet, instability, jets
 from .entanglement import (
@@ -191,6 +189,8 @@ def _fmt_complex(z: complex) -> str:
 
 def _verify_rows() -> list[tuple[str, complex, complex]]:
     """(name, expected, computed) for every check in the self-test table."""
+    import numpy as np
+
     ledger = jets.term_ledger()
     jet = jets.assemble_reduced_jet()
 
@@ -351,6 +351,8 @@ def _pair_row(eps: float, mu: float, lp, lm, source: str, status: str) -> list:
 
 
 def cmd_isola(cfg: argparse.Namespace) -> int:
+    import numpy as np
+
     jet = jets.assemble_reduced_jet()
     header = ["eps", "mu", "re_plus", "im_plus", "re_minus", "im_minus", "source", "status"]
     rows: list[list] = []
@@ -393,6 +395,8 @@ def cmd_isola(cfg: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(cfg: argparse.Namespace) -> int:
+    import numpy as np
+
     op = floquet.build(cfg.mu, cfg.eps[-1], N=cfg.trunc[-1], stokes_order=cfg.stokes_order)
     if not 0 <= cfg.mu < 0.5:  # `build` has rejected a NaN
         print(
@@ -485,8 +489,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Built once, on import: each `main` call only parses.
+_PARSER = build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = resolve_config(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

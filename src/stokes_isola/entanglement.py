@@ -71,8 +71,6 @@ import math
 from dataclasses import dataclass
 from typing import Literal, Optional, Sequence, Union
 
-import numpy as np
-
 from .stokes import A_FLOAT, MAX_ORDER, MU_STAR, OMEGA_STAR, P_FLOAT, omega
 
 __all__ = [
@@ -236,6 +234,8 @@ def residue_contour(modes: Sequence[Mode]) -> complex:
     other than the resonant pair's lies at least 0.618 from omega* (the
     nearest is (1,+)), so the circle encloses exactly `RESONANT_MODES`.
     """
+    import numpy as np
+
     q = len(modes) - 1
     unit = np.exp(2j * math.pi / _CONTOUR_NODES * np.arange(_CONTOUR_NODES))
     lam = 1j * OMEGA_STAR + _CONTOUR_RADIUS * unit

@@ -14,8 +14,9 @@ secant and Newton steps on the discriminant of the tracked pair's 2x2
 symplectic reduction, taken from the converged block, from the closed
 form's mu0(eps): 9-17 solves of 2-3 subspace iterations each at N = 32.
 Both work from the operator's Toeplitz parts, built once per amplitude,
-never forming the dense matrix; scipy's LAPACK wrappers load on the first
-solve, not on import.
+never forming the dense matrix.  Importing the module loads neither numpy
+nor scipy.  numpy loads on first use (the Toeplitz parts, the dense matrix,
+a solve), and scipy's LAPACK wrappers on the first solve.
 
 In the two-component frame the operator reads
 
@@ -39,13 +40,14 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .stokes import A_FLOAT, MAX_ORDER, OMEGA_STAR, P_FLOAT
 from .jets import assemble_reduced_jet
 from .instability import isola
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DiscretizedOperator",
@@ -103,6 +105,11 @@ class TrackingFailure(RuntimeError):
     shift-invert solve for them failed."""
 
 
+class _ArgumentError(ValueError):
+    """An argument rejected before any solve; every other ValueError of
+    this module is a search that failed."""
+
+
 @dataclass(frozen=True)
 class DiscretizedOperator:
     """Truncation of the linearized operator at fixed (mu, eps); ``matrix``,
@@ -115,6 +122,8 @@ class DiscretizedOperator:
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
+        import numpy as np
+
         d = np.arange(-self.N, self.N + 1, dtype=float) + self.mu
         p_part, a_part = _toeplitz_parts(self.eps, self.N, self.stokes_order)
         m00 = 1j * (d[:, None] * p_part)
@@ -142,6 +151,8 @@ def _toeplitz_parts(eps: float, N: int, order: int) -> tuple[np.ndarray, np.ndar
     matrices: the mu-independent parts of the operator, shared by every
     solve of one search.  Each coefficient of harmonic kappa is added along
     its diagonal, row - column = kappa, a strided view of the flat array."""
+    import numpy as np
+
     dim = 2 * N + 1
     parts = []
     for which in ("p", "a"):
@@ -157,7 +168,7 @@ def _toeplitz_parts(eps: float, N: int, order: int) -> tuple[np.ndarray, np.ndar
 def _check_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+            raise _ArgumentError(f"{name} must be finite, got {value}")
 
 
 def _check_integer(**values: int) -> None:
@@ -165,7 +176,7 @@ def _check_integer(**values: int) -> None:
         try:
             operator.index(value)
         except TypeError:
-            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            raise _ArgumentError(f"{name} must be an integer, got {value!r}") from None
 
 
 def build(
@@ -182,12 +193,12 @@ def build(
     pass), a negative eps and a non-finite mu or eps."""
     _check_integer(N=N, stokes_order=stokes_order)
     if N < 8:
-        raise ValueError(f"N must be at least 8, got {N}")
+        raise _ArgumentError(f"N must be at least 8, got {N}")
     if not 0 <= stokes_order <= MAX_ORDER:
-        raise ValueError(f"stokes_order must be in 0..{MAX_ORDER}, got {stokes_order}")
+        raise _ArgumentError(f"stokes_order must be in 0..{MAX_ORDER}, got {stokes_order}")
     _check_finite(mu=mu, eps=eps)
     if eps < 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
+        raise _ArgumentError(f"eps must be nonnegative, got {eps}")
     return DiscretizedOperator(mu=mu, eps=eps, N=N, stokes_order=stokes_order)
 
 
@@ -211,7 +222,7 @@ class SpectrumSample:
 
 def _pick_pair(eigs: np.ndarray) -> tuple[complex, complex]:
     """The two eigenvalues of ``eigs`` in the tracking disk, else `TrackingFailure`."""
-    near = eigs[np.abs(eigs - CENTER) <= RADIUS]
+    near = eigs[abs(eigs - CENTER) <= RADIUS]
     if near.size != 2:
         raise TrackingFailure(f"{near.size} eigenvalue(s) within {RADIUS} of {CENTER}; need 2")
     z0, z1 = near.tolist()
@@ -232,6 +243,8 @@ def _band_layout(N: int, order: int) -> tuple[np.ndarray, ...]:
     c*(3*kl + 1) + 2*kl + r - c of the transposed LAPACK band.  Returned: the
     band and flat Toeplitz-part indices of the -(1 + a_eps) entries, the same
     and each one's j for the i*d*P entries, the band indices of the |d| ones."""
+    import numpy as np
+
     dim, kl = 2 * N + 1, 2 * order + 1
     k = np.arange(2 * dim)
     i, j = np.nonzero(np.abs(k[:, None] - k) <= kl)
@@ -250,6 +263,8 @@ def _band_parts(eps: float, N: int, order: int) -> tuple[np.ndarray, ...]:
     """The mu-independent parts of `_band`, read-only: the band holding the
     -(1 + a_eps) entries; the indices of the i*d*P entries, each one's j and
     P; those of the |d| entries, j ascending (`_band_layout`)."""
+    import numpy as np
+
     p_part, a_part = _toeplitz_parts(eps, N, order)
     low, a_src, lin, p_src, harmonic, diag = _band_layout(N, order)
     base = np.zeros(2 * (2 * N + 1) * (6 * order + 4), dtype=complex)    # n*(3*kl + 1)
@@ -261,6 +276,8 @@ def _band_parts(eps: float, N: int, order: int) -> tuple[np.ndarray, ...]:
 
 def _band(op: DiscretizedOperator) -> np.ndarray:
     """``op.matrix`` as the Fortran-ordered LAPACK band of `_band_parts`."""
+    import numpy as np
+
     base, lin, harmonic, p_lin, diag = _band_parts(op.eps, op.N, op.stokes_order)
     d = np.arange(-op.N, op.N + 1, dtype=float) + op.mu
     flat = base.copy()
@@ -272,12 +289,16 @@ def _band(op: DiscretizedOperator) -> np.ndarray:
 def _real_times(part: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``part @ x`` for a real matrix and a complex block, as one real matmul
     on the block's float view rather than on a complex copy of ``part``."""
+    import numpy as np
+
     return (part @ np.ascontiguousarray(x).view(float)).view(complex)
 
 
 def _apply(op: DiscretizedOperator, q: np.ndarray) -> np.ndarray:
     """``op.matrix @ q`` from the Toeplitz parts P = 1 + p_eps, A = 1 + a_eps
     and d = j + mu: [i*d*(P q1) + |d|*q2 ; -A q1 + i*P (d*q2)]."""
+    import numpy as np
+
     p_part, a_part = _toeplitz_parts(op.eps, op.N, op.stokes_order)
     d = (np.arange(-op.N, op.N + 1, dtype=float) + op.mu)[:, None]
     dim, k = d.size, q.shape[1]
@@ -290,6 +311,7 @@ def _apply(op: DiscretizedOperator, q: np.ndarray) -> np.ndarray:
 def _start_block(n: int) -> np.ndarray:
     """The fixed start of the subspace iteration: the orthonormalized
     columns e^{i*sqrt(2)*c*k}, k = 0..n-1, c = 1.._BLOCK."""
+    import numpy as np
     from scipy.linalg.lapack import zgeqrf, zungqr
 
     phases = np.sqrt(2.0) * np.outer(np.arange(n), np.arange(1, _BLOCK + 1))
@@ -350,6 +372,7 @@ def _shift_invert(
     is an eigenvalue makes the LU exactly singular; the next is tried:
     `CENTER`, then `CENTER` moved off by `_SHIFT_NUDGE`.
     """
+    import numpy as np
     from scipy.linalg.lapack import zgbtrf, zgbtrs, zgeev, zgeqrf, zungqr
 
     band = _band(op)
@@ -361,7 +384,7 @@ def _shift_invert(
     else:
         shapes = [s.block.shape for s in starts]
         if len(starts) > 2 or any(shape != (n, _BLOCK) for shape in shapes):
-            raise ValueError(f"start blocks {shapes}: need one or two of {(n, _BLOCK)} for a {n}-square matrix")
+            raise _ArgumentError(f"start blocks {shapes}: need one or two of {(n, _BLOCK)} for a {n}-square matrix")
         q = zungqr(*zgeqrf(np.hstack([s.block[:, : _BLOCK // len(starts)] for s in starts]))[:2])[0]
         warm = _toward_pair(CENTER, *starts[0].tracked_pair)
         if warm is not None:
@@ -491,7 +514,7 @@ def convergence_check(
     one before."""
     ladder = list(N_list)
     if any(a >= b for a, b in zip(ladder, ladder[1:])):
-        raise ValueError(f"N ladder {ladder} does not refine: each N must exceed the one before")
+        raise _ArgumentError(f"N ladder {ladder} does not refine: each N must exceed the one before")
     rows: list[ConvergenceRow] = []
     prev: Optional[tuple[complex, complex]] = None
     for n in ladder:
@@ -535,6 +558,8 @@ def _reduced_discriminant(op: DiscretizedOperator, sample: SpectrumSample) -> tu
     nearly defective pair leaves its Ritz vectors nearly parallel.
     D = (b11 - b22)^2 + 4*b12*b21 (tr^2 - 4*det cancels).
     M*U comes from the Toeplitz parts (`_apply`), not from ``op.matrix``."""
+    import numpy as np
+
     dim = 2 * op.N + 1
     u = np.empty((2 * dim, 2), dtype=complex)
     u[:dim], u[dim:] = sample.block[0::2, :2], sample.block[1::2, :2]    # de-interleave
@@ -586,9 +611,9 @@ def measure_isola(
     """
     _check_finite(eps=eps, window_scale=window_scale)
     if eps < 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
+        raise _ArgumentError(f"eps must be nonnegative, got {eps}")
     if window_scale <= 0:
-        raise ValueError(f"window_scale must be positive, got {window_scale}")
+        raise _ArgumentError(f"window_scale must be positive, got {window_scale}")
     mu0 = isola(assemble_reduced_jet(), eps).mu0
     half = window_scale * eps**3
     lo, hi = mu0 - half, mu0 + half

@@ -242,29 +242,63 @@ class TestNonFiniteInput:
 
 
 class TestStartUp:
-    def test_scipy_loads_only_for_the_oracle(self):
-        """``verify``, ``coeffs`` and the dense ``spectrum`` run without scipy
-        or numpy.polynomial in a fresh interpreter; the first shift-invert
-        solve loads scipy (which itself loads numpy.polynomial)."""
+    """What a fresh interpreter has loaded after each step.  Importing the
+    package and the CLI loads neither numpy nor scipy, and `coeffs` runs
+    without them.  `verify` (its contour and oracle rows) and the dense
+    `spectrum` load numpy but not scipy or numpy.polynomial.  The first
+    shift-invert solve loads scipy, which itself loads numpy.polynomial."""
+
+    @pytest.fixture(scope="class")
+    def loaded(self):
+        """Step -> (exit code or None, numpy, scipy, numpy.polynomial loaded)."""
         code = textwrap.dedent(
             """
-            import io, sys
+            import io, json, sys
             sys.path.insert(0, sys.argv[1])
-            import stokes_isola, stokes_isola.cli as cli
             out, sys.stdout = sys.stdout, io.StringIO()
-            codes = cli.main(["verify"]), cli.main(["coeffs", "--format", "json"])
-            closed_form = "scipy" in sys.modules, "numpy.polynomial" in sys.modules
-            codes += (cli.main(["spectrum", "--mu", "0.25", "--eps", "0.06", "--trunc", "16"]),)
-            dense = "scipy" in sys.modules
+            steps = {}
+
+            def after(step, rc=None):
+                mods = ("numpy", "scipy", "numpy.polynomial")
+                steps[step] = [rc, *(m in sys.modules for m in mods)]
+
+            import stokes_isola, stokes_isola.cli as cli
+            after("import")
+            after("coeffs", cli.main(["coeffs"]))
+            after("coeffs-json", cli.main(["coeffs", "--format", "json"]))
+            after("verify", cli.main(["verify"]))
+            after("spectrum", cli.main(["spectrum", "--mu", "0.25", "--eps", "0.06", "--trunc", "16"]))
             stokes_isola.measure_isola(0.06)
-            print(*codes, *closed_form, dense, "scipy" in sys.modules, file=out)
+            after("measure_isola")
+            print(json.dumps(steps), file=out)
             """
         )
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(
             [sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True
         )
-        assert proc.stdout.split() == ["0", "0", "0", "False", "False", "False", "True"]
+        return json.loads(proc.stdout)
+
+    def test_scipy_loads_only_for_the_oracle(self, loaded):
+        assert [rc for rc, *_ in loaded.values()] == [None, 0, 0, 0, 0, None]
+        assert {step: flags[2:] for step, flags in loaded.items()} == {
+            "import": [False, False],
+            "coeffs": [False, False],
+            "coeffs-json": [False, False],
+            "verify": [False, False],
+            "spectrum": [False, False],
+            "measure_isola": [True, True],
+        }
+
+    def test_numpy_loads_only_for_numerical_work(self, loaded):
+        assert {step: flags[1] for step, flags in loaded.items()} == {
+            "import": False,
+            "coeffs": False,
+            "coeffs-json": False,
+            "verify": True,
+            "spectrum": True,
+            "measure_isola": True,
+        }
 
 
 class TestPublicApi:

@@ -2,9 +2,12 @@
 
 import importlib.util
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+from stokes_isola import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -36,15 +39,27 @@ def test_isola_sweep_diagnoses_a_numerical_failure():
 
 
 def test_isola_sweep_names_a_negative_amplitude():
+    # an argument the library rejects before any solve is a usage error
     proc = _isola_sweep("--eps", "-0.06")
-    assert proc.returncode == 3, proc.stderr
-    assert proc.stderr == "numerical failure: eps must be nonnegative, got -0.06\n"
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: eps must be nonnegative, got -0.06\n"
 
 
-def test_bench_pairs_summary_applies_the_gain_and_bound_rules():
+def test_isola_sweep_names_a_truncation_below_8():
+    proc = _isola_sweep("--eps", "0.06", "--trunc", "4")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: N must be at least 8, got 4\n"
+
+
+def _bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
+    return bench_pairs
+
+
+def test_bench_pairs_summary_applies_the_gain_and_bound_rules():
+    bench_pairs = _bench_pairs()
     bench = {"end_to_end": [
         {"name": "light_op_s", "unit": "s", "better": "lower", "bound": 0.25},
         {"name": "heavy_op_s", "unit": "s", "better": "lower", "bound": 0.25},
@@ -74,3 +89,30 @@ def test_bench_pairs_summary_applies_the_gain_and_bound_rules():
     records[1]["result"] = {**records[1]["result"], "failed": 1}
     assert records[1]["side"] == "change"
     assert not bench_pairs.summarize(records, bench)["workloads"]["w"]["metrics"]["light_op_s"]["gain_rule_met"]
+
+
+def test_bench_pairs_summary_reports_each_cold_command():
+    bench_pairs = _bench_pairs()
+    # the cold series starts a fresh interpreter for every subcommand
+    assert {argv[2] for argv in bench_pairs.COLD.values() if argv[:2] == bench_pairs.CLI} == set(cli._COMMANDS)
+    records = []
+    for k in range(10):
+        # coeffs: the change wins 9 of 10 pairs by 40%; verify: a tie in every pair
+        coeffs = {"parent": 0.10 + 0.001 * k, "change": 0.06 + 0.001 * k if k else 0.10}
+        for side in ("parent", "change"):
+            records.append({"cold": "coeffs", "pair": k, "side": side, "wall_s": coeffs[side], "rc": 0})
+            records.append({"cold": "verify", "pair": k, "side": side, "wall_s": 0.2, "rc": 0})
+    doc = bench_pairs.summarize(records, {"end_to_end": []})
+    coeffs, verify = doc["cold"]["coeffs"], doc["cold"]["verify"]
+    assert coeffs["pairs"] == 10 and coeffs["failed"] == {"parent": 0, "change": 0}
+    assert coeffs["parent"]["median"] == statistics.median(0.10 + 0.001 * k for k in range(10))
+    assert coeffs["parent"]["q1"] < coeffs["parent"]["median"] < coeffs["parent"]["q3"]
+    assert coeffs["change_wins"] == 9 and coeffs["gain_rule_met"]
+    assert verify["change_wins"] == 0 and verify["median_ratio"] == 1.0 and not verify["gain_rule_met"]
+    assert doc["workloads"] == {}
+
+    # a change that fails a run more than the parent does not meet the rule
+    records[2]["rc"] = 1
+    assert (records[2]["cold"], records[2]["side"]) == ("coeffs", "change")
+    coeffs = bench_pairs.summarize(records, {"end_to_end": []})["cold"]["coeffs"]
+    assert coeffs["failed"] == {"parent": 0, "change": 1} and not coeffs["gain_rule_met"]
