@@ -3,20 +3,20 @@
 Independent cross-check of the closed-form isola: discretize the linearized
 operator at Bloch exponent mu on the exponential basis e^{ijx}, j = -N..N,
 truncate, and find the few eigenvalues of the resulting matrix nearest the
-collision frequency by a shift-invert solve: a banded LU (the matrix is
-banded once the two components are interleaved) and block subspace
+collision frequency by a shift-invert solve: a banded LU of its real form R
+(below; banded once the two components are interleaved) and block subspace
 iteration, started from a fixed block or, along a search in mu, from the
 pair's invariant subspaces at the two nearest solves, which extrapolate it
-linearly in mu.  The tracked pair is the two eigenvalues
-in the fixed disk of radius `RADIUS` = 0.2 about `CENTER` = i*omega* = 0.75i;
-any other count there is a `TrackingFailure`.  The isola search runs
-secant and Newton steps on the discriminant of the tracked pair's 2x2
-symplectic reduction, taken from the converged block, from the closed
-form's mu0(eps): 9-17 solves of 2-3 subspace iterations each at N = 32.
-Both work from the operator's Toeplitz parts, built once per amplitude,
-never forming the dense matrix.  Importing the module loads neither numpy
-nor scipy.  numpy loads on first use (the Toeplitz parts, the dense matrix,
-a solve), and scipy's LAPACK wrappers on the first solve.
+linearly in mu.  The tracked pair is the two eigenvalues in the fixed disk
+of radius `RADIUS` = 0.2 about `CENTER` = i*omega* = 0.75i; any other count
+there is a `TrackingFailure`.  The isola search runs secant and Newton steps
+on the discriminant of the tracked pair's 2x2 symplectic reduction, taken
+from the converged block, from the closed form's mu0(eps): 7-18 solves of
+2-3 subspace iterations each at N = 32.  Both work from the operator's
+Toeplitz parts, built once per amplitude, never forming the dense matrix.
+Importing the module loads neither numpy nor scipy.  numpy loads on first
+use (the Toeplitz parts, the dense matrix, a solve), and scipy's LAPACK
+wrappers on the first solve.
 
 In the two-component frame the operator reads
 
@@ -27,11 +27,13 @@ so the (j', j) block carries the exponential Fourier coefficients of the
 profiles at wavenumber j' - j (the cosine coefficients halved), and at
 eps = 0 the spectrum is exactly {i*(j + mu -+ sqrt|j + mu|)}.
 
-The discretized matrix M satisfies S M S = -conj(M) with S = diag(+1) on the
-first component block and diag(-1) on the second, entry for entry; hence the
-spectrum is symmetric under lambda -> -conj(lambda) up to solver noise, and
-the two eigenvalues tracked near i*omega* = 0.75i sum to (nearly) a purely
-imaginary number.
+The discretized matrix M satisfies S M S = -conj(M), S = diag(I, -I), so its
+spectrum is symmetric under lambda -> -conj(lambda).  With T = diag(I, i*I),
+T M T^-1 = i*R, R = [[d*P, -|d|], [-A, P*d]] real (P = 1 + p_eps,
+A = 1 + a_eps, d = j + mu): each eigenvalue is lambda = i*r, r real or one
+of a conjugate pair.  The solves work on R in real arithmetic, so the
+tracked pair sums to a purely imaginary number exactly, and an unsplit
+pair has real parts 0.0.
 """
 
 from __future__ import annotations
@@ -208,12 +210,12 @@ class SpectrumSample:
     converged near `CENTER`, nearest first, with the collision pair singled
     out.  ``eigenvalues`` holds the two nearest `CENTER` and any other Ritz
     value that converged, often nothing else; the solve does not promise
-    every eigenvalue of the tracking disk.  ``block`` is the read-only
-    orthonormal block the solve converged on, `_BLOCK` (four) columns, rows
-    in interleaved order (`_band_layout`), pair first: its first two
-    columns span the tracked pair's Ritz vectors.  A solve at a nearby mu
-    can start from it (`spectrum`'s ``start``); it takes no part in
-    comparisons or the repr."""
+    every eigenvalue of the tracking disk.  ``block`` is the read-only real
+    orthonormal block the solve converged on in R's frame (the module
+    docstring), `_BLOCK` (four) columns, rows in interleaved order
+    (`_band_layout`), pair first: its first two columns span the tracked
+    pair's invariant subspace.  A solve at a nearby mu can start from it
+    (`spectrum`'s ``start``); it takes no part in comparisons or the repr."""
 
     eigenvalues: np.ndarray
     tracked_pair: tuple[complex, complex]
@@ -241,8 +243,8 @@ def _band_layout(N: int, order: int) -> tuple[np.ndarray, ...]:
     interleaved order (harmonic-major, component-minor) the matrix has
     kl = 2*order + 1 sub- and superdiagonals; entry (r, c) goes to flat index
     c*(3*kl + 1) + 2*kl + r - c of the transposed LAPACK band.  Returned: the
-    band and flat Toeplitz-part indices of the -(1 + a_eps) entries, the same
-    and each one's j for the i*d*P entries, the band indices of the |d| ones."""
+    band and flat Toeplitz-part indices of R's -(1 + a_eps) entries, the same
+    and each one's j for the d*P entries, the band indices of the -|d| ones."""
     import numpy as np
 
     dim, kl = 2 * N + 1, 2 * order + 1
@@ -261,61 +263,53 @@ def _band_layout(N: int, order: int) -> tuple[np.ndarray, ...]:
 @functools.lru_cache(maxsize=2)
 def _band_parts(eps: float, N: int, order: int) -> tuple[np.ndarray, ...]:
     """The mu-independent parts of `_band`, read-only: the band holding the
-    -(1 + a_eps) entries; the indices of the i*d*P entries, each one's j and
-    P; those of the |d| entries, j ascending (`_band_layout`)."""
+    -(1 + a_eps) entries; the indices of the d*P entries, each one's j and
+    P; those of the -|d| entries, j ascending (`_band_layout`)."""
     import numpy as np
 
     p_part, a_part = _toeplitz_parts(eps, N, order)
     low, a_src, lin, p_src, harmonic, diag = _band_layout(N, order)
-    base = np.zeros(2 * (2 * N + 1) * (6 * order + 4), dtype=complex)    # n*(3*kl + 1)
-    base[low] = -a_part.take(a_src).astype(complex)
+    base = np.zeros(2 * (2 * N + 1) * (6 * order + 4))    # n*(3*kl + 1)
+    base[low] = -a_part.take(a_src)
     p_lin = p_part.take(p_src)
     base.flags.writeable = p_lin.flags.writeable = False
     return base, lin, harmonic, p_lin, diag
 
 
 def _band(op: DiscretizedOperator) -> np.ndarray:
-    """``op.matrix`` as the Fortran-ordered LAPACK band of `_band_parts`."""
+    """R (the module docstring) as the Fortran-ordered LAPACK band of `_band_parts`."""
     import numpy as np
 
     base, lin, harmonic, p_lin, diag = _band_parts(op.eps, op.N, op.stokes_order)
     d = np.arange(-op.N, op.N + 1, dtype=float) + op.mu
     flat = base.copy()
-    flat[lin] = 1j * (d[harmonic] * p_lin)
-    flat[diag] = np.abs(d)
+    flat[lin] = d[harmonic] * p_lin
+    flat[diag] = -np.abs(d)
     return flat.reshape(2 * d.size, -1).T
 
 
-def _real_times(part: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``part @ x`` for a real matrix and a complex block, as one real matmul
-    on the block's float view rather than on a complex copy of ``part``."""
-    import numpy as np
-
-    return (part @ np.ascontiguousarray(x).view(float)).view(complex)
-
-
 def _apply(op: DiscretizedOperator, q: np.ndarray) -> np.ndarray:
-    """``op.matrix @ q`` from the Toeplitz parts P = 1 + p_eps, A = 1 + a_eps
-    and d = j + mu: [i*d*(P q1) + |d|*q2 ; -A q1 + i*P (d*q2)]."""
+    """``R @ q`` (the module docstring) from the Toeplitz parts P = 1 + p_eps,
+    A = 1 + a_eps and d = j + mu: [d*(P q1) - |d|*q2 ; -A q1 + P (d*q2)]."""
     import numpy as np
 
     p_part, a_part = _toeplitz_parts(op.eps, op.N, op.stokes_order)
     d = (np.arange(-op.N, op.N + 1, dtype=float) + op.mu)[:, None]
     dim, k = d.size, q.shape[1]
     q1, q2 = q[:dim], q[dim:]
-    pq = _real_times(p_part, np.hstack((q1, d * q2)))
-    return np.vstack((1j * d * pq[:, :k] + np.abs(d) * q2, 1j * pq[:, k:] - _real_times(a_part, q1)))
+    pq = p_part @ np.hstack((q1, d * q2))
+    return np.vstack((d * pq[:, :k] - np.abs(d) * q2, pq[:, k:] - a_part @ q1))
 
 
 @functools.lru_cache(maxsize=8)
 def _start_block(n: int) -> np.ndarray:
-    """The fixed start of the subspace iteration: the orthonormalized
-    columns e^{i*sqrt(2)*c*k}, k = 0..n-1, c = 1.._BLOCK."""
+    """The fixed start of the subspace iteration: the orthonormalized real
+    columns cos, then sin, of sqrt(2)*c*k, k = 0..n-1, c = 1.._BLOCK/2."""
     import numpy as np
-    from scipy.linalg.lapack import zgeqrf, zungqr
+    from scipy.linalg.lapack import dgeqrf, dorgqr
 
-    phases = np.sqrt(2.0) * np.outer(np.arange(n), np.arange(1, _BLOCK + 1))
-    q = zungqr(*zgeqrf(np.exp(1j * phases))[:2])[0]
+    phases = np.sqrt(2.0) * np.outer(np.arange(n), np.arange(1, _BLOCK // 2 + 1))
+    q = dorgqr(*dgeqrf(np.hstack((np.cos(phases), np.sin(phases))))[:2])[0]
     q.flags.writeable = False
     return q
 
@@ -341,26 +335,29 @@ def _shift_invert(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The eigenvalues of ``op`` converged near `CENTER` by block
     shift-invert subspace iteration on a banded LU, nearest first, and the
-    orthonormal block they converged on, rotated so that its first two
-    columns span the Ritz vectors of the two nearest.
+    real orthonormal block they converged on, rotated so that its first
+    two columns span the invariant subspace of the two nearest.
 
-    In interleaved order ``op.matrix`` is banded with 2*stokes_order + 1
-    sub- and superdiagonals; the band is written from the Toeplitz parts
-    (`_band`), and ``A - shift`` is factored by `zgbtrf`.  A block of
-    `_BLOCK` columns, four: the pair plus two spare, goes through the
-    inverse once per step, followed by a Rayleigh-Ritz step; a Ritz value
-    nu of the inverse gives the eigenvalue shift + 1/nu.  The iteration
-    stops when every Ritz value within `RADIUS` + `_MARGIN` of `CENTER`,
-    and the two nearest, have relative residual
-    |(A - shift)^-1 v - nu v| / |nu| at most `_TOL`, and returns every Ritz
-    value that meets it.  Only eigenvalues that the block has turned toward
-    are counted: a third eigenvalue of the disk that no column resolves can
-    be missed, so the spare columns speed convergence but do not guarantee
-    the disk count.  When all four Ritz values lie that close, the spare
-    columns stall, and the solve fails at `_MAX_ITER` saying so.
+    It works on R (the module docstring), banded with 2*stokes_order + 1
+    sub- and superdiagonals in interleaved order, at real shifts about
+    omega*: eigenvalues r of R are lambda = i*r.  ``R - shift`` is factored
+    by `dgbtrf` from `_band`.  A block of `_BLOCK` columns, four: the pair
+    plus two spare, goes through the inverse once per step, followed by a
+    Rayleigh-Ritz step (`dgeev`); a Ritz value nu of the inverse gives
+    r = shift + 1/nu, a conjugate pair of them with its Ritz vector's real
+    and imaginary parts, kept adjacent by a stable sort on the distance
+    to omega*, which they share.  The iteration stops when every Ritz value
+    within `RADIUS` + `_MARGIN` of omega*, and the two nearest, have
+    relative residual |(R - shift)^-1 v - nu v| / |nu| at most `_TOL`, and
+    returns every Ritz value that meets it.  Only eigenvalues that the block
+    has turned toward are counted: a third eigenvalue of the disk that no
+    column resolves can be missed, so the spare columns speed convergence
+    but do not guarantee the disk count.  When all four Ritz values lie that
+    close, the spare columns stall, and the solve fails at `_MAX_ITER`
+    saying so.
 
     Without ``start`` the block starts fixed (so repeated calls agree bit
-    for bit) and the shift at `CENTER`.  ``start`` is a sample at a nearby
+    for bit) and the shift at omega*.  ``start`` is a sample at a nearby
     mu of a matrix of the same size, or two, nearest first; the block then
     starts from the orthonormalized first two columns of each (all four of
     one alone), so that with two the Rayleigh-Ritz step extrapolates the
@@ -370,14 +367,15 @@ def _shift_invert(
     midpoint or near one of them: within about 1e-6 of an eigenvalue, it
     keeps the other Ritz values in the disk from converging.  A shift that
     is an eigenvalue makes the LU exactly singular; the next is tried:
-    `CENTER`, then `CENTER` moved off by `_SHIFT_NUDGE`.
+    omega*, then omega* moved up by `_SHIFT_NUDGE`.
     """
     import numpy as np
-    from scipy.linalg.lapack import zgbtrf, zgbtrs, zgeev, zgeqrf, zungqr
+    from scipy.linalg.lapack import dgbtrf, dgbtrs, dgeev, dgeqrf, dorgqr
 
     band = _band(op)
     n = band.shape[1]
-    shifts = [CENTER, CENTER + _SHIFT_NUDGE]
+    center = float(OMEGA_STAR)
+    shifts = [center, center + _SHIFT_NUDGE]
     starts = (start,) if isinstance(start, SpectrumSample) else tuple(start or ())
     if not starts:
         q = _start_block(n)
@@ -385,47 +383,51 @@ def _shift_invert(
         shapes = [s.block.shape for s in starts]
         if len(starts) > 2 or any(shape != (n, _BLOCK) for shape in shapes):
             raise _ArgumentError(f"start blocks {shapes}: need one or two of {(n, _BLOCK)} for a {n}-square matrix")
-        q = zungqr(*zgeqrf(np.hstack([s.block[:, : _BLOCK // len(starts)] for s in starts]))[:2])[0]
-        warm = _toward_pair(CENTER, *starts[0].tracked_pair)
+        q = dorgqr(*dgeqrf(np.hstack([s.block[:, : _BLOCK // len(starts)] for s in starts]))[:2])[0]
+        warm = _toward_pair(center, *(-1j * lam for lam in starts[0].tracked_pair))
         if warm is not None:
-            shifts.insert(0, warm)
+            shifts.insert(0, warm.real)
     kl = 2 * op.stokes_order + 1
 
-    def factor(shift: complex):
+    def factor(shift: float):
         ab = band.copy(order="F")
         ab[2 * kl] -= shift
-        lu, piv, info = zgbtrf(ab, kl, kl, overwrite_ab=1)
+        lu, piv, info = dgbtrf(ab, kl, kl, overwrite_ab=1)
         return (shift, lu, piv) if info == 0 else None
 
     factored = next(filter(None, map(factor, shifts)), None)
     if factored is None:
+        tried = ", ".join(str(1j * s) for s in shifts)
         raise TrackingFailure(
-            f"shift-invert solve near {CENTER} failed: banded LU exactly "
-            f"singular at {CENTER} and {CENTER + _SHIFT_NUDGE}"
+            f"shift-invert solve near {CENTER} failed: banded LU exactly singular at every shift tried, {tried}"
         )
     shift, lu, piv = factored
     reshift = True
     for _ in range(_MAX_ITER):
-        x = zgbtrs(lu, kl, kl, q, piv)[0]
-        h = q.conj().T @ x
-        nu, _, y, _ = zgeev(h, compute_vl=0)
+        x = dgbtrs(lu, kl, kl, q, piv)[0]
+        h = q.T @ x
+        wr, wi, _, y, _ = dgeev(h, compute_vl=0)
+        nu = wr + 1j * wi
         r = (x - q @ h) @ y
-        res = (np.sqrt(np.add.reduce((r.conj() * r).real, 0)) / np.abs(nu)).tolist()
+        sq = np.add.reduce(r * r, 0)
+        first = np.flatnonzero(wi > 0)    # a conjugate pair's columns: its real, then imaginary part
+        sq[first] = sq[first + 1] = sq[first] + sq[first + 1]
+        res = (np.sqrt(sq) / np.abs(nu)).tolist()
         lams = (shift + 1.0 / nu).tolist()
-        order = sorted(range(_BLOCK), key=lambda k: abs(lams[k] - CENTER))
+        order = sorted(range(_BLOCK), key=lambda k: abs(lams[k] - center))
         ritz = [(lams[k], res[k]) for k in order]
-        need = [k < 2 or abs(lam - CENTER) <= RADIUS + _MARGIN for k, (lam, _) in enumerate(ritz)]
+        need = [k < 2 or abs(lam - center) <= RADIUS + _MARGIN for k, (lam, _) in enumerate(ritz)]
         if all(e <= _TOL for (_, e), needed in zip(ritz, need) if needed):
-            q = q @ zungqr(*zgeqrf(y[:, order])[:2])[0]    # the Ritz vectors, nearest first
+            q = q @ dorgqr(*dgeqrf(y[:, order])[:2])[0]    # the Ritz vectors' real basis, nearest first
             q.flags.writeable = False
-            return np.array([lam for lam, e in ritz if e <= _TOL]), q
+            return 1j * np.array([lam for lam, e in ritz if e <= _TOL]), q
         if reshift and ritz[0][1] <= _RESHIFT_TOL and ritz[1][1] <= _RESHIFT_TOL:
             reshift = False
             target = _toward_pair(shift, ritz[0][0], ritz[1][0])
-            moved = None if target is None else factor(target)
+            moved = None if target is None else factor(target.real)
             if moved is not None:
                 shift, lu, piv = moved
-        q = zungqr(*zgeqrf(x)[:2])[0]
+        q = dorgqr(*dgeqrf(x)[:2])[0]
     if all(need):
         raise TrackingFailure(
             f"shift-invert solve near {CENTER} failed: at least {_BLOCK} eigenvalues, "
@@ -547,37 +549,34 @@ def _reduced_discriminant(op: DiscretizedOperator, sample: SpectrumSample) -> tu
     """The discriminant D = (lambda+ - lambda-)^2 of the tracked pair's 2x2
     symplectic reduction, and dD/dmu.
 
-    The first two columns of the converged block, the pair's Ritz vectors
-    orthonormalized (`_shift_invert`), are a basis U of its invariant
-    subspace; no Schur form is taken.  M = J*H with H Hermitian and
-    J = [[0, I], [-I, 0]], and the pair is closed under lambda ->
-    -conj(lambda), so W = J*U spans its left one: B = (W^H U)^-1 W^H M U,
-    and the same with the exact dM/dmu = [[i*P, diag(sign(j + mu))],
-    [0, i*P]], P = 1 + p_eps, is dB/dmu up to a similarity.  An error of U
-    outside the subspace enters B only at second order, even where the
-    nearly defective pair leaves its Ritz vectors nearly parallel.
-    D = (b11 - b22)^2 + 4*b12*b21 (tr^2 - 4*det cancels).
-    M*U comes from the Toeplitz parts (`_apply`), not from ``op.matrix``."""
+    The first two columns of the converged block, a real basis of the
+    pair's invariant subspace of R (`_shift_invert`), are U; no Schur form
+    is taken.  swap*R is symmetric, swap = [[0, I], [I, 0]], so W = swap*U
+    spans the pair's left subspace: B = (W^T U)^-1 W^T R U, and the same
+    with the exact dR/dmu = [[P, -diag(sign(j + mu))], [0, P]],
+    P = 1 + p_eps, is dB/dmu up to a similarity.  An error of U outside
+    the subspace enters B only at second order, even where the nearly
+    defective pair leaves its Ritz vectors nearly parallel.  B's
+    eigenvalues are r = -i*lambda, so D = -((b11 - b22)^2 + 4*b12*b21)
+    (tr^2 - 4*det cancels).  R*U comes from the Toeplitz parts (`_apply`),
+    not from ``op.matrix``."""
     import numpy as np
 
     dim = 2 * op.N + 1
-    u = np.empty((2 * dim, 2), dtype=complex)
-    u[:dim], u[dim:] = sample.block[0::2, :2], sample.block[1::2, :2]    # de-interleave
-    u12 = u.reshape(2, dim, 2).transpose(1, 0, 2).reshape(dim, 4)    # [U1 | U2]
-    pu = _real_times(_toeplitz_parts(op.eps, op.N, op.stokes_order)[0], u12)
-    w, x = np.empty((2 * dim, 2), dtype=complex), np.empty((2 * dim, 4), dtype=complex)
-    w[:dim], w[dim:] = u[dim:], -u[:dim]                      # W = J*U
-    x[:, :2] = _apply(op, u)                                  # [M U | dM/dmu U]
-    x[:dim, 2:] = 1j * pu[:, :2] + np.sign(np.arange(-op.N, op.N + 1) + op.mu)[:, None] * u[dim:]
-    x[dim:, 2:] = 1j * pu[:, 2:]
-    wh = w.conj().T
-    (g11, g12), (g21, g22) = (wh @ u).tolist()
+    u = np.vstack((sample.block[0::2, :2], sample.block[1::2, :2]))    # de-interleave
+    pu = _toeplitz_parts(op.eps, op.N, op.stokes_order)[0] @ np.hstack((u[:dim], u[dim:]))
+    x = np.empty((2 * dim, 4))
+    x[:, :2] = _apply(op, u)                                  # [R U | dR/dmu U]
+    x[:dim, 2:] = pu[:, :2] - np.sign(np.arange(-op.N, op.N + 1) + op.mu)[:, None] * u[dim:]
+    x[dim:, 2:] = pu[:, 2:]
+    wt = np.vstack((u[dim:], u[:dim])).T                      # W = swap*U
+    (g11, g12), (g21, g22) = (wt @ u).tolist()
     adj = np.array([[g22, -g12], [-g21, g11]]) / (g11 * g22 - g12 * g21)
-    (b11, b12, c11, c12), (b21, b22, c21, c22) = (adj @ (wh @ x)).tolist()
+    (b11, b12, c11, c12), (b21, b22, c21, c22) = (adj @ (wt @ x)).tolist()
     split, split1 = b11 - b22, c11 - c22
     disc = split**2 + 4 * b12 * b21
     slope = 2 * split * split1 + 4 * (c12 * b21 + b12 * c21)
-    return disc.real, slope.real
+    return -disc, -slope
 
 
 def measure_isola(

@@ -106,10 +106,11 @@ class TestIsola:
 
     def test_oracle_rows_match_reference(self, capsys):
         """The oracle rows against their reference: mu to 1e-12 relative,
-        each eigenvalue's parts to 1e-12 of its modulus (a real part at the
-        solver's noise floor, about 1e-17, carries no relative digits), every
-        trace row's status exactly, and the summary's width to 1e-12 of mu
-        and its deviations at their printed precision."""
+        each eigenvalue's parts to 1e-12 of its modulus (outside the isola
+        the real parts print exactly 0, where the reference, written by a
+        complex solver, holds noise of about 1e-17 with no relative digits),
+        every trace row's status exactly, and the summary's width to 1e-12
+        of mu and its deviations at their printed precision."""
         reference = Path(__file__).with_name("data") / "isola_oracle.json"
         code, out, err = run(capsys, "isola", "--eps", "0.06", "--format", "json")
         assert code == 0
