@@ -9,11 +9,14 @@ iteration, started from a fixed block or, along a search in mu, from the
 pair's invariant subspaces at the two nearest solves, which extrapolate it
 linearly in mu.  The tracked pair is the two eigenvalues in the fixed disk
 of radius `RADIUS` = 0.2 about `CENTER` = i*omega* = 0.75i; any other count
-there is a `TrackingFailure`.  The isola search runs secant and Newton steps
-on the discriminant of the tracked pair's 2x2 symplectic reduction, taken
-from the converged block, from the closed form's mu0(eps): 7-18 solves of
-2-3 subspace iterations each at N = 32.  Both work from the operator's
-Toeplitz parts, built once per amplitude, never forming the dense matrix.
+there is a `TrackingFailure`.  The isola search fits one least-squares
+model of the discriminant of the tracked pair's 2x2 symplectic reduction,
+taken from the converged block, to every solve from the closed form's
+mu0(eps); the model places each step to its vertex and the start of
+Newton's method at each edge: 5-12 solves (7.0 on average over 40 seeded
+amplitudes in [0.02, 0.19)) of 2.4-2.9 subspace iterations each at N = 32.
+Both work from the operator's Toeplitz parts, built once per amplitude,
+never forming the dense matrix.
 Importing the module loads neither numpy nor scipy.  numpy loads on first
 use (the Toeplitz parts, the dense matrix, a solve), and scipy's LAPACK
 wrappers on the first solve.
@@ -96,9 +99,10 @@ _SHIFT_NUDGE = 1e-9
 #: step, of this many ulp of mu or fewer; after `_MAX_STEPS` it raises ValueError.
 _STEP_ULPS = 4
 _MAX_STEPS = 16
-#: Newton's method on D starts this fraction of the half-width beyond each
-#: edge, so its steps approach the edge from outside (D is concave), where
-#: D reads negative above the solver's noise.
+#: Where the model's start of an edge's Newton iteration shows no sign change
+#: of D, the iteration runs again from this fraction of the half-width beyond
+#: the parabola's root, so its steps approach the edge from outside (D is
+#: concave), where D reads negative above the solver's noise.
 _EDGE_MARGIN = 1e-3
 
 
@@ -288,19 +292,6 @@ def _band(op: DiscretizedOperator) -> np.ndarray:
     return flat.reshape(2 * d.size, -1).T
 
 
-def _apply(op: DiscretizedOperator, q: np.ndarray) -> np.ndarray:
-    """``R @ q`` (the module docstring) from the Toeplitz parts P = 1 + p_eps,
-    A = 1 + a_eps and d = j + mu: [d*(P q1) - |d|*q2 ; -A q1 + P (d*q2)]."""
-    import numpy as np
-
-    p_part, a_part = _toeplitz_parts(op.eps, op.N, op.stokes_order)
-    d = (np.arange(-op.N, op.N + 1, dtype=float) + op.mu)[:, None]
-    dim, k = d.size, q.shape[1]
-    q1, q2 = q[:dim], q[dim:]
-    pq = p_part @ np.hstack((q1, d * q2))
-    return np.vstack((d * pq[:, :k] - np.abs(d) * q2, pq[:, k:] - a_part @ q1))
-
-
 @functools.lru_cache(maxsize=8)
 def _start_block(n: int) -> np.ndarray:
     """The fixed start of the subspace iteration: the orthonormalized real
@@ -407,15 +398,16 @@ def _shift_invert(
         x = dgbtrs(lu, kl, kl, q, piv)[0]
         h = q.T @ x
         wr, wi, _, y, _ = dgeev(h, compute_vl=0)
-        nu = wr + 1j * wi
         r = (x - q @ h) @ y
-        sq = np.add.reduce(r * r, 0)
-        first = np.flatnonzero(wi > 0)    # a conjugate pair's columns: its real, then imaginary part
-        sq[first] = sq[first + 1] = sq[first] + sq[first + 1]
-        res = (np.sqrt(sq) / np.abs(nu)).tolist()
-        lams = (shift + 1.0 / nu).tolist()
+        sq = np.add.reduce(r * r, 0).tolist()
+        lams = (shift + 1.0 / (wr + 1j * wi)).tolist()
+        ritz = []
+        for k, (lam, re, im) in enumerate(zip(lams, wr.tolist(), wi.tolist())):
+            # a conjugate pair's columns, its real then imaginary part, share a residual
+            e = sq[k] + sq[k + 1] if im > 0 else sq[k] + sq[k - 1] if im < 0 else sq[k]
+            ritz.append((lam, math.sqrt(e) / math.hypot(re, im)))
         order = sorted(range(_BLOCK), key=lambda k: abs(lams[k] - center))
-        ritz = [(lams[k], res[k]) for k in order]
+        ritz = [ritz[k] for k in order]
         need = [k < 2 or abs(lam - center) <= RADIUS + _MARGIN for k, (lam, _) in enumerate(ritz)]
         if all(e <= _TOL for (_, e), needed in zip(ritz, need) if needed):
             q = q @ dorgqr(*dgeqrf(y[:, order])[:2])[0]    # the Ritz vectors' real basis, nearest first
@@ -539,6 +531,8 @@ class IsolaMeasurement:
     im_center: float
     mu_left: float
     mu_right: float
+    #: Shift-invert solves the search took.
+    solves: int = field(compare=False, repr=False)
 
     @property
     def mu_width(self) -> float:
@@ -550,33 +544,114 @@ def _reduced_discriminant(op: DiscretizedOperator, sample: SpectrumSample) -> tu
     symplectic reduction, and dD/dmu.
 
     The first two columns of the converged block, a real basis of the
-    pair's invariant subspace of R (`_shift_invert`), are U; no Schur form
-    is taken.  swap*R is symmetric, swap = [[0, I], [I, 0]], so W = swap*U
-    spans the pair's left subspace: B = (W^T U)^-1 W^T R U, and the same
-    with the exact dR/dmu = [[P, -diag(sign(j + mu))], [0, P]],
-    P = 1 + p_eps, is dB/dmu up to a similarity.  An error of U outside
-    the subspace enters B only at second order, even where the nearly
-    defective pair leaves its Ritz vectors nearly parallel.  B's
-    eigenvalues are r = -i*lambda, so D = -((b11 - b22)^2 + 4*b12*b21)
-    (tr^2 - 4*det cancels).  R*U comes from the Toeplitz parts (`_apply`),
-    not from ``op.matrix``."""
+    pair's invariant subspace of R (`_shift_invert`), are U = [u1; u2]; no
+    Schur form is taken.  swap*R is symmetric, swap = [[0, I], [I, 0]], so
+    W = swap*U spans the pair's left subspace: B = (W^T U)^-1 W^T R U, and
+    the same with the exact dR/dmu = [[P, -diag(sign(d))], [0, P]] is
+    dB/dmu up to a similarity.  An error of U outside the subspace enters B
+    only at second order, even where the nearly defective pair leaves its
+    Ritz vectors nearly parallel.  B's eigenvalues are r = -i*lambda, so
+    D = -((b11 - b22)^2 + 4*b12*b21) (tr^2 - 4*det cancels).
+
+    The products come from the Toeplitz parts P = 1 + p_eps, A = 1 + a_eps
+    and d = j + mu, not from ``op.matrix``, P in one product with
+    [u1, u2, d*u2].  With t = P u1 - sign(d)*u2 and k = P (d*u2) - A u1,
+    R U = [d*t ; k] and dR/dmu U = [t ; P u2], so W^T R U =
+    (d*u2)^T t + u1^T k and W^T dR/dmu U = u2^T t + u1^T P u2; t and k are
+    summed entry by entry before the projection, so that their large terms
+    cancel there."""
     import numpy as np
 
-    dim = 2 * op.N + 1
-    u = np.vstack((sample.block[0::2, :2], sample.block[1::2, :2]))    # de-interleave
-    pu = _toeplitz_parts(op.eps, op.N, op.stokes_order)[0] @ np.hstack((u[:dim], u[dim:]))
-    x = np.empty((2 * dim, 4))
-    x[:, :2] = _apply(op, u)                                  # [R U | dR/dmu U]
-    x[:dim, 2:] = pu[:, :2] - np.sign(np.arange(-op.N, op.N + 1) + op.mu)[:, None] * u[dim:]
-    x[dim:, 2:] = pu[:, 2:]
-    wt = np.vstack((u[dim:], u[:dim])).T                      # W = swap*U
-    (g11, g12), (g21, g22) = (wt @ u).tolist()
-    adj = np.array([[g22, -g12], [-g21, g11]]) / (g11 * g22 - g12 * g21)
-    (b11, b12, c11, c12), (b21, b22, c21, c22) = (adj @ (wt @ x)).tolist()
+    p_part, a_part = _toeplitz_parts(op.eps, op.N, op.stokes_order)
+    d = (np.arange(-op.N, op.N + 1, dtype=float) + op.mu)[:, None]
+    u = sample.block[:, :2].reshape(-1, 4)                    # [u1 | u2], de-interleaved
+    u1, u2 = u[:, :2], u[:, 2:]
+    v = np.hstack((u, d * u2))
+    pv = p_part @ v                                           # [P u1 | P u2 | P (d*u2)]
+    t = pv[:, :2] - np.sign(d) * u2
+    # u2^T t, u2^T u1 and (d*u2)^T t; u1^T k and u1^T P u2
+    (y11, y12, s11, s12), (y21, y22, s21, s22), (x11, x12, _, _), (x21, x22, _, _) = (
+        v[:, 2:].T @ np.hstack((t, u1))).tolist()
+    (k11, k12, p11, p12), (k21, k22, p21, p22) = (u1.T @ np.hstack((pv[:, 4:] - a_part @ u1, pv[:, 2:4]))).tolist()
+    g11, g12, g22 = 2 * s11, s12 + s21, 2 * s22              # W^T U, symmetric
+    det = g11 * g22 - g12 * g12
+
+    def reduced(m11: float, m12: float, m21: float, m22: float) -> tuple[float, ...]:
+        """(W^T U)^-1 [[m11, m12], [m21, m22]], row by row."""
+        return ((g22 * m11 - g12 * m21) / det, (g22 * m12 - g12 * m22) / det,
+                (g11 * m21 - g12 * m11) / det, (g11 * m22 - g12 * m12) / det)
+
+    b11, b12, b21, b22 = reduced(x11 + k11, x12 + k12, x21 + k21, x22 + k22)    # W^T R U
+    c11, c12, c21, c22 = reduced(y11 + p11, y12 + p12, y21 + p21, y22 + p22)    # W^T dR/dmu U
     split, split1 = b11 - b22, c11 - c22
     disc = split**2 + 4 * b12 * b21
     slope = 2 * split * split1 + 4 * (c12 * b21 + b12 * c21)
     return -disc, -slope
+
+
+def _horner(c: Sequence[float], t: float) -> tuple[float, float]:
+    """The polynomial sum c_k t^k and its derivative at ``t``."""
+    v = dv = 0.0
+    for ck in reversed(c):
+        v, dv = v * t + ck, dv * t + v
+    return v, dv
+
+
+def _newton_root(c: Sequence[float], t: float) -> float:
+    """The root of the polynomial sum c_k t^k that Newton's method reaches
+    from ``t``; nan if the derivative vanishes on the way."""
+    for _ in range(16):
+        v, dv = _horner(c, t)
+        s = v / dv if dv else math.nan
+        t -= s
+        if not abs(s) > 1e-15 * abs(t):
+            break
+    return t
+
+
+def _model(
+    anchor: tuple[float, float, float], points: Sequence[tuple[float, Optional[float], float]], scale: float
+) -> tuple[list[float], list[float]]:
+    """Least-squares models of D about ``anchor``, a (mu, D, dD/dmu) solve:
+    the coefficients c_k of the cubic and of the quartic
+    p(t) = sum c_k t^k, t = (mu - anchor mu)/scale, that take D and
+    scale*dD/dmu at the anchor exactly and fit them at the other
+    ``points`` by least squares, both from one QR factorization; a point
+    whose D is None fits the slope alone.  Exact at the anchor, a step
+    from it converges to ulps as Newton's does.  Where the other points
+    determine fewer coefficients, both models keep only those."""
+    import numpy as np
+    from scipy.linalg.lapack import dgeqrf
+
+    mu0, d0, s0 = anchor[0], anchor[1], scale * anchor[2]
+    rows = []
+    for mu, d, slope in points:
+        if mu != mu0:
+            t = (mu - mu0) / scale
+            if d is not None:
+                rows.append([t * t, t**3, t**4, d - d0 - s0 * t])
+            rows.append([2 * t, 3 * t * t, 4 * t**3, scale * slope - s0])
+    r = dgeqrf(np.array(rows))[0].tolist()    # R of [A | b]: R[:k, :k] c = R[:k, 3], k unknowns
+
+    def fit(k: int) -> list[float]:
+        c = [0.0] * min(k, len(rows))
+        for i in reversed(range(len(c))):
+            c[i] = (r[i][3] - sum(r[i][j] * c[j] for j in range(i + 1, len(c)))) / r[i][i]
+        return [d0, s0, *c]
+
+    return fit(2), fit(3)
+
+
+def _edge_start(
+    vertex: tuple[float, float, float], points: Sequence[tuple[float, float, float]], half: float, side: int
+) -> float:
+    """Where an edge's Newton iteration starts: beyond the root on ``side``
+    of the quartic model of D about the ``vertex`` solve (`_model`, fitted
+    to D and dD/dmu at ``points``, in units of the half-width ``half``) by
+    twice its distance from the cubic's root and 16 ulp, so that the solve
+    there reads D <= 0 and Newton's next step is a few ulp."""
+    r3, r4 = (_newton_root(c, float(side)) for c in _model(vertex, points, half))
+    return vertex[0] + (r4 + 2 * side * abs(r4 - r3)) * half + 16 * side * math.ulp(vertex[0])
 
 
 def measure_isola(
@@ -587,33 +662,48 @@ def measure_isola(
 ) -> IsolaMeasurement:
     """Locate and measure the isola near mu = 1/4 without the closed form.
 
-    The only theory input is the start mu0(eps) and the window every solve
-    must lie in, mu0 +- window_scale*eps^3: generous against the O(eps^4)
-    isola width but clear of neighboring collisions.  Each solve gives the
-    pair's discriminant D (`_reduced_discriminant`), positive exactly inside
-    the isola and nearly quadratic in mu.  Solves at mu0 and mu0 + eps^4
-    give its curvature D'' < 0; secant steps on dD/dmu find the vertex
+    The only theory inputs are the start mu0(eps), the pair's imaginary part
+    there and the window every solve must lie in, mu0 +- window_scale*eps^3:
+    generous against the O(eps^4) isola width but clear of neighboring
+    collisions.  Each solve gives the pair's discriminant D
+    (`_reduced_discriminant`), positive exactly inside the isola and nearly
+    quadratic in mu.  Solves at mu0 - 1.2 eps^4 and a quarter eps^4 below
+    give its curvature D'' < 0: the vertex lies 1.2-2.6 eps^4 below mu0 at
+    every amplitude measured (eps 0.005-0.29), so they sit near it.  Every
+    later step comes from one least-squares model of D, a quartic in mu anchored
+    exactly at one solve (`_model`).  Fitted to dD/dmu at every solve so far
+    and anchored at the latest, its vertex places each step to the vertex
     mu_at_max, where the pair gives re_max = sqrt(max gap^2)/2 and
-    im_center; Newton's method on D runs from about mu_at_max -+
-    sqrt(-2*D/D'') to each edge.  An iteration stops at a step of a few ulp
-    or one no shorter than the last (noise); an edge's also stops, unsolved,
-    at a point whose next step, predicted from the step s to it as
-    (D''/2D')*s^2, is a few ulp.  An edge counts only if a solve of its
-    iteration at or beyond it reads D <= 0.  Each solve but the first
-    continues those at the two nearest mu solved (`spectrum`'s ``start``).
+    im_center.  Fitted to D and dD/dmu and anchored at mu_at_max, its roots
+    place each edge's Newton iteration on D to start just outside the edge
+    (`_edge_start`), so that one solve there reads D <= 0 and Newton's next
+    step is a few ulp.  An iteration stops at a step of a few ulp or one no
+    shorter than the last (noise); an edge's also stops, unsolved, at a
+    point whose next step, predicted from the step s to it as (D''/2D')*s^2,
+    is a few ulp.  An edge counts only if a solve of its iteration at or
+    beyond it reads D <= 0; where none does, or the model's start is off the
+    window, the iteration runs again from
+    mu_at_max -+ (1 + `_EDGE_MARGIN`)*sqrt(-2*D/D''), just outside the
+    parabola's root.  The first solve starts its shift beside the closed
+    form's pair; each later one continues those at the two nearest mu
+    solved (`spectrum`'s ``start``).
 
     Raises `TrackingFailure` if the pair cannot be followed, ValueError if a
     solve would leave the window, the curvature is not negative, an
     iteration takes more than `_MAX_STEPS` steps, no isola is resolved
     (max gap^2 <= 0) or an edge shows no sign change of D, and before any
-    solve if eps < 0, window_scale <= 0 or either is not finite.
+    solve if eps <= 0 (flat water has no isola), window_scale <= 0 or
+    either is not finite.
     """
     _check_finite(eps=eps, window_scale=window_scale)
     if eps < 0:
         raise _ArgumentError(f"eps must be nonnegative, got {eps}")
+    if eps == 0:
+        raise _ArgumentError(f"eps must be positive, got {eps}: flat water has no isola")
     if window_scale <= 0:
         raise _ArgumentError(f"window_scale must be positive, got {window_scale}")
-    mu0 = isola(assemble_reduced_jet(), eps).mu0
+    theory = isola(assemble_reduced_jet(), eps)
+    mu0, guess = theory.mu0, 1j * theory.im_center
     half = window_scale * eps**3
     lo, hi = mu0 - half, mu0 + half
     samples: dict[float, tuple[SpectrumSample, float, float]] = {}
@@ -622,9 +712,10 @@ def measure_isola(
         if mu not in samples:
             if not lo <= mu <= hi:
                 raise ValueError(f"step to {mu!r} leaves the window [{lo!r}, {hi!r}] for eps={eps}")
-            start = [samples[m][0] for m in sorted(samples, key=lambda m: abs(m - mu))[:2]] or None
             op = build(mu, eps, N, stokes_order)
-            sample = spectrum(op, start=start)
+            start = [samples[m][0] for m in sorted(samples, key=lambda m: abs(m - mu))[:2]]
+            # the first solve: the fixed block, its shift beside the closed form's pair
+            sample = spectrum(op, start=start or SpectrumSample((), (guess, guess), _start_block(4 * N + 2)))
             samples[mu] = (sample, *_reduced_discriminant(op, sample))
         return samples[mu]
 
@@ -640,42 +731,50 @@ def measure_isola(
             previous = s
         raise ValueError(f"{what} search for eps={eps} took more than {_MAX_STEPS} steps")
 
-    def secant(path: list[float]) -> tuple[float, float]:
-        (m0, m1), (d0, d1) = path[-2:], (solve(m)[2] for m in path[-2:])
-        slope = (d1 - d0) / (m1 - m0)
-        return (-d1 / slope if slope < 0 else math.inf), math.inf    # not concave: noise
+    def vertex_step(path: list[float]) -> tuple[float, float]:
+        slopes = [(mu, None, slope) for mu, (_, _, slope) in samples.items()]
+        quartic = _model((path[-1], *solve(path[-1])[1:]), slopes, h)[1]
+        slope = [k * c for k, c in enumerate(quartic)][1:]
+        t = _newton_root(slope, 0.0)
+        return (t * h if _horner(slope, t)[1] < 0 else math.inf), math.inf    # not concave: noise
 
     def newton(path: list[float]) -> tuple[float, float]:
         _, d, slope = solve(path[-1])
         s = -d / slope
         return s, abs(0.5 * curvature / slope) * s * s
 
-    h = eps**4
-    if not solve(mu0 + h)[2] < solve(mu0)[2]:
-        raise ValueError(f"curvature of D at mu={mu0!r} is not negative for eps={eps}")
-    curvature = (solve(mu0 + h)[2] - solve(mu0)[2]) / h
-    mu_at_max = iterate([mu0, mu0 + h], secant, "vertex")[-1]
-    vertex, d_max, _ = solve(mu_at_max)
+    mu1, h = mu0 - 1.2 * eps**4, -0.25 * eps**4
+    curvature = (solve(mu1 + h)[2] - solve(mu1)[2]) / h
+    if not curvature < 0:
+        raise ValueError(f"curvature of D at mu={mu1!r} is not negative for eps={eps}")
+    mu_at_max = iterate([mu1, mu1 + h], vertex_step, "vertex")[-1]
+    vertex, d_max, slope_max = solve(mu_at_max)
     lp, lm = vertex.tracked_pair
     gap2_max = ((lp - lm) ** 2).real
     if gap2_max <= 0 or d_max <= 0:
         raise ValueError(
             f"no isola resolved for eps={eps}, N={N}: max pair gap^2 {gap2_max:.3e}, D {d_max:.3e}"
         )
-    spread = (1 + _EDGE_MARGIN) * math.sqrt(-2.0 * d_max / curvature)
+    spread = math.sqrt(-2.0 * d_max / curvature)
 
     def edge(side: int, name: str) -> float:
-        path = iterate([mu_at_max + side * spread], newton, f"{name} edge")
-        if not any(side * (mu - path[-1]) >= 0 and samples[mu][1] <= 0 for mu in path if mu in samples):
-            raise ValueError(f"no sign change of D at the {name} edge for eps={eps}")
-        return path[-1]
+        points = [(mu, d, slope) for mu, (_, d, slope) in samples.items()]
+        model = _edge_start((mu_at_max, d_max, slope_max), points, spread, side)
+        starts = [model] if lo <= model <= hi else []
+        for start in starts + [mu_at_max + side * (1 + _EDGE_MARGIN) * spread]:
+            path = iterate([start], newton, f"{name} edge")
+            if any(side * (mu - path[-1]) >= 0 and samples[mu][1] <= 0 for mu in path if mu in samples):
+                return path[-1]
+        raise ValueError(f"no sign change of D at the {name} edge for eps={eps}")
 
+    mu_left, mu_right = edge(-1, "left"), edge(1, "right")
     return IsolaMeasurement(
         eps=eps,
         N=N,
         mu_at_max=mu_at_max,
         re_max=0.5 * math.sqrt(gap2_max),
         im_center=0.5 * (lp + lm).imag,
-        mu_left=edge(-1, "left"),
-        mu_right=edge(1, "right"),
+        mu_left=mu_left,
+        mu_right=mu_right,
+        solves=len(samples),
     )

@@ -165,6 +165,12 @@ class TestIsola:
         code, out, err = run(capsys, "isola", "--eps", "-0.1")
         assert code == 2
 
+    def test_zero_eps_is_diagnosed_before_any_solve(self, capsys, monkeypatch):
+        monkeypatch.setattr(floquet, "spectrum", None)        # no solve is attempted
+        code, out, err = run(capsys, "isola", "--eps", "0")
+        assert (code, out) == (3, "")
+        assert err == "numerical failure: eps must be positive, got 0.0: flat water has no isola\n"
+
     def test_large_amplitude(self, capsys):
         code, out, err = run(capsys, "isola", "--eps", "0.2", "--samples", "3")
         assert code == 0

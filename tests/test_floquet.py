@@ -2,7 +2,9 @@
 
 import dataclasses
 import math
+import random
 import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -419,8 +421,15 @@ class TestIsolaSearchCost:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(floquet, "spectrum", counted)
-        measure_isola(eps, N=32)
-        assert len(calls) <= 14
+        meas = measure_isola(eps, N=32)
+        assert len(calls) == meas.solves <= 11
+
+    def test_mean_solves_per_measurement(self):
+        """Over 40 seeded amplitudes in [0.02, 0.19) a search averages at
+        most 8 solves (7.0 here)."""
+        rng = random.Random(7)
+        solves = [measure_isola(rng.uniform(0.02, 0.19)).solves for _ in range(40)]
+        assert statistics.mean(solves) <= 8.0
 
     @staticmethod
     def _count_solves_and_iterations(monkeypatch):
@@ -508,6 +517,33 @@ class TestIsolaSearchFailures:
         with pytest.raises(ValueError, match="no sign change of D at the left edge"):
             measure_isola(0.06)
 
+    @pytest.mark.parametrize("eps", [0.06, 0.19])
+    def test_edge_start_inside_the_isola_falls_back(self, monkeypatch, eps):
+        """A model edge start that lands inside the isola, where no solve of
+        its Newton iteration reads D <= 0, is followed by the parabola's
+        start; each edge still ends with a solve at or beyond it that reads
+        D <= 0, and lands within 32 ulp of the unpatched edge."""
+        plain = measure_isola(eps)
+        solved, starts = {}, []
+        reduced = floquet._reduced_discriminant
+
+        def recorded(op, sample):
+            disc, slope = reduced(op, sample)
+            solved[op.mu] = disc
+            return disc, slope
+
+        def inside(vertex, points, half, side):
+            starts.append(vertex[0] + 0.5 * side * half)
+            return starts[-1]
+
+        monkeypatch.setattr(floquet, "_reduced_discriminant", recorded)
+        monkeypatch.setattr(floquet, "_edge_start", inside)
+        meas = measure_isola(eps)
+        assert len(starts) == 2 and all(solved[mu] > 0 for mu in starts)
+        for side, edge, ref in ((-1, meas.mu_left, plain.mu_left), (1, meas.mu_right, plain.mu_right)):
+            assert any(side * (mu - edge) >= 0 and d <= 0 for mu, d in solved.items())
+            assert abs(edge - ref) <= 32 * math.ulp(ref)
+
     def test_iteration_cap(self, monkeypatch):
         monkeypatch.setattr(floquet, "_MAX_STEPS", 1)
         with pytest.raises(ValueError, match="vertex search .* took more than 1 steps"):
@@ -523,12 +559,14 @@ class TestIsolaSearchFailures:
 
     @pytest.mark.parametrize("eps,scale,message", [
         (-0.06, 8.0, "eps must be nonnegative, got -0.06"),
+        (0.0, 8.0, "eps must be positive, got 0.0: flat water has no isola"),
         (0.06, 0.0, "window_scale must be positive, got 0.0"),
         (0.06, -8.0, "window_scale must be positive, got -8.0"),
     ])
     def test_argument_out_of_range(self, monkeypatch, eps, scale, message):
         """A negative eps or a window_scale that is not positive would invert
-        or close the window; it is named before any solve."""
+        or close the window, and eps = 0 is flat water, with no isola; each
+        is named before any solve."""
         monkeypatch.setattr(floquet, "spectrum", None)        # no solve is attempted
         with pytest.raises(ValueError, match=f"^{message}$"):
             measure_isola(eps, window_scale=scale)
@@ -695,14 +733,28 @@ class TestOperatorParts:
             assert band.flags.f_contiguous
             assert band.tobytes(order="F") == gathered.tobytes(order="F")
 
-    def test_product_matches_the_matrix(self, grid):
+    def test_reduction_matches_the_matrix(self, grid):
+        """`_reduced_discriminant`'s products with R and dR/dmu, taken from
+        the Toeplitz parts, against the real form of the dense matrix on a
+        random orthonormal U; dR/dmu is the exact difference quotient of R
+        over a step of mu that keeps every j + mu's sign, since R is linear
+        in mu there."""
         rng = np.random.default_rng(20271)
         for op in grid:
             n = op.matrix.shape[0]
-            q = np.linalg.qr(rng.standard_normal((n, 8)))[0]
+            block = np.linalg.qr(rng.standard_normal((n, floquet._BLOCK)))[0]
+            u = np.vstack((block[0::2, :2], block[1::2, :2]))        # block order
             real = _real_form(op.matrix)
-            err = np.max(np.abs(floquet._apply(op, q) - real @ q))
-            assert err <= 1e-13 * np.linalg.norm(real, 2)
+            slope = (_real_form(build(op.mu + 1e-3, op.eps, op.N, op.stokes_order).matrix) - real) / 1e-3
+            wt = np.vstack((u[n // 2 :], u[: n // 2])).T
+            b = np.linalg.solve(wt @ u, wt @ real @ u)
+            c = np.linalg.solve(wt @ u, wt @ slope @ u)
+            disc = -((b[0, 0] - b[1, 1]) ** 2 + 4 * b[0, 1] * b[1, 0])
+            rate = -(2 * (b[0, 0] - b[1, 1]) * (c[0, 0] - c[1, 1]) + 4 * (c[0, 1] * b[1, 0] + b[0, 1] * c[1, 0]))
+            got = floquet._reduced_discriminant(op, floquet.SpectrumSample((), (0j, 0j), block))
+            scale = np.linalg.norm(b) ** 2 * np.linalg.cond(wt @ u)
+            assert got[0] == pytest.approx(disc, rel=0, abs=1e-12 * scale)
+            assert got[1] == pytest.approx(rate, rel=0, abs=1e-12 * scale * (1 + np.linalg.norm(c)))
 
     def test_search_and_trace_never_form_the_matrix(self, monkeypatch):
         def formed(op):

@@ -45,6 +45,13 @@ def test_isola_sweep_names_a_negative_amplitude():
     assert proc.stderr == "error: eps must be nonnegative, got -0.06\n"
 
 
+def test_isola_sweep_names_a_zero_amplitude():
+    # flat water has no isola; the library says so before any solve
+    proc = _isola_sweep("--eps", "0")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: eps must be positive, got 0.0: flat water has no isola\n"
+
+
 def test_isola_sweep_names_a_truncation_below_8():
     proc = _isola_sweep("--eps", "0.06", "--trunc", "4")
     assert proc.returncode == 2, proc.stderr
