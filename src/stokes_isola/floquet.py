@@ -9,14 +9,13 @@ iteration, started from a fixed block or, along a search in mu, from the
 pair's invariant subspaces at the two nearest solves, which extrapolate it
 linearly in mu.  The tracked pair is the two eigenvalues in the fixed disk
 of radius `RADIUS` = 0.2 about `CENTER` = i*omega* = 0.75i; any other count
-there is a `TrackingFailure`.  The isola search fits one least-squares
-model of the discriminant of the tracked pair's 2x2 symplectic reduction,
-taken from the converged block, to every solve from the closed form's
-mu0(eps); the model places each step to its vertex and the start of
-Newton's method at each edge: 5-12 solves (7.0 on average over 40 seeded
-amplitudes in [0.02, 0.19)) of 2.4-2.9 subspace iterations each at N = 32.
-Both work from the operator's Toeplitz parts, built once per amplitude,
-never forming the dense matrix.
+there is a `TrackingFailure`.  The isola measurement takes the Taylor
+series in mu of the tracked pair's 2x2 symplectic reduction from one solve
+near the closed form's mu0(eps) and reads the vertex and both edges off
+its discriminant: four solves of 2.3 subspace iterations each on average
+at N = 32 (40 seeded amplitudes in [0.02, 0.19)).  Both work from the
+operator's Toeplitz parts, built once per amplitude, never forming the
+dense matrix.
 Importing the module loads neither numpy nor scipy.  numpy loads on first
 use (the Toeplitz parts, the dense matrix, a solve), and scipy's LAPACK
 wrappers on the first solve.
@@ -45,7 +44,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .stokes import A_FLOAT, MAX_ORDER, OMEGA_STAR, P_FLOAT
 from .jets import assemble_reduced_jet
@@ -95,15 +94,12 @@ _RESHIFT_TOL = 1e-2
 _RESHIFT_GAP = 1e-3
 #: Offset of the retried shift when the first one is an exact eigenvalue.
 _SHIFT_NUDGE = 1e-9
-#: An iteration of `measure_isola` stops at a step, or on an edge a predicted
-#: step, of this many ulp of mu or fewer; after `_MAX_STEPS` it raises ValueError.
-_STEP_ULPS = 4
-_MAX_STEPS = 16
-#: Where the model's start of an edge's Newton iteration shows no sign change
-#: of D, the iteration runs again from this fraction of the half-width beyond
-#: the parabola's root, so its steps approach the edge from outside (D is
-#: concave), where D reads negative above the solver's noise.
-_EDGE_MARGIN = 1e-3
+#: `_pair_series` stops at the first order whose term max|B_k| * reach^k is
+#: at most `_SERIES_TAIL`, and raises ValueError if none is by `_SERIES_ORDERS`.
+_SERIES_TAIL = 2e-18
+_SERIES_ORDERS = 24
+#: Each edge's check solve in `measure_isola` lies this many ulp of mu beyond it.
+_CHECK_ULPS = 64
 
 
 class TrackingFailure(RuntimeError):
@@ -155,17 +151,19 @@ def _exp_coeffs(which: str, eps: float, order: int) -> tuple[tuple[int, float], 
 def _toeplitz_parts(eps: float, N: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """``1 + p_eps`` and ``1 + a_eps`` as read-only (2N+1)-square Toeplitz
     matrices: the mu-independent parts of the operator, shared by every
-    solve of one search.  Each coefficient of harmonic kappa is added along
-    its diagonal, row - column = kappa, a strided view of the flat array."""
+    solve of one search.  Each is one gather from its coefficients by
+    harmonic kappa = row - column."""
     import numpy as np
 
     dim = 2 * N + 1
+    kappa = np.subtract.outer(np.arange(dim), np.arange(dim)) + 2 * N
     parts = []
     for which in ("p", "a"):
-        part = np.eye(dim)
-        for kappa, c in _exp_coeffs(which, eps, order):
-            first = kappa * dim if kappa >= 0 else -kappa    # flat index of its first entry
-            part.reshape(-1)[first :: dim + 1][: dim - abs(kappa)] += c
+        coeffs = np.zeros(2 * dim - 1)
+        coeffs[2 * N] = 1.0
+        for k, c in _exp_coeffs(which, eps, order):
+            coeffs[k + 2 * N] += c
+        part = coeffs.take(kappa)
         part.flags.writeable = False
         parts.append(part)
     return tuple(parts)
@@ -539,54 +537,97 @@ class IsolaMeasurement:
         return self.mu_right - self.mu_left
 
 
-def _reduced_discriminant(op: DiscretizedOperator, sample: SpectrumSample) -> tuple[float, float]:
-    """The discriminant D = (lambda+ - lambda-)^2 of the tracked pair's 2x2
-    symplectic reduction, and dD/dmu.
+def _pair_series(
+    op: DiscretizedOperator, sample: SpectrumSample, reach: float
+) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
+    """Taylor coefficients in mu about ``op``'s mu of the tracked pair's 2x2
+    symplectic reduction B and invariant subspace U, from ``sample``, a
+    converged solve of ``op``: the shift s = tr(B(op.mu))/2 and the lists of
+    B_k, 2x2, k = 0..K (B_0 less s*I), and of U_k, rows interleaved like the
+    block's, k = 0..K-1.  K is the first order whose term
+    max|B_k| * ``reach``^k is at most `_SERIES_TAIL`; ValueError if that is
+    past `_SERIES_ORDERS`.
 
-    The first two columns of the converged block, a real basis of the
-    pair's invariant subspace of R (`_shift_invert`), are U = [u1; u2]; no
-    Schur form is taken.  swap*R is symmetric, swap = [[0, I], [I, 0]], so
-    W = swap*U spans the pair's left subspace: B = (W^T U)^-1 W^T R U, and
-    the same with the exact dR/dmu = [[P, -diag(sign(d))], [0, P]] is
-    dB/dmu up to a similarity.  An error of U outside the subspace enters B
-    only at second order, even where the nearly defective pair leaves its
-    Ritz vectors nearly parallel.  B's eigenvalues are r = -i*lambda, so
-    D = -((b11 - b22)^2 + 4*b12*b21) (tr^2 - 4*det cancels).
+    R = R0 + (mu - op.mu)*R1 near 1/4, where no j + mu changes sign:
+    R1 = [[P, -diag(sign(d))], [0, P]].  U0, the block's first two columns,
+    spans the pair's invariant subspace; swap*R is symmetric,
+    swap = [[0, I], [I, 0]], so W = swap*U0 spans its left subspace.  With
+    W^T U = G = W^T U0 and Q = I - U0 G^-1 W^T, R U = U B gives
+    B_0 = G^-1 W^T R0 U0, B_k = G^-1 W^T R1 U_(k-1) and
+    (R0 - s) U_k - U_k (B_0 - s) = Q (sum_(j=1..k-1) U_j B_(k-j) - R1 U_(k-1)),
+    solved by the fixed point U_k <- Q (R0 - s)^-1 (rhs + U_k (B_0 - s)) on
+    one banded LU at s until a step, times reach^(k+1), is at most the tail
+    or no shorter than the last.  An error of U0 outside the subspace enters
+    B_0 only at second order, even where the pair is nearly defective.
 
     The products come from the Toeplitz parts P = 1 + p_eps, A = 1 + a_eps
-    and d = j + mu, not from ``op.matrix``, P in one product with
-    [u1, u2, d*u2].  With t = P u1 - sign(d)*u2 and k = P (d*u2) - A u1,
-    R U = [d*t ; k] and dR/dmu U = [t ; P u2], so W^T R U =
-    (d*u2)^T t + u1^T k and W^T dR/dmu U = u2^T t + u1^T P u2; t and k are
-    summed entry by entry before the projection, so that their large terms
-    cancel there."""
+    and d = j + mu, not from ``op.matrix``: with U = [u1; u2],
+    R1 U = [t; P u2], t = P u1 - sign(d)*u2, and R0 U0 = [d*t; P (d*u2) - A u1],
+    less sigma*U0 for the sample's pair sigma, each summed entry by entry
+    before the projection, so that their large terms cancel there and
+    B_0 - s carries no rounding of sigma.  G^-1 is taken on floats."""
     import numpy as np
+    from scipy.linalg.lapack import dgbtrf, dgbtrs
 
     p_part, a_part = _toeplitz_parts(op.eps, op.N, op.stokes_order)
     d = (np.arange(-op.N, op.N + 1, dtype=float) + op.mu)[:, None]
-    u = sample.block[:, :2].reshape(-1, 4)                    # [u1 | u2], de-interleaved
-    u1, u2 = u[:, :2], u[:, 2:]
-    v = np.hstack((u, d * u2))
-    pv = p_part @ v                                           # [P u1 | P u2 | P (d*u2)]
-    t = pv[:, :2] - np.sign(d) * u2
-    # u2^T t, u2^T u1 and (d*u2)^T t; u1^T k and u1^T P u2
-    (y11, y12, s11, s12), (y21, y22, s21, s22), (x11, x12, _, _), (x21, x22, _, _) = (
-        v[:, 2:].T @ np.hstack((t, u1))).tolist()
-    (k11, k12, p11, p12), (k21, k22, p21, p22) = (u1.T @ np.hstack((pv[:, 4:] - a_part @ u1, pv[:, 2:4]))).tolist()
-    g11, g12, g22 = 2 * s11, s12 + s21, 2 * s22              # W^T U, symmetric
+    sign = np.sign(d)
+    u0 = np.ascontiguousarray(sample.block[:, :2])             # rows interleaved
+    wt = u0.reshape(-1, 4)[:, [2, 3, 0, 1]].reshape(-1, 2).T    # W^T = (swap*U0)^T
+    (g11, g12), (_, g22) = (wt @ u0).tolist()
     det = g11 * g22 - g12 * g12
+    g_inv = np.array([[g22, -g12], [-g12, g11]]) / det
 
-    def reduced(m11: float, m12: float, m21: float, m22: float) -> tuple[float, ...]:
-        """(W^T U)^-1 [[m11, m12], [m21, m22]], row by row."""
-        return ((g22 * m11 - g12 * m21) / det, (g22 * m12 - g12 * m22) / det,
-                (g11 * m21 - g12 * m11) / det, (g11 * m22 - g12 * m12) / det)
+    def r1_times(x: np.ndarray, px: np.ndarray) -> np.ndarray:
+        """R1 x, interleaved, from x and P [x1 | x2] (de-interleaved)."""
+        return np.hstack((px[:, :2] - sign * x.reshape(-1, 4)[:, 2:], px[:, 2:4])).reshape(-1, 2)
 
-    b11, b12, b21, b22 = reduced(x11 + k11, x12 + k12, x21 + k21, x22 + k22)    # W^T R U
-    c11, c12, c21, c22 = reduced(y11 + p11, y12 + p12, y21 + p21, y22 + p22)    # W^T dR/dmu U
-    split, split1 = b11 - b22, c11 - c22
-    disc = split**2 + 4 * b12 * b21
-    slope = 2 * split * split1 + 4 * (c12 * b21 + b12 * c21)
-    return -disc, -slope
+    u1, u2 = u0.reshape(-1, 4)[:, :2], u0.reshape(-1, 4)[:, 2:]
+    pv = p_part @ np.hstack((u1, u2, d * u2))                 # [P u1 | P u2 | P (d*u2)]
+    r1u = r1_times(u0, pv)
+    t = r1u.reshape(-1, 4)[:, :2]
+    # (R0 - sigma) U0, sigma at the pair: B_0's small part comes without the rounding of sigma
+    sigma = 0.5 * (sample.tracked_pair[0] + sample.tracked_pair[1]).imag
+    r0u = np.hstack((d * t, pv[:, 4:] - a_part @ u1)).reshape(-1, 2) - sigma * u0
+    b0 = g_inv @ (wt @ r0u)
+    half = 0.5 * np.trace(b0)
+    b, u, shift = [b0 - half * np.eye(2)], [u0], sigma + half
+    lu, kl = None, 2 * op.stokes_order + 1
+    for k in range(1, _SERIES_ORDERS + 1):
+        b.append(g_inv @ (wt @ r1u))
+        term = float(np.abs(b[k]).max()) * reach**k
+        if term <= _SERIES_TAIL:
+            return shift, b, u
+        if k == _SERIES_ORDERS:
+            raise ValueError(
+                f"pair series at mu={op.mu!r} for eps={op.eps} did not converge by order {k}: "
+                f"term {term:.3e} at reach {reach:.3e}"
+            )
+        if lu is None:    # exactly singular: nan terms, no convergence
+            ab = _band(op).copy(order="F")
+            ab[2 * kl] -= shift
+            lu, piv, _ = dgbtrf(ab, kl, kl, overwrite_ab=1)
+        rhs = sum((u[j] @ b[k - j] for j in range(1, k)), -r1u)
+        rhs -= u0 @ (g_inv @ (wt @ rhs))
+        x, last = np.zeros_like(rhs), math.inf
+        while True:
+            y = dgbtrs(lu, kl, kl, rhs + x @ b[0], piv)[0]
+            y -= u0 @ (g_inv @ (wt @ y))
+            step, x = float(np.abs(y - x).max()), y
+            if not last > step * reach ** (k + 1) > _SERIES_TAIL:
+                break
+            last = step * reach ** (k + 1)
+        u.append(x)
+        r1u = r1_times(x, p_part @ x.reshape(-1, 4))
+
+
+def _discriminant(b: Sequence[np.ndarray]) -> list[float]:
+    """The Taylor coefficients of D = (lambda+ - lambda-)^2 =
+    -((b11 - b22)^2 + 4*b12*b21) (tr^2 - 4*det cancels; B's eigenvalues are
+    r = -i*lambda) from those of B, through the same order."""
+    b11, b12, b21, b22 = zip(*(bk.ravel().tolist() for bk in b))
+    split = [x - y for x, y in zip(b11, b22)]
+    return [-sum(split[j] * split[k - j] + 4 * b12[j] * b21[k - j] for j in range(k + 1)) for k in range(len(b))]
 
 
 def _horner(c: Sequence[float], t: float) -> tuple[float, float]:
@@ -609,51 +650,6 @@ def _newton_root(c: Sequence[float], t: float) -> float:
     return t
 
 
-def _model(
-    anchor: tuple[float, float, float], points: Sequence[tuple[float, Optional[float], float]], scale: float
-) -> tuple[list[float], list[float]]:
-    """Least-squares models of D about ``anchor``, a (mu, D, dD/dmu) solve:
-    the coefficients c_k of the cubic and of the quartic
-    p(t) = sum c_k t^k, t = (mu - anchor mu)/scale, that take D and
-    scale*dD/dmu at the anchor exactly and fit them at the other
-    ``points`` by least squares, both from one QR factorization; a point
-    whose D is None fits the slope alone.  Exact at the anchor, a step
-    from it converges to ulps as Newton's does.  Where the other points
-    determine fewer coefficients, both models keep only those."""
-    import numpy as np
-    from scipy.linalg.lapack import dgeqrf
-
-    mu0, d0, s0 = anchor[0], anchor[1], scale * anchor[2]
-    rows = []
-    for mu, d, slope in points:
-        if mu != mu0:
-            t = (mu - mu0) / scale
-            if d is not None:
-                rows.append([t * t, t**3, t**4, d - d0 - s0 * t])
-            rows.append([2 * t, 3 * t * t, 4 * t**3, scale * slope - s0])
-    r = dgeqrf(np.array(rows))[0].tolist()    # R of [A | b]: R[:k, :k] c = R[:k, 3], k unknowns
-
-    def fit(k: int) -> list[float]:
-        c = [0.0] * min(k, len(rows))
-        for i in reversed(range(len(c))):
-            c[i] = (r[i][3] - sum(r[i][j] * c[j] for j in range(i + 1, len(c)))) / r[i][i]
-        return [d0, s0, *c]
-
-    return fit(2), fit(3)
-
-
-def _edge_start(
-    vertex: tuple[float, float, float], points: Sequence[tuple[float, float, float]], half: float, side: int
-) -> float:
-    """Where an edge's Newton iteration starts: beyond the root on ``side``
-    of the quartic model of D about the ``vertex`` solve (`_model`, fitted
-    to D and dD/dmu at ``points``, in units of the half-width ``half``) by
-    twice its distance from the cubic's root and 16 ulp, so that the solve
-    there reads D <= 0 and Newton's next step is a few ulp."""
-    r3, r4 = (_newton_root(c, float(side)) for c in _model(vertex, points, half))
-    return vertex[0] + (r4 + 2 * side * abs(r4 - r3)) * half + 16 * side * math.ulp(vertex[0])
-
-
 def measure_isola(
     eps: float,
     N: int = DEFAULT_N,
@@ -665,36 +661,28 @@ def measure_isola(
     The only theory inputs are the start mu0(eps), the pair's imaginary part
     there and the window every solve must lie in, mu0 +- window_scale*eps^3:
     generous against the O(eps^4) isola width but clear of neighboring
-    collisions.  Each solve gives the pair's discriminant D
-    (`_reduced_discriminant`), positive exactly inside the isola and nearly
-    quadratic in mu.  Solves at mu0 - 1.2 eps^4 and a quarter eps^4 below
-    give its curvature D'' < 0: the vertex lies 1.2-2.6 eps^4 below mu0 at
-    every amplitude measured (eps 0.005-0.29), so they sit near it.  Every
-    later step comes from one least-squares model of D, a quartic in mu anchored
-    exactly at one solve (`_model`).  Fitted to dD/dmu at every solve so far
-    and anchored at the latest, its vertex places each step to the vertex
-    mu_at_max, where the pair gives re_max = sqrt(max gap^2)/2 and
-    im_center.  Fitted to D and dD/dmu and anchored at mu_at_max, its roots
-    place each edge's Newton iteration on D to start just outside the edge
-    (`_edge_start`), so that one solve there reads D <= 0 and Newton's next
-    step is a few ulp.  An iteration stops at a step of a few ulp or one no
-    shorter than the last (noise); an edge's also stops, unsolved, at a
-    point whose next step, predicted from the step s to it as (D''/2D')*s^2,
-    is a few ulp.  An edge counts only if a solve of its iteration at or
-    beyond it reads D <= 0; where none does, or the model's start is off the
-    window, the iteration runs again from
-    mu_at_max -+ (1 + `_EDGE_MARGIN`)*sqrt(-2*D/D''), just outside the
-    parabola's root.  The first solve starts its shift beside the closed
-    form's pair; each later one continues those at the two nearest mu
-    solved (`spectrum`'s ``start``).
+    collisions.  D = (lambda+ - lambda-)^2 of the pair's 2x2 reduction is
+    positive exactly inside the isola.  Four solves, with no iteration: one
+    at mu_s = mu0 - 1.2 eps^4 (the vertex lies 1.2-2.6 eps^4 below mu0 at
+    every amplitude measured, eps 0.005-0.29), its shift beside the closed
+    form's pair, gives the series of the reduction about mu_s
+    (`_pair_series`, reach 2 eps^4) and so of D (`_discriminant`).  Newton's
+    method on that polynomial gives the vertex mu_at_max, the root of
+    dD/dmu, and each edge, a root of D, from the parabola's roots about it.
+    A solve at mu_at_max gives re_max = sqrt(gap^2)/2 and im_center, and a
+    check solve `_CHECK_ULPS` beyond each edge must read D <= 0.  Each
+    later solve starts from the series' U there, with the first block's
+    spare columns and the pair at i*tr(B)/2.
 
     Raises `TrackingFailure` if the pair cannot be followed, ValueError if a
-    solve would leave the window, the curvature is not negative, an
-    iteration takes more than `_MAX_STEPS` steps, no isola is resolved
-    (max gap^2 <= 0) or an edge shows no sign change of D, and before any
-    solve if eps <= 0 (flat water has no isola), window_scale <= 0 or
-    either is not finite.
+    solve would leave the window, the series does not converge, no isola is
+    resolved (D at the series' vertex <= 0 or not concave there, or gap^2
+    <= 0 at the vertex solve) or an edge's check solve reads D > 0, and
+    before any solve if eps <= 0 (flat water has no isola), window_scale <= 0
+    or either is not finite.
     """
+    import numpy as np
+
     _check_finite(eps=eps, window_scale=window_scale)
     if eps < 0:
         raise _ArgumentError(f"eps must be nonnegative, got {eps}")
@@ -706,66 +694,48 @@ def measure_isola(
     mu0, guess = theory.mu0, 1j * theory.im_center
     half = window_scale * eps**3
     lo, hi = mu0 - half, mu0 + half
-    samples: dict[float, tuple[SpectrumSample, float, float]] = {}
+    mu_s, reach = mu0 - 1.2 * eps**4, 2 * eps**4
+    solved: list[SpectrumSample] = []
 
-    def solve(mu: float) -> tuple[SpectrumSample, float, float]:
-        if mu not in samples:
-            if not lo <= mu <= hi:
-                raise ValueError(f"step to {mu!r} leaves the window [{lo!r}, {hi!r}] for eps={eps}")
-            op = build(mu, eps, N, stokes_order)
-            start = [samples[m][0] for m in sorted(samples, key=lambda m: abs(m - mu))[:2]]
-            # the first solve: the fixed block, its shift beside the closed form's pair
-            sample = spectrum(op, start=start or SpectrumSample((), (guess, guess), _start_block(4 * N + 2)))
-            samples[mu] = (sample, *_reduced_discriminant(op, sample))
-        return samples[mu]
+    def solve(mu: float, start: Optional[SpectrumSample] = None) -> tuple[DiscretizedOperator, SpectrumSample]:
+        """The solve at ``mu`` from ``start``, else from the series there:
+        U, the first block's spare columns and the pair at i*tr(B)/2."""
+        if not lo <= mu <= hi:
+            raise ValueError(f"step to {mu!r} leaves the window [{lo!r}, {hi!r}] for eps={eps}")
+        if start is None:
+            delta = mu - mu_s
+            u_mu = sum(uk * delta**k for k, uk in enumerate(u))
+            pair = 1j * (shift + 0.5 * sum(np.trace(bk) * delta**k for k, bk in enumerate(b)))
+            start = SpectrumSample((), (pair, pair), np.hstack((u_mu, solved[0].block[:, 2:])))
+        op = build(mu, eps, N, stokes_order)
+        solved.append(spectrum(op, start=start))
+        return op, solved[-1]
 
-    def iterate(path: list[float], step: Callable[..., tuple[float, float]], what: str) -> list[float]:
-        previous = math.inf
-        for _ in range(_MAX_STEPS):
-            s, following = step(path)
-            if abs(s) <= _STEP_ULPS * math.ulp(path[-1]) or abs(s) >= abs(previous):
-                return path
-            path.append(path[-1] + s)
-            if following <= _STEP_ULPS * math.ulp(path[-1]):
-                return path
-            previous = s
-        raise ValueError(f"{what} search for eps={eps} took more than {_MAX_STEPS} steps")
-
-    def vertex_step(path: list[float]) -> tuple[float, float]:
-        slopes = [(mu, None, slope) for mu, (_, _, slope) in samples.items()]
-        quartic = _model((path[-1], *solve(path[-1])[1:]), slopes, h)[1]
-        slope = [k * c for k, c in enumerate(quartic)][1:]
-        t = _newton_root(slope, 0.0)
-        return (t * h if _horner(slope, t)[1] < 0 else math.inf), math.inf    # not concave: noise
-
-    def newton(path: list[float]) -> tuple[float, float]:
-        _, d, slope = solve(path[-1])
-        s = -d / slope
-        return s, abs(0.5 * curvature / slope) * s * s
-
-    mu1, h = mu0 - 1.2 * eps**4, -0.25 * eps**4
-    curvature = (solve(mu1 + h)[2] - solve(mu1)[2]) / h
-    if not curvature < 0:
-        raise ValueError(f"curvature of D at mu={mu1!r} is not negative for eps={eps}")
-    mu_at_max = iterate([mu1, mu1 + h], vertex_step, "vertex")[-1]
-    vertex, d_max, slope_max = solve(mu_at_max)
-    lp, lm = vertex.tracked_pair
-    gap2_max = ((lp - lm) ** 2).real
-    if gap2_max <= 0 or d_max <= 0:
+    # the first solve: the fixed block, its shift beside the closed form's pair
+    shift, b, u = _pair_series(*solve(mu_s, SpectrumSample((), (guess, guess), _start_block(4 * N + 2))), reach)
+    disc = [c * reach**k for k, c in enumerate(_discriminant(b))]    # in t = (mu - mu_s)/reach
+    slope = [k * c for k, c in enumerate(disc)][1:]
+    t_max = _newton_root(slope, 0.0)
+    d_max, curvature = _horner(disc, t_max)[0], _horner(slope, t_max)[1]
+    if not (d_max > 0 and curvature < 0):
         raise ValueError(
-            f"no isola resolved for eps={eps}, N={N}: max pair gap^2 {gap2_max:.3e}, D {d_max:.3e}"
+            f"no isola resolved for eps={eps}, N={N}: at the series' vertex D {d_max:.3e}, "
+            f"d2D/dmu2 {curvature / reach**2:.3e}"
         )
+    mu_at_max = mu_s + t_max * reach
+    lp, lm = solve(mu_at_max)[1].tracked_pair
+    gap2_max = ((lp - lm) ** 2).real
+    if gap2_max <= 0:
+        raise ValueError(f"no isola resolved for eps={eps}, N={N}: max pair gap^2 {gap2_max:.3e}")
     spread = math.sqrt(-2.0 * d_max / curvature)
 
     def edge(side: int, name: str) -> float:
-        points = [(mu, d, slope) for mu, (_, d, slope) in samples.items()]
-        model = _edge_start((mu_at_max, d_max, slope_max), points, spread, side)
-        starts = [model] if lo <= model <= hi else []
-        for start in starts + [mu_at_max + side * (1 + _EDGE_MARGIN) * spread]:
-            path = iterate([start], newton, f"{name} edge")
-            if any(side * (mu - path[-1]) >= 0 and samples[mu][1] <= 0 for mu in path if mu in samples):
-                return path[-1]
-        raise ValueError(f"no sign change of D at the {name} edge for eps={eps}")
+        mu = mu_s + _newton_root(disc, t_max + side * spread) * reach
+        beyond = mu + side * _CHECK_ULPS * math.ulp(mu)
+        d = _discriminant(_pair_series(*solve(beyond), 0.0)[1])[0]
+        if d > 0:
+            raise ValueError(f"no sign change of D at the {name} edge for eps={eps}: D {d:.3e} at mu={beyond!r}")
+        return mu
 
     mu_left, mu_right = edge(-1, "left"), edge(1, "right")
     return IsolaMeasurement(
@@ -776,5 +746,5 @@ def measure_isola(
         im_center=0.5 * (lp + lm).imag,
         mu_left=mu_left,
         mu_right=mu_right,
-        solves=len(samples),
+        solves=len(solved),
     )

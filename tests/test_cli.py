@@ -192,10 +192,11 @@ class TestIsola:
             assert r[7].endswith("eigenvalue(s) within 0.2 of 0.75j; need 2")
 
     def test_search_failure_exit_code(self, capsys, monkeypatch):
-        monkeypatch.setattr(floquet, "_MAX_STEPS", 1)
+        monkeypatch.setattr(floquet, "_SERIES_ORDERS", 1)
         code, out, err = run(capsys, "isola", "--eps", "0.06")
         assert code == 3
-        assert "numerical failure: vertex search" in err
+        assert "numerical failure: pair series" in err
+        assert "did not converge by order 1" in err
 
 
 class TestNonFiniteInput:

@@ -422,41 +422,58 @@ class TestIsolaSearchCost:
 
         monkeypatch.setattr(floquet, "spectrum", counted)
         meas = measure_isola(eps, N=32)
-        assert len(calls) == meas.solves <= 11
+        assert len(calls) == meas.solves == 4
 
     def test_mean_solves_per_measurement(self):
         """Over 40 seeded amplitudes in [0.02, 0.19) a search averages at
-        most 8 solves (7.0 here)."""
+        most 4 solves."""
         rng = random.Random(7)
         solves = [measure_isola(rng.uniform(0.02, 0.19)).solves for _ in range(40)]
-        assert statistics.mean(solves) <= 8.0
+        assert statistics.mean(solves) <= 4.0
 
     @staticmethod
     def _count_solves_and_iterations(monkeypatch):
-        """Lists that grow by one per `floquet.spectrum` call and per
-        `dgbtrs` call (one subspace iteration) while ``monkeypatch`` holds."""
-        solves, iterations = [], []
+        """Lists that grow by one per `floquet.spectrum` call, per `dgbtrs`
+        call while one runs (one subspace iteration) and per `dgbtrs` call
+        outside every solve (the pair series' own) while ``monkeypatch``
+        holds."""
+        solves, iterations, series, running = [], [], [], []
         solve, inverse = floquet.spectrum, scipy.linalg.lapack.dgbtrs
 
         def counted_solve(*args, **kwargs):
             solves.append(args)
-            return solve(*args, **kwargs)
+            running.append(args)
+            try:
+                return solve(*args, **kwargs)
+            finally:
+                running.pop()
 
         def counted_inverse(*args, **kwargs):
-            iterations.append(args)
+            (iterations if running else series).append(args)
             return inverse(*args, **kwargs)
 
         monkeypatch.setattr(floquet, "spectrum", counted_solve)
         monkeypatch.setattr(scipy.linalg.lapack, "dgbtrs", counted_inverse)
-        return solves, iterations
+        return solves, iterations, series
 
     @pytest.mark.parametrize("eps", [0.06, 0.12, 0.19])
     def test_iterations_per_solve(self, monkeypatch, eps):
         """Continued solves take at most 3.5 subspace iterations on average
-        (2.2-3.0 here; cold ones take 6.0-8.1 at these amplitudes)."""
-        solves, iterations = self._count_solves_and_iterations(monkeypatch)
+        (2.2-2.5 here; cold ones take 6.0-8.1 at these amplitudes)."""
+        solves, iterations, _ = self._count_solves_and_iterations(monkeypatch)
         measure_isola(eps, N=32)
         assert len(solves) <= len(iterations) <= 3.5 * len(solves)
+
+    def test_series_inverse_calls(self, monkeypatch):
+        """The pair series' own `dgbtrs` calls, outside every solve, average
+        at most 20 per search over the 40 seeded amplitudes of
+        `test_mean_solves_per_measurement` (9.8 here), so that its cost
+        stays in view beside the solves' iterations."""
+        _, _, series = self._count_solves_and_iterations(monkeypatch)
+        rng = random.Random(7)
+        for _ in range(40):
+            measure_isola(rng.uniform(0.02, 0.19))
+        assert 0 < len(series) <= 20 * 40
 
     @pytest.mark.parametrize("eps", [0.06, 0.12, 0.19])
     def test_iterations_per_trace_solve(self, monkeypatch, eps):
@@ -466,7 +483,7 @@ class TestIsolaSearchCost:
         meas = measure_isola(eps, N=32)
         width = 3.0 * meas.mu_width
         grid = np.linspace(meas.mu_at_max - width / 2, meas.mu_at_max + width / 2, 25)
-        solves, iterations = self._count_solves_and_iterations(monkeypatch)
+        solves, iterations, _ = self._count_solves_and_iterations(monkeypatch)
         points = trace_isola(eps, grid, N=32)
         assert all(p.error is None for p in points)
         assert len(solves) == 25
@@ -501,52 +518,29 @@ class TestIsolaSearchFailures:
         with pytest.raises(ValueError, match="leaves the window"):
             measure_isola(0.06, window_scale=1e-3)
 
+    @staticmethod
+    def _with_discriminant(monkeypatch, change):
+        """Every D series that `measure_isola` reads, passed through ``change``."""
+        disc = floquet._discriminant
+        monkeypatch.setattr(floquet, "_discriminant", lambda b: change(disc(b)))
+
     def test_curvature_not_negative(self, monkeypatch):
-        monkeypatch.setattr(floquet, "_reduced_discriminant", lambda op, sample: (-1.0, op.mu))
-        with pytest.raises(ValueError, match="curvature of D .* is not negative"):
+        """D convex at the series' vertex: no isola is resolved."""
+        self._with_discriminant(monkeypatch, lambda d: [-c for c in d])
+        with pytest.raises(ValueError, match=r"no isola resolved .* at the series' vertex D -.*d2D/dmu2 [0-9]"):
             measure_isola(0.06)
 
     def test_no_sign_change_at_an_edge(self, monkeypatch):
-        reduced = floquet._reduced_discriminant
-
-        def never_negative(op, sample):
-            disc, slope = reduced(op, sample)
-            return max(disc, 1e-40), slope
-
-        monkeypatch.setattr(floquet, "_reduced_discriminant", never_negative)
+        """A check solve inside the isola reads D > 0."""
+        monkeypatch.setattr(floquet, "_CHECK_ULPS", -10**9)
         with pytest.raises(ValueError, match="no sign change of D at the left edge"):
             measure_isola(0.06)
 
-    @pytest.mark.parametrize("eps", [0.06, 0.19])
-    def test_edge_start_inside_the_isola_falls_back(self, monkeypatch, eps):
-        """A model edge start that lands inside the isola, where no solve of
-        its Newton iteration reads D <= 0, is followed by the parabola's
-        start; each edge still ends with a solve at or beyond it that reads
-        D <= 0, and lands within 32 ulp of the unpatched edge."""
-        plain = measure_isola(eps)
-        solved, starts = {}, []
-        reduced = floquet._reduced_discriminant
-
-        def recorded(op, sample):
-            disc, slope = reduced(op, sample)
-            solved[op.mu] = disc
-            return disc, slope
-
-        def inside(vertex, points, half, side):
-            starts.append(vertex[0] + 0.5 * side * half)
-            return starts[-1]
-
-        monkeypatch.setattr(floquet, "_reduced_discriminant", recorded)
-        monkeypatch.setattr(floquet, "_edge_start", inside)
-        meas = measure_isola(eps)
-        assert len(starts) == 2 and all(solved[mu] > 0 for mu in starts)
-        for side, edge, ref in ((-1, meas.mu_left, plain.mu_left), (1, meas.mu_right, plain.mu_right)):
-            assert any(side * (mu - edge) >= 0 and d <= 0 for mu, d in solved.items())
-            assert abs(edge - ref) <= 32 * math.ulp(ref)
-
     def test_iteration_cap(self, monkeypatch):
-        monkeypatch.setattr(floquet, "_MAX_STEPS", 1)
-        with pytest.raises(ValueError, match="vertex search .* took more than 1 steps"):
+        """A pair series whose terms are still above the tail at the order
+        cap raises, naming the order, the term and the reach."""
+        monkeypatch.setattr(floquet, "_SERIES_ORDERS", 1)
+        with pytest.raises(ValueError, match=r"pair series .* did not converge by order 1: term .* at reach 2\.592e-05"):
             measure_isola(0.06)
 
     @pytest.mark.parametrize("eps,scale,name", [
@@ -574,29 +568,48 @@ class TestIsolaSearchFailures:
     @settings(max_examples=30, derandomize=True, deadline=None)
     @given(eps=st.floats(0.005, 0.4), N=st.sampled_from([16, 24, 32, 48, 64]))
     def test_every_amplitude_measures_or_is_diagnosed(self, eps, N):
-        """No amplitude ends in an undiagnosed exception or a malformed isola."""
+        """No amplitude ends in an undiagnosed exception or a malformed isola,
+        and every measurement takes exactly 4 solves."""
         try:
             meas = measure_isola(eps, N=N)
         except (TrackingFailure, ValueError):
             return
         assert meas.mu_left < meas.mu_at_max < meas.mu_right
         assert meas.re_max > 0
+        assert meas.solves == 4
 
     def test_non_integer_truncation(self):
         with pytest.raises(ValueError, match="N must be an integer, got 24.5"):
             measure_isola(0.06, N=24.5)
 
     def test_no_isola_resolved(self, monkeypatch):
-        reduced = floquet._reduced_discriminant
-        monkeypatch.setattr(
-            floquet, "_reduced_discriminant", lambda op, sample: (-1.0, reduced(op, sample)[1])
-        )
-        with pytest.raises(ValueError, match="no isola resolved"):
+        """D <= 0 at the series' vertex: no isola is resolved."""
+        self._with_discriminant(monkeypatch, lambda d: [-1.0, *d[1:]])
+        with pytest.raises(ValueError, match="no isola resolved .* at the series' vertex D -1.000e"):
             measure_isola(0.06)
+
+    def test_no_isola_at_the_vertex_solve(self, monkeypatch):
+        """A vertex solve whose pair is not split (gap^2 <= 0): no isola is
+        resolved, and no edge is solved for."""
+        solves = []
+
+        def unsplit(op, start=None):
+            sample = spectrum(op, start=start)
+            solves.append(sample)
+            if len(solves) < 2:
+                return sample
+            centre = 0.5 * sum(sample.tracked_pair)
+            return dataclasses.replace(sample, tracked_pair=(centre, centre))
+
+        monkeypatch.setattr(floquet, "spectrum", unsplit)
+        with pytest.raises(ValueError, match=r"no isola resolved .* max pair gap\^2 0\.000e\+00"):
+            measure_isola(0.06)
+        assert len(solves) == 2
 
 
 class TestReducedDiscriminant:
-    """The tracked pair's 2x2 reduction against the full dense spectrum, on a
+    """The pair series' order-0 and order-1 D coefficients, D and dD/dmu of
+    the tracked pair's 2x2 reduction, against the full dense spectrum, on a
     seeded grid of eps and of mu within 3 isola widths of the vertex, so the
     pair is split at some points and not at others."""
 
@@ -612,7 +625,7 @@ class TestReducedDiscriminant:
     @staticmethod
     def _reduced(mu, eps):
         op = build(mu, eps)
-        return floquet._reduced_discriminant(op, spectrum(op))
+        return floquet._discriminant(floquet._pair_series(op, spectrum(op), 0.0)[1])[:2]
 
     @staticmethod
     def _dense_reduced(m):
@@ -644,6 +657,29 @@ class TestReducedDiscriminant:
             _, slope = self._reduced(mu, meas.eps)
             upper, lower = self._reduced(mu + h, meas.eps)[0], self._reduced(mu - h, meas.eps)[0]
             assert slope == pytest.approx((upper - lower) / (2 * h), rel=1e-4)
+
+
+class TestPairSeries:
+    """The pair series about a cold solve at mu0 - 1.2 eps^4, reach 2 eps^4,
+    against the order-0 D of an independent cold solve at the measured
+    vertex, both edges and 1.5 widths either side of the vertex."""
+
+    @pytest.mark.parametrize("eps", [0.02, 0.06, 0.12, 0.19])
+    def test_matches_cold_solves(self, eps):
+        """Within 1e-7 of D_max = 4 re_max^2 (2.2e-8 at eps 0.02, where
+        D_max is 1.6e-15, and 2.0e-12 at 0.19)."""
+        meas = measure_isola(eps)
+        mu_s = isola(JET, eps).mu0 - 1.2 * eps**4
+        op = build(mu_s, eps)
+        _, b, u = floquet._pair_series(op, spectrum(op), 2 * eps**4)
+        assert len(u) == len(b) - 1 >= 2
+        disc = floquet._discriminant(b)
+        width = meas.mu_width
+        for mu in (meas.mu_at_max, meas.mu_left, meas.mu_right,
+                   meas.mu_at_max - 1.5 * width, meas.mu_at_max + 1.5 * width):
+            cold = build(mu, eps)
+            reference = floquet._discriminant(floquet._pair_series(cold, spectrum(cold), 0.0)[1])[0]
+            assert floquet._horner(disc, mu - mu_s)[0] == pytest.approx(reference, rel=0, abs=1e-7 * 4 * meas.re_max**2)
 
 
 class TestBandedSolve:
@@ -734,11 +770,12 @@ class TestOperatorParts:
             assert band.tobytes(order="F") == gathered.tobytes(order="F")
 
     def test_reduction_matches_the_matrix(self, grid):
-        """`_reduced_discriminant`'s products with R and dR/dmu, taken from
-        the Toeplitz parts, against the real form of the dense matrix on a
-        random orthonormal U; dR/dmu is the exact difference quotient of R
-        over a step of mu that keeps every j + mu's sign, since R is linear
-        in mu there."""
+        """The pair series' order-0 and order-1 D coefficients, from the
+        products with R and dR/dmu taken from the Toeplitz parts, against
+        the real form of the dense matrix on a random orthonormal U, with R
+        shifted by 0.75 before the projection; dR/dmu is the exact
+        difference quotient of R over a step of mu that keeps every
+        j + mu's sign, since R is linear in mu there."""
         rng = np.random.default_rng(20271)
         for op in grid:
             n = op.matrix.shape[0]
@@ -751,7 +788,8 @@ class TestOperatorParts:
             c = np.linalg.solve(wt @ u, wt @ slope @ u)
             disc = -((b[0, 0] - b[1, 1]) ** 2 + 4 * b[0, 1] * b[1, 0])
             rate = -(2 * (b[0, 0] - b[1, 1]) * (c[0, 0] - c[1, 1]) + 4 * (c[0, 1] * b[1, 0] + b[0, 1] * c[1, 0]))
-            got = floquet._reduced_discriminant(op, floquet.SpectrumSample((), (0j, 0j), block))
+            sample = floquet.SpectrumSample((), (0.75j, 0.75j), block)
+            got = floquet._discriminant(floquet._pair_series(op, sample, 0.0)[1])
             scale = np.linalg.norm(b) ** 2 * np.linalg.cond(wt @ u)
             assert got[0] == pytest.approx(disc, rel=0, abs=1e-12 * scale)
             assert got[1] == pytest.approx(rate, rel=0, abs=1e-12 * scale * (1 + np.linalg.norm(c)))
