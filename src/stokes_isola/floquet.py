@@ -5,17 +5,16 @@ operator at Bloch exponent mu on the exponential basis e^{ijx}, j = -N..N,
 truncate, and find the few eigenvalues of the resulting matrix nearest the
 collision frequency by a shift-invert solve: a banded LU of its real form R
 (below; banded once the two components are interleaved) and block subspace
-iteration, started from a fixed block or, along a search in mu, from the
-pair's invariant subspaces at the two nearest solves, which extrapolate it
-linearly in mu.  The tracked pair is the two eigenvalues in the fixed disk
-of radius `RADIUS` = 0.2 about `CENTER` = i*omega* = 0.75i; any other count
+iteration, started from a fixed block or from one earlier solve at a
+nearby mu.  The tracked pair is the two eigenvalues in the fixed disk of
+radius `RADIUS` = 0.2 about `CENTER` = i*omega* = 0.75i; any other count
 there is a `TrackingFailure`.  The isola measurement takes the Taylor
 series in mu of the tracked pair's 2x2 symplectic reduction from one solve
 near the closed form's mu0(eps) and reads the vertex and both edges off
 its discriminant: four solves of 2.3 subspace iterations each on average
-at N = 32 (40 seeded amplitudes in [0.02, 0.19)).  Both work from the
-operator's Toeplitz parts, built once per amplitude, never forming the
-dense matrix.
+at N = 32 (40 seeded amplitudes in [0.02, 0.19)).  The isola trace reads
+the pair off such a series wherever one reaches.  Both work from the
+operator's Toeplitz parts, built once per amplitude, never the dense matrix.
 Importing the module loads neither numpy nor scipy.  numpy loads on first
 use (the Toeplitz parts, the dense matrix, a solve), and scipy's LAPACK
 wrappers on the first solve.
@@ -40,6 +39,7 @@ pair has real parts 0.0.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import operator
@@ -95,9 +95,11 @@ _RESHIFT_GAP = 1e-3
 #: Offset of the retried shift when the first one is an exact eigenvalue.
 _SHIFT_NUDGE = 1e-9
 #: `_pair_series` stops at the first order whose term max|B_k| * reach^k is
-#: at most `_SERIES_TAIL`, and raises ValueError if none is by `_SERIES_ORDERS`.
+#: at most `_SERIES_TAIL`, and raises ValueError if none is by `_SERIES_ORDERS`;
+#: `measure_isola` and `trace_isola` take reach = `_REACH` * eps^4.
 _SERIES_TAIL = 2e-18
 _SERIES_ORDERS = 24
+_REACH = 2.0
 #: Each edge's check solve in `measure_isola` lies this many ulp of mu beyond it.
 _CHECK_ULPS = 64
 
@@ -319,9 +321,16 @@ def _toward_pair(shift: complex, lam0: complex, lam1: complex) -> Optional[compl
     return target
 
 
-def _shift_invert(
-    op: DiscretizedOperator, start: SpectrumSample | Sequence[SpectrumSample] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _factor(band: np.ndarray, kl: int, shift: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """`dgbtrf`'s (lu, piv, info) for R - ``shift``, R's band (`_band`) left unchanged."""
+    from scipy.linalg.lapack import dgbtrf
+
+    ab = band.copy(order="F")
+    ab[2 * kl] -= shift
+    return dgbtrf(ab, kl, kl, overwrite_ab=1)
+
+
+def _shift_invert(op: DiscretizedOperator, start: Optional[SpectrumSample] = None) -> tuple[np.ndarray, np.ndarray]:
     """The eigenvalues of ``op`` converged near `CENTER` by block
     shift-invert subspace iteration on a banded LU, nearest first, and the
     real orthonormal block they converged on, rotated so that its first
@@ -338,59 +347,47 @@ def _shift_invert(
     to omega*, which they share.  The iteration stops when every Ritz value
     within `RADIUS` + `_MARGIN` of omega*, and the two nearest, have
     relative residual |(R - shift)^-1 v - nu v| / |nu| at most `_TOL`, and
-    returns every Ritz value that meets it.  Only eigenvalues that the block
-    has turned toward are counted: a third eigenvalue of the disk that no
-    column resolves can be missed, so the spare columns speed convergence
-    but do not guarantee the disk count.  When all four Ritz values lie that
-    close, the spare columns stall, and the solve fails at `_MAX_ITER`
+    returns every Ritz value that meets it: only eigenvalues that the block
+    has turned toward are counted (`_BLOCK`).  When all four Ritz values lie
+    that close, the spare columns stall, and the solve fails at `_MAX_ITER`
     saying so.
 
     Without ``start`` the block starts fixed (so repeated calls agree bit
     for bit) and the shift at omega*.  ``start`` is a sample at a nearby
-    mu of a matrix of the same size, or two, nearest first; the block then
-    starts from the orthonormalized first two columns of each (all four of
-    one alone), so that with two the Rayleigh-Ritz step extrapolates the
-    pair's subspace linearly in mu, and the shift near the nearest one's
-    pair (`_toward_pair`).  Once the two nearest have loosely
-    converged (`_RESHIFT_TOL`), the shift moves once if it is far from their
-    midpoint or near one of them: within about 1e-6 of an eigenvalue, it
-    keeps the other Ritz values in the disk from converging.  A shift that
-    is an eigenvalue makes the LU exactly singular; the next is tried:
-    omega*, then omega* moved up by `_SHIFT_NUDGE`.
+    mu of a matrix of the same size: the block starts from its block and
+    the shift near its pair (`_toward_pair`).  Once the two nearest have
+    loosely converged (`_RESHIFT_TOL`), the shift moves once if it is far
+    from their midpoint or near one of them: within about 1e-6 of an
+    eigenvalue, it keeps the other Ritz values in the disk from converging.
+    A shift that is an eigenvalue makes the LU exactly singular; the next
+    is tried: omega*, then omega* moved up by `_SHIFT_NUDGE`.
     """
     import numpy as np
-    from scipy.linalg.lapack import dgbtrf, dgbtrs, dgeev, dgeqrf, dorgqr
+    from scipy.linalg.lapack import dgbtrs, dgeev, dgeqrf, dorgqr
 
     band = _band(op)
     n = band.shape[1]
     center = float(OMEGA_STAR)
     shifts = [center, center + _SHIFT_NUDGE]
-    starts = (start,) if isinstance(start, SpectrumSample) else tuple(start or ())
-    if not starts:
+    if start is None:
         q = _start_block(n)
     else:
-        shapes = [s.block.shape for s in starts]
-        if len(starts) > 2 or any(shape != (n, _BLOCK) for shape in shapes):
-            raise _ArgumentError(f"start blocks {shapes}: need one or two of {(n, _BLOCK)} for a {n}-square matrix")
-        q = dorgqr(*dgeqrf(np.hstack([s.block[:, : _BLOCK // len(starts)] for s in starts]))[:2])[0]
-        warm = _toward_pair(center, *(-1j * lam for lam in starts[0].tracked_pair))
+        if start.block.shape != (n, _BLOCK):
+            raise _ArgumentError(f"start block {start.block.shape}: need {(n, _BLOCK)} for a {n}-square matrix")
+        q = dorgqr(*dgeqrf(start.block)[:2])[0]
+        warm = _toward_pair(center, *(-1j * lam for lam in start.tracked_pair))
         if warm is not None:
             shifts.insert(0, warm.real)
     kl = 2 * op.stokes_order + 1
-
-    def factor(shift: float):
-        ab = band.copy(order="F")
-        ab[2 * kl] -= shift
-        lu, piv, info = dgbtrf(ab, kl, kl, overwrite_ab=1)
-        return (shift, lu, piv) if info == 0 else None
-
-    factored = next(filter(None, map(factor, shifts)), None)
-    if factored is None:
+    for shift in shifts:
+        lu, piv, info = _factor(band, kl, shift)
+        if info == 0:
+            break
+    else:
         tried = ", ".join(str(1j * s) for s in shifts)
         raise TrackingFailure(
             f"shift-invert solve near {CENTER} failed: banded LU exactly singular at every shift tried, {tried}"
         )
-    shift, lu, piv = factored
     reshift = True
     for _ in range(_MAX_ITER):
         x = dgbtrs(lu, kl, kl, q, piv)[0]
@@ -414,9 +411,8 @@ def _shift_invert(
         if reshift and ritz[0][1] <= _RESHIFT_TOL and ritz[1][1] <= _RESHIFT_TOL:
             reshift = False
             target = _toward_pair(shift, ritz[0][0], ritz[1][0])
-            moved = None if target is None else factor(target.real)
-            if moved is not None:
-                shift, lu, piv = moved
+            if target is not None and (moved := _factor(band, kl, target.real))[2] == 0:
+                shift, (lu, piv, _) = target.real, moved
         q = dorgqr(*dgeqrf(x)[:2])[0]
     if all(need):
         raise TrackingFailure(
@@ -428,17 +424,13 @@ def _shift_invert(
     )
 
 
-def spectrum(
-    op: DiscretizedOperator, start: SpectrumSample | Sequence[SpectrumSample] | None = None
-) -> SpectrumSample:
+def spectrum(op: DiscretizedOperator, start: Optional[SpectrumSample] = None) -> SpectrumSample:
     """The eigenvalues of ``op`` converged near `CENTER` by the banded
     shift-invert solve (`_shift_invert`), plus the pair tracked among them:
     the two within `RADIUS` of `CENTER`.
 
     ``start``, a sample at a nearby mu of a matrix of the same size and
-    ``stokes_order``, or two, nearest first, continues those solves; it
-    changes the iterations, not the stopping rule, and one of another size
-    or more than two raise ValueError.
+    ``stokes_order``, continues its solve; one of another size raises ValueError.
 
     Raises `TrackingFailure` when other than two of the converged
     eigenvalues lie in the tracking disk or the solve fails.
@@ -463,23 +455,34 @@ def trace_isola(
     N: int = DEFAULT_N,
     stokes_order: int = MAX_ORDER,
 ) -> list[SpectrumPoint]:
-    """Tracked eigenvalue pair (`spectrum`) across a grid of Floquet exponents.
+    """Tracked eigenvalue pair across a grid of Floquet exponents.
 
-    Each sample continues the solves of the previous two samples, or one
-    (`spectrum`'s ``start``); the first, and any after a failure, starts cold.
-    Per-sample tracking failures are recorded in the output rather than
-    raised, so one bad sample cannot kill a sweep.
+    A point within `_REACH` * eps^4 of the last solve reads the pair off its
+    series (`_pair_series`), i*(s + eig B), labelled by `_pick_pair`.  Any
+    other point is solved (`spectrum`) from the last solve, or cold at the
+    first point and after a failure; a series expands about it when the
+    next point lies within reach and it converges.  Tracking failures are
+    recorded per point, not raised, so one bad point cannot kill a sweep.
     """
+    import numpy as np
+
+    reach = _REACH * eps**4
     points: list[SpectrumPoint] = []
-    previous: list[SpectrumSample] = []    # the last two solved, latest first
-    for mu in mu_grid:
+    sample = series = None    # the last solve, None at the start and after a failure; (mu, s, B_k) about it
+    for mu, following in zip(mu_grid, [*mu_grid[1:], math.inf]):
         try:
-            sample = spectrum(build(mu, eps, N, stokes_order), start=previous or None)
-            previous = [sample, *previous[:1]]
-            lp, lm = sample.tracked_pair
+            if series is not None and abs(mu - series[0]) <= reach:
+                lp, lm = _pick_pair(1j * (series[1] + np.linalg.eigvals(_series_at(series[2], mu - series[0]))))
+            else:
+                op = build(mu, eps, N, stokes_order)
+                sample, series = spectrum(op, start=sample), None
+                lp, lm = sample.tracked_pair
+                if abs(following - mu) <= reach:
+                    with contextlib.suppress(ValueError):    # no convergence: the next point is solved
+                        series = (mu, *_pair_series(op, sample, reach)[:2])
             points.append(SpectrumPoint(float(mu), lp, lm))
         except TrackingFailure as exc:
-            previous = []
+            sample = series = None
             points.append(SpectrumPoint(float(mu), None, None, error=str(exc)))
     return points
 
@@ -508,13 +511,10 @@ def convergence_check(
     if any(a >= b for a, b in zip(ladder, ladder[1:])):
         raise _ArgumentError(f"N ladder {ladder} does not refine: each N must exceed the one before")
     rows: list[ConvergenceRow] = []
-    prev: Optional[tuple[complex, complex]] = None
     for n in ladder:
-        sample = spectrum(build(mu, eps, n, stokes_order))
-        lp, lm = sample.tracked_pair
-        delta = None if prev is None else max(abs(lp - prev[0]), abs(lm - prev[1]))
+        lp, lm = spectrum(build(mu, eps, n, stokes_order)).tracked_pair
+        delta = max(abs(lp - rows[-1].lambda_plus), abs(lm - rows[-1].lambda_minus)) if rows else None
         rows.append(ConvergenceRow(n, lp, lm, delta))
-        prev = (lp, lm)
     return rows
 
 
@@ -567,7 +567,7 @@ def _pair_series(
     before the projection, so that their large terms cancel there and
     B_0 - s carries no rounding of sigma.  G^-1 is taken on floats."""
     import numpy as np
-    from scipy.linalg.lapack import dgbtrf, dgbtrs
+    from scipy.linalg.lapack import dgbtrs
 
     p_part, a_part = _toeplitz_parts(op.eps, op.N, op.stokes_order)
     d = (np.arange(-op.N, op.N + 1, dtype=float) + op.mu)[:, None]
@@ -604,9 +604,7 @@ def _pair_series(
                 f"term {term:.3e} at reach {reach:.3e}"
             )
         if lu is None:    # exactly singular: nan terms, no convergence
-            ab = _band(op).copy(order="F")
-            ab[2 * kl] -= shift
-            lu, piv, _ = dgbtrf(ab, kl, kl, overwrite_ab=1)
+            lu, piv, _ = _factor(_band(op), kl, shift)
         rhs = sum((u[j] @ b[k - j] for j in range(1, k)), -r1u)
         rhs -= u0 @ (g_inv @ (wt @ rhs))
         x, last = np.zeros_like(rhs), math.inf
@@ -628,6 +626,11 @@ def _discriminant(b: Sequence[np.ndarray]) -> list[float]:
     b11, b12, b21, b22 = zip(*(bk.ravel().tolist() for bk in b))
     split = [x - y for x, y in zip(b11, b22)]
     return [-sum(split[j] * split[k - j] + 4 * b12[j] * b21[k - j] for j in range(k + 1)) for k in range(len(b))]
+
+
+def _series_at(c: Sequence[np.ndarray], delta: float) -> np.ndarray:
+    """The Taylor series sum c_k delta^k, as `_pair_series` gives B and U."""
+    return sum(ck * delta**k for k, ck in enumerate(c))
 
 
 def _horner(c: Sequence[float], t: float) -> tuple[float, float]:
@@ -670,9 +673,7 @@ def measure_isola(
     method on that polynomial gives the vertex mu_at_max, the root of
     dD/dmu, and each edge, a root of D, from the parabola's roots about it.
     A solve at mu_at_max gives re_max = sqrt(gap^2)/2 and im_center, and a
-    check solve `_CHECK_ULPS` beyond each edge must read D <= 0.  Each
-    later solve starts from the series' U there, with the first block's
-    spare columns and the pair at i*tr(B)/2.
+    check solve `_CHECK_ULPS` beyond each edge must read D <= 0.
 
     Raises `TrackingFailure` if the pair cannot be followed, ValueError if a
     solve would leave the window, the series does not converge, no isola is
@@ -694,7 +695,7 @@ def measure_isola(
     mu0, guess = theory.mu0, 1j * theory.im_center
     half = window_scale * eps**3
     lo, hi = mu0 - half, mu0 + half
-    mu_s, reach = mu0 - 1.2 * eps**4, 2 * eps**4
+    mu_s, reach = mu0 - 1.2 * eps**4, _REACH * eps**4
     solved: list[SpectrumSample] = []
 
     def solve(mu: float, start: Optional[SpectrumSample] = None) -> tuple[DiscretizedOperator, SpectrumSample]:
@@ -703,10 +704,8 @@ def measure_isola(
         if not lo <= mu <= hi:
             raise ValueError(f"step to {mu!r} leaves the window [{lo!r}, {hi!r}] for eps={eps}")
         if start is None:
-            delta = mu - mu_s
-            u_mu = sum(uk * delta**k for k, uk in enumerate(u))
-            pair = 1j * (shift + 0.5 * sum(np.trace(bk) * delta**k for k, bk in enumerate(b)))
-            start = SpectrumSample((), (pair, pair), np.hstack((u_mu, solved[0].block[:, 2:])))
+            pair = 1j * (shift + 0.5 * _series_at([np.trace(bk) for bk in b], mu - mu_s))
+            start = SpectrumSample((), (pair, pair), np.hstack((_series_at(u, mu - mu_s), solved[0].block[:, 2:])))
         op = build(mu, eps, N, stokes_order)
         solved.append(spectrum(op, start=start))
         return op, solved[-1]

@@ -475,19 +475,30 @@ class TestIsolaSearchCost:
             measure_isola(rng.uniform(0.02, 0.19))
         assert 0 < len(series) <= 20 * 40
 
-    @pytest.mark.parametrize("eps", [0.06, 0.12, 0.19])
+    @pytest.mark.parametrize("eps", [0.02, 0.06, 0.12, 0.19])
     def test_iterations_per_trace_solve(self, monkeypatch, eps):
         """The `isola` trace (25 points over three measured widths about
-        the peak, the first cold) takes at most 3.5 subspace iterations per
-        solve on average (1.7-3.3 here)."""
+        the peak) solves once, cold, at its first point and reads the rest
+        off that solve's pair series: 1 `floquet.spectrum` call, 1-3
+        `dgbtrf` calls (the solve's shift, a re-shift and the series'
+        shift) and at most 40 `dgbtrs` calls in all (9-34 here: 6-9
+        iterations and 3-25 series calls; 25 continued solves took 32-83)."""
         meas = measure_isola(eps, N=32)
-        width = 3.0 * meas.mu_width
-        grid = np.linspace(meas.mu_at_max - width / 2, meas.mu_at_max + width / 2, 25)
-        solves, iterations, _ = self._count_solves_and_iterations(monkeypatch)
+        grid = TestSeriesTrace.default_grid(meas)
+        solves, iterations, series = self._count_solves_and_iterations(monkeypatch)
+        factors = []
+        factor = scipy.linalg.lapack.dgbtrf
+
+        def counted_factor(*args, **kwargs):
+            factors.append(args)
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", counted_factor)
         points = trace_isola(eps, grid, N=32)
         assert all(p.error is None for p in points)
-        assert len(solves) == 25
-        assert len(solves) <= len(iterations) <= 3.5 * len(solves)
+        assert len(solves) == 1
+        assert 1 <= len(factors) <= 3
+        assert 1 <= len(iterations) and len(iterations) + len(series) <= 40
 
     #: (re_max, mu_width, im_center, mu_at_max) from dense eigenvalues alone
     #: (scipy.linalg.eigvals and `_pick_pair` per sample): the vertex of the
@@ -682,6 +693,85 @@ class TestPairSeries:
             assert floquet._horner(disc, mu - mu_s)[0] == pytest.approx(reference, rel=0, abs=1e-7 * 4 * meas.re_max**2)
 
 
+class TestSeriesTrace:
+    """`trace_isola` reading the pair off the series of its last solve,
+    against an independent cold solve at every point."""
+
+    @staticmethod
+    def default_grid(meas):
+        """The `isola` command's grid: 25 points over three measured widths
+        about the peak."""
+        width = 3.0 * meas.mu_width
+        return np.linspace(meas.mu_at_max - width / 2, meas.mu_at_max + width / 2, 25)
+
+    @staticmethod
+    def bound(eps):
+        """4e-12 * (0.02/eps)^2: the worst seen against cold solves is
+        1.4e-12 at eps 0.02, 8.5e-14 at 0.06, 1.1e-14 at 0.12 and 5.5e-15
+        at 0.19.  A cold solve is itself no sharper there: at eps 0.02 it
+        reads up to 6.5e-13 off a 34-digit reference, where the series
+        reads 4.6e-13."""
+        return 4e-12 * (0.02 / eps) ** 2
+
+    @staticmethod
+    def _traced(monkeypatch, eps, grid):
+        """The trace, the solves it made (True for one continued from an
+        earlier solve) and the greatest distance of its pair from a cold
+        solve's at any point.  Every point's pair must sum to a purely
+        imaginary number bit for bit, and off the isola have real parts
+        +0.0."""
+        warm = []
+        solve = floquet.spectrum
+
+        def recorded(op, start=None):
+            warm.append(start is not None)
+            return solve(op, start=start)
+
+        monkeypatch.setattr(floquet, "spectrum", recorded)
+        points = trace_isola(eps, grid)
+        monkeypatch.undo()
+        worst = 0.0
+        for p, mu in zip(points, grid):
+            assert p.error is None and p.mu == mu
+            assert (p.lambda_plus + p.lambda_minus).real == 0.0
+            if p.lambda_plus.imag != p.lambda_minus.imag:
+                assert math.copysign(1.0, p.lambda_plus.real) == math.copysign(1.0, p.lambda_minus.real) == 1.0
+                assert p.lambda_plus.real == 0.0
+            lp, lm = spectrum(build(mu, eps)).tracked_pair
+            worst = max(worst, abs(p.lambda_plus - lp), abs(p.lambda_minus - lm))
+        return points, warm, worst
+
+    @pytest.mark.parametrize("eps", [0.02, 0.06, 0.12, 0.19])
+    def test_default_grid_matches_cold_solves(self, monkeypatch, eps):
+        """One solve, at the first point, serves the whole grid, whose middle
+        third, 7-9 points, lies inside the isola."""
+        points, warm, worst = self._traced(monkeypatch, eps, self.default_grid(measure_isola(eps)))
+        assert warm == [False]
+        assert worst <= self.bound(eps)
+        assert 7 <= sum(p.lambda_plus.real > 0.0 for p in points) <= 9
+
+    @pytest.mark.parametrize("eps", [0.06, 0.12])
+    def test_wide_grid_solves_again(self, monkeypatch, eps):
+        """A grid ten widths wide, about 3.5 eps^4, outruns the series'
+        reach of 2 eps^4: the trace solves again, continuing the last
+        solve, and reads the rest off the new series."""
+        meas = measure_isola(eps)
+        width = 10.0 * meas.mu_width
+        grid = np.linspace(meas.mu_at_max - width / 2, meas.mu_at_max + width / 2, 41)
+        points, warm, worst = self._traced(monkeypatch, eps, grid)
+        assert len(warm) >= 2 and warm == [False] + [True] * (len(warm) - 1)
+        assert worst <= self.bound(eps)
+
+    def test_series_that_does_not_converge(self, monkeypatch):
+        """With no series converging, every point is solved, each continued
+        from the one before, as cold solves read it."""
+        grid = self.default_grid(measure_isola(0.06))
+        monkeypatch.setattr(floquet, "_SERIES_ORDERS", 1)
+        points, warm, worst = self._traced(monkeypatch, 0.06, grid)
+        assert warm == [False] + [True] * 24
+        assert worst <= 1e-12
+
+
 class TestBandedSolve:
     """The banded shift-invert solve against the full dense spectrum on a
     seeded grid of (mu, eps, N) that crosses the tracking disk's edge, so
@@ -809,8 +899,7 @@ class TestOperatorParts:
 class TestWarmStart:
     """Solves continued from a cold sample at a nearby mu, against the full
     dense spectrum, on a seeded grid of (mu, eps, N) points whose start
-    sample, at mu + delta, tracks the pair.  Where the cold sample at
-    mu + 2*delta tracks it too, it is kept as the second start."""
+    sample, at mu + delta, tracks the pair."""
 
     @pytest.fixture(scope="class")
     def grid(self):
@@ -823,14 +912,13 @@ class TestWarmStart:
                 start = spectrum(build(mu + delta, eps, N))
             except TrackingFailure:
                 continue
-            further = TestBandedSolve._outcome(lambda: spectrum(build(mu + 2 * delta, eps, N)))[0]
             op = build(mu, eps, N)
-            points.append((op, start, further, scipy.linalg.eigvals(op.matrix)))
+            points.append((op, start, scipy.linalg.eigvals(op.matrix)))
         return points
 
     def test_pair_and_failures_match_dense(self, grid):
         failures = 0
-        for op, start, _, dense in grid:
+        for op, start, dense in grid:
             dense_pair, dense_err = TestBandedSolve._outcome(lambda: _pick_pair(dense))
             sample, err = TestBandedSolve._outcome(lambda: spectrum(op, start=start))
             assert err == dense_err
@@ -842,7 +930,7 @@ class TestWarmStart:
         assert 2 <= failures <= len(grid) - 40
 
     def test_eigenvalues_are_converged_and_cover_the_disk(self, grid):
-        for op, start, _, dense in grid:
+        for op, start, dense in grid:
             eigs, block = floquet._shift_invert(op, start)
             assert not block.flags.writeable
             for lam in eigs:
@@ -850,36 +938,13 @@ class TestWarmStart:
             for lam in dense[np.abs(dense - 0.75j) <= 0.2]:
                 assert np.min(np.abs(eigs - lam)) <= 1e-12
 
-    def test_two_samples_match_dense(self, grid):
-        """Started from the samples at mu + delta and mu + 2*delta, nearest
-        first (the pair's subspace extrapolated linearly in mu): the same
-        pair and failures as the dense spectrum, every converged eigenvalue
-        a dense one, and no dense eigenvalue of the disk missed."""
-        pairs = [(op, (start, further), dense) for op, start, further, dense in grid if further]
-        failures = 0
-        for op, starts, dense in pairs:
-            dense_pair, dense_err = TestBandedSolve._outcome(lambda: _pick_pair(dense))
-            sample, err = TestBandedSolve._outcome(lambda: spectrum(op, start=starts))
-            assert err == dense_err
-            if err is None:
-                assert abs(sample.tracked_pair[0] - dense_pair[0]) <= 1e-12
-                assert abs(sample.tracked_pair[1] - dense_pair[1]) <= 1e-12
-            else:
-                failures += 1
-            eigs, block = floquet._shift_invert(op, starts)
-            assert not block.flags.writeable
-            for lam in eigs:
-                assert np.min(np.abs(dense - lam)) <= 1e-12
-            for lam in dense[np.abs(dense - 0.75j) <= 0.2]:
-                assert np.min(np.abs(eigs - lam)) <= 1e-12
-        assert len(pairs) >= 45 and 1 <= failures <= len(pairs) - 30
-
     def test_tracked_pairs_are_exactly_reversible(self, monkeypatch, grid):
         """Every tracked pair is symmetric under lambda -> -conj(lambda) bit
         for bit, and every block is real: the solves of this grid, cold and
-        continued from one sample or two, those of `measure_isola` at
-        eps = 0.06 and a 25-point trace over three of its widths.  A split
-        pair shares its imaginary part; an unsplit one has real parts +0.0."""
+        continued, those of `measure_isola` at eps = 0.06 and of a 25-point
+        trace over three of its widths, and that trace's points, read off
+        its series.  A split pair shares its imaginary part; an unsplit one
+        has real parts +0.0."""
         samples = []
         solve = floquet.spectrum
 
@@ -887,25 +952,26 @@ class TestWarmStart:
             samples.append(solve(*args, **kwargs))
             return samples[-1]
 
-        for op, start, further, _ in grid:
+        for op, start, _ in grid:
             samples.append(start)
-            for starts in (None, start, (start, further) if further else None):
-                samples.append(TestBandedSolve._outcome(lambda: spectrum(op, start=starts))[0])
+            for begin in (None, start):
+                samples.append(TestBandedSolve._outcome(lambda: spectrum(op, start=begin))[0])
         monkeypatch.setattr(floquet, "spectrum", recorded)
         meas = measure_isola(0.06)
         width = 3.0 * meas.mu_width
         points = trace_isola(0.06, np.linspace(meas.mu_at_max - width / 2, meas.mu_at_max + width / 2, 25))
         assert len(points) == 25 and all(p.error is None for p in points)
         samples = [s for s in samples if s is not None]
+        pairs = [s.tracked_pair for s in samples] + [(p.lambda_plus, p.lambda_minus) for p in points]
         split = 0
-        for lp, lm in (s.tracked_pair for s in samples):
+        for lp, lm in pairs:
             assert (lp + lm).real == 0.0
             if lp.imag == lm.imag:
                 split += lp.real > 0.0
             else:
                 assert lp.real == lm.real == 0.0
                 assert math.copysign(1.0, lp.real) == math.copysign(1.0, lm.real) == 1.0
-        assert 10 <= split <= len(samples) - 10
+        assert 10 <= split <= len(pairs) - 10
         assert all(s.block.dtype == np.float64 for s in samples)
 
     def test_shift_landing_on_an_eigenvalue(self):
@@ -945,14 +1011,6 @@ class TestWarmStart:
         start = spectrum(build(0.25, 0.05, N=16))
         with pytest.raises(ValueError, match="start block"):
             spectrum(build(0.25, 0.05, N=24), start=start)
-        same = spectrum(build(0.25, 0.05, N=24))
-        with pytest.raises(ValueError, match="start block"):
-            spectrum(build(0.25, 0.05, N=24), start=(same, start))
-
-    def test_more_than_two_starts_are_rejected(self):
-        start = spectrum(build(0.25, 0.05, N=16))
-        with pytest.raises(ValueError, match="need one or two"):
-            spectrum(build(0.25, 0.05, N=16), start=(start, start, start))
 
     @staticmethod
     def _cold(eps, mu):
