@@ -8,16 +8,16 @@ collision frequency by a shift-invert solve: a banded LU of its real form R
 iteration, started from a fixed block or from one earlier solve at a
 nearby mu.  The tracked pair is the two eigenvalues in the fixed disk of
 radius `RADIUS` = 0.2 about `CENTER` = i*omega* = 0.75i; any other count
-there is a `TrackingFailure`.  The isola measurement takes the Taylor
-series in mu of the tracked pair's 2x2 symplectic reduction from one solve
-near the closed form's mu0(eps) and reads the vertex and both edges off
-its discriminant: four solves of 2.3 subspace iterations each on average
+there is a `TrackingFailure`.  The pair is i*tr(B)/2 +- sqrt(D)/2 for its
+2x2 symplectic reduction B, split exactly where the discriminant D is
+positive.  The isola measurement takes the Taylor series in mu of tr B and
+D from one solve near the closed form's mu0(eps) and reads the vertex and
+both edges off D: four solves of 2.3 subspace iterations each on average
 at N = 32 (40 seeded amplitudes in [0.02, 0.19)).  The isola trace reads
-the pair off such a series wherever one reaches.  Both work from the
-operator's Toeplitz parts, built once per amplitude, never the dense matrix.
-Importing the module loads neither numpy nor scipy.  numpy loads on first
-use (the Toeplitz parts, the dense matrix, a solve), and scipy's LAPACK
-wrappers on the first solve.
+the pair off such a series wherever one reaches, with no eigensolve.  Both
+work from the operator's Toeplitz parts, built once per amplitude, never
+the dense matrix.  Importing the module loads neither numpy nor scipy;
+numpy loads on first use, and scipy's LAPACK wrappers on the first solve.
 
 In the two-component frame the operator reads
 
@@ -39,6 +39,7 @@ pair has real parts 0.0.
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import functools
 import math
@@ -130,11 +131,7 @@ class DiscretizedOperator:
 
         d = np.arange(-self.N, self.N + 1, dtype=float) + self.mu
         p_part, a_part = _toeplitz_parts(self.eps, self.N, self.stokes_order)
-        m00 = 1j * (d[:, None] * p_part)
-        m01 = np.diag(np.abs(d)).astype(complex)
-        m10 = -a_part.astype(complex)
-        m11 = 1j * (p_part * d[None, :])
-        return np.block([[m00, m01], [m10, m11]])
+        return np.block([[1j * (d[:, None] * p_part), np.diag(np.abs(d))], [-a_part.astype(complex), 1j * (p_part * d)]])
 
 
 def _exp_coeffs(which: str, eps: float, order: int) -> tuple[tuple[int, float], ...]:
@@ -227,18 +224,16 @@ class SpectrumSample:
 
 
 def _pick_pair(eigs: np.ndarray) -> tuple[complex, complex]:
-    """The two eigenvalues of ``eigs`` in the tracking disk, else `TrackingFailure`."""
+    """The two eigenvalues of ``eigs`` in the tracking disk, else
+    `TrackingFailure`, in descending order of the part in which they differ
+    more: the real part for a split pair, the imaginary part for a purely
+    imaginary one, with no threshold that noise or a tiny split can cross."""
     near = eigs[abs(eigs - CENTER) <= RADIUS]
     if near.size != 2:
         raise TrackingFailure(f"{near.size} eigenvalue(s) within {RADIUS} of {CENTER}; need 2")
     z0, z1 = near.tolist()
-    # order by real part when the pair is split, by imaginary part when it
-    # is (numerically) purely imaginary, so the labels are stable
-    if abs(z0.real - z1.real) > 1e-12:
-        lp, lm = (z0, z1) if z0.real > z1.real else (z1, z0)
-    else:
-        lp, lm = (z0, z1) if z0.imag >= z1.imag else (z1, z0)
-    return lp, lm
+    part = operator.attrgetter("real" if abs(z0.real - z1.real) > abs(z0.imag - z1.imag) else "imag")
+    return tuple(sorted((z0, z1), key=part, reverse=True))
 
 
 @functools.lru_cache(maxsize=8)
@@ -308,13 +303,14 @@ def _start_block(n: int) -> np.ndarray:
 def _toward_pair(shift: complex, lam0: complex, lam1: complex) -> Optional[complex]:
     """A shift `_RESHIFT_GAP` from the pair ``lam0``, ``lam1`` on the side of
     ``shift``: short of their midpoint, or short of the nearer one where that
-    point lies within half the gap of it.  None when ``shift`` is within
-    twice the gap of the midpoint and at least half the gap from both."""
+    point lies within half the gap of it; the gap up from ``shift`` when it
+    is the midpoint.  None when ``shift`` is within twice the gap of the
+    midpoint and at least half the gap from both."""
     away = shift - 0.5 * (lam0 + lam1)
     near = min(lam0, lam1, key=lambda lam: abs(shift - lam))
     if abs(away) <= 2 * _RESHIFT_GAP and abs(shift - near) >= 0.5 * _RESHIFT_GAP:
         return None
-    target = shift - away * (1 - _RESHIFT_GAP / abs(away))
+    target = shift - away * (1 - _RESHIFT_GAP / abs(away)) if away else shift + _RESHIFT_GAP
     near = min(lam0, lam1, key=lambda lam: abs(target - lam))
     if abs(target - near) < 0.5 * _RESHIFT_GAP:
         target = near + (shift - near) * (_RESHIFT_GAP / abs(shift - near))
@@ -458,28 +454,31 @@ def trace_isola(
     """Tracked eigenvalue pair across a grid of Floquet exponents.
 
     A point within `_REACH` * eps^4 of the last solve reads the pair off its
-    series (`_pair_series`), i*(s + eig B), labelled by `_pick_pair`.  Any
-    other point is solved (`spectrum`) from the last solve, or cold at the
-    first point and after a failure; a series expands about it when the
-    next point lies within reach and it converges.  Tracking failures are
+    series (`_pair_series`): i*(s + tr B/2) +- sqrt(D)/2 there, the
+    principal root, which `_pick_pair` checks against the disk.  Any other
+    point is solved (`spectrum`) from the last solve, or cold at the first
+    point and after a failure; a series expands about it when the next
+    point lies within reach and it converges.  Tracking failures are
     recorded per point, not raised, so one bad point cannot kill a sweep.
     """
     import numpy as np
 
     reach = _REACH * eps**4
     points: list[SpectrumPoint] = []
-    sample = series = None    # the last solve, None at the start and after a failure; (mu, s, B_k) about it
+    sample = series = None    # the last solve, None at the start and after a failure; (mu, s, T_k, D_k) about it
     for mu, following in zip(mu_grid, [*mu_grid[1:], math.inf]):
         try:
             if series is not None and abs(mu - series[0]) <= reach:
-                lp, lm = _pick_pair(1j * (series[1] + np.linalg.eigvals(_series_at(series[2], mu - series[0]))))
+                trace, disc = (_series_at(c, mu - series[0]) for c in series[2:])
+                mid, half = 1j * (series[1] + 0.5 * trace), 0.5 * cmath.sqrt(disc)
+                lp, lm = _pick_pair(np.array([mid + half, mid - half]))
             else:
                 op = build(mu, eps, N, stokes_order)
                 sample, series = spectrum(op, start=sample), None
                 lp, lm = sample.tracked_pair
                 if abs(following - mu) <= reach:
                     with contextlib.suppress(ValueError):    # no convergence: the next point is solved
-                        series = (mu, *_pair_series(op, sample, reach)[:2])
+                        series = (mu, *_pair_series(op, sample, reach)[:3])
             points.append(SpectrumPoint(float(mu), lp, lm))
         except TrackingFailure as exc:
             sample = series = None
@@ -539,14 +538,15 @@ class IsolaMeasurement:
 
 def _pair_series(
     op: DiscretizedOperator, sample: SpectrumSample, reach: float
-) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
+) -> tuple[float, list[float], list[float], list[np.ndarray]]:
     """Taylor coefficients in mu about ``op``'s mu of the tracked pair's 2x2
     symplectic reduction B and invariant subspace U, from ``sample``, a
     converged solve of ``op``: the shift s = tr(B(op.mu))/2 and the lists of
-    B_k, 2x2, k = 0..K (B_0 less s*I), and of U_k, rows interleaved like the
-    block's, k = 0..K-1.  K is the first order whose term
-    max|B_k| * ``reach``^k is at most `_SERIES_TAIL`; ValueError if that is
-    past `_SERIES_ORDERS`.
+    the coefficients of tr B and of its discriminant D (`_discriminant`),
+    k = 0..K (B_0 less s*I), and of U_k, rows interleaved like the block's,
+    k = 0..K-1.  The pair is i*(s + tr B/2) +- sqrt(D)/2.  K is the first
+    order whose term max|B_k| * ``reach``^k is at most `_SERIES_TAIL`;
+    ValueError if that is past `_SERIES_ORDERS`.
 
     R = R0 + (mu - op.mu)*R1 near 1/4, where no j + mu changes sign:
     R1 = [[P, -diag(sign(d))], [0, P]].  U0, the block's first two columns,
@@ -597,7 +597,7 @@ def _pair_series(
         b.append(g_inv @ (wt @ r1u))
         term = float(np.abs(b[k]).max()) * reach**k
         if term <= _SERIES_TAIL:
-            return shift, b, u
+            return shift, [float(bk.trace()) for bk in b], _discriminant(b), u
         if k == _SERIES_ORDERS:
             raise ValueError(
                 f"pair series at mu={op.mu!r} for eps={op.eps} did not converge by order {k}: "
@@ -629,7 +629,7 @@ def _discriminant(b: Sequence[np.ndarray]) -> list[float]:
 
 
 def _series_at(c: Sequence[np.ndarray], delta: float) -> np.ndarray:
-    """The Taylor series sum c_k delta^k, as `_pair_series` gives B and U."""
+    """The Taylor series sum c_k delta^k, as `_pair_series` gives tr B, D and U."""
     return sum(ck * delta**k for k, ck in enumerate(c))
 
 
@@ -668,12 +668,12 @@ def measure_isola(
     positive exactly inside the isola.  Four solves, with no iteration: one
     at mu_s = mu0 - 1.2 eps^4 (the vertex lies 1.2-2.6 eps^4 below mu0 at
     every amplitude measured, eps 0.005-0.29), its shift beside the closed
-    form's pair, gives the series of the reduction about mu_s
-    (`_pair_series`, reach 2 eps^4) and so of D (`_discriminant`).  Newton's
-    method on that polynomial gives the vertex mu_at_max, the root of
-    dD/dmu, and each edge, a root of D, from the parabola's roots about it.
-    A solve at mu_at_max gives re_max = sqrt(gap^2)/2 and im_center, and a
-    check solve `_CHECK_ULPS` beyond each edge must read D <= 0.
+    form's pair, gives the series of tr B and D about mu_s (`_pair_series`,
+    reach 2 eps^4).  Newton's method on D's polynomial gives the vertex
+    mu_at_max, the root of dD/dmu, and each edge, a root of D, from the
+    parabola's roots about it.  A solve at mu_at_max gives
+    re_max = sqrt(gap^2)/2 and im_center, and a check solve `_CHECK_ULPS`
+    beyond each edge must read D <= 0.
 
     Raises `TrackingFailure` if the pair cannot be followed, ValueError if a
     solve would leave the window, the series does not converge, no isola is
@@ -692,7 +692,7 @@ def measure_isola(
     if window_scale <= 0:
         raise _ArgumentError(f"window_scale must be positive, got {window_scale}")
     theory = isola(assemble_reduced_jet(), eps)
-    mu0, guess = theory.mu0, 1j * theory.im_center
+    mu0, guess = theory.mu0, (1j * theory.im_center,) * 2
     half = window_scale * eps**3
     lo, hi = mu0 - half, mu0 + half
     mu_s, reach = mu0 - 1.2 * eps**4, _REACH * eps**4
@@ -700,26 +700,26 @@ def measure_isola(
 
     def solve(mu: float, start: Optional[SpectrumSample] = None) -> tuple[DiscretizedOperator, SpectrumSample]:
         """The solve at ``mu`` from ``start``, else from the series there:
-        U, the first block's spare columns and the pair at i*tr(B)/2."""
+        U, the first block's spare columns and the pair at i*(s + tr B/2)."""
         if not lo <= mu <= hi:
             raise ValueError(f"step to {mu!r} leaves the window [{lo!r}, {hi!r}] for eps={eps}")
         if start is None:
-            pair = 1j * (shift + 0.5 * _series_at([np.trace(bk) for bk in b], mu - mu_s))
+            pair = 1j * (shift + 0.5 * _series_at(traces, mu - mu_s))
             start = SpectrumSample((), (pair, pair), np.hstack((_series_at(u, mu - mu_s), solved[0].block[:, 2:])))
         op = build(mu, eps, N, stokes_order)
         solved.append(spectrum(op, start=start))
         return op, solved[-1]
 
     # the first solve: the fixed block, its shift beside the closed form's pair
-    shift, b, u = _pair_series(*solve(mu_s, SpectrumSample((), (guess, guess), _start_block(4 * N + 2))), reach)
-    disc = [c * reach**k for k, c in enumerate(_discriminant(b))]    # in t = (mu - mu_s)/reach
+    shift, traces, disc, u = _pair_series(*solve(mu_s, SpectrumSample((), guess, _start_block(4 * N + 2))), reach)
+    disc = [c * reach**k for k, c in enumerate(disc)]    # in t = (mu - mu_s)/reach
     slope = [k * c for k, c in enumerate(disc)][1:]
     t_max = _newton_root(slope, 0.0)
     d_max, curvature = _horner(disc, t_max)[0], _horner(slope, t_max)[1]
     if not (d_max > 0 and curvature < 0):
         raise ValueError(
             f"no isola resolved for eps={eps}, N={N}: at the series' vertex D {d_max:.3e}, "
-            f"d2D/dmu2 {curvature / reach**2:.3e}"
+            f"d2D/dmu2 {curvature / (reach**2 or math.nan):.3e}"    # reach^2 underflows below eps ~ 2e-41
         )
     mu_at_max = mu_s + t_max * reach
     lp, lm = solve(mu_at_max)[1].tracked_pair
@@ -731,7 +731,7 @@ def measure_isola(
     def edge(side: int, name: str) -> float:
         mu = mu_s + _newton_root(disc, t_max + side * spread) * reach
         beyond = mu + side * _CHECK_ULPS * math.ulp(mu)
-        d = _discriminant(_pair_series(*solve(beyond), 0.0)[1])[0]
+        d = _pair_series(*solve(beyond), 0.0)[2][0]
         if d > 0:
             raise ValueError(f"no sign change of D at the {name} edge for eps={eps}: D {d:.3e} at mu={beyond!r}")
         return mu

@@ -171,6 +171,23 @@ class TestIsola:
         assert (code, out) == (3, "")
         assert err == "numerical failure: eps must be positive, got 0.0: flat water has no isola\n"
 
+    def test_split_oracle_rows_put_the_growth_in_lambda_plus(self, capsys):
+        """At eps 0.001 and 0.005 the isola's real parts are 1e-13 to 1e-10,
+        below any noise threshold; every split `oracle` row still holds the
+        positive real part in lambda+, as the theory rows do."""
+        code, out, err = run(capsys, "isola", "--eps", "0.001", "--eps", "0.005")
+        assert code == 0
+        _, rows = parse_csv(out)
+        split = [r for r in rows if r[6] == "oracle" and float(r[2]) != 0.0]
+        assert len(split) >= 10
+        for r in split:
+            assert float(r[2]) > 0 and float(r[4]) == -float(r[2])
+
+    def test_tiny_amplitude_is_diagnosed(self, capsys):
+        code, out, err = run(capsys, "isola", "--eps", "1e-20")
+        assert (code, out) == (3, "")
+        assert err.startswith("numerical failure: no isola resolved for eps=1e-20")
+
     def test_large_amplitude(self, capsys):
         code, out, err = run(capsys, "isola", "--eps", "0.2", "--samples", "3")
         assert code == 0

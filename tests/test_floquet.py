@@ -184,6 +184,54 @@ class TestSpectrumTracking:
         assert points[1].error is not None
         assert points[1].lambda_plus is None
 
+    def test_trace_through_the_collision_point(self):
+        """Flat water at mu = 1/4 has the double eigenvalue 0.75i, so a
+        solve continued from the first point starts its shift exactly at
+        the pair's midpoint.  Every point is tracked, on the exact pair
+        i*(mu + sqrt(mu)) and i*(2 + mu - sqrt(2 + mu))."""
+        grid = [0.25, 0.2501, 0.25]
+        points = trace_isola(0.0, grid)
+        assert [p.error for p in points] == [None] * 3
+        for p, mu in zip(points, grid):
+            assert abs(p.lambda_plus - 1j * (mu + math.sqrt(mu))) <= 1e-12
+            assert abs(p.lambda_minus - 1j * (2 + mu - math.sqrt(2 + mu))) <= 1e-12
+
+
+class TestPairLabels:
+    """`_pick_pair` puts the larger real part in lambda+ for a split pair and
+    the larger imaginary part for a purely imaginary one, however small the
+    split and whatever the noise on the other component."""
+
+    @pytest.mark.parametrize("lp,lm", [
+        # an exactly reversible split pair, split far below 1e-12
+        (1e-14 + 0.7j, -1e-14 + 0.7j),
+        # an exactly imaginary pair
+        (0.76j, 0.74j),
+        # a dense solve's pair 1e-9 in mu outside an isola edge at eps 0.12
+        (-8.8e-13 + 0.7245029j, 8.8e-13 + 0.7245025j),
+        # a dense solve's split pair with noise on its imaginary parts
+        (1.8e-7 + 0.7245025707147j, -1.8e-7 + 0.7245025707149j),
+    ])
+    def test_labels(self, lp, lm):
+        for eigs in ([lm, lp, 2.0j], [lp, 0.0, lm]):
+            assert _pick_pair(np.array(eigs)) == (lp, lm)
+
+    def test_dense_labels_match_the_banded_solve_at_the_edges(self):
+        """At eps 0.12, 1e-12 to 1e-7 in mu either side of both edges, the
+        dense pair, whose components carry noise up to 4e-11, is labelled
+        as the banded solve's, which carries none: the same two
+        eigenvalues in the same order, to 1e-9."""
+        eps = 0.12
+        meas = measure_isola(eps)
+        for edge in (meas.mu_left, meas.mu_right):
+            for k in range(-24, -13):
+                for side in (-1, 1):
+                    op = build(edge + side * 10.0 ** (k / 2), eps)
+                    dense = _pick_pair(scipy.linalg.eigvals(op.matrix))
+                    banded = spectrum(op).tracked_pair
+                    assert abs(dense[0] - banded[0]) <= 1e-9
+                    assert abs(dense[1] - banded[1]) <= 1e-9
+
 
 class TestConvergence:
     def test_rows_and_deltas(self):
@@ -593,6 +641,14 @@ class TestIsolaSearchFailures:
         with pytest.raises(ValueError, match="N must be an integer, got 24.5"):
             measure_isola(0.06, N=24.5)
 
+    @pytest.mark.parametrize("eps", [1e-300, 1e-42, 1e-20, 1e-9])
+    def test_tiny_amplitude(self, eps):
+        """Below eps ~ 5e-9 the first solve's start pair rounds to the shift
+        0.75 itself, and below eps ~ 2e-41 reach^2 underflows: each still
+        ends in the diagnosis."""
+        with pytest.raises(ValueError, match="no isola resolved"):
+            measure_isola(eps)
+
     def test_no_isola_resolved(self, monkeypatch):
         """D <= 0 at the series' vertex: no isola is resolved."""
         self._with_discriminant(monkeypatch, lambda d: [-1.0, *d[1:]])
@@ -636,7 +692,7 @@ class TestReducedDiscriminant:
     @staticmethod
     def _reduced(mu, eps):
         op = build(mu, eps)
-        return floquet._discriminant(floquet._pair_series(op, spectrum(op), 0.0)[1])[:2]
+        return floquet._pair_series(op, spectrum(op), 0.0)[2][:2]
 
     @staticmethod
     def _dense_reduced(m):
@@ -682,14 +738,13 @@ class TestPairSeries:
         meas = measure_isola(eps)
         mu_s = isola(JET, eps).mu0 - 1.2 * eps**4
         op = build(mu_s, eps)
-        _, b, u = floquet._pair_series(op, spectrum(op), 2 * eps**4)
-        assert len(u) == len(b) - 1 >= 2
-        disc = floquet._discriminant(b)
+        _, _, disc, u = floquet._pair_series(op, spectrum(op), 2 * eps**4)
+        assert len(u) == len(disc) - 1 >= 2
         width = meas.mu_width
         for mu in (meas.mu_at_max, meas.mu_left, meas.mu_right,
                    meas.mu_at_max - 1.5 * width, meas.mu_at_max + 1.5 * width):
             cold = build(mu, eps)
-            reference = floquet._discriminant(floquet._pair_series(cold, spectrum(cold), 0.0)[1])[0]
+            reference = floquet._pair_series(cold, spectrum(cold), 0.0)[2][0]
             assert floquet._horner(disc, mu - mu_s)[0] == pytest.approx(reference, rel=0, abs=1e-7 * 4 * meas.re_max**2)
 
 
@@ -879,7 +934,7 @@ class TestOperatorParts:
             disc = -((b[0, 0] - b[1, 1]) ** 2 + 4 * b[0, 1] * b[1, 0])
             rate = -(2 * (b[0, 0] - b[1, 1]) * (c[0, 0] - c[1, 1]) + 4 * (c[0, 1] * b[1, 0] + b[0, 1] * c[1, 0]))
             sample = floquet.SpectrumSample((), (0.75j, 0.75j), block)
-            got = floquet._discriminant(floquet._pair_series(op, sample, 0.0)[1])
+            got = floquet._pair_series(op, sample, 0.0)[2]
             scale = np.linalg.norm(b) ** 2 * np.linalg.cond(wt @ u)
             assert got[0] == pytest.approx(disc, rel=0, abs=1e-12 * scale)
             assert got[1] == pytest.approx(rate, rel=0, abs=1e-12 * scale * (1 + np.linalg.norm(c)))
@@ -894,6 +949,18 @@ class TestOperatorParts:
         assert all(p.error is None for p in points)
         with pytest.raises(AssertionError, match="dense matrix formed"):
             build(0.25, 0.06).matrix
+
+    def test_search_and_trace_never_eigensolve(self, monkeypatch):
+        """The trace reads its pairs off the series of tr B and D in closed
+        form: no dense eigensolver runs, not even on a 2x2 matrix."""
+        def eigensolve(*args, **kwargs):
+            raise AssertionError("dense eigensolver called")
+
+        monkeypatch.setattr(np.linalg, "eigvals", eigensolve)
+        monkeypatch.setattr(scipy.linalg, "eigvals", eigensolve)
+        meas = measure_isola(0.06)
+        points = trace_isola(0.06, TestSeriesTrace.default_grid(meas))
+        assert len(points) == 25 and all(p.error is None for p in points)
 
 
 class TestWarmStart:
