@@ -9,6 +9,9 @@ Layers, bottom up:
 
 * `stokes`       -- exact harmonic tables of the wave profiles, the
                     flat dispersion relation and the collision point;
+* `closed_forms` -- hand-written exact values of every ledger term and
+                    derived constant, which `verify` and the tests check
+                    against, and the oracle starts from;
 * `entanglement` -- mode labels ``(j, sigma)`` and branch convention of the
                     flat problem's symplectic eigenbasis, mode-coupling
                     coefficients, residue calculus, the resolvent-chain
@@ -19,9 +22,6 @@ Layers, bottom up:
                     peak growth rate, ellipse; D, trace and eigenvalue
                     pair at any nu), stability criterion;
 * `floquet`      -- the independent truncated-Fourier eigenvalue oracle;
-* `closed_forms` -- hand-written exact values of every ledger term and
-                    derived constant, which `verify` and the tests check
-                    against;
 * `cli`          -- the ``stokes-isola`` command.
 
 The package re-exports each module's ``__all__``, the one list of its public

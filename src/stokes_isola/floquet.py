@@ -11,7 +11,7 @@ radius `RADIUS` = 0.2 about `CENTER` = i*omega* = 0.75i; any other count
 there is a `TrackingFailure`.  The pair is i*tr(B)/2 +- sqrt(D)/2 for its
 2x2 symplectic reduction B, split exactly where the discriminant D is
 positive.  The isola measurement takes the Taylor series in mu of tr B and
-D from one solve near the closed form's mu0(eps) and reads the vertex and
+D from one solve near `closed_forms`' mu0(eps) and reads the vertex and
 both edges off D: four solves of 2.3 subspace iterations each on average
 at N = 32 (40 seeded amplitudes in [0.02, 0.19)).  The isola trace reads
 the pair off such a series wherever one reaches, with no eigensolve.  Both
@@ -47,9 +47,8 @@ import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .stokes import A_FLOAT, MAX_ORDER, OMEGA_STAR, P_FLOAT
-from .jets import assemble_reduced_jet
-from .instability import isola
+from . import closed_forms as cf
+from .stokes import A_FLOAT, MAX_ORDER, MU_STAR, OMEGA_STAR, P_FLOAT
 
 if TYPE_CHECKING:
     import numpy as np
@@ -101,7 +100,8 @@ _SHIFT_NUDGE = 1e-9
 _SERIES_TAIL = 2e-18
 _SERIES_ORDERS = 24
 _REACH = 2.0
-#: Each edge's check solve in `measure_isola` lies this many ulp of mu beyond it.
+#: Each edge's check solve in `measure_isola` lies this many ulp of mu beyond
+#: it; an isola at most twice as wide is refused, its width unresolved.
 _CHECK_ULPS = 64
 
 
@@ -134,34 +134,24 @@ class DiscretizedOperator:
         return np.block([[1j * (d[:, None] * p_part), np.diag(np.abs(d))], [-a_part.astype(complex), 1j * (p_part * d)]])
 
 
-def _exp_coeffs(which: str, eps: float, order: int) -> tuple[tuple[int, float], ...]:
-    """Exponential Fourier coefficients of a profile through ``eps**order``,
-    as (kappa, coefficient) pairs sorted by kappa: the coefficient of
-    e^{i*kappa*x} is half the cosine-series coefficient, uniformly in kappa
-    (the constant term is stored halved in the tables)."""
-    out: dict[int, float] = {}
-    for (n, kappa), c in (P_FLOAT if which == "p" else A_FLOAT).items():
-        if n <= order and c != 0:
-            out[kappa] = out.get(kappa, 0.0) + 0.5 * eps**n * c
-    return tuple(sorted(out.items()))
-
-
 @functools.lru_cache(maxsize=2)
 def _toeplitz_parts(eps: float, N: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """``1 + p_eps`` and ``1 + a_eps`` as read-only (2N+1)-square Toeplitz
     matrices: the mu-independent parts of the operator, shared by every
-    solve of one search.  Each is one gather from its coefficients by
-    harmonic kappa = row - column."""
+    solve of one search.  Each is one gather by harmonic kappa = row - column
+    from its coefficients of e^{i*kappa*x}, half the cosine-series ones
+    (the tables store the constant term halved), through ``eps**order``."""
     import numpy as np
 
     dim = 2 * N + 1
     kappa = np.subtract.outer(np.arange(dim), np.arange(dim)) + 2 * N
     parts = []
-    for which in ("p", "a"):
+    for table in (P_FLOAT, A_FLOAT):
         coeffs = np.zeros(2 * dim - 1)
-        coeffs[2 * N] = 1.0
-        for k, c in _exp_coeffs(which, eps, order):
-            coeffs[k + 2 * N] += c
+        for (n, k), c in table.items():
+            if n <= order and c != 0:
+                coeffs[k + 2 * N] += 0.5 * eps**n * c
+        coeffs[2 * N] += 1.0
         part = coeffs.take(kappa)
         part.flags.writeable = False
         parts.append(part)
@@ -469,7 +459,7 @@ def trace_isola(
     for mu, following in zip(mu_grid, [*mu_grid[1:], math.inf]):
         try:
             if series is not None and abs(mu - series[0]) <= reach:
-                trace, disc = (_series_at(c, mu - series[0]) for c in series[2:])
+                trace, disc = (_horner(c, mu - series[0])[0] for c in series[2:])
                 mid, half = 1j * (series[1] + 0.5 * trace), 0.5 * cmath.sqrt(disc)
                 lp, lm = _pick_pair(np.array([mid + half, mid - half]))
             else:
@@ -628,12 +618,7 @@ def _discriminant(b: Sequence[np.ndarray]) -> list[float]:
     return [-sum(split[j] * split[k - j] + 4 * b12[j] * b21[k - j] for j in range(k + 1)) for k in range(len(b))]
 
 
-def _series_at(c: Sequence[np.ndarray], delta: float) -> np.ndarray:
-    """The Taylor series sum c_k delta^k, as `_pair_series` gives tr B, D and U."""
-    return sum(ck * delta**k for k, ck in enumerate(c))
-
-
-def _horner(c: Sequence[float], t: float) -> tuple[float, float]:
+def _horner(c: Sequence, t: float) -> tuple:
     """The polynomial sum c_k t^k and its derivative at ``t``."""
     v = dv = 0.0
     for ck in reversed(c):
@@ -661,8 +646,9 @@ def measure_isola(
 ) -> IsolaMeasurement:
     """Locate and measure the isola near mu = 1/4 without the closed form.
 
-    The only theory inputs are the start mu0(eps), the pair's imaginary part
-    there and the window every solve must lie in, mu0 +- window_scale*eps^3:
+    The only theory inputs are `closed_forms`' start mu0 = 1/4 + `MU0_EPS2`
+    eps^2, the pair's imaginary part 3/4 + `IM_CENTER_EPS2` eps^2 there and
+    the window every solve must lie in, mu0 +- window_scale*eps^3:
     generous against the O(eps^4) isola width but clear of neighboring
     collisions.  D = (lambda+ - lambda-)^2 of the pair's 2x2 reduction is
     positive exactly inside the isola.  Four solves, with no iteration: one
@@ -677,10 +663,11 @@ def measure_isola(
 
     Raises `TrackingFailure` if the pair cannot be followed, ValueError if a
     solve would leave the window, the series does not converge, no isola is
-    resolved (D at the series' vertex <= 0 or not concave there, or gap^2
-    <= 0 at the vertex solve) or an edge's check solve reads D > 0, and
-    before any solve if eps <= 0 (flat water has no isola), window_scale <= 0
-    or either is not finite.
+    resolved (the series stops before order 2, D at its vertex is <= 0 or
+    not concave there, gap^2 <= 0 at the vertex solve, or the edges at most
+    2*`_CHECK_ULPS` ulp of mu apart, where D is at its rounding floor) or an
+    edge's check solve reads D > 0, and before any solve if eps <= 0 (flat
+    water has no isola), window_scale <= 0 or either is not finite.
     """
     import numpy as np
 
@@ -691,8 +678,7 @@ def measure_isola(
         raise _ArgumentError(f"eps must be positive, got {eps}: flat water has no isola")
     if window_scale <= 0:
         raise _ArgumentError(f"window_scale must be positive, got {window_scale}")
-    theory = isola(assemble_reduced_jet(), eps)
-    mu0, guess = theory.mu0, (1j * theory.im_center,) * 2
+    mu0, guess = MU_STAR + cf.MU0_EPS2 * eps * eps, (1j * (OMEGA_STAR + cf.IM_CENTER_EPS2 * eps**2),) * 2
     half = window_scale * eps**3
     lo, hi = mu0 - half, mu0 + half
     mu_s, reach = mu0 - 1.2 * eps**4, _REACH * eps**4
@@ -704,14 +690,19 @@ def measure_isola(
         if not lo <= mu <= hi:
             raise ValueError(f"step to {mu!r} leaves the window [{lo!r}, {hi!r}] for eps={eps}")
         if start is None:
-            pair = 1j * (shift + 0.5 * _series_at(traces, mu - mu_s))
-            start = SpectrumSample((), (pair, pair), np.hstack((_series_at(u, mu - mu_s), solved[0].block[:, 2:])))
+            pair = 1j * (shift + 0.5 * _horner(traces, mu - mu_s)[0])
+            start = SpectrumSample((), (pair, pair), np.hstack((_horner(u, mu - mu_s)[0], solved[0].block[:, 2:])))
         op = build(mu, eps, N, stokes_order)
         solved.append(spectrum(op, start=start))
         return op, solved[-1]
 
     # the first solve: the fixed block, its shift beside the closed form's pair
     shift, traces, disc, u = _pair_series(*solve(mu_s, SpectrumSample((), guess, _start_block(4 * N + 2))), reach)
+    if len(disc) < 3:
+        raise ValueError(
+            f"no isola resolved for eps={eps}, N={N}: the pair series stopped at order {len(disc) - 1}, "
+            "before D has a curvature"
+        )
     disc = [c * reach**k for k, c in enumerate(disc)]    # in t = (mu - mu_s)/reach
     slope = [k * c for k, c in enumerate(disc)][1:]
     t_max = _newton_root(slope, 0.0)
@@ -719,7 +710,7 @@ def measure_isola(
     if not (d_max > 0 and curvature < 0):
         raise ValueError(
             f"no isola resolved for eps={eps}, N={N}: at the series' vertex D {d_max:.3e}, "
-            f"d2D/dmu2 {curvature / (reach**2 or math.nan):.3e}"    # reach^2 underflows below eps ~ 2e-41
+            f"d2D/dmu2 {curvature / reach**2:.3e}"
         )
     mu_at_max = mu_s + t_max * reach
     lp, lm = solve(mu_at_max)[1].tracked_pair
@@ -728,15 +719,17 @@ def measure_isola(
         raise ValueError(f"no isola resolved for eps={eps}, N={N}: max pair gap^2 {gap2_max:.3e}")
     spread = math.sqrt(-2.0 * d_max / curvature)
 
-    def edge(side: int, name: str) -> float:
-        mu = mu_s + _newton_root(disc, t_max + side * spread) * reach
+    mu_left, mu_right = (mu_s + _newton_root(disc, t_max + side * spread) * reach for side in (-1, 1))
+    if (ulps := (mu_right - mu_left) / math.ulp(mu_at_max)) <= 2 * _CHECK_ULPS:
+        raise ValueError(
+            f"no isola resolved for eps={eps}, N={N}: width {mu_right - mu_left:.3e}, "
+            f"{ulps:.0f} ulp of mu, is at most {2 * _CHECK_ULPS}"
+        )
+    for mu, side, name in ((mu_left, -1, "left"), (mu_right, 1, "right")):
         beyond = mu + side * _CHECK_ULPS * math.ulp(mu)
         d = _pair_series(*solve(beyond), 0.0)[2][0]
         if d > 0:
             raise ValueError(f"no sign change of D at the {name} edge for eps={eps}: D {d:.3e} at mu={beyond!r}")
-        return mu
-
-    mu_left, mu_right = edge(-1, "left"), edge(1, "right")
     return IsolaMeasurement(
         eps=eps,
         N=N,

@@ -15,7 +15,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 import scipy.linalg.lapack
 
-from stokes_isola import closed_forms, floquet
+from stokes_isola import closed_forms, floquet, instability, jets
 from stokes_isola.floquet import (
     TrackingFailure,
     _pick_pair,
@@ -27,7 +27,7 @@ from stokes_isola.floquet import (
 )
 from stokes_isola.instability import isola
 from stokes_isola.jets import assemble_reduced_jet
-from stokes_isola.stokes import omega
+from stokes_isola.stokes import A_FLOAT, P_FLOAT, omega
 
 JET = assemble_reduced_jet()
 #: Predicted isola center at eps = 0.2.
@@ -93,10 +93,10 @@ class TestBuildCache:
         d = np.arange(-N, N + 1, dtype=float) + mu
         p_toeplitz = np.zeros((dim, dim))
         a_toeplitz = np.zeros((dim, dim))
-        for kappa, c in floquet._exp_coeffs("p", eps, order):
-            p_toeplitz += c * np.eye(dim, k=-kappa)
-        for kappa, c in floquet._exp_coeffs("a", eps, order):
-            a_toeplitz += c * np.eye(dim, k=-kappa)
+        for table, toeplitz in ((P_FLOAT, p_toeplitz), (A_FLOAT, a_toeplitz)):
+            for (n, kappa), c in table.items():
+                if n <= order and c != 0:
+                    toeplitz += 0.5 * eps**n * c * np.eye(dim, k=-kappa)
         eye = np.eye(dim)
         m00 = 1j * (d[:, None] * (eye + p_toeplitz))
         m01 = np.diag(np.abs(d)).astype(complex)
@@ -641,13 +641,30 @@ class TestIsolaSearchFailures:
         with pytest.raises(ValueError, match="N must be an integer, got 24.5"):
             measure_isola(0.06, N=24.5)
 
-    @pytest.mark.parametrize("eps", [1e-300, 1e-42, 1e-20, 1e-9])
+    @pytest.mark.parametrize("eps", [1e-300, 1e-42, 1e-20, 1e-9, 1e-5])
     def test_tiny_amplitude(self, eps):
-        """Below eps ~ 5e-9 the first solve's start pair rounds to the shift
-        0.75 itself, and below eps ~ 2e-41 reach^2 underflows: each still
-        ends in the diagnosis."""
-        with pytest.raises(ValueError, match="no isola resolved"):
+        """At eps 1e-5 and below the pair series stops at order 1, before D
+        has a curvature; below eps ~ 5e-9 the first solve's start pair also
+        rounds to the shift 0.75 itself.  Each ends in the diagnosis, which
+        names the order and no nan."""
+        with pytest.raises(ValueError, match="no isola resolved .* series stopped at order 1") as info:
             measure_isola(eps)
+        assert "nan" not in str(info.value)
+
+    @pytest.mark.parametrize("eps", [2e-4, 3e-4])
+    def test_isola_narrower_than_the_check_solves(self, eps):
+        """An isola at most 2*_CHECK_ULPS ulp of mu wide (25 and 106 ulp
+        here) has D at its rounding floor, and its width would be up to 15%
+        off: it is refused."""
+        with pytest.raises(ValueError, match=r"no isola resolved .* ulp of mu, is at most 128$"):
+            measure_isola(eps)
+
+    @pytest.mark.parametrize("eps", [5e-4, 1e-3])
+    def test_narrow_isola_still_measures(self, eps):
+        """845 and 13537 ulp wide: the width within 0.07% of the closed form's."""
+        meas = measure_isola(eps)
+        assert meas.mu_width == pytest.approx(isola(JET, eps).width, rel=1e-3)
+        assert meas.solves == 4
 
     def test_no_isola_resolved(self, monkeypatch):
         """D <= 0 at the series' vertex: no isola is resolved."""
@@ -961,6 +978,28 @@ class TestOperatorParts:
         meas = measure_isola(0.06)
         points = trace_isola(0.06, TestSeriesTrace.default_grid(meas))
         assert len(points) == 25 and all(p.error is None for p in points)
+
+    def test_search_and_trace_run_no_closed_form_route(self, monkeypatch):
+        """The oracle starts from the hand-written `closed_forms` table: with
+        the term ledger, the jet and the isola record raising wherever the
+        package binds them, the search and the default trace still run, to
+        the same results."""
+        meas = measure_isola(0.06)
+        grid = TestSeriesTrace.default_grid(meas)
+        points = trace_isola(0.06, grid)
+
+        def closed_form_route(*args, **kwargs):
+            raise AssertionError("closed-form route called")
+
+        route = (jets.assemble_reduced_jet, jets._ledger, instability.isola)
+        for module in [m for key, m in sys.modules.items() if key.partition(".")[0] == "stokes_isola"]:
+            for name, value in list(vars(module).items()):
+                if any(value is f for f in route):
+                    monkeypatch.setattr(module, name, closed_form_route)
+        with pytest.raises(AssertionError, match="closed-form route called"):
+            jets.assemble_reduced_jet()
+        assert measure_isola(0.06) == meas
+        assert trace_isola(0.06, grid) == points
 
 
 class TestWarmStart:
