@@ -7,15 +7,20 @@ which side goes first, one JSON line per run.  ``tier1`` times the Tier-1
 suite `TIER1_RUNS` times in both, alternating likewise.  ``cold`` times
 `PAIRS` fresh interpreters of each `COLD` command in both, alternating
 likewise, with nothing preloaded: the import of the package and the CLI,
-each subcommand and ``scripts/isola_sweep.py``.  ``summarize`` turns the
-lines into medians, quartiles and pair wins per workload and end-to-end
-metric and per cold command, the failures, the ``src/`` line counts, the
+each subcommand and ``scripts/isola_sweep.py``.  ``counts`` counts, in one
+interpreter of each checkout, the solves (``floquet.spectrum`` calls) and
+the ``dgbtrs`` and ``dgbtrf`` calls per ``measure_isola(E)`` and per
+``isola --eps E --format json`` over the first ``--amplitudes`` of the 40
+seeded amplitudes E (`COUNT_SEED`).  ``summarize`` turns the lines into
+medians, quartiles and pair wins per workload and end-to-end metric and per
+cold command, the failures, the counts, the ``src/`` line counts, the
 Tier-1 wall times and the machine and BLAS details that the runs report.
 
     python3 scripts/bench_pairs.py run --parent P --change C --workload xval \\
         --seed 1701 --out runs.jsonl
     python3 scripts/bench_pairs.py tier1 --parent P --change C --out runs.jsonl
     python3 scripts/bench_pairs.py cold --parent P --change C --out runs.jsonl
+    python3 scripts/bench_pairs.py counts --parent P --change C --out runs.jsonl
     python3 scripts/bench_pairs.py summarize runs.jsonl --parent P --change C > BENCH.json
 
 A pair is one run of each side on the same seed; the change wins it when
@@ -54,6 +59,45 @@ COLD = {
     "convergence": [*CLI, "convergence"],
     "isola_sweep": ["scripts/isola_sweep.py", "--eps", "0.06"],
 }
+#: The counted amplitudes: draws of ``random.Random(COUNT_SEED).uniform(0.02, 0.19)``.
+COUNT_SEED = 7
+COUNT_AMPLITUDES = 40
+#: Run as ``python -c COUNT_SCRIPT SEED N`` in a checkout; prints the mean
+#: counts per call of each operation over the first N amplitudes as one JSON object.
+COUNT_SCRIPT = """
+import contextlib, io, json, os, random, sys
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+import scipy.linalg.lapack as lapack
+from stokes_isola import cli, floquet
+
+counts = dict.fromkeys(("solves", "dgbtrs", "dgbtrf"), 0)
+
+def counted(name, fn):
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+floquet.spectrum = counted("solves", floquet.spectrum)
+lapack.dgbtrs, lapack.dgbtrf = counted("dgbtrs", lapack.dgbtrs), counted("dgbtrf", lapack.dgbtrf)
+
+def isola(eps):
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.main(["isola", "--eps", repr(eps), "--format", "json"]) != 0:
+            raise SystemExit(f"isola --eps {eps!r} failed")
+
+seed, n = map(int, sys.argv[1:])
+rng = random.Random(seed)
+amplitudes = [rng.uniform(0.02, 0.19) for _ in range(n)]
+out = {}
+for name, op in (("measure_isola", floquet.measure_isola), ("isola", isola)):
+    counts.update(dict.fromkeys(counts, 0))
+    for eps in amplitudes:
+        op(eps)
+    out[name] = {k: v / n for k, v in counts.items()}
+print(json.dumps(out))
+"""
 
 
 def _sides(args: argparse.Namespace, k: int) -> list[tuple[str, Path]]:
@@ -119,6 +163,17 @@ def cmd_cold(args: argparse.Namespace) -> None:
                     fh.write(json.dumps({"cold": name, "pair": k, "side": side,
                                          "wall_s": wall, "rc": proc.returncode}) + "\n")
                     fh.flush()
+
+
+def cmd_counts(args: argparse.Namespace) -> None:
+    with open(args.out, "a") as fh:
+        for side, root in _sides(args, 0):
+            _, proc = _run_python(root, ["-c", COUNT_SCRIPT, str(COUNT_SEED), str(args.amplitudes)])
+            if proc.returncode != 0:
+                raise SystemExit(f"counts failed in {root}: {proc.stderr.strip()}")
+            record = {"counts": side, "amplitudes": args.amplitudes, **json.loads(proc.stdout)}
+            fh.write(json.dumps(record) + "\n")
+            fh.flush()
 
 
 def _quartiles(values: list[float]) -> dict[str, float]:
@@ -195,6 +250,9 @@ def summarize(records: list[dict], bench: dict) -> dict:
                 "summaries": sorted({r["summary"] for r in tier1 if r["tier1"] == s})}
             for s in ("parent", "change")
         }
+    counts = [r for r in records if "counts" in r]
+    if counts:
+        out["counts"] = {r.pop("counts"): r for r in map(dict, counts)}
     envs = [r["info"]["env"] for r in runs if r.get("info")]
     out["machine"] = {"platform": platform.platform(), **(envs[0] if envs else {})}
     out["machine"].pop("src_sha256", None)
@@ -213,7 +271,10 @@ def main(argv=None) -> int:
     run = sub.add_parser("run", help="alternating benchmark runs of both checkouts")
     tier = sub.add_parser("tier1", help="alternating Tier-1 suite runs of both checkouts")
     cold = sub.add_parser("cold", help="alternating fresh-process runs of each cold command in both checkouts")
-    for p in (run, tier, cold):
+    counts = sub.add_parser("counts", help="solves and banded LAPACK calls per isola, in each checkout")
+    counts.add_argument("--amplitudes", type=int, default=COUNT_AMPLITUDES,
+                        help=f"count over the first this many seeded amplitudes (default {COUNT_AMPLITUDES})")
+    for p in (run, tier, cold, counts):
         p.add_argument("--parent", required=True, help="parent checkout")
         p.add_argument("--change", required=True, help="change checkout")
         p.add_argument("--out", required=True, help="JSON lines file to append to")
@@ -230,6 +291,8 @@ def main(argv=None) -> int:
         cmd_tier1(args)
     elif args.command == "cold":
         cmd_cold(args)
+    elif args.command == "counts":
+        cmd_counts(args)
     else:
         records = [json.loads(line) for line in Path(args.lines).read_text().splitlines() if line.strip()]
         doc = summarize(records, json.loads(BENCHMARK.read_text()))

@@ -370,8 +370,8 @@ def cmd_isola(cfg: argparse.Namespace) -> int:
         # center is itself only accurate to the isola's own width
         center = cfg.mu_center if cfg.mu_center is not None else meas.mu_at_max
         width = cfg.mu_width if cfg.mu_width is not None else 3.0 * meas.mu_width
-        grid = np.linspace(center - width / 2, center + width / 2, cfg.samples)
-        for pt in floquet.trace_isola(eps, grid, N=cfg.trunc[-1], stokes_order=cfg.stokes_order):
+        grid = np.linspace(center - width / 2, center + width / 2, cfg.samples).tolist()
+        for pt in floquet.trace_isola(eps, grid, N=cfg.trunc[-1], stokes_order=cfg.stokes_order, start=meas):
             status = "ok" if pt.error is None else f"tracking-failed: {pt.error}"
             rows.append(_pair_row(eps, pt.mu, pt.lambda_plus, pt.lambda_minus, "oracle", status))
 
@@ -407,7 +407,7 @@ def cmd_spectrum(cfg: argparse.Namespace) -> int:
     # the full spectrum is the output here, so this one solve stays dense
     eigs = np.linalg.eigvals(op.matrix)
     try:
-        tracked = set(floquet._pick_pair(eigs))
+        tracked = set(floquet._pick_pair(eigs.tolist()))
     except floquet.TrackingFailure as exc:
         print(f"warning: {exc}", file=sys.stderr)
         tracked = set()

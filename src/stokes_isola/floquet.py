@@ -14,10 +14,12 @@ positive.  The isola measurement takes the Taylor series in mu of tr B and
 D from one solve near `closed_forms`' mu0(eps) and reads the vertex and
 both edges off D: four solves of 2.3 subspace iterations each on average
 at N = 32 (40 seeded amplitudes in [0.02, 0.19)).  The isola trace reads
-the pair off such a series wherever one reaches, with no eigensolve.  Both
-work from the operator's Toeplitz parts, built once per amplitude, never
-the dense matrix.  Importing the module loads neither numpy nor scipy;
-numpy loads on first use, and scipy's LAPACK wrappers on the first solve.
+the pair off such a series wherever one reaches, with no eigensolve;
+started from the measurement, it reads the `isola` command's grid off the
+search's own series and solves nothing.  Both work from the operator's
+Toeplitz parts, built once per amplitude, never the dense matrix.
+Importing the module loads neither numpy nor scipy; numpy loads on first
+use, and scipy's LAPACK wrappers on the first solve.
 
 In the two-component frame the operator reads
 
@@ -213,15 +215,15 @@ class SpectrumSample:
     block: np.ndarray = field(repr=False, compare=False)
 
 
-def _pick_pair(eigs: np.ndarray) -> tuple[complex, complex]:
+def _pick_pair(eigs: Sequence[complex]) -> tuple[complex, complex]:
     """The two eigenvalues of ``eigs`` in the tracking disk, else
     `TrackingFailure`, in descending order of the part in which they differ
     more: the real part for a split pair, the imaginary part for a purely
     imaginary one, with no threshold that noise or a tiny split can cross."""
-    near = eigs[abs(eigs - CENTER) <= RADIUS]
-    if near.size != 2:
-        raise TrackingFailure(f"{near.size} eigenvalue(s) within {RADIUS} of {CENTER}; need 2")
-    z0, z1 = near.tolist()
+    near = [z for z in eigs if abs(z - CENTER) <= RADIUS]
+    if len(near) != 2:
+        raise TrackingFailure(f"{len(near)} eigenvalue(s) within {RADIUS} of {CENTER}; need 2")
+    z0, z1 = near
     part = operator.attrgetter("real" if abs(z0.real - z1.real) > abs(z0.imag - z1.imag) else "imag")
     return tuple(sorted((z0, z1), key=part, reverse=True))
 
@@ -422,7 +424,7 @@ def spectrum(op: DiscretizedOperator, start: Optional[SpectrumSample] = None) ->
     eigenvalues lie in the tracking disk or the solve fails.
     """
     eigs, block = _shift_invert(op, start)
-    return SpectrumSample(eigenvalues=eigs, tracked_pair=_pick_pair(eigs), block=block)
+    return SpectrumSample(eigenvalues=eigs, tracked_pair=_pick_pair(eigs.tolist()), block=block)
 
 
 @dataclass(frozen=True)
@@ -440,6 +442,7 @@ def trace_isola(
     mu_grid: Sequence[float],
     N: int = DEFAULT_N,
     stokes_order: int = MAX_ORDER,
+    start: Optional[IsolaMeasurement] = None,
 ) -> list[SpectrumPoint]:
     """Tracked eigenvalue pair across a grid of Floquet exponents.
 
@@ -450,18 +453,27 @@ def trace_isola(
     point and after a failure; a series expands about it when the next
     point lies within reach and it converges.  Tracking failures are
     recorded per point, not raised, so one bad point cannot kill a sweep.
-    """
-    import numpy as np
 
+    ``start``, a `measure_isola` result, lends the trace its series about
+    the search's first solve, so that points within reach of it take no
+    solve; it must be measured at this eps, N and stokes_order, else
+    ValueError before any solve.
+    """
+    if start is not None and (start.eps, start.N, start.series[0]) != (eps, N, stokes_order):
+        raise _ArgumentError(
+            f"start measured at eps={start.eps}, N={start.N}, stokes_order={start.series[0]}: "
+            f"need eps={eps}, N={N}, stokes_order={stokes_order}"
+        )
     reach = _REACH * eps**4
     points: list[SpectrumPoint] = []
-    sample = series = None    # the last solve, None at the start and after a failure; (mu, s, T_k, D_k) about it
+    sample = None    # the last solve, None at the start and after a failure
+    series = None if start is None else start.series[1:]    # (mu, s, T_k, D_k) about it or about ``start``'s
     for mu, following in zip(mu_grid, [*mu_grid[1:], math.inf]):
         try:
             if series is not None and abs(mu - series[0]) <= reach:
                 trace, disc = (_horner(c, mu - series[0])[0] for c in series[2:])
                 mid, half = 1j * (series[1] + 0.5 * trace), 0.5 * cmath.sqrt(disc)
-                lp, lm = _pick_pair(np.array([mid + half, mid - half]))
+                lp, lm = _pick_pair((mid + half, mid - half))
             else:
                 op = build(mu, eps, N, stokes_order)
                 sample, series = spectrum(op, start=sample), None
@@ -520,6 +532,9 @@ class IsolaMeasurement:
     mu_right: float
     #: Shift-invert solves the search took.
     solves: int = field(compare=False, repr=False)
+    #: (stokes_order, mu_s, s, T_k, D_k): the search's pair series about its
+    #: first solve at mu_s (`_pair_series`), which `trace_isola` can start from.
+    series: tuple = field(compare=False, repr=False)
 
     @property
     def mu_width(self) -> float:
@@ -703,6 +718,7 @@ def measure_isola(
             f"no isola resolved for eps={eps}, N={N}: the pair series stopped at order {len(disc) - 1}, "
             "before D has a curvature"
         )
+    series = (stokes_order, mu_s, shift, traces, disc)
     disc = [c * reach**k for k, c in enumerate(disc)]    # in t = (mu - mu_s)/reach
     slope = [k * c for k, c in enumerate(disc)][1:]
     t_max = _newton_root(slope, 0.0)
@@ -739,4 +755,5 @@ def measure_isola(
         mu_left=mu_left,
         mu_right=mu_right,
         solves=len(solved),
+        series=series,
     )

@@ -165,6 +165,23 @@ class TestIsola:
         code, out, err = run(capsys, "isola", "--eps", "-0.1")
         assert code == 2
 
+    @pytest.mark.parametrize("eps", ["0.02", "0.06", "0.12", "0.19"])
+    def test_trace_takes_no_solve_of_its_own(self, capsys, monkeypatch, eps):
+        """The trace starts from the search's series, so an amplitude takes
+        the search's 4 solves and no more (a trace with a series of its
+        own took a fifth)."""
+        solves = []
+        solve = floquet.spectrum
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(floquet, "spectrum", counted)
+        code, out, err = run(capsys, "isola", "--eps", eps, "--format", "json")
+        assert code == 0
+        assert len(solves) == 4
+
     def test_zero_eps_is_diagnosed_before_any_solve(self, capsys, monkeypatch):
         monkeypatch.setattr(floquet, "spectrum", None)        # no solve is attempted
         code, out, err = run(capsys, "isola", "--eps", "0")

@@ -213,8 +213,8 @@ class TestPairLabels:
         (1.8e-7 + 0.7245025707147j, -1.8e-7 + 0.7245025707149j),
     ])
     def test_labels(self, lp, lm):
-        for eigs in ([lm, lp, 2.0j], [lp, 0.0, lm]):
-            assert _pick_pair(np.array(eigs)) == (lp, lm)
+        for eigs in ([lm, lp, 2.0j], (lp, 0.0, lm), np.array([lm, 2.0j, lp])):
+            assert _pick_pair(eigs) == (lp, lm)
 
     def test_dense_labels_match_the_banded_solve_at_the_edges(self):
         """At eps 0.12, 1e-12 to 1e-7 in mu either side of both edges, the
@@ -525,9 +525,10 @@ class TestIsolaSearchCost:
 
     @pytest.mark.parametrize("eps", [0.02, 0.06, 0.12, 0.19])
     def test_iterations_per_trace_solve(self, monkeypatch, eps):
-        """The `isola` trace (25 points over three measured widths about
-        the peak) solves once, cold, at its first point and reads the rest
-        off that solve's pair series: 1 `floquet.spectrum` call, 1-3
+        """Without the measurement's series, the trace over the `isola`
+        command's grid (25 points over three measured widths about the
+        peak) solves once, cold, at its first point and reads the rest off
+        that solve's pair series: 1 `floquet.spectrum` call, 1-3
         `dgbtrf` calls (the solve's shift, a re-shift and the series'
         shift) and at most 40 `dgbtrs` calls in all (9-34 here: 6-9
         iterations and 3-25 series calls; 25 continued solves took 32-83)."""
@@ -778,20 +779,22 @@ class TestSeriesTrace:
 
     @staticmethod
     def bound(eps):
-        """4e-12 * (0.02/eps)^2: the worst seen against cold solves is
-        1.4e-12 at eps 0.02, 8.5e-14 at 0.06, 1.1e-14 at 0.12 and 5.5e-15
-        at 0.19.  A cold solve is itself no sharper there: at eps 0.02 it
-        reads up to 6.5e-13 off a 34-digit reference, where the series
-        reads 4.6e-13."""
+        """4e-12 * (0.02/eps)^2: the worst seen against cold solves on the
+        default grid is 1.4e-12 at eps 0.02, 8.5e-14 at 0.06, 2.4e-14 at
+        0.12 and 6.3e-15 at 0.19 from a series about the grid's first
+        point, and 9.8e-13, 6.6e-14, 8.6e-15 and 4.5e-15 from the
+        search's own series.  A cold solve is itself no sharper there: at
+        eps 0.02 it reads up to 6.5e-13 off a 34-digit reference, where
+        the series reads 4.6e-13."""
         return 4e-12 * (0.02 / eps) ** 2
 
     @staticmethod
-    def _traced(monkeypatch, eps, grid):
-        """The trace, the solves it made (True for one continued from an
-        earlier solve) and the greatest distance of its pair from a cold
-        solve's at any point.  Every point's pair must sum to a purely
-        imaginary number bit for bit, and off the isola have real parts
-        +0.0."""
+    def _traced(monkeypatch, eps, grid, start=None):
+        """The trace, from ``start`` if given, the solves it made (True for
+        one continued from an earlier solve) and the greatest distance of
+        its pair from a cold solve's at any point.  Every point's pair must
+        sum to a purely imaginary number bit for bit, and off the isola
+        have real parts +0.0."""
         warm = []
         solve = floquet.spectrum
 
@@ -800,7 +803,7 @@ class TestSeriesTrace:
             return solve(op, start=start)
 
         monkeypatch.setattr(floquet, "spectrum", recorded)
-        points = trace_isola(eps, grid)
+        points = trace_isola(eps, grid, start=start)
         monkeypatch.undo()
         worst = 0.0
         for p, mu in zip(points, grid):
@@ -822,6 +825,17 @@ class TestSeriesTrace:
         assert worst <= self.bound(eps)
         assert 7 <= sum(p.lambda_plus.real > 0.0 for p in points) <= 9
 
+    @pytest.mark.parametrize("eps", [0.02, 0.06, 0.12, 0.19])
+    def test_default_grid_from_the_measurement(self, monkeypatch, eps):
+        """Started from `measure_isola`'s result, as the `isola` command
+        starts it, the trace reads the whole default grid off the search's
+        own series about mu0 - 1.2 eps^4 and solves nothing."""
+        meas = measure_isola(eps)
+        points, warm, worst = self._traced(monkeypatch, eps, self.default_grid(meas), start=meas)
+        assert warm == []
+        assert worst <= self.bound(eps)
+        assert 7 <= sum(p.lambda_plus.real > 0.0 for p in points) <= 9
+
     @pytest.mark.parametrize("eps", [0.06, 0.12])
     def test_wide_grid_solves_again(self, monkeypatch, eps):
         """A grid ten widths wide, about 3.5 eps^4, outruns the series'
@@ -833,6 +847,31 @@ class TestSeriesTrace:
         points, warm, worst = self._traced(monkeypatch, eps, grid)
         assert len(warm) >= 2 and warm == [False] + [True] * (len(warm) - 1)
         assert worst <= self.bound(eps)
+
+    @pytest.mark.parametrize("eps", [0.06, 0.12])
+    def test_grid_leaving_the_measurement_series(self, monkeypatch, eps):
+        """A grid from the peak to twenty widths above it, about 7 eps^4,
+        starts within reach of the measurement's series and leaves it: the
+        points within reach take no solve, the first beyond it is solved
+        cold and the trace goes on as without ``start``.  (The ten-width
+        grid above lies within reach of it at these amplitudes.)"""
+        meas = measure_isola(eps)
+        grid = np.linspace(meas.mu_at_max, meas.mu_at_max + 20.0 * meas.mu_width, 41)
+        read = sum(abs(mu - meas.series[1]) <= floquet._REACH * eps**4 for mu in grid)
+        points, warm, worst = self._traced(monkeypatch, eps, grid, start=meas)
+        assert 0 < read < len(grid)
+        assert len(warm) >= 2 and warm == [False] + [True] * (len(warm) - 1)
+        assert worst <= self.bound(eps)
+
+    @pytest.mark.parametrize("change", [
+        dict(eps=0.0600000001), dict(N=24), dict(stokes_order=3),
+    ])
+    def test_mismatched_start_is_rejected_before_any_solve(self, monkeypatch, change):
+        meas = measure_isola(0.06)
+        monkeypatch.setattr(floquet, "spectrum", None)        # no solve is attempted
+        kwargs = {"eps": 0.06, "N": 32, "stokes_order": 4, **change}
+        with pytest.raises(ValueError, match="start measured at eps=0.06, N=32, stokes_order=4: need "):
+            trace_isola(mu_grid=self.default_grid(meas), start=meas, **kwargs)
 
     def test_series_that_does_not_converge(self, monkeypatch):
         """With no series converging, every point is solved, each continued

@@ -1,6 +1,7 @@
 """The scripts under ``scripts/`` still run against the library."""
 
 import importlib.util
+import json
 import os
 import statistics
 import subprocess
@@ -123,3 +124,22 @@ def test_bench_pairs_summary_reports_each_cold_command():
     assert (records[2]["cold"], records[2]["side"]) == ("coeffs", "change")
     coeffs = bench_pairs.summarize(records, {"end_to_end": []})["cold"]["coeffs"]
     assert coeffs["failed"] == {"parent": 0, "change": 1} and not coeffs["gain_rule_met"]
+
+
+def test_bench_pairs_counts_solves_and_banded_calls(tmp_path):
+    """``counts`` on 2 seeded amplitudes, the current checkout on both
+    sides: 4 solves per `measure_isola` and per ``isola`` command, whose
+    trace reads the search's series, so it makes the search's LAPACK calls
+    and no others."""
+    bench_pairs = _bench_pairs()
+    out = tmp_path / "runs.jsonl"
+    bench_pairs.main(["counts", "--parent", str(ROOT), "--change", str(ROOT), "--out", str(out), "--amplitudes", "2"])
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r["counts"] for r in records] == ["parent", "change"]
+    counts = bench_pairs.summarize(records, {"end_to_end": []})["counts"]
+    assert counts["parent"] == counts["change"]
+    change = counts["change"]
+    assert change["amplitudes"] == 2
+    assert change["measure_isola"]["solves"] == change["isola"]["solves"] == 4.0
+    assert change["isola"] == change["measure_isola"]
+    assert change["measure_isola"]["dgbtrs"] > change["measure_isola"]["dgbtrf"] >= 4.0
