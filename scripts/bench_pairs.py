@@ -10,8 +10,8 @@ likewise, with nothing preloaded: the import of the package and the CLI,
 each subcommand and ``scripts/isola_sweep.py``.  ``counts`` counts, in one
 interpreter of each checkout, the solves (``floquet.spectrum`` calls) and
 the ``dgbtrs`` and ``dgbtrf`` calls per ``measure_isola(E)`` and per
-``isola --eps E --format json`` over the first ``--amplitudes`` of the 40
-seeded amplitudes E (`COUNT_SEED`).  ``summarize`` turns the lines into
+``isola --eps E --format json`` over the `COUNT_AMPLITUDES` seeded
+amplitudes E (`COUNT_SEED`).  ``summarize`` turns the lines into
 medians, quartiles and pair wins per workload and end-to-end metric and per
 cold command, the failures, the counts, the ``src/`` line counts, the
 Tier-1 wall times and the machine and BLAS details that the runs report.
@@ -168,10 +168,10 @@ def cmd_cold(args: argparse.Namespace) -> None:
 def cmd_counts(args: argparse.Namespace) -> None:
     with open(args.out, "a") as fh:
         for side, root in _sides(args, 0):
-            _, proc = _run_python(root, ["-c", COUNT_SCRIPT, str(COUNT_SEED), str(args.amplitudes)])
+            _, proc = _run_python(root, ["-c", COUNT_SCRIPT, str(COUNT_SEED), str(COUNT_AMPLITUDES)])
             if proc.returncode != 0:
                 raise SystemExit(f"counts failed in {root}: {proc.stderr.strip()}")
-            record = {"counts": side, "amplitudes": args.amplitudes, **json.loads(proc.stdout)}
+            record = {"counts": side, "amplitudes": COUNT_AMPLITUDES, **json.loads(proc.stdout)}
             fh.write(json.dumps(record) + "\n")
             fh.flush()
 
@@ -272,8 +272,6 @@ def main(argv=None) -> int:
     tier = sub.add_parser("tier1", help="alternating Tier-1 suite runs of both checkouts")
     cold = sub.add_parser("cold", help="alternating fresh-process runs of each cold command in both checkouts")
     counts = sub.add_parser("counts", help="solves and banded LAPACK calls per isola, in each checkout")
-    counts.add_argument("--amplitudes", type=int, default=COUNT_AMPLITUDES,
-                        help=f"count over the first this many seeded amplitudes (default {COUNT_AMPLITUDES})")
     for p in (run, tier, cold, counts):
         p.add_argument("--parent", required=True, help="parent checkout")
         p.add_argument("--change", required=True, help="change checkout")

@@ -407,7 +407,7 @@ def cmd_spectrum(cfg: argparse.Namespace) -> int:
     # the full spectrum is the output here, so this one solve stays dense
     eigs = np.linalg.eigvals(op.matrix)
     try:
-        tracked = set(floquet._pick_pair(eigs.tolist()))
+        tracked = set(floquet._pick_pair(eigs))
     except floquet.TrackingFailure as exc:
         print(f"warning: {exc}", file=sys.stderr)
         tracked = set()

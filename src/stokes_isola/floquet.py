@@ -459,15 +459,15 @@ def trace_isola(
     solve; it must be measured at this eps, N and stokes_order, else
     ValueError before any solve.
     """
-    if start is not None and (start.eps, start.N, start.series[0]) != (eps, N, stokes_order):
+    if start is not None and (start.eps, start.N, start.stokes_order) != (eps, N, stokes_order):
         raise _ArgumentError(
-            f"start measured at eps={start.eps}, N={start.N}, stokes_order={start.series[0]}: "
+            f"start measured at eps={start.eps}, N={start.N}, stokes_order={start.stokes_order}: "
             f"need eps={eps}, N={N}, stokes_order={stokes_order}"
         )
     reach = _REACH * eps**4
     points: list[SpectrumPoint] = []
     sample = None    # the last solve, None at the start and after a failure
-    series = None if start is None else start.series[1:]    # (mu, s, T_k, D_k) about it or about ``start``'s
+    series = None if start is None else start.series    # (mu, s, T_k, D_k) about it or about ``start``'s
     for mu, following in zip(mu_grid, [*mu_grid[1:], math.inf]):
         try:
             if series is not None and abs(mu - series[0]) <= reach:
@@ -532,8 +532,9 @@ class IsolaMeasurement:
     mu_right: float
     #: Shift-invert solves the search took.
     solves: int = field(compare=False, repr=False)
-    #: (stokes_order, mu_s, s, T_k, D_k): the search's pair series about its
-    #: first solve at mu_s (`_pair_series`), which `trace_isola` can start from.
+    stokes_order: int = field(compare=False, repr=False)
+    #: (mu_s, s, T_k, D_k): the search's pair series about its first solve
+    #: at mu_s (`_pair_series`), which `trace_isola` can start from.
     series: tuple = field(compare=False, repr=False)
 
     @property
@@ -718,7 +719,7 @@ def measure_isola(
             f"no isola resolved for eps={eps}, N={N}: the pair series stopped at order {len(disc) - 1}, "
             "before D has a curvature"
         )
-    series = (stokes_order, mu_s, shift, traces, disc)
+    series = (mu_s, shift, traces, disc)
     disc = [c * reach**k for k, c in enumerate(disc)]    # in t = (mu - mu_s)/reach
     slope = [k * c for k, c in enumerate(disc)][1:]
     t_max = _newton_root(slope, 0.0)
@@ -755,5 +756,6 @@ def measure_isola(
         mu_left=mu_left,
         mu_right=mu_right,
         solves=len(solved),
+        stokes_order=stokes_order,
         series=series,
     )

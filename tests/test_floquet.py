@@ -857,7 +857,7 @@ class TestSeriesTrace:
         grid above lies within reach of it at these amplitudes.)"""
         meas = measure_isola(eps)
         grid = np.linspace(meas.mu_at_max, meas.mu_at_max + 20.0 * meas.mu_width, 41)
-        read = sum(abs(mu - meas.series[1]) <= floquet._REACH * eps**4 for mu in grid)
+        read = sum(abs(mu - meas.series[0]) <= floquet._REACH * eps**4 for mu in grid)
         points, warm, worst = self._traced(monkeypatch, eps, grid, start=meas)
         assert 0 < read < len(grid)
         assert len(warm) >= 2 and warm == [False] + [True] * (len(warm) - 1)

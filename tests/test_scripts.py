@@ -126,14 +126,15 @@ def test_bench_pairs_summary_reports_each_cold_command():
     assert coeffs["failed"] == {"parent": 0, "change": 1} and not coeffs["gain_rule_met"]
 
 
-def test_bench_pairs_counts_solves_and_banded_calls(tmp_path):
-    """``counts`` on 2 seeded amplitudes, the current checkout on both
+def test_bench_pairs_counts_solves_and_banded_calls(tmp_path, monkeypatch):
+    """``counts`` on the first 2 seeded amplitudes, the current checkout on both
     sides: 4 solves per `measure_isola` and per ``isola`` command, whose
     trace reads the search's series, so it makes the search's LAPACK calls
     and no others."""
     bench_pairs = _bench_pairs()
+    monkeypatch.setattr(bench_pairs, "COUNT_AMPLITUDES", 2)
     out = tmp_path / "runs.jsonl"
-    bench_pairs.main(["counts", "--parent", str(ROOT), "--change", str(ROOT), "--out", str(out), "--amplitudes", "2"])
+    bench_pairs.main(["counts", "--parent", str(ROOT), "--change", str(ROOT), "--out", str(out)])
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert [r["counts"] for r in records] == ["parent", "change"]
     counts = bench_pairs.summarize(records, {"end_to_end": []})["counts"]
