@@ -11,7 +11,9 @@ each subcommand and ``scripts/isola_sweep.py``.  ``counts`` counts, in one
 interpreter of each checkout, the solves (``floquet.spectrum`` calls) and
 the ``dgbtrs`` and ``dgbtrf`` calls per ``measure_isola(E)`` and per
 ``isola --eps E --format json`` over the `COUNT_AMPLITUDES` seeded
-amplitudes E (`COUNT_SEED`).  ``summarize`` turns the lines into
+amplitudes E (`COUNT_SEED`), and the calls of the closed-form kernel's
+``ent_coeff`` and ``chain_apply`` in one fresh ``verify`` and one fresh
+``coeffs`` (`KERNEL_COMMANDS`).  ``summarize`` turns the lines into
 medians, quartiles and pair wins per workload and end-to-end metric and per
 cold command, the failures, the counts, the ``src/`` line counts, the
 Tier-1 wall times and the machine and BLAS details that the runs report.
@@ -98,6 +100,38 @@ for name, op in (("measure_isola", floquet.measure_isola), ("isola", isola)):
     out[name] = {k: v / n for k, v in counts.items()}
 print(json.dumps(out))
 """
+#: The closed-form commands whose kernel calls ``counts`` records, each in a fresh interpreter.
+KERNEL_COMMANDS = ("verify", "coeffs")
+#: Run as ``python -c KERNEL_SCRIPT COMMAND`` in a checkout; prints the calls of
+#: ``entanglement.ent_coeff`` and ``entanglement.chain_apply``, wherever the
+#: package bound them, in one fresh ``COMMAND`` as one JSON object, with the
+#: couplings evaluated behind ``ent_coeff``'s cache where the checkout has one
+#: (``_coeff``; null where every call evaluates).
+KERNEL_SCRIPT = """
+import contextlib, io, json, sys
+from stokes_isola import cli, entanglement
+
+counts = dict.fromkeys(("ent_coeff", "chain_apply"), 0)
+
+def counted(name, fn):
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+for name in counts:
+    fn = getattr(entanglement, name)
+    wrapper = counted(name, fn)
+    for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "stokes_isola"]:
+        if vars(module).get(name) is fn:
+            setattr(module, name, wrapper)
+with contextlib.redirect_stdout(io.StringIO()):
+    if cli.main([sys.argv[1]]) != 0:
+        raise SystemExit(f"{sys.argv[1]} failed")
+cache = getattr(entanglement, "_coeff", None)
+counts["coeff_cache_misses"] = cache.cache_info().misses if cache else None
+print(json.dumps(counts))
+"""
 
 
 def _sides(args: argparse.Namespace, k: int) -> list[tuple[str, Path]]:
@@ -172,6 +206,11 @@ def cmd_counts(args: argparse.Namespace) -> None:
             if proc.returncode != 0:
                 raise SystemExit(f"counts failed in {root}: {proc.stderr.strip()}")
             record = {"counts": side, "amplitudes": COUNT_AMPLITUDES, **json.loads(proc.stdout)}
+            for command in KERNEL_COMMANDS:
+                _, proc = _run_python(root, ["-c", KERNEL_SCRIPT, command])
+                if proc.returncode != 0:
+                    raise SystemExit(f"counts of {command} failed in {root}: {proc.stderr.strip()}")
+                record[command] = json.loads(proc.stdout)
             fh.write(json.dumps(record) + "\n")
             fh.flush()
 
@@ -271,7 +310,8 @@ def main(argv=None) -> int:
     run = sub.add_parser("run", help="alternating benchmark runs of both checkouts")
     tier = sub.add_parser("tier1", help="alternating Tier-1 suite runs of both checkouts")
     cold = sub.add_parser("cold", help="alternating fresh-process runs of each cold command in both checkouts")
-    counts = sub.add_parser("counts", help="solves and banded LAPACK calls per isola, in each checkout")
+    counts = sub.add_parser("counts", help="solves and banded LAPACK calls per isola, kernel calls per "
+                            "verify and coeffs, in each checkout")
     for p in (run, tier, cold, counts):
         p.add_argument("--parent", required=True, help="parent checkout")
         p.add_argument("--change", required=True, help="change checkout")

@@ -10,7 +10,8 @@ coeffs       emit the jet coefficients, derived constants and the full
              intermediate-term ledger.
 isola        for each --eps: closed-form eigenvalue curve across the
              unstable band, the truncated-eigenproblem trace over a mu
-             window, and summary rows comparing the two.
+             window, and summary rows comparing the two; an amplitude that
+             fails leaves out its rows, not the others', and exits 3.
 spectrum     full truncated spectrum at one (mu, eps), tracked pair marked.
 convergence  tracked pair under truncation refinement, one row per --trunc
              (default 16, 24, 32, 48).
@@ -267,11 +268,8 @@ def _verify_rows() -> list[tuple[str, complex, complex]]:
 
     op = floquet.build(0.3, 0.0, N=16)
     eigs = np.linalg.eigvals(op.matrix)
-    dev = 0.0
-    for j in range(-16, 17):
-        for sg in (+1, -1):
-            target = 1j * omega(j, sg, 0.3)
-            dev = max(dev, float(np.min(np.abs(eigs - target))))
+    targets = np.array([1j * omega(j, sg, 0.3) for j in range(-16, 17) for sg in (+1, -1)])
+    dev = float(np.abs(eigs[:, None] - targets).min(0).max())
     rows.append(("oracle.flat-exactness[N=16,mu=0.3]", 0.0, dev))
 
     op = floquet.build(0.27, 0.08, N=16)
@@ -344,6 +342,10 @@ def cmd_coeffs(cfg: argparse.Namespace) -> int:
 # ------------------------------------------------------------------- isola
 
 
+#: The failures reported as "numerical failure: ..." with exit code 3.
+_NUMERICAL = (floquet.TrackingFailure, ValueError, ArithmeticError)
+
+
 def _pair_row(eps: float, mu: float, lp, lm, source: str, status: str) -> list:
     """One isola row; a pair of None (tracking failed) leaves its four cells empty."""
     cells = [None] * 4 if lp is None else [lp.real, lp.imag, lm.real, lm.imag]
@@ -356,8 +358,14 @@ def cmd_isola(cfg: argparse.Namespace) -> int:
     jet = jets.assemble_reduced_jet()
     header = ["eps", "mu", "re_plus", "im_plus", "re_minus", "im_minus", "source", "status"]
     rows: list[list] = []
+    failed = False
     for eps in cfg.eps:
-        meas = floquet.measure_isola(eps, N=cfg.trunc[-1], stokes_order=cfg.stokes_order)
+        try:
+            meas = floquet.measure_isola(eps, N=cfg.trunc[-1], stokes_order=cfg.stokes_order)
+        except _NUMERICAL as exc:    # the amplitudes that measured still get their rows
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            failed = True
+            continue
         th = instability.isola(jet, eps)
         # from root to root of the modelled D, about its vertex nu_re
         half = math.sqrt(th.discriminant(th.nu_re) / th.t1_sq)
@@ -387,8 +395,9 @@ def cmd_isola(cfg: argparse.Namespace) -> int:
         )
         oracle = complex(meas.re_max, meas.im_center)
         rows.append(_pair_row(eps, meas.mu_at_max, oracle, -oracle.conjugate(), "summary-oracle", status))
-    _emit(cfg, header, rows, "curves")
-    return 0
+    if rows:
+        _emit(cfg, header, rows, "curves")
+    return 3 if failed else 0
 
 
 # ---------------------------------------------------------------- spectrum
@@ -505,7 +514,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (floquet.TrackingFailure, ValueError, ArithmeticError) as exc:
+    except _NUMERICAL as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

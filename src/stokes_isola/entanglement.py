@@ -63,10 +63,14 @@ by linearity, a coefficient vector.  An optional projector
 restricts the final mode to the resonant pair P0 = {(0,-), (2,+)} or its
 complement.  ``bracket(op, left, right)`` is the one pairing primitive:
 ( B_op left , right ) for basis modes or coefficient vectors on either side.
+Each path is walked once per process: `_paths` extends the table of a chain's
+prefix by its last op, each path carrying its product of sign*coupling and its
+residue state.  Couplings, gaps and modes are cached on plain ints on first use.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Literal, Optional, Sequence, Union
@@ -151,9 +155,12 @@ def ent_coeff(ell: JetIndex, kappa: int, source: Mode, target_sigma: int) -> com
     """
     if target_sigma not in (1, -1):
         raise ValueError(f"target_sigma must be +1 or -1, got {target_sigma!r}")
-    i, n = ell.mu_order, ell.eps_order
-    j, sg = source.j, source.sigma
-    sg_t = target_sigma
+    return _coeff(ell.mu_order, ell.eps_order, kappa, source.j, source.sigma, target_sigma)
+
+
+@functools.cache
+def _coeff(i: int, n: int, kappa: int, j: int, sg: int, sg_t: int) -> complex:
+    """`ent_coeff` on plain ints: jet (i, n), source (j, sg), target sigma sg_t."""
     phase = _SQRT_SIGMA[sg] * _SQRT_SIGMA[sg_t].conjugate()
 
     if (i, n) == (1, 0):
@@ -190,6 +197,34 @@ def ent_coeff(ell: JetIndex, kappa: int, source: Mode, target_sigma: int) -> com
 # ---------------------------------------------------------------- residues
 
 
+#: Residue state of a path prefix: (pole count, product of 1/(omega_m - omega*),
+#: sum of 1/(omega_m - omega*)), the last two over the non-poles in path order.
+_EMPTY = (0, 1.0, 0.0)
+
+
+@functools.cache
+def _gap(j: int, sigma: int) -> Optional[float]:
+    """omega_m - omega* of the mode (j, sigma), or None for a pole."""
+    return None if Mode(j, sigma) in RESONANT_MODES else omega(j, sigma, MU_STAR) - OMEGA_STAR
+
+
+def _step(state: Sequence, j: int, sigma: int) -> tuple[int, float, float]:
+    """The residue state of a path extended by the mode (j, sigma)."""
+    npoles, prod, inv = state
+    r = _gap(j, sigma)
+    return (npoles + 1, prod, inv) if r is None else (npoles, prod / r, inv + 1.0 / r)
+
+
+def _factor(state: Sequence, length: int) -> float:
+    """The residue of a path of ``length`` modes from its state (`residue`)."""
+    npoles, prod, inv = state
+    if npoles == 0 or npoles == length >= 2:
+        return 0.0
+    if npoles > 2:
+        raise ValueError(f"{npoles} poles on a path of {length} modes: not covered by the case analysis")
+    return prod if npoles == 1 else -inv * prod
+
+
 def residue(modes: Sequence[Mode]) -> float:
     """Contour-integral factor for a path of ``q+1`` modes at mu = 1/4.
 
@@ -204,26 +239,15 @@ def residue(modes: Sequence[Mode]) -> float:
     * every mode a pole (path length >= 2): 0;
     * three or more poles on a longer path: outside the supported case
       analysis (raises ValueError).
+
+    The modes fold by `_step` into the state that `_factor` reads, as in `chain_apply`.
     """
     if len(modes) == 0:
         raise ValueError("residue needs at least one mode")
-    flags = [m in RESONANT_MODES for m in modes]
-    npoles = sum(flags)
-    if npoles == 0:
-        return 0.0
-    if npoles == len(modes) and len(modes) >= 2:
-        return 0.0
-    if npoles > 2:
-        raise ValueError(
-            f"{npoles} poles on a path of {len(modes)} modes: not covered by the case analysis"
-        )
-    prod, acc = 1.0, 0.0
-    for m, f in zip(modes, flags):
-        if not f:
-            r = omega(m.j, m.sigma, MU_STAR) - OMEGA_STAR
-            prod /= r
-            acc += 1.0 / r
-    return prod if npoles == 1 else -acc * prod
+    state = _EMPTY
+    for m in modes:
+        state = _step(state, m.j, m.sigma)
+    return _factor(state, len(modes))
 
 
 def residue_contour(modes: Sequence[Mode]) -> complex:
@@ -259,39 +283,52 @@ def project(vec: dict[Mode, complex], projector: Projector) -> dict[Mode, comple
     raise ValueError(f"projector must be 'P0', 'Q0' or None, got {projector!r}")
 
 
+#: The one `Mode` per (j, sigma) that `chain_apply` keys its results by.
+_mode = functools.cache(Mode)
+
+
+@functools.cache
+def _paths(ops: tuple[tuple[int, int, int], ...], j: int, sigma: int) -> tuple:
+    """(final j, final sigma, product of sign*coupling, *residue state) of every
+    path of nonzero couplings of ``ops`` ((mu_order, eps_order, kappa) each) from
+    (j, sigma), depth first with + before -: the table of ``ops[:-1]`` extended."""
+    if not ops:
+        return ((j, sigma, 1.0 + 0j, *_step(_EMPTY, j, sigma)),)
+    i, n, kappa = ops[-1]
+    out = []
+    for jp, sp, acc, *state in _paths(ops[:-1], j, sigma):
+        jt = jp + kappa
+        for sig in (1, -1):
+            c = _coeff(i, n, kappa, jp, sp, sig)
+            if c != 0:
+                out.append((jt, sig, acc * sig * c, *_step(state, jt, sig)))
+    return tuple(out)
+
+
 def chain_apply(
     ops: Sequence[ChainOp],
     source: Union[Mode, dict[Mode, complex]],
     projector: Projector = None,
 ) -> dict[Mode, complex]:
     """Coefficients of ``P[ops] source`` on the basis; ``ops[0]`` acts first.
-    ``source`` is a basis mode or a coefficient vector, as in `bracket`."""
+    ``source`` is a basis mode or a coefficient vector, as in `bracket`; each
+    path of `_paths` adds its product times its `_factor` to its final mode."""
     if len(ops) == 0:
         raise ValueError("a resolvent chain needs at least one operator")
-    out: dict[Mode, complex] = {}
-    if not isinstance(source, Mode):
-        for mode, c in source.items():
-            if c != 0:
-                for final, cc in chain_apply(ops, mode).items():
-                    out[final] = out.get(final, 0j) + c * cc
-        return project(out, projector)
-
-    def walk(path: list[Mode], acc: complex, depth: int) -> None:
-        if depth == len(ops):
-            r = residue(path)
+    if isinstance(source, Mode):
+        key = tuple((ell.mu_order, ell.eps_order, kappa) for ell, kappa in ops)
+        length = len(ops) + 1
+        sums: dict[tuple[int, int], complex] = {}
+        for j, sigma, acc, *state in _paths(key, source.j, source.sigma):
+            r = _factor(state, length)
             if r != 0.0:
-                final = path[-1]
-                out[final] = out.get(final, 0j) + acc * r
-            return
-        ell, kappa = ops[depth]
-        prev = path[-1]
-        for sig in (1, -1):
-            c = ent_coeff(ell, kappa, prev, sig)
-            if c == 0:
-                continue
-            walk(path + [Mode(prev.j + kappa, sig)], acc * sig * c, depth + 1)
-
-    walk([source], 1.0 + 0j, 0)
+                sums[j, sigma] = sums.get((j, sigma), 0j) + acc * r
+        return project({_mode(j, sigma): c for (j, sigma), c in sums.items()}, projector)
+    out: dict[Mode, complex] = {}
+    for mode, c in source.items():
+        if c != 0:
+            for final, cc in chain_apply(ops, mode).items():
+                out[final] = out.get(final, 0j) + c * cc
     return project(out, projector)
 
 
@@ -315,5 +352,5 @@ def bracket(
         for t, d in right.items():
             shift = t.j - m.j
             if kappa is None or shift == kappa:
-                total += c * d.conjugate() * ent_coeff(ell, shift, m, t.sigma)
+                total += c * d.conjugate() * _coeff(ell.mu_order, ell.eps_order, shift, m.j, m.sigma, t.sigma)
     return total

@@ -205,6 +205,25 @@ class TestIsola:
         assert (code, out) == (3, "")
         assert err.startswith("numerical failure: no isola resolved for eps=1e-20")
 
+    @pytest.mark.parametrize("order", [("0.06", "2e-4"), ("2e-4", "0.06")])
+    def test_failed_amplitude_keeps_the_others_rows(self, capsys, order):
+        """eps 2e-4 is refused (an isola at most 128 ulp of mu wide); the
+        0.06 rows are written as if it had been asked for alone."""
+        code, alone, err = run(capsys, "isola", "--eps", "0.06")
+        assert (code, err) == (0, "")
+        code, out, err = run(capsys, "isola", "--eps", order[0], "--eps", order[1])
+        assert code == 3
+        assert out == alone
+        assert err.startswith("numerical failure: no isola resolved for eps=0.0002")
+        assert err.count("\n") == 1
+
+    def test_every_failed_amplitude_gets_a_line(self, capsys):
+        code, out, err = run(capsys, "isola", "--eps", "0", "--eps", "1e-20")
+        assert (code, out) == (3, "")
+        first, second = err.splitlines()
+        assert first == "numerical failure: eps must be positive, got 0.0: flat water has no isola"
+        assert second.startswith("numerical failure: no isola resolved for eps=1e-20")
+
     def test_large_amplitude(self, capsys):
         code, out, err = run(capsys, "isola", "--eps", "0.2", "--samples", "3")
         assert code == 0

@@ -353,3 +353,164 @@ class TestExactConstants:
 
         assert omega(LOW.j, LOW.sigma, 0.25) == pytest.approx(0.75, abs=1e-15)
         assert omega(HIGH.j, HIGH.sigma, 0.25) == pytest.approx(0.75, abs=1e-15)
+
+
+def _walk(ops, source, projector=None):
+    """The recursive walk that `chain_apply` replaced: every path rebuilt
+    from the source and `residue` called on it at each leaf."""
+    out = {}
+    if not isinstance(source, Mode):
+        for mode, c in source.items():
+            if c != 0:
+                for final, cc in _walk(ops, mode).items():
+                    out[final] = out.get(final, 0j) + c * cc
+        return project(out, projector)
+
+    def walk(path, acc, depth):
+        if depth == len(ops):
+            r = residue(path)
+            if r != 0.0:
+                final = path[-1]
+                out[final] = out.get(final, 0j) + acc * r
+            return
+        ell, kappa = ops[depth]
+        prev = path[-1]
+        for sig in (1, -1):
+            c = ent_coeff(ell, kappa, prev, sig)
+            if c == 0:
+                continue
+            walk(path + [Mode(prev.j + kappa, sig)], acc * sig * c, depth + 1)
+
+    walk([source], 1.0 + 0j, 0)
+    return project(out, projector)
+
+
+def _old_residue(modes):
+    """`residue` as it was before it shared the path table's step and factor."""
+    flags = [m in RESONANT_MODES for m in modes]
+    npoles = sum(flags)
+    if npoles == 0:
+        return 0.0
+    if npoles == len(modes) and len(modes) >= 2:
+        return 0.0
+    if npoles > 2:
+        raise ValueError(
+            f"{npoles} poles on a path of {len(modes)} modes: not covered by the case analysis"
+        )
+    prod, acc = 1.0, 0.0
+    for m, f in zip(modes, flags):
+        if not f:
+            r = omega(m.j, m.sigma, MU_STAR) - OMEGA_STAR
+            prod /= r
+            acc += 1.0 / r
+    return prod if npoles == 1 else -acc * prod
+
+
+def _outcome(fn, *args):
+    """A result, or the text of the ValueError raised instead."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _same(got, want):
+    """Equal keys in equal order and == on each value."""
+    if isinstance(want, str) or isinstance(got, str):
+        return got == want
+    return list(got) == list(want) and all(got[m] == want[m] for m in want)
+
+
+SUPPORTED_OPS = [(ell, kappa) for ell in ALL_JETS for kappa in range(-4, 5) if _supports(ell, kappa)]
+PROJECTORS = [None, "P0", "Q0"]
+
+
+class TestPathTable:
+    """`chain_apply` over the shared path table against the walk it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ops=st.lists(st.sampled_from(SUPPORTED_OPS), min_size=1, max_size=4),
+        source=st.one_of(st.sampled_from(RESONANT_MODES), st.sampled_from(MODE_POOL)),
+        projector=st.sampled_from(PROJECTORS),
+    )
+    def test_matches_the_walk(self, ops, source, projector):
+        assert _same(_outcome(chain_apply, ops, source, projector), _outcome(_walk, ops, source, projector))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ops=st.lists(st.sampled_from(SUPPORTED_OPS), min_size=1, max_size=3),
+        projector=st.sampled_from(PROJECTORS),
+    )
+    def test_matches_the_walk_on_a_vector(self, ops, projector):
+        vec = {LOW: 0.3 + 1j, Mode(1, 1): 2j, HIGH: -1.5 + 0j, Mode(3, -1): 0j, Mode(-1, -1): 0.25 - 0.5j}
+        assert _same(_outcome(chain_apply, ops, vec, projector), _outcome(_walk, ops, vec, projector))
+
+    def test_catalog_and_route_chains_match_the_walk(self):
+        from stokes_isola import jets
+
+        chains = [list(row[3]) for row in jets._CATALOG]
+        chains += [c for k in (1, 2, 3) for c in jets._composite_projector_chains()[k]]
+        for chain in chains:
+            for source in RESONANT_MODES:
+                for projector in PROJECTORS:
+                    assert _same(
+                        _outcome(chain_apply, chain, source, projector),
+                        _outcome(_walk, chain, source, projector),
+                    )
+
+    def test_three_pole_path_raises_the_same_error(self):
+        # (0,-) -> (1,+-) -> (2,+) -> (1,+-) -> (0,-): three poles on five modes
+        ops = [(B01, +1), (B01, +1), (B01, -1), (B01, -1)]
+        with pytest.raises(ValueError) as table:
+            chain_apply(ops, LOW)
+        with pytest.raises(ValueError) as walked:
+            _walk(ops, LOW)
+        assert str(table.value) == str(walked.value)
+        assert str(table.value) == "3 poles on a path of 5 modes: not covered by the case analysis"
+
+    @settings(max_examples=200, deadline=None)
+    @given(path=st.lists(st.sampled_from(MODE_POOL), min_size=1, max_size=5))
+    def test_residue_keeps_its_values(self, path):
+        assert _outcome(residue, path) == _outcome(_old_residue, path)
+
+    def test_caches_hold_immutable_values(self):
+        from stokes_isola import jets
+
+        jets.beta3_projector_route()
+        for name, source, _, chain, *_ in jets._CATALOG:
+            key = tuple((ell.mu_order, ell.eps_order, kappa) for ell, kappa in chain)
+            for stop in range(len(key) + 1):
+                for entry in entanglement._paths(key[:stop], source.j, source.sigma):
+                    assert type(entry) is tuple, name
+                    assert [type(v) for v in entry] == [int, int, complex, int, float, float], name
+        caches = (entanglement._paths, entanglement._coeff, entanglement._gap, entanglement._mode)
+        assert all(f.cache_info().currsize > 0 for f in caches)
+        assert type(entanglement._coeff(0, 1, 1, 0, -1, 1)) is complex
+        assert type(entanglement._gap(1, 1)) is float and entanglement._gap(0, -1) is None
+        mode = entanglement._mode(2, 1)
+        assert mode == HIGH and mode is entanglement._mode(2, 1)
+        with pytest.raises(AttributeError):
+            mode.j = 3  # frozen
+
+    def test_caches_empty_after_import(self):
+        """Importing the package and the CLI computes nothing: every cache of
+        the package starts empty, so each command pays for its own tables."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); "
+            "import stokes_isola, stokes_isola.cli; "
+            "caches = [(m.__name__, name) for m in list(sys.modules.values()) "
+            "          if m.__name__.startswith('stokes_isola') "
+            "          for name, f in vars(m).items() if hasattr(f, 'cache_info')]; "
+            "names = {name for _, name in caches}; "
+            "assert {'_paths', '_coeff', '_gap', '_mode', '_ledger'} <= names, names; "
+            "full = [(mod, name) for mod, name in caches "
+            "        if getattr(sys.modules[mod], name).cache_info().currsize]; "
+            "sys.exit(repr(full) if full else 0)"
+        )
+        subprocess.run([sys.executable, "-c", code, str(src)], check=True)

@@ -130,7 +130,7 @@ def test_bench_pairs_counts_solves_and_banded_calls(tmp_path, monkeypatch):
     """``counts`` on the first 2 seeded amplitudes, the current checkout on both
     sides: 4 solves per `measure_isola` and per ``isola`` command, whose
     trace reads the search's series, so it makes the search's LAPACK calls
-    and no others."""
+    and no others; and the kernel calls of a fresh ``verify`` and ``coeffs``."""
     bench_pairs = _bench_pairs()
     monkeypatch.setattr(bench_pairs, "COUNT_AMPLITUDES", 2)
     out = tmp_path / "runs.jsonl"
@@ -144,3 +144,7 @@ def test_bench_pairs_counts_solves_and_banded_calls(tmp_path, monkeypatch):
     assert change["measure_isola"]["solves"] == change["isola"]["solves"] == 4.0
     assert change["isola"] == change["measure_isola"]
     assert change["measure_isola"]["dgbtrs"] > change["measure_isola"]["dgbtrf"] >= 4.0
+    # the ledger's bare couplings and verify's spot checks call ent_coeff;
+    # every catalog row of more than one operator calls chain_apply
+    assert change["verify"]["ent_coeff"] > change["coeffs"]["ent_coeff"] > 0
+    assert change["verify"]["chain_apply"] > change["coeffs"]["chain_apply"] > 0
