@@ -66,11 +66,21 @@ class TestLedgerCache:
         assert len(calls) == seen
 
     def test_not_evaluated_at_import(self):
+        """Importing the package and the CLI computes nothing: the ledger and
+        every other `functools` cache of the package (the path table and its
+        int-keyed caches among them) start empty, so each command pays for
+        its own."""
         src = Path(__file__).resolve().parents[1] / "src"
         code = (
             "import sys; sys.path.insert(0, sys.argv[1]); "
             "import stokes_isola, stokes_isola.cli; "
-            "sys.exit(stokes_isola.jets._ledger.cache_info().currsize)"
+            "caches = {(m.__name__, name): f for m in list(sys.modules.values()) "
+            "          if m.__name__.split('.')[0] == 'stokes_isola' "
+            "          for name, f in vars(m).items() if hasattr(f, 'cache_info')}; "
+            "names = {name for _, name in caches}; "
+            "assert {'_ledger', '_paths', '_coeff', '_gap', '_mode'} <= names, names; "
+            "sys.exit(repr([key for key, f in caches.items() if f.cache_info().currsize]) "
+            "         if any(f.cache_info().currsize for f in caches.values()) else 0)"
         )
         subprocess.run([sys.executable, "-c", code, str(src)], check=True)
 
