@@ -11,12 +11,14 @@ each subcommand and ``scripts/isola_sweep.py``.  ``counts`` counts, in one
 interpreter of each checkout, the solves (``floquet.spectrum`` calls) and
 the ``dgbtrs`` and ``dgbtrf`` calls per ``measure_isola(E)`` and per
 ``isola --eps E --format json`` over the `COUNT_AMPLITUDES` seeded
-amplitudes E (`COUNT_SEED`), and the calls of the closed-form kernel's
-``ent_coeff`` and ``chain_apply`` in one fresh ``verify`` and one fresh
-``coeffs`` (`KERNEL_COMMANDS`).  ``summarize`` turns the lines into
-medians, quartiles and pair wins per workload and end-to-end metric and per
-cold command, the failures, the counts, the ``src/`` line counts, the
-Tier-1 wall times and the machine and BLAS details that the runs report.
+amplitudes E (`COUNT_SEED`), at whichever seam the checkout calls LAPACK
+through (``floquet._lapack()``, else ``scipy.linalg.lapack``), and the
+calls of the closed-form kernel's ``ent_coeff`` and ``chain_apply`` in one
+fresh ``verify`` and one fresh ``coeffs`` (`KERNEL_COMMANDS`).
+``summarize`` turns the lines into medians, quartiles and pair wins per
+workload and end-to-end metric and per cold command, the failures, the
+counts, the ``src/`` line counts, the Tier-1 wall times and the machine
+and BLAS details that the runs report.
 
     python3 scripts/bench_pairs.py run --parent P --change C --workload xval \\
         --seed 1701 --out runs.jsonl
@@ -70,8 +72,13 @@ COUNT_SCRIPT = """
 import contextlib, io, json, os, random, sys
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
-import scipy.linalg.lapack as lapack
 from stokes_isola import cli, floquet
+
+# the seam the checkout calls LAPACK through; before it, scipy.linalg.lapack
+if hasattr(floquet, "_lapack"):
+    lapack = floquet._lapack()
+else:
+    import scipy.linalg.lapack as lapack
 
 counts = dict.fromkeys(("solves", "dgbtrs", "dgbtrf"), 0)
 

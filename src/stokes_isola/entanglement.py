@@ -72,8 +72,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Literal, Optional, Sequence, Union
+from typing import Literal, NamedTuple, Optional, Sequence, Union
 
 from .stokes import A_FLOAT, MAX_ORDER, MU_STAR, OMEGA_STAR, P_FLOAT, omega
 
@@ -92,16 +91,15 @@ _CONTOUR_RADIUS = 0.125
 _CONTOUR_NODES = 4096
 
 
-@dataclass(frozen=True, order=True)
-class Mode:
+class Mode(NamedTuple("Mode", [("j", int), ("sigma", int)])):
     """A Fourier harmonic ``j`` together with a branch sign ``sigma``."""
 
-    j: int
-    sigma: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.sigma not in (1, -1):
-            raise ValueError(f"sigma must be +1 or -1, got {self.sigma!r}")
+    def __new__(cls, j: int, sigma: int) -> Mode:
+        if sigma not in (1, -1):
+            raise ValueError(f"sigma must be +1 or -1, got {sigma!r}")
+        return super().__new__(cls, j, sigma)
 
     def __repr__(self) -> str:  # compact: (2,+) instead of Mode(j=2, sigma=1)
         return f"({self.j},{'+' if self.sigma > 0 else '-'})"
@@ -122,20 +120,19 @@ RESONANT_MODES: tuple[Mode, Mode] = (Mode(0, -1), Mode(2, +1))
 Projector = Optional[Literal["P0", "Q0"]]
 
 
-@dataclass(frozen=True)
-class JetIndex:
+class JetIndex(NamedTuple("JetIndex", [("mu_order", int), ("eps_order", int)])):
     """Bidegree ``(mu_order, eps_order)`` of an operator jet."""
 
-    mu_order: int
-    eps_order: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.mu_order not in (0, 1):
-            raise ValueError(f"mu_order must be 0 or 1, got {self.mu_order!r}")
-        if not (0 <= self.eps_order <= MAX_ORDER):
-            raise ValueError(f"eps_order must be in 0..{MAX_ORDER}, got {self.eps_order!r}")
-        if (self.mu_order, self.eps_order) == (0, 0):
+    def __new__(cls, mu_order: int, eps_order: int) -> JetIndex:
+        if mu_order not in (0, 1):
+            raise ValueError(f"mu_order must be 0 or 1, got {mu_order!r}")
+        if not (0 <= eps_order <= MAX_ORDER):
+            raise ValueError(f"eps_order must be in 0..{MAX_ORDER}, got {eps_order!r}")
+        if (mu_order, eps_order) == (0, 0):
             raise ValueError("(0, 0) is the flat operator, not a jet direction")
+        return super().__new__(cls, mu_order, eps_order)
 
 
 ChainOp = tuple[JetIndex, int]

@@ -19,7 +19,8 @@ started from the measurement, it reads the `isola` command's grid off the
 search's own series and solves nothing.  Both work from the operator's
 Toeplitz parts, built once per amplitude, never the dense matrix.
 Importing the module loads neither numpy nor scipy; numpy loads on first
-use, and scipy's LAPACK wrappers on the first solve.
+use, and scipy's LAPACK extension on the first solve (`_lapack`), never the
+`scipy.linalg` package.
 
 In the two-component frame the operator reads
 
@@ -47,7 +48,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from . import closed_forms as cf
 from .stokes import A_FLOAT, MAX_ORDER, MU_STAR, OMEGA_STAR, P_FLOAT
@@ -117,15 +118,12 @@ class _ArgumentError(ValueError):
     this module is a search that failed."""
 
 
-@dataclass(frozen=True)
-class DiscretizedOperator:
+class DiscretizedOperator(
+    NamedTuple("DiscretizedOperator", [("mu", float), ("eps", float), ("N", int), ("stokes_order", int)])
+):
     """Truncation of the linearized operator at fixed (mu, eps); ``matrix``,
-    dense and in block order (`build`), is assembled on first access."""
-
-    mu: float
-    eps: float
-    N: int
-    stokes_order: int
+    dense and in block order (`build`), is assembled on first access and
+    kept on the instance."""
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
@@ -197,8 +195,7 @@ def build(
     return DiscretizedOperator(mu=mu, eps=eps, N=N, stokes_order=stokes_order)
 
 
-@dataclass(frozen=True)
-class SpectrumSample:
+class SpectrumSample(NamedTuple):
     """The eigenvalues of one truncation that the shift-invert solve
     converged near `CENTER`, nearest first, with the collision pair singled
     out.  ``eigenvalues`` holds the two nearest `CENTER` and any other Ritz
@@ -208,11 +205,11 @@ class SpectrumSample:
     docstring), `_BLOCK` (four) columns, rows in interleaved order
     (`_band_layout`), pair first: its first two columns span the tracked
     pair's invariant subspace.  A solve at a nearby mu can start from it
-    (`spectrum`'s ``start``); it takes no part in comparisons or the repr."""
+    (`spectrum`'s ``start``)."""
 
     eigenvalues: np.ndarray
     tracked_pair: tuple[complex, complex]
-    block: np.ndarray = field(repr=False, compare=False)
+    block: np.ndarray
 
 
 def _pick_pair(eigs: Sequence[complex]) -> tuple[complex, complex]:
@@ -279,15 +276,42 @@ def _band(op: DiscretizedOperator) -> np.ndarray:
     return flat.reshape(2 * d.size, -1).T
 
 
+@functools.cache
+def _lapack():
+    """scipy's LAPACK extension module, the seam of every LAPACK call here
+    (`dgbtrf`, `dgbtrs`, `dgeev`, `dgeqrf`, `dorgqr`).  It is loaded from its
+    file after ``import scipy``, without importing the `scipy.linalg` package,
+    which takes longer than a cold `isola` command's solves; the extension
+    registers itself under its own name, so its routines are the very
+    objects that `scipy.linalg.lapack` exposes."""
+    import importlib.machinery
+    import importlib.util
+    import os
+
+    import scipy
+
+    folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_flapack" + suffix)
+        if os.path.exists(path):
+            break
+    else:
+        raise ImportError(f"no LAPACK extension _flapack in {folder}")
+    spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @functools.lru_cache(maxsize=8)
 def _start_block(n: int) -> np.ndarray:
     """The fixed start of the subspace iteration: the orthonormalized real
     columns cos, then sin, of sqrt(2)*c*k, k = 0..n-1, c = 1.._BLOCK/2."""
     import numpy as np
-    from scipy.linalg.lapack import dgeqrf, dorgqr
 
+    lapack = _lapack()
     phases = np.sqrt(2.0) * np.outer(np.arange(n), np.arange(1, _BLOCK // 2 + 1))
-    q = dorgqr(*dgeqrf(np.hstack((np.cos(phases), np.sin(phases))))[:2])[0]
+    q = lapack.dorgqr(*lapack.dgeqrf(np.hstack((np.cos(phases), np.sin(phases))))[:2])[0]
     q.flags.writeable = False
     return q
 
@@ -311,11 +335,9 @@ def _toward_pair(shift: complex, lam0: complex, lam1: complex) -> Optional[compl
 
 def _factor(band: np.ndarray, kl: int, shift: float) -> tuple[np.ndarray, np.ndarray, int]:
     """`dgbtrf`'s (lu, piv, info) for R - ``shift``, R's band (`_band`) left unchanged."""
-    from scipy.linalg.lapack import dgbtrf
-
     ab = band.copy(order="F")
     ab[2 * kl] -= shift
-    return dgbtrf(ab, kl, kl, overwrite_ab=1)
+    return _lapack().dgbtrf(ab, kl, kl, overwrite_ab=1)
 
 
 def _shift_invert(op: DiscretizedOperator, start: Optional[SpectrumSample] = None) -> tuple[np.ndarray, np.ndarray]:
@@ -351,8 +373,8 @@ def _shift_invert(op: DiscretizedOperator, start: Optional[SpectrumSample] = Non
     is tried: omega*, then omega* moved up by `_SHIFT_NUDGE`.
     """
     import numpy as np
-    from scipy.linalg.lapack import dgbtrs, dgeev, dgeqrf, dorgqr
 
+    lapack = _lapack()
     band = _band(op)
     n = band.shape[1]
     center = float(OMEGA_STAR)
@@ -362,7 +384,7 @@ def _shift_invert(op: DiscretizedOperator, start: Optional[SpectrumSample] = Non
     else:
         if start.block.shape != (n, _BLOCK):
             raise _ArgumentError(f"start block {start.block.shape}: need {(n, _BLOCK)} for a {n}-square matrix")
-        q = dorgqr(*dgeqrf(start.block)[:2])[0]
+        q = lapack.dorgqr(*lapack.dgeqrf(start.block)[:2])[0]
         warm = _toward_pair(center, *(-1j * lam for lam in start.tracked_pair))
         if warm is not None:
             shifts.insert(0, warm.real)
@@ -378,9 +400,9 @@ def _shift_invert(op: DiscretizedOperator, start: Optional[SpectrumSample] = Non
         )
     reshift = True
     for _ in range(_MAX_ITER):
-        x = dgbtrs(lu, kl, kl, q, piv)[0]
+        x = lapack.dgbtrs(lu, kl, kl, q, piv)[0]
         h = q.T @ x
-        wr, wi, _, y, _ = dgeev(h, compute_vl=0)
+        wr, wi, _, y, _ = lapack.dgeev(h, compute_vl=0)
         r = (x - q @ h) @ y
         sq = np.add.reduce(r * r, 0).tolist()
         lams = (shift + 1.0 / (wr + 1j * wi)).tolist()
@@ -393,7 +415,7 @@ def _shift_invert(op: DiscretizedOperator, start: Optional[SpectrumSample] = Non
         ritz = [ritz[k] for k in order]
         need = [k < 2 or abs(lam - center) <= RADIUS + _MARGIN for k, (lam, _) in enumerate(ritz)]
         if all(e <= _TOL for (_, e), needed in zip(ritz, need) if needed):
-            q = q @ dorgqr(*dgeqrf(y[:, order])[:2])[0]    # the Ritz vectors' real basis, nearest first
+            q = q @ lapack.dorgqr(*lapack.dgeqrf(y[:, order])[:2])[0]    # the Ritz vectors' real basis, nearest first
             q.flags.writeable = False
             return 1j * np.array([lam for lam, e in ritz if e <= _TOL]), q
         if reshift and ritz[0][1] <= _RESHIFT_TOL and ritz[1][1] <= _RESHIFT_TOL:
@@ -401,7 +423,7 @@ def _shift_invert(op: DiscretizedOperator, start: Optional[SpectrumSample] = Non
             target = _toward_pair(shift, ritz[0][0], ritz[1][0])
             if target is not None and (moved := _factor(band, kl, target.real))[2] == 0:
                 shift, (lu, piv, _) = target.real, moved
-        q = dorgqr(*dgeqrf(x)[:2])[0]
+        q = lapack.dorgqr(*lapack.dgeqrf(x)[:2])[0]
     if all(need):
         raise TrackingFailure(
             f"shift-invert solve near {CENTER} failed: at least {_BLOCK} eigenvalues, "
@@ -427,8 +449,7 @@ def spectrum(op: DiscretizedOperator, start: Optional[SpectrumSample] = None) ->
     return SpectrumSample(eigenvalues=eigs, tracked_pair=_pick_pair(eigs.tolist()), block=block)
 
 
-@dataclass(frozen=True)
-class SpectrumPoint:
+class SpectrumPoint(NamedTuple):
     """One mu-sample of an isola trace; ``error`` is set when tracking failed."""
 
     mu: float
@@ -488,8 +509,7 @@ def trace_isola(
     return points
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     """One truncation size in a refinement study; ``delta`` is the absolute
     change of the tracked pair against the previous row (None for the first)."""
 
@@ -573,8 +593,8 @@ def _pair_series(
     before the projection, so that their large terms cancel there and
     B_0 - s carries no rounding of sigma.  G^-1 is taken on floats."""
     import numpy as np
-    from scipy.linalg.lapack import dgbtrs
 
+    dgbtrs = _lapack().dgbtrs
     p_part, a_part = _toeplitz_parts(op.eps, op.N, op.stokes_order)
     d = (np.arange(-op.N, op.N + 1, dtype=float) + op.mu)[:, None]
     sign = np.sign(d)

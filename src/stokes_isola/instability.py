@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .jets import ReducedJet
 from .stokes import MU_STAR, OMEGA_STAR
@@ -50,8 +49,7 @@ _COLLISION_RTOL = 1e-9
 _BETA1_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class EigenPair:
+class EigenPair(NamedTuple):
     """The two eigenvalues split off the collision, plus where they sit:
     ``regime`` is "inside-isola" (D > 0, symmetric real parts), "outside"
     (D < 0, purely imaginary) or "collision" (D ~ 0, double eigenvalue)."""
@@ -61,8 +59,7 @@ class EigenPair:
     regime: str
 
 
-@dataclass(frozen=True)
-class Isola:
+class Isola(NamedTuple):
     """The reduced 2x2 model at one amplitude, and its isola to leading order.
 
     The unstable band is mu0 + nu_plus <= mu <= mu0 + nu_minus, with

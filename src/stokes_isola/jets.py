@@ -36,9 +36,8 @@ loop coefficients ``beta3.loop_up`` / ``beta3.loop_down``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 from .entanglement import (
     RESONANT_MODES,
@@ -255,8 +254,7 @@ def beta3_projector_route() -> float:
 # ------------------------------------------------------------ assembled jet
 
 
-@dataclass(frozen=True)
-class ReducedJet:
+class ReducedJet(NamedTuple):
     """Taylor data of the reduced 2x2 Hermitian matrix.
 
     Generic container: synthetic coefficient sets are valid inputs to the

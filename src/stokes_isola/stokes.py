@@ -26,7 +26,7 @@ wave):
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+import operator
 
 __all__ = ["omega"]
 
@@ -38,34 +38,37 @@ MU_STAR = 0.25
 OMEGA_STAR = 0.75
 
 # Harmonic tables c_n[|k|] for the two profiles ("p" multiplies the transport
-# part of the operator, "a" the zeroth-order part).  Keys: (n, |k|); the
-# tables hold every nonzero, so an absent key is a zero coefficient.
-_P_TABLE: dict[tuple[int, int], Fraction] = {
-    (1, 1): Fraction(-2),
-    (2, 0): Fraction(3),
-    (2, 2): Fraction(-2),
-    (3, 1): Fraction(3),
-    (3, 3): Fraction(-3),
-    (4, 0): Fraction(1, 4),
-    (4, 2): Fraction(4),
-    (4, 4): Fraction(-16, 3),
+# part of the operator, "a" the zeroth-order part), each an exact ratio
+# (numerator, denominator) of ints.  Keys: (n, |k|); the tables hold every
+# nonzero, so an absent key is a zero coefficient.
+_P_TABLE: dict[tuple[int, int], tuple[int, int]] = {
+    (1, 1): (-2, 1),
+    (2, 0): (3, 1),
+    (2, 2): (-2, 1),
+    (3, 1): (3, 1),
+    (3, 3): (-3, 1),
+    (4, 0): (1, 4),
+    (4, 2): (4, 1),
+    (4, 4): (-16, 3),
 }
 
-_A_TABLE: dict[tuple[int, int], Fraction] = {
-    (1, 1): Fraction(-2),
-    (2, 0): Fraction(4),
-    (2, 2): Fraction(-2),
-    (3, 1): Fraction(4),
-    (3, 3): Fraction(-3),
-    (4, 0): Fraction(-2),
-    (4, 2): Fraction(4),
-    (4, 4): Fraction(-16, 3),
+_A_TABLE: dict[tuple[int, int], tuple[int, int]] = {
+    (1, 1): (-2, 1),
+    (2, 0): (4, 1),
+    (2, 2): (-2, 1),
+    (3, 1): (4, 1),
+    (3, 3): (-3, 1),
+    (4, 0): (-2, 1),
+    (4, 2): (4, 1),
+    (4, 4): (-16, 3),
 }
 
-#: The tables as floats, computed once: (n, kappa) -> float(c_n[kappa]) for
-#: n = 1..MAX_ORDER and every kappa in -n..n, zeros included, in that order.
+#: The tables as floats, computed once: (n, kappa) -> c_n[kappa], correctly
+#: rounded (int true division), for n = 1..MAX_ORDER and every kappa in -n..n,
+#: zeros included, in that order.
 P_FLOAT, A_FLOAT = (
-    {(n, k): float(table.get((n, abs(k)), 0)) for n in range(1, MAX_ORDER + 1) for k in range(-n, n + 1)}
+    {(n, k): operator.truediv(*table.get((n, abs(k)), (0, 1)))
+     for n in range(1, MAX_ORDER + 1) for k in range(-n, n + 1)}
     for table in (_P_TABLE, _A_TABLE)
 )
 

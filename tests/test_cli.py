@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, formats, config precedence, warnings."""
 
+import argparse
 import csv
 import io
 import json
@@ -304,14 +305,19 @@ class TestNonFiniteInput:
 
 class TestStartUp:
     """What a fresh interpreter has loaded after each step.  Importing the
-    package and the CLI loads neither numpy nor scipy, and `coeffs` runs
-    without them.  `verify` (its contour and oracle rows) and the dense
-    `spectrum` load numpy but not scipy or numpy.polynomial.  The first
-    shift-invert solve loads scipy, which itself loads numpy.polynomial."""
+    package and the CLI loads neither numpy, scipy, fractions nor decimal,
+    and `coeffs` runs without them.  `verify` (its contour and oracle rows)
+    and the dense `spectrum` load numpy but not scipy.  The first
+    shift-invert solve loads scipy and its LAPACK extension, never the
+    `scipy.linalg` package."""
+
+    MODULES = ("numpy", "scipy", "scipy.linalg", "fractions", "decimal")
 
     @pytest.fixture(scope="class")
     def loaded(self):
-        """Step -> (exit code or None, numpy, scipy, numpy.polynomial loaded)."""
+        """Step -> (exit code or None, then whether each of `MODULES` is loaded);
+        and whether `floquet._lapack()`, loaded before `scipy.linalg`, holds
+        `scipy.linalg.lapack`'s own routines."""
         code = textwrap.dedent(
             """
             import io, json, sys
@@ -320,8 +326,7 @@ class TestStartUp:
             steps = {}
 
             def after(step, rc=None):
-                mods = ("numpy", "scipy", "numpy.polynomial")
-                steps[step] = [rc, *(m in sys.modules for m in mods)]
+                steps[step] = [rc, *(m in sys.modules for m in sys.argv[2:])]
 
             import stokes_isola, stokes_isola.cli as cli
             after("import")
@@ -331,35 +336,61 @@ class TestStartUp:
             after("spectrum", cli.main(["spectrum", "--mu", "0.25", "--eps", "0.06", "--trunc", "16"]))
             stokes_isola.measure_isola(0.06)
             after("measure_isola")
-            print(json.dumps(steps), file=out)
+            after("isola", cli.main(["isola", "--eps", "0.06"]))
+            import scipy.linalg.lapack
+            names = ("dgbtrf", "dgbtrs", "dgeev", "dgeqrf", "dorgqr")
+            own = [getattr(stokes_isola.floquet._lapack(), n) is getattr(scipy.linalg.lapack, n) for n in names]
+            print(json.dumps({"steps": steps, "own": own}), file=out)
             """
         )
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(
-            [sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True
+            [sys.executable, "-c", code, str(src), *self.MODULES], capture_output=True, text=True, check=True
         )
         return json.loads(proc.stdout)
 
+    def _flags(self, loaded, module):
+        return {step: flags[1 + self.MODULES.index(module)] for step, flags in loaded["steps"].items()}
+
     def test_scipy_loads_only_for_the_oracle(self, loaded):
-        assert [rc for rc, *_ in loaded.values()] == [None, 0, 0, 0, 0, None]
-        assert {step: flags[2:] for step, flags in loaded.items()} == {
-            "import": [False, False],
-            "coeffs": [False, False],
-            "coeffs-json": [False, False],
-            "verify": [False, False],
-            "spectrum": [False, False],
-            "measure_isola": [True, True],
-        }
+        assert [flags[0] for flags in loaded["steps"].values()] == [None, 0, 0, 0, 0, None, 0]
+        steps = ["import", "coeffs", "coeffs-json", "verify", "spectrum", "measure_isola", "isola"]
+        oracle = {"measure_isola", "isola"}
+        assert self._flags(loaded, "scipy") == {step: step in oracle for step in steps}
+        assert self._flags(loaded, "scipy.linalg") == dict.fromkeys(steps, False)
 
     def test_numpy_loads_only_for_numerical_work(self, loaded):
-        assert {step: flags[1] for step, flags in loaded.items()} == {
+        assert self._flags(loaded, "numpy") == {
             "import": False,
             "coeffs": False,
             "coeffs-json": False,
             "verify": True,
             "spectrum": True,
             "measure_isola": True,
+            "isola": True,
         }
+
+    def test_import_loads_no_exact_arithmetic(self, loaded):
+        assert not any(self._flags(loaded, "fractions").values())
+        assert not any(self._flags(loaded, "decimal").values())
+
+    def test_lapack_routines_are_scipys_own(self, loaded):
+        """Loaded before `scipy.linalg` (in the fresh interpreter) or after
+        it (here), the seam holds the routines `scipy.linalg.lapack` exposes."""
+        import scipy.linalg.lapack
+
+        assert loaded["own"] == [True] * 5
+        for name in ("dgbtrf", "dgbtrs", "dgeev", "dgeqrf", "dorgqr"):
+            assert getattr(floquet._lapack(), name) is getattr(scipy.linalg.lapack, name)
+
+    def test_only_the_measurement_is_a_dataclass(self):
+        import dataclasses
+
+        records = [
+            name for module in (entanglement, floquet, instability, jets, stokes)
+            for name, obj in vars(module).items() if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+        ]
+        assert records == ["IsolaMeasurement"]
 
 
 class TestPublicApi:
@@ -659,3 +690,54 @@ class TestOutFile:
             capsys, "coeffs", "--out", str(tmp_path / "missing" / "x.csv")
         )
         assert code == 2
+
+
+class TestJsonWriter:
+    """`_emit` frames the row objects around json's C encoder; every byte is
+    what ``json.dumps(doc, indent=2, allow_nan=True)`` writes, on stdout and
+    in --out."""
+
+    @staticmethod
+    def _reference(text):
+        # every value here round-trips through json exactly, -0.0 and NaN included
+        return json.dumps(json.loads(text), indent=2, allow_nan=True) + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["coeffs"],
+        ["isola", "--eps", "0.06", "--samples", "5"],
+        ["isola", "--eps", "0.06", "--eps", "2e-4", "--samples", "3"],
+        ["spectrum", "--trunc", "8"],
+        ["convergence", "--trunc", "8", "--trunc", "12"],
+    ], ids=["coeffs", "isola", "isola-failed-amplitude", "spectrum", "convergence"])
+    def test_every_command_writes_json_dumps_bytes(self, capsys, tmp_path, argv):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code in (0, 3) and out == self._reference(out)
+        path = tmp_path / "out.json"
+        assert run(capsys, *argv, "--format", "json", "--out", str(path))[0] == code
+        assert path.read_text() == self._reference(path.read_text())
+
+    def test_verify_out_writes_json_dumps_bytes(self, capsys, tmp_path):
+        path = tmp_path / "checks.json"
+        assert run(capsys, "verify", "--format", "json", "--out", str(path))[0] == 0
+        text = path.read_text()
+        assert text == self._reference(text) and json.loads(text)["checks"]
+
+    @pytest.mark.parametrize("rows", [
+        [],
+        [
+            [math.nan, math.inf, -math.inf, None, 0, -3, "ok"],
+            [-0.0, 1e-300, 2.5e17, 7, None, True, 'q"uote \\ back, "comma\n μ-é ✓ \U0001d70e'],
+        ],
+    ], ids=["no-rows", "scalars"])
+    def test_synthetic_rows(self, capsys, tmp_path, rows):
+        header = ["a", "b", "c", "d", "e", "f", "status"]
+        path = tmp_path / "rows.json"
+        for out in (None, str(path)):
+            config = {"eps": (0.06, 1e-5), "samples": 25, "format": "json", "label": 'x"\\y', "out": out}
+            echo = {k: v for k, v in config.items() if v is not None}
+            expected = json.dumps(
+                {"config": echo, "rows": [dict(zip(header, row)) for row in rows]}, indent=2, allow_nan=True
+            ) + "\n"
+            cli._emit(argparse.Namespace(**config, perturb="p"), header, rows, "rows")
+            written = capsys.readouterr().out if out is None else path.read_text()
+            assert written == expected

@@ -1,6 +1,5 @@
 """Truncated Fourier eigenvalue oracle: exactness, symmetry, isola extraction."""
 
-import dataclasses
 import math
 import random
 import re
@@ -13,7 +12,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
-import scipy.linalg.lapack
 
 from stokes_isola import closed_forms, floquet, instability, jets
 from stokes_isola.floquet import (
@@ -375,7 +373,7 @@ class TestShiftInvertSolver:
             calls.append(kwargs)
             return ab, None, 1                    # info > 0: U has an exact zero pivot
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", singular)
+        monkeypatch.setattr(floquet._lapack(), "dgbtrf", singular)
         with pytest.raises(TrackingFailure, match=r"shift-invert.* tried, 0\.75j, 0\.750000001j$"):
             spectrum(build(0.25, 0.05, N=16))
         assert len(calls) == 2                    # the nudged shift was tried too
@@ -394,7 +392,7 @@ class TestShiftInvertSolver:
         in one iteration, so only the final rotation puts the pair first."""
         op = build(mu, 0.2, N=32)
         cold = spectrum(op)
-        reversed_start = dataclasses.replace(cold, block=cold.block[:, ::-1].copy())
+        reversed_start = cold._replace(block=cold.block[:, ::-1].copy())
         for sample in (cold, spectrum(op, start=reversed_start)):
             q = sample.block
             assert np.abs(q.conj().T @ q - np.eye(floquet._BLOCK)).max() <= 1e-14
@@ -486,7 +484,7 @@ class TestIsolaSearchCost:
         outside every solve (the pair series' own) while ``monkeypatch``
         holds."""
         solves, iterations, series, running = [], [], [], []
-        solve, inverse = floquet.spectrum, scipy.linalg.lapack.dgbtrs
+        solve, inverse = floquet.spectrum, floquet._lapack().dgbtrs
 
         def counted_solve(*args, **kwargs):
             solves.append(args)
@@ -501,7 +499,7 @@ class TestIsolaSearchCost:
             return inverse(*args, **kwargs)
 
         monkeypatch.setattr(floquet, "spectrum", counted_solve)
-        monkeypatch.setattr(scipy.linalg.lapack, "dgbtrs", counted_inverse)
+        monkeypatch.setattr(floquet._lapack(), "dgbtrs", counted_inverse)
         return solves, iterations, series
 
     @pytest.mark.parametrize("eps", [0.06, 0.12, 0.19])
@@ -536,13 +534,13 @@ class TestIsolaSearchCost:
         grid = TestSeriesTrace.default_grid(meas)
         solves, iterations, series = self._count_solves_and_iterations(monkeypatch)
         factors = []
-        factor = scipy.linalg.lapack.dgbtrf
+        factor = floquet._lapack().dgbtrf
 
         def counted_factor(*args, **kwargs):
             factors.append(args)
             return factor(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", counted_factor)
+        monkeypatch.setattr(floquet._lapack(), "dgbtrf", counted_factor)
         points = trace_isola(eps, grid, N=32)
         assert all(p.error is None for p in points)
         assert len(solves) == 1
@@ -684,7 +682,7 @@ class TestIsolaSearchFailures:
             if len(solves) < 2:
                 return sample
             centre = 0.5 * sum(sample.tracked_pair)
-            return dataclasses.replace(sample, tracked_pair=(centre, centre))
+            return sample._replace(tracked_pair=(centre, centre))
 
         monkeypatch.setattr(floquet, "spectrum", unsplit)
         with pytest.raises(ValueError, match=r"no isola resolved .* max pair gap\^2 0\.000e\+00"):

@@ -20,28 +20,28 @@ from stokes_isola.stokes import (
 
 class TestTables:
     def test_order_one(self):
-        assert _P_TABLE[1, 1] == Fraction(-2)
-        assert _A_TABLE[1, 1] == Fraction(-2)
+        assert Fraction(*_P_TABLE[1, 1]) == Fraction(-2)
+        assert Fraction(*_A_TABLE[1, 1]) == Fraction(-2)
 
     def test_order_two(self):
-        assert _P_TABLE[2, 0] == Fraction(3)
-        assert _A_TABLE[2, 0] == Fraction(4)
-        assert _P_TABLE[2, 2] == Fraction(-2)
-        assert _A_TABLE[2, 2] == Fraction(-2)
+        assert Fraction(*_P_TABLE[2, 0]) == Fraction(3)
+        assert Fraction(*_A_TABLE[2, 0]) == Fraction(4)
+        assert Fraction(*_P_TABLE[2, 2]) == Fraction(-2)
+        assert Fraction(*_A_TABLE[2, 2]) == Fraction(-2)
 
     def test_order_three(self):
-        assert _P_TABLE[3, 1] == Fraction(3)
-        assert _A_TABLE[3, 1] == Fraction(4)
-        assert _P_TABLE[3, 3] == Fraction(-3)
-        assert _A_TABLE[3, 3] == Fraction(-3)
+        assert Fraction(*_P_TABLE[3, 1]) == Fraction(3)
+        assert Fraction(*_A_TABLE[3, 1]) == Fraction(4)
+        assert Fraction(*_P_TABLE[3, 3]) == Fraction(-3)
+        assert Fraction(*_A_TABLE[3, 3]) == Fraction(-3)
 
     def test_order_four(self):
-        assert _P_TABLE[4, 0] == Fraction(1, 4)
-        assert _A_TABLE[4, 0] == Fraction(-2)
-        assert _P_TABLE[4, 2] == Fraction(4)
-        assert _A_TABLE[4, 2] == Fraction(4)
-        assert _P_TABLE[4, 4] == Fraction(-16, 3)
-        assert _A_TABLE[4, 4] == Fraction(-16, 3)
+        assert Fraction(*_P_TABLE[4, 0]) == Fraction(1, 4)
+        assert Fraction(*_A_TABLE[4, 0]) == Fraction(-2)
+        assert Fraction(*_P_TABLE[4, 2]) == Fraction(4)
+        assert Fraction(*_A_TABLE[4, 2]) == Fraction(4)
+        assert Fraction(*_P_TABLE[4, 4]) == Fraction(-16, 3)
+        assert Fraction(*_A_TABLE[4, 4]) == Fraction(-16, 3)
 
     def test_parity_gaps_are_zero(self):
         # each order n only carries harmonics of the same parity as n
@@ -73,7 +73,9 @@ class TestTables:
         for exact, view in ((_P_TABLE, P_FLOAT), (_A_TABLE, A_FLOAT)):
             assert {(n, abs(k)) for (n, k), c in view.items() if c} == set(exact)
             for (n, k), c in exact.items():
-                assert view[n, k] == view[n, -k] == float(c)
+                # an int ratio in lowest terms, its float view correctly rounded
+                assert Fraction(*c).as_integer_ratio() == c and all(type(x) is int for x in c)
+                assert view[n, k] == view[n, -k] == float(Fraction(*c))
 
 
 class TestDispersion:
