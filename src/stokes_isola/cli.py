@@ -154,24 +154,6 @@ def _cell(value) -> str:
     return str(value)
 
 
-#: The row objects' keys as ``indent=2`` lays them out two levels down, written
-#: by json's C encoder, which runs only without ``indent``.
-_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "), allow_nan=True)
-
-
-def _json_document(config: dict, payload_key: str, rows: Sequence[dict]) -> str:
-    """``json.dumps({"config": config, payload_key: rows}, indent=2, allow_nan=True)``
-    for rows of scalars, each row with at least one key.  `_ROW_ENCODER`
-    writes the rows in one call, and only their boundaries are re-framed:
-    ``},`` then a raw newline occurs nowhere else, since a JSON string
-    never holds a raw newline."""
-    doc = json.dumps({"config": config, payload_key: []}, indent=2, allow_nan=True)
-    if not rows:
-        return doc
-    body = _ROW_ENCODER.encode(rows)[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
-    return doc[:-4] + "[\n    {\n      " + body + "\n    }\n  ]\n}"    # doc ends in '[]\n}'
-
-
 def _emit(cfg: argparse.Namespace, header: Sequence[str], rows: Sequence[Sequence], payload_key: str) -> None:
     """Write rows as CSV (header + data) or JSON (config echo + row dicts).
 
@@ -184,9 +166,11 @@ def _emit(cfg: argparse.Namespace, header: Sequence[str], rows: Sequence[Sequenc
             for row in rows:
                 writer.writerow([_cell(v) for v in row])
         else:
-            config = {k: v for k, v in vars(cfg).items() if v is not None and k != "perturb"}
-            doc = _json_document(config, payload_key, [dict(zip(header, row)) for row in rows])
-            stream.write(doc + "\n")    # one write, not one per token
+            doc = {
+                "config": {k: v for k, v in vars(cfg).items() if v is not None and k != "perturb"},
+                payload_key: [dict(zip(header, row)) for row in rows],
+            }
+            stream.write(json.dumps(doc, indent=2, allow_nan=True) + "\n")    # one write, not one per token
 
     if cfg.out:
         with open(cfg.out, "w") as fh:

@@ -101,6 +101,10 @@ class Mode(NamedTuple("Mode", [("j", int), ("sigma", int)])):
             raise ValueError(f"sigma must be +1 or -1, got {sigma!r}")
         return super().__new__(cls, j, sigma)
 
+    @classmethod
+    def _make(cls, iterable) -> Mode:  # `_replace` builds through `_make`: check there too
+        return cls(*iterable)
+
     def __repr__(self) -> str:  # compact: (2,+) instead of Mode(j=2, sigma=1)
         return f"({self.j},{'+' if self.sigma > 0 else '-'})"
 
@@ -133,6 +137,10 @@ class JetIndex(NamedTuple("JetIndex", [("mu_order", int), ("eps_order", int)])):
         if (mu_order, eps_order) == (0, 0):
             raise ValueError("(0, 0) is the flat operator, not a jet direction")
         return super().__new__(cls, mu_order, eps_order)
+
+    @classmethod
+    def _make(cls, iterable) -> JetIndex:  # `_replace` builds through `_make`: check there too
+        return cls(*iterable)
 
 
 ChainOp = tuple[JetIndex, int]

@@ -307,11 +307,11 @@ class TestStartUp:
     """What a fresh interpreter has loaded after each step.  Importing the
     package and the CLI loads neither numpy, scipy, fractions nor decimal,
     and `coeffs` runs without them.  `verify` (its contour and oracle rows)
-    and the dense `spectrum` load numpy but not scipy.  The first
-    shift-invert solve loads scipy and its LAPACK extension, never the
-    `scipy.linalg` package."""
+    and the dense `spectrum` load numpy but not scipy or numpy.polynomial.
+    The first shift-invert solve loads scipy and its LAPACK extension, never
+    the `scipy.linalg` package, whose import loaded numpy.polynomial."""
 
-    MODULES = ("numpy", "scipy", "scipy.linalg", "fractions", "decimal")
+    MODULES = ("numpy", "scipy", "scipy.linalg", "numpy.polynomial", "fractions", "decimal")
 
     @pytest.fixture(scope="class")
     def loaded(self):
@@ -358,6 +358,7 @@ class TestStartUp:
         oracle = {"measure_isola", "isola"}
         assert self._flags(loaded, "scipy") == {step: step in oracle for step in steps}
         assert self._flags(loaded, "scipy.linalg") == dict.fromkeys(steps, False)
+        assert self._flags(loaded, "numpy.polynomial") == dict.fromkeys(steps, False)
 
     def test_numpy_loads_only_for_numerical_work(self, loaded):
         assert self._flags(loaded, "numpy") == {
@@ -693,9 +694,9 @@ class TestOutFile:
 
 
 class TestJsonWriter:
-    """`_emit` frames the row objects around json's C encoder; every byte is
-    what ``json.dumps(doc, indent=2, allow_nan=True)`` writes, on stdout and
-    in --out."""
+    """Every byte `_emit` writes as JSON is what
+    ``json.dumps(doc, indent=2, allow_nan=True)`` writes, on stdout and in
+    --out."""
 
     @staticmethod
     def _reference(text):

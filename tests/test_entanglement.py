@@ -58,6 +58,13 @@ class TestJetIndex:
         with pytest.raises(ValueError):
             JetIndex(1, 5)
 
+    def test_replace_and_make_validate(self):
+        assert JetIndex(1, 2)._replace(eps_order=3) == JetIndex(1, 3)
+        with pytest.raises(ValueError):
+            JetIndex(0, 1)._replace(eps_order=0)
+        with pytest.raises(ValueError):
+            JetIndex._make((2, 1))
+
 
 class TestEntCoeff:
     def test_frozen_value(self):
@@ -102,6 +109,13 @@ class TestMode:
             Mode(0, 0)
         with pytest.raises(ValueError):
             Mode(1, 2)
+
+    def test_replace_and_make_validate(self):
+        assert Mode(2, 1)._replace(j=3) == Mode(3, 1)
+        with pytest.raises(ValueError):
+            Mode(2, 1)._replace(sigma=0)
+        with pytest.raises(ValueError):
+            Mode._make((1, 2))
 
     def test_repr_is_compact(self):
         assert repr(Mode(2, 1)) == "(2,+)"
