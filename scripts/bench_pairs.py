@@ -11,10 +11,10 @@ each subcommand and ``scripts/isola_sweep.py``.  ``counts`` counts, in one
 interpreter of each checkout, the solves (``floquet.spectrum`` calls) and
 the ``dgbtrs`` and ``dgbtrf`` calls per ``measure_isola(E)`` and per
 ``isola --eps E --format json`` over the `COUNT_AMPLITUDES` seeded
-amplitudes E (`COUNT_SEED`), at whichever seam the checkout calls LAPACK
-through (``floquet._lapack()``, else ``scipy.linalg.lapack``), and the
-calls of the closed-form kernel's ``ent_coeff`` and ``chain_apply`` in one
-fresh ``verify`` and one fresh ``coeffs`` (`KERNEL_COMMANDS`).
+amplitudes E (`COUNT_SEED`), at the seam every LAPACK call goes through,
+``floquet._lapack()``, and the calls of the closed-form kernel's
+``ent_coeff`` and ``chain_apply`` in one fresh ``verify`` and one fresh
+``coeffs`` (`KERNEL_COMMANDS`).
 ``summarize`` turns the lines into medians, quartiles and pair wins per
 workload and end-to-end metric and per cold command, the failures, the
 counts, the ``src/`` line counts, the Tier-1 wall times and the machine
@@ -74,12 +74,7 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
 from stokes_isola import cli, floquet
 
-# the seam the checkout calls LAPACK through; before it, scipy.linalg.lapack
-if hasattr(floquet, "_lapack"):
-    lapack = floquet._lapack()
-else:
-    import scipy.linalg.lapack as lapack
-
+lapack = floquet._lapack()
 counts = dict.fromkeys(("solves", "dgbtrs", "dgbtrf"), 0)
 
 def counted(name, fn):
@@ -112,8 +107,7 @@ KERNEL_COMMANDS = ("verify", "coeffs")
 #: Run as ``python -c KERNEL_SCRIPT COMMAND`` in a checkout; prints the calls of
 #: ``entanglement.ent_coeff`` and ``entanglement.chain_apply``, wherever the
 #: package bound them, in one fresh ``COMMAND`` as one JSON object, with the
-#: couplings evaluated behind ``ent_coeff``'s cache where the checkout has one
-#: (``_coeff``; null where every call evaluates).
+#: couplings evaluated behind ``ent_coeff``'s cache ``_coeff``.
 KERNEL_SCRIPT = """
 import contextlib, io, json, sys
 from stokes_isola import cli, entanglement
@@ -135,8 +129,7 @@ for name in counts:
 with contextlib.redirect_stdout(io.StringIO()):
     if cli.main([sys.argv[1]]) != 0:
         raise SystemExit(f"{sys.argv[1]} failed")
-cache = getattr(entanglement, "_coeff", None)
-counts["coeff_cache_misses"] = cache.cache_info().misses if cache else None
+counts["coeff_cache_misses"] = entanglement._coeff.cache_info().misses
 print(json.dumps(counts))
 """
 

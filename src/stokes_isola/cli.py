@@ -316,13 +316,7 @@ def cmd_coeffs(cfg: argparse.Namespace) -> int:
     unit = instability.isola(jet, 1.0)
     rows: list[list] = []
     for name, value in [
-        ("alpha1", jet.alpha1),
-        ("gamma1", jet.gamma1),
-        ("alpha2", jet.alpha2),
-        ("gamma2", jet.gamma2),
-        ("beta1", jet.beta1),
-        ("beta2", jet.beta2),
-        ("beta3", jet.beta3),
+        *jet._asdict().items(),
         ("T1", jet.T1),
         ("T2", jet.T2),
         ("beta3_eff", jet.beta3_eff),
@@ -346,10 +340,14 @@ def cmd_coeffs(cfg: argparse.Namespace) -> int:
 _NUMERICAL = (floquet.TrackingFailure, ValueError, ArithmeticError)
 
 
+def _pair_cells(lp, lm) -> list:
+    """The four cells of a tracked pair; a pair of None (tracking failed) leaves them empty."""
+    return [None] * 4 if lp is None else [lp.real, lp.imag, lm.real, lm.imag]
+
+
 def _pair_row(eps: float, mu: float, lp, lm, source: str, status: str) -> list:
-    """One isola row; a pair of None (tracking failed) leaves its four cells empty."""
-    cells = [None] * 4 if lp is None else [lp.real, lp.imag, lm.real, lm.imag]
-    return [eps, mu, *cells, source, status]
+    """One isola row."""
+    return [eps, mu, *_pair_cells(lp, lm), source, status]
 
 
 def cmd_isola(cfg: argparse.Namespace) -> int:
@@ -437,25 +435,11 @@ def cmd_convergence(cfg: argparse.Namespace) -> int:
         print(f"error: --trunc ladder {list(cfg.trunc)} does not refine: each N must "
               "exceed the one before", file=sys.stderr)
         return 2
-    eps = cfg.eps[-1]
-    rows = []
-    for row in floquet.convergence_check(cfg.mu, eps, cfg.trunc, cfg.stokes_order):
-        rows.append(
-            [
-                row.N,
-                row.lambda_plus.real,
-                row.lambda_plus.imag,
-                row.lambda_minus.real,
-                row.lambda_minus.imag,
-                row.delta,
-            ]
-        )
-    _emit(
-        cfg,
-        ["N", "re_plus", "im_plus", "re_minus", "im_minus", "delta_prev"],
-        rows,
-        "refinement",
-    )
+    rows = [
+        [row.N, *_pair_cells(row.lambda_plus, row.lambda_minus), row.delta]
+        for row in floquet.convergence_check(cfg.mu, cfg.eps[-1], cfg.trunc, cfg.stokes_order)
+    ]
+    _emit(cfg, ["N", "re_plus", "im_plus", "re_minus", "im_minus", "delta_prev"], rows, "refinement")
     return 0
 
 

@@ -12,8 +12,9 @@ there is a `TrackingFailure`.  The pair is i*tr(B)/2 +- sqrt(D)/2 for its
 2x2 symplectic reduction B, split exactly where the discriminant D is
 positive.  The isola measurement takes the Taylor series in mu of tr B and
 D from one solve near `closed_forms`' mu0(eps) and reads the vertex and
-both edges off D: four solves of 2.3 subspace iterations each on average
-at N = 32 (40 seeded amplitudes in [0.02, 0.19)).  The isola trace reads
+both edges off D within its reach, else off the series about the vertex
+solve: four solves of 2.3 subspace iterations each on average at N = 32
+(40 seeded amplitudes in [0.02, 0.19)).  The isola trace reads
 the pair off such a series wherever one reaches, with no eigensolve;
 started from the measurement, it reads the `isola` command's grid off the
 search's own series and solves nothing.  Both work from the operator's
@@ -348,8 +349,8 @@ def _shift_invert(op: DiscretizedOperator, start: Optional[SpectrumSample] = Non
 
     It works on R (the module docstring), banded with 2*stokes_order + 1
     sub- and superdiagonals in interleaved order, at real shifts about
-    omega*: eigenvalues r of R are lambda = i*r.  ``R - shift`` is factored
-    by `dgbtrf` from `_band`.  A block of `_BLOCK` columns, four: the pair
+    omega* = -i*`CENTER`: eigenvalues r of R are lambda = i*r.  R - shift is
+    factored by `dgbtrf` from `_band`.  A block of `_BLOCK` columns: the pair
     plus two spare, goes through the inverse once per step, followed by a
     Rayleigh-Ritz step (`dgeev`); a Ritz value nu of the inverse gives
     r = shift + 1/nu, a conjugate pair of them with its Ritz vector's real
@@ -377,7 +378,7 @@ def _shift_invert(op: DiscretizedOperator, start: Optional[SpectrumSample] = Non
     lapack = _lapack()
     band = _band(op)
     n = band.shape[1]
-    center = float(OMEGA_STAR)
+    center = CENTER.imag
     shifts = [center, center + _SHIFT_NUDGE]
     if start is None:
         q = _start_block(n)
@@ -554,7 +555,8 @@ class IsolaMeasurement:
     solves: int = field(compare=False, repr=False)
     stokes_order: int = field(compare=False, repr=False)
     #: (mu_s, s, T_k, D_k): the search's pair series about its first solve
-    #: at mu_s (`_pair_series`), which `trace_isola` can start from.
+    #: at mu_s, or about its vertex solve where the first one's does not
+    #: reach the isola (`_pair_series`), which `trace_isola` can start from.
     series: tuple = field(compare=False, repr=False)
 
     @property
@@ -694,22 +696,26 @@ def measure_isola(
     reach 2 eps^4).  Newton's method on D's polynomial gives the vertex
     mu_at_max, the root of dD/dmu, and each edge, a root of D, from the
     parabola's roots about it.  A solve at mu_at_max gives
-    re_max = sqrt(gap^2)/2 and im_center, and a check solve `_CHECK_ULPS`
-    beyond each edge must read D <= 0.
+    re_max = sqrt(gap^2)/2 and im_center.  Where the vertex or an edge lies
+    beyond the reach of mu_s, the vertex, the edges, re_max and im_center
+    are read again off the series about that solve, which becomes the
+    measurement's ``series``.  A check solve `_CHECK_ULPS` beyond each edge
+    must read D <= 0.
 
     Raises `TrackingFailure` if the pair cannot be followed, ValueError if a
     solve would leave the window, the series does not converge, no isola is
     resolved (the series stops before order 2, D at its vertex is <= 0 or
-    not concave there, gap^2 <= 0 at the vertex solve, or the edges at most
+    not concave there, gap^2 <= 0 at the vertex solve, an edge lies beyond
+    the reach of the series about the vertex, or the edges at most
     2*`_CHECK_ULPS` ulp of mu apart, where D is at its rounding floor) or an
-    edge's check solve reads D > 0, and before any solve if eps <= 0 (flat
-    water has no isola), window_scale <= 0 or either is not finite.
+    edge's check solve reads D > 0, and before any solve if `build` rejects
+    eps, N or stokes_order, eps = 0 (flat water has no isola), or
+    window_scale is not positive and finite.
     """
     import numpy as np
 
-    _check_finite(eps=eps, window_scale=window_scale)
-    if eps < 0:
-        raise _ArgumentError(f"eps must be nonnegative, got {eps}")
+    build(MU_STAR, eps, N, stokes_order)    # every solve's arguments, checked before any solve
+    _check_finite(window_scale=window_scale)
     if eps == 0:
         raise _ArgumentError(f"eps must be positive, got {eps}: flat water has no isola")
     if window_scale <= 0:
@@ -726,11 +732,26 @@ def measure_isola(
         if not lo <= mu <= hi:
             raise ValueError(f"step to {mu!r} leaves the window [{lo!r}, {hi!r}] for eps={eps}")
         if start is None:
-            pair = 1j * (shift + 0.5 * _horner(traces, mu - mu_s)[0])
-            start = SpectrumSample((), (pair, pair), np.hstack((_horner(u, mu - mu_s)[0], solved[0].block[:, 2:])))
+            pair = 1j * (shift + 0.5 * _horner(traces, mu - series[0])[0])
+            start = SpectrumSample((), (pair, pair), np.hstack((_horner(u, mu - series[0])[0], solved[0].block[:, 2:])))
         op = build(mu, eps, N, stokes_order)
         solved.append(spectrum(op, start=start))
         return op, solved[-1]
+
+    def read(disc: list[float]) -> tuple[float, float, float]:
+        """D's vertex and its roots on either side, in reaches from the
+        series' centre, from D's Taylor coefficients there."""
+        disc = [c * reach**k for k, c in enumerate(disc)]    # in t = (mu - centre)/reach
+        slope = [k * c for k, c in enumerate(disc)][1:]
+        t_max = _newton_root(slope, 0.0)
+        d_max, curvature = _horner(disc, t_max)[0], _horner(slope, t_max)[1]
+        if not (d_max > 0 and curvature < 0):
+            raise ValueError(
+                f"no isola resolved for eps={eps}, N={N}: at the series' vertex D {d_max:.3e}, "
+                f"d2D/dmu2 {curvature / reach**2:.3e}"
+            )
+        spread = math.sqrt(-2.0 * d_max / curvature)
+        return t_max, *(_newton_root(disc, t_max + side * spread) for side in (-1, 1))
 
     # the first solve: the fixed block, its shift beside the closed form's pair
     shift, traces, disc, u = _pair_series(*solve(mu_s, SpectrumSample((), guess, _start_block(4 * N + 2))), reach)
@@ -740,23 +761,23 @@ def measure_isola(
             "before D has a curvature"
         )
     series = (mu_s, shift, traces, disc)
-    disc = [c * reach**k for k, c in enumerate(disc)]    # in t = (mu - mu_s)/reach
-    slope = [k * c for k, c in enumerate(disc)][1:]
-    t_max = _newton_root(slope, 0.0)
-    d_max, curvature = _horner(disc, t_max)[0], _horner(slope, t_max)[1]
-    if not (d_max > 0 and curvature < 0):
-        raise ValueError(
-            f"no isola resolved for eps={eps}, N={N}: at the series' vertex D {d_max:.3e}, "
-            f"d2D/dmu2 {curvature / reach**2:.3e}"
-        )
+    t_max, *edges = read(disc)
     mu_at_max = mu_s + t_max * reach
-    lp, lm = solve(mu_at_max)[1].tracked_pair
-    gap2_max = ((lp - lm) ** 2).real
+    lp, lm = (vertex := solve(mu_at_max))[1].tracked_pair
+    gap2_max, im_center = ((lp - lm) ** 2).real, 0.5 * (lp + lm).imag
     if gap2_max <= 0:
         raise ValueError(f"no isola resolved for eps={eps}, N={N}: max pair gap^2 {gap2_max:.3e}")
-    spread = math.sqrt(-2.0 * d_max / curvature)
-
-    mu_left, mu_right = (mu_s + _newton_root(disc, t_max + side * spread) * reach for side in (-1, 1))
+    if not all(abs(t) <= 1.0 for t in (t_max, *edges)):    # read beyond the reach: read again about the vertex
+        shift, traces, disc, u = _pair_series(*vertex, reach)
+        series, (t_max, *edges) = (mu_at_max, shift, traces, disc), read(disc)
+        if not all(abs(t) <= 1.0 for t in edges):
+            raise ValueError(
+                f"no isola resolved for eps={eps}, N={N}: an edge lies {max(map(abs, edges)):.3g} reaches "
+                f"from the series about the vertex, beyond its reach {reach:.3e}"
+            )
+        mu_at_max, offset = mu_at_max + t_max * reach, t_max * reach
+        gap2_max, im_center = _horner(disc, offset)[0], float(shift + 0.5 * _horner(traces, offset)[0])
+    mu_left, mu_right = (series[0] + t * reach for t in edges)
     if (ulps := (mu_right - mu_left) / math.ulp(mu_at_max)) <= 2 * _CHECK_ULPS:
         raise ValueError(
             f"no isola resolved for eps={eps}, N={N}: width {mu_right - mu_left:.3e}, "
@@ -772,7 +793,7 @@ def measure_isola(
         N=N,
         mu_at_max=mu_at_max,
         re_max=0.5 * math.sqrt(gap2_max),
-        im_center=0.5 * (lp + lm).imag,
+        im_center=im_center,
         mu_left=mu_left,
         mu_right=mu_right,
         solves=len(solved),

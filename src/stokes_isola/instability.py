@@ -20,7 +20,7 @@ For the deep-water Stokes jet the quadratic gap coefficient beta1 vanishes
 and the isola is controlled by the effective quartic coefficient
 beta3_eff = beta3 - beta2*T2/T1 = 37*sqrt(3)/512.  Only this degenerate
 case, beta1 = 0, is modelled: any coefficient set with beta1 = 0 can be
-passed in, and `isola` raises `ValueError` for |beta1| > 1e-12
+passed in, and `isola` raises `ValueError` for |beta1| > `_BETA_ZERO`
 (the order-eps^2 isola of finite depth) rather than return a wrong size.
 """
 
@@ -45,8 +45,8 @@ __all__ = [
 #: are treated as an exact collision.
 _COLLISION_RTOL = 1e-9
 
-#: Largest |beta1| the degenerate (order-eps^4) formulas accept.
-_BETA1_TOL = 1e-12
+#: Largest |beta| that counts as zero, in `isola` and `instability_criterion`.
+_BETA_ZERO = 1e-12
 
 
 class EigenPair(NamedTuple):
@@ -138,11 +138,11 @@ def isola(jet: ReducedJet, eps: float) -> Isola:
     its vertical semi-axis is (gamma1 - alpha1)/T1 times re_max.  At eps = 0
     the isola degenerates to the collision point (mu*, omega*).
 
-    Raises ValueError if |beta1| > 1e-12 (only the degenerate case is
+    Raises ValueError if |beta1| > `_BETA_ZERO` (only the degenerate case is
     modelled), if T1 = 0, or if gamma1 == alpha1 (the vertical extent of the
     ellipse is then not resolved at this order).
     """
-    if abs(jet.beta1) > _BETA1_TOL:
+    if abs(jet.beta1) > _BETA_ZERO:
         raise ValueError(
             f"beta1 = {jet.beta1!r}: only the degenerate case beta1 = 0 is modelled"
         )
@@ -173,16 +173,16 @@ def isola(jet: ReducedJet, eps: float) -> Isola:
     )
 
 
-def instability_criterion(betas: Sequence[float], tol: float = 1e-12) -> str:
+def instability_criterion(betas: Sequence[float]) -> str:
     """Classify stability from the effective gap coefficients.
 
     ``betas[i]`` is the coefficient opening the spectral gap at order
-    eps^(i+2); the first one above tolerance decides.  Returns
-    "unstable-at-order-<n>" for the first index with |betas[i]| > tol
-    (n = i + 2), else "stable-to-order-<len(betas)>".
+    eps^(i+2); the first one that is not zero (above `_BETA_ZERO`) decides.
+    Returns "unstable-at-order-<n>" for that index (n = i + 2), else
+    "stable-to-order-<len(betas)>".
     """
     for i, b in enumerate(betas):
-        if abs(b) > tol:
+        if abs(b) > _BETA_ZERO:
             return f"unstable-at-order-{i + 2}"
     return f"stable-to-order-{len(betas)}"
 

@@ -640,6 +640,18 @@ class TestIsolaSearchFailures:
         with pytest.raises(ValueError, match="N must be an integer, got 24.5"):
             measure_isola(0.06, N=24.5)
 
+    @pytest.mark.parametrize("N,message", [
+        ("32", "N must be an integer, got '32'"),
+        (None, "N must be an integer, got None"),
+        (0, "N must be at least 8, got 0"),
+    ])
+    def test_truncation_refused_before_any_solve(self, monkeypatch, N, message):
+        """`build` checks N first: no start block, LAPACK call or solve runs."""
+        for name in ("spectrum", "_start_block", "_lapack"):
+            monkeypatch.setattr(floquet, name, None)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            measure_isola(0.06, N=N)
+
     @pytest.mark.parametrize("eps", [1e-300, 1e-42, 1e-20, 1e-9, 1e-5])
     def test_tiny_amplitude(self, eps):
         """At eps 1e-5 and below the pair series stops at order 1, before D
@@ -688,6 +700,76 @@ class TestIsolaSearchFailures:
         with pytest.raises(ValueError, match=r"no isola resolved .* max pair gap\^2 0\.000e\+00"):
             measure_isola(0.06)
         assert len(solves) == 2
+
+
+class TestSeriesReach:
+    """The vertex and edges are read only within the reach of a series:
+    where the first series falls short, they come from the series about the
+    vertex solve, and an edge beyond that one's reach too is refused."""
+
+    @staticmethod
+    def _bisected_width(meas):
+        """The isola's width from its edges bisected on the sign of D,
+        each from a banded solve started at the vertex solve."""
+        eps, N, order = meas.eps, meas.N, meas.stokes_order
+        vertex = spectrum(build(meas.mu_at_max, eps, N, order))
+
+        def disc(mu):
+            op = build(mu, eps, N, order)
+            return floquet._pair_series(op, spectrum(op, start=vertex), 0.0)[2][0]
+
+        edges = []
+        for side in (-1, 1):
+            inside, outside = meas.mu_at_max, meas.mu_at_max + 2 * side * meas.mu_width
+            assert disc(inside) > 0 >= disc(outside)
+            while (mid := 0.5 * (inside + outside)) not in (inside, outside):
+                inside, outside = (mid, outside) if disc(mid) > 0 else (inside, mid)
+            edges.append(inside)
+        return edges[1] - edges[0]
+
+    @staticmethod
+    def _within_reach(meas):
+        reach = floquet._REACH * meas.eps**4
+        return all(abs(mu - meas.series[0]) <= reach for mu in (meas.mu_left, meas.mu_at_max, meas.mu_right))
+
+    @pytest.mark.parametrize("eps", [0.12, 0.19])
+    def test_first_order_profile_matches_bisection(self, eps):
+        """At stokes_order 1 the first series' edges lie 25.5 and 9.8
+        reaches out, 0.40% and 9.0e-5 too wide; read off the series about
+        the vertex, the width is the bisected one, in the same 4 solves."""
+        meas = measure_isola(eps, stokes_order=1)
+        assert self._within_reach(meas) and meas.solves == 4
+        assert meas.mu_width == pytest.approx(self._bisected_width(meas), rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("scale", [0.8, 1.2])
+    def test_wrong_start_is_accurate_or_diagnosed(self, monkeypatch, scale):
+        """With `closed_forms.MU0_EPS2` off by 20% each of the 40 seeded
+        amplitudes measures the width and re_max of the unscaled search
+        within 1e-8 relative, its vertex within 1e-8 widths and its
+        im_center within 1e-12, or is diagnosed.  The first series reads
+        the vertex up to 128 reaches out, and the width 5.1% off."""
+        rng = random.Random(7)
+        amplitudes = [rng.uniform(0.02, 0.19) for _ in range(40)]
+        reference = [measure_isola(eps) for eps in amplitudes]
+        assert all(self._within_reach(meas) and meas.series[0] != meas.mu_at_max for meas in reference)
+        monkeypatch.setattr(closed_forms, "MU0_EPS2", scale * closed_forms.MU0_EPS2)
+        for eps, ref in zip(amplitudes, reference):
+            try:
+                meas = measure_isola(eps)
+            except (TrackingFailure, ValueError):
+                continue
+            assert self._within_reach(meas) and meas.solves == 4
+            assert meas.mu_width == pytest.approx(ref.mu_width, rel=1e-8, abs=0)
+            assert meas.re_max == pytest.approx(ref.re_max, rel=1e-8, abs=0)
+            assert meas.mu_at_max == pytest.approx(ref.mu_at_max, rel=0, abs=1e-8 * ref.mu_width)
+            assert meas.im_center == pytest.approx(ref.im_center, rel=0, abs=1e-12)
+
+    def test_edge_beyond_the_vertex_series_is_refused(self, monkeypatch):
+        """A reach of 0.1 eps^4, under the isola's half-width, leaves the
+        edges beyond the reach of every series."""
+        monkeypatch.setattr(floquet, "_REACH", 0.1)
+        with pytest.raises(ValueError, match=r"no isola resolved .* an edge lies 1\.\d+ reaches .* reach 1\.296e-06$"):
+            measure_isola(0.06)
 
 
 class TestReducedDiscriminant:

@@ -1,5 +1,6 @@
 """Closed-form 2x2 model: the `Isola` record, its D, trace and eigenvalues, criterion."""
 
+import itertools
 import math
 import random
 
@@ -8,6 +9,7 @@ import pytest
 from numpy.polynomial import Polynomial
 
 from stokes_isola import closed_forms
+from stokes_isola.entanglement import RESONANT_MODES, JetIndex, Mode, chain_apply, ent_coeff
 from stokes_isola.instability import (
     instability_criterion,
     isola,
@@ -284,10 +286,43 @@ class TestCriterion:
 
     def test_tolerance_respected(self):
         assert instability_criterion((1e-15, 0.0, 1e-3)) == "unstable-at-order-4"
-        assert instability_criterion((1e-15,), tol=1e-16) == "unstable-at-order-2"
+
+    @pytest.mark.parametrize("beta1,zero", [(2e-12, False), (5e-13, True)])
+    def test_one_zero_threshold(self, beta1, zero):
+        """`isola` refuses a beta1 exactly where the criterion reads it as
+        opening the gap at order 2."""
+        jet = _synthetic(beta1=beta1, beta2=JET.beta2, beta3=JET.beta3)
+        order = instability_criterion((beta1, 0.0, 1.0))
+        if zero:
+            assert isola(jet, 0.06).re_max > 0
+            assert order == "unstable-at-order-4"
+        else:
+            with pytest.raises(ValueError, match="only the degenerate case beta1 = 0 is modelled"):
+                isola(jet, 0.06)
+            assert order == "unstable-at-order-2"
 
     def test_beta_sequence_values(self):
         b1, b2, b3 = stokes_beta_sequence(JET)
         assert b1 == pytest.approx(0.0, abs=1e-13)
         assert b2 == 0.0
         assert b3 == pytest.approx(closed_forms.BETA3_EFF, abs=1e-12)
+
+    def test_no_order_three_chain_reaches_the_partner(self):
+        """The eps^3 slot's literal 0.0: every chain of eps order 3 from
+        (0,-) (jet (0,3); (0,1) then (0,2); (0,2) then (0,1); (0,1) three
+        times; each with every kappa of its support) ends on an odd
+        harmonic, so none reaches (2,+), nor the resonant pair at all."""
+        low, high = RESONANT_MODES
+        chains = [
+            [(JetIndex(0, n), kappa) for n, kappa in zip(orders, kappas)]
+            for orders in ((3,), (1, 2), (2, 1), (1, 1, 1))
+            for kappas in itertools.product(*(range(-n, n + 1, 2) for n in orders))
+        ]
+        assert len(chains) == 24
+        for ops in chains:
+            modes = {low}
+            for ell, kappa in ops:
+                modes = {Mode(m.j + kappa, s) for m in modes for s in (1, -1) if ent_coeff(ell, kappa, m, s) != 0}
+            assert modes and all(m.j % 2 == 1 for m in modes), ops
+            assert chain_apply(ops, low).keys() <= modes and high not in modes, ops
+            assert chain_apply(ops, low, "P0") == {}, ops

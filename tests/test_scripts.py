@@ -59,6 +59,14 @@ def test_isola_sweep_names_a_truncation_below_8():
     assert proc.stderr == "error: N must be at least 8, got 4\n"
 
 
+def test_isola_sweep_refuses_a_zero_truncation_before_any_solve():
+    # no LAPACK routine sees N = 0, so none writes its own complaint to stdout
+    proc = _isola_sweep("--eps", "0.06", "--trunc", "0")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: N must be at least 8, got 0\n"
+    assert [line.split()[0] for line in proc.stdout.splitlines()] == ["eps"]
+
+
 def _bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(spec)
