@@ -17,8 +17,8 @@ amplitudes E (`COUNT_SEED`), at the seam every LAPACK call goes through,
 ``coeffs`` (`KERNEL_COMMANDS`).
 ``summarize`` turns the lines into medians, quartiles and pair wins per
 workload and end-to-end metric and per cold command, the failures, the
-counts, the ``src/`` line counts, the Tier-1 wall times and the machine
-and BLAS details that the runs report.
+counts, the ``src/`` line and statement counts (`_src_statements`), the
+Tier-1 wall times and the machine and BLAS details that the runs report.
 
     python3 scripts/bench_pairs.py run --parent P --change C --workload xval \\
         --seed 1701 --out runs.jsonl
@@ -38,6 +38,7 @@ worse than the parent's by more than the benchmark's relative bound.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
@@ -45,6 +46,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tokenize
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
@@ -304,6 +306,22 @@ def _src_lines(root: Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in sorted((root / "src").rglob("*.py")))
 
 
+def _src_statements(root: Path) -> int:
+    """The logical lines of ``src/`` outside docstrings: tokenize's NEWLINE
+    tokens, less those ending a statement of string literals alone.  Line
+    breaks, comments and blank lines do not move the count."""
+    count = 0
+    for path in sorted((root / "src").rglob("*.py")):
+        strings_only = True
+        for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
+            if tok.type == tokenize.NEWLINE:
+                count += not strings_only
+                strings_only = True
+            elif tok.type not in (tokenize.STRING, tokenize.NL, tokenize.COMMENT, tokenize.INDENT, tokenize.DEDENT):
+                strings_only = False
+    return count
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
@@ -320,8 +338,8 @@ def main(argv=None) -> int:
     run.add_argument("--seed", type=int, required=True, help="seed of the first pair; +1 per pair")
     summ = sub.add_parser("summarize", help="BENCH JSON from the lines, on stdout")
     summ.add_argument("lines")
-    summ.add_argument("--parent", help="parent checkout, for its src/ line count")
-    summ.add_argument("--change", help="change checkout, for its src/ line count")
+    summ.add_argument("--parent", help="parent checkout, for its src/ line and statement counts")
+    summ.add_argument("--change", help="change checkout, for its src/ line and statement counts")
     args = ap.parse_args(argv)
     if args.command == "run":
         cmd_run(args)
@@ -334,7 +352,8 @@ def main(argv=None) -> int:
     else:
         records = [json.loads(line) for line in Path(args.lines).read_text().splitlines() if line.strip()]
         doc = summarize(records, json.loads(BENCHMARK.read_text()))
-        doc["src_lines"] = {s: _src_lines(Path(getattr(args, s))) for s in ("parent", "change") if getattr(args, s)}
+        for key, count in (("src_lines", _src_lines), ("src_statements", _src_statements)):
+            doc[key] = {s: count(Path(getattr(args, s))) for s in ("parent", "change") if getattr(args, s)}
         json.dump(doc, sys.stdout, indent=1)
         sys.stdout.write("\n")
     return 0

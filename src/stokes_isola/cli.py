@@ -46,16 +46,7 @@ from typing import Optional, Sequence, TextIO
 
 from . import closed_forms as cf
 from . import floquet, instability, jets
-from .entanglement import (
-    RESONANT_MODES,
-    JetIndex,
-    Mode,
-    bracket,
-    chain_apply,
-    ent_coeff,
-    residue,
-    residue_contour,
-)
+from .entanglement import Mode, bracket, chain_apply, ent_coeff, residue, residue_contour
 from .stokes import MAX_ORDER, MU_STAR, OMEGA_STAR, omega
 
 
@@ -229,42 +220,23 @@ def _verify_rows() -> list[tuple[str, complex, complex]]:
     ]
 
     # structural spot-checks, all with closed expected values or exact zeros
-    b01 = JetIndex(0, 1)
-    b02 = JetIndex(0, 2)
-    low, high = RESONANT_MODES
-    rows.append(
-        (
-            "ent[(0,1),+1]((0,-)->(1,+))=i*5^(1/4)*(sqrt(5)-3)/8",
-            cf.ENT_01_PLUS,
-            ent_coeff(b01, +1, low, +1),
-        )
-    )
-    rows.append(
+    path, short = [jets.LOW, Mode(1, +1), jets.HIGH], [jets.LOW, Mode(1, -1)]
+    rows += [
+        ("ent[(0,1),+1]((0,-)->(1,+))=i*5^(1/4)*(sqrt(5)-3)/8", cf.ENT_01_PLUS, ent_coeff(jets.B01, +1, jets.LOW, +1)),
         (
             "conjugation[(0,2),+2]((0,-)->(2,+))",
             0.0,
-            ent_coeff(b02, +2, low, +1).conjugate()
-            - ent_coeff(b02, -2, high, -1),
-        )
-    )
-    path = [low, Mode(1, +1), high]
-    rows.append(
+            ent_coeff(jets.B02, +2, jets.LOW, +1).conjugate() - ent_coeff(jets.B02, -2, jets.HIGH, -1),
+        ),
+        ("residue.permutation[(0,-),(1,+),(2,+)]", 0.0, residue(path) - residue(list(reversed(path)))),
+        ("residue.contour[(0,-),(1,-)]", 0.0, residue(short) - residue_contour(short)),
         (
-            "residue.permutation[(0,-),(1,+),(2,+)]",
+            "dual-bracket[(0,1)+1;(0,1)+1]",
             0.0,
-            residue(path) - residue(list(reversed(path))),
-        )
-    )
-    rows.append(
-        (
-            "residue.contour[(0,-),(1,-)]",
-            0.0,
-            residue([low, Mode(1, -1)]) - residue_contour([low, Mode(1, -1)]),
-        )
-    )
-    left = bracket((b01, +1), chain_apply([(b01, +1)], low), high)
-    right = bracket((b01, +1), low, chain_apply([(b01, -1)], high))
-    rows.append(("dual-bracket[(0,1)+1;(0,1)+1]", 0.0, left - right))
+            bracket((jets.B01, +1), chain_apply([(jets.B01, +1)], jets.LOW), jets.HIGH)
+            - bracket((jets.B01, +1), jets.LOW, chain_apply([(jets.B01, -1)], jets.HIGH)),
+        ),
+    ]
 
     op = floquet.build(0.3, 0.0, N=16)
     eigs = np.linalg.eigvals(op.matrix)
@@ -414,7 +386,7 @@ def cmd_spectrum(cfg: argparse.Namespace) -> int:
     # the full spectrum is the output here, so this one solve stays dense
     eigs = np.linalg.eigvals(op.matrix)
     try:
-        tracked = set(floquet._pick_pair(eigs))
+        tracked = set(floquet._pick_pair(eigs, cfg.eps[-1]))
     except floquet.TrackingFailure as exc:
         print(f"warning: {exc}", file=sys.stderr)
         tracked = set()

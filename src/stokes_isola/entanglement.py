@@ -174,29 +174,14 @@ def _coeff(i: int, n: int, kappa: int, j: int, sg: int, sg_t: int) -> complex:
         om, s = _omega_cap(j)
         return phase / (2.0 * om) * (sg * sg_t * s - (sg + sg_t) * om)
 
-    if i == 0 and 1 <= n <= MAX_ORDER:
-        if abs(kappa) > n or (kappa - n) % 2 != 0:
-            return 0j
-        om_s, s_s = _omega_cap(j)
-        om_t, s_t = _omega_cap(j + kappa)
-        p = P_FLOAT[n, kappa]
-        a = A_FLOAT[n, kappa]
-        return (
-            0.25
-            * phase
-            * math.sqrt(om_t * om_s)
-            * (a - sg * p * om_s * s_s - sg_t * p * om_t * s_t)
-        )
-
-    if i == 1 and 1 <= n <= 3:
-        if abs(kappa) > n or (kappa - n) % 2 != 0:
-            return 0j
-        om_s, _ = _omega_cap(j)
-        om_t, _ = _omega_cap(j + kappa)
-        p = P_FLOAT[n, kappa]
-        return -0.25 * phase * (sg * om_t + sg_t * om_s) * p / math.sqrt(om_s * om_t)
-
-    return 0j
+    if not (1 <= n <= (MAX_ORDER if i == 0 else 3)) or abs(kappa) > n or (kappa - n) % 2 != 0:
+        return 0j
+    om_s, s_s = _omega_cap(j)
+    om_t, s_t = _omega_cap(j + kappa)
+    p = P_FLOAT[n, kappa]
+    if i == 0:
+        return 0.25 * phase * math.sqrt(om_t * om_s) * (A_FLOAT[n, kappa] - sg * p * om_s * s_s - sg_t * p * om_t * s_t)
+    return -0.25 * phase * (sg * om_t + sg_t * om_s) * p / math.sqrt(om_s * om_t)
 
 
 # ---------------------------------------------------------------- residues

@@ -6,8 +6,8 @@ truncate, and find the few eigenvalues of the resulting matrix nearest the
 collision frequency by a shift-invert solve: a banded LU of its real form R
 (below; banded once the two components are interleaved) and block subspace
 iteration, started from a fixed block or from one earlier solve at a
-nearby mu.  The tracked pair is the two eigenvalues in the fixed disk of
-radius `RADIUS` = 0.2 about `CENTER` = i*omega* = 0.75i; any other count
+nearby mu.  The tracked pair is the two eigenvalues in the disk of radius
+`RADIUS` = 0.2 that follows the pair (`_disk_center`); any other count
 there is a `TrackingFailure`.  The pair is i*tr(B)/2 +- sqrt(D)/2 for its
 2x2 symplectic reduction B, split exactly where the discriminant D is
 positive.  The isola measurement takes the Taylor series in mu of tr B and
@@ -49,7 +49,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from . import closed_forms as cf
 from .stokes import A_FLOAT, MAX_ORDER, MU_STAR, OMEGA_STAR, P_FLOAT
@@ -72,9 +72,10 @@ __all__ = [
 ]
 
 DEFAULT_N = 32
-#: The tracking disk: the collision pair is the two eigenvalues within
-#: `RADIUS` of `CENTER` = i*omega*.
+#: The first shift of a cold solve, i*omega*; the disk's centre at eps = 0.
 CENTER = 1j * OMEGA_STAR
+#: The tracking disk: the collision pair is the two eigenvalues within
+#: `RADIUS` of `_disk_center`.
 RADIUS = 0.2
 
 #: Columns of the shift-invert block: the tracked pair plus two spare, which
@@ -184,7 +185,8 @@ def build(
     2N+1..4N+1 the second.  ``N`` below 8 would foul the tracking window;
     ``stokes_order``, the order of the profile expansion, is 0..4.  Raises
     ValueError for these, a non-integer N or stokes_order (numpy integers
-    pass), a negative eps and a non-finite mu or eps."""
+    pass), a negative eps, a non-finite mu or eps, and an eps whose
+    eps**`MAX_ORDER`, a factor of the profiles, overflows."""
     _check_integer(N=N, stokes_order=stokes_order)
     if N < 8:
         raise _ArgumentError(f"N must be at least 8, got {N}")
@@ -193,6 +195,10 @@ def build(
     _check_finite(mu=mu, eps=eps)
     if eps < 0:
         raise _ArgumentError(f"eps must be nonnegative, got {eps}")
+    try:
+        math.pow(eps, MAX_ORDER)
+    except OverflowError:
+        raise _ArgumentError(f"eps must be small enough that eps**{MAX_ORDER} is finite, got {eps}") from None
     return DiscretizedOperator(mu=mu, eps=eps, N=N, stokes_order=stokes_order)
 
 
@@ -213,14 +219,25 @@ class SpectrumSample(NamedTuple):
     block: np.ndarray
 
 
-def _pick_pair(eigs: Sequence[complex]) -> tuple[complex, complex]:
-    """The two eigenvalues of ``eigs`` in the tracking disk, else
-    `TrackingFailure`, in descending order of the part in which they differ
-    more: the real part for a split pair, the imaginary part for a purely
-    imaginary one, with no threshold that noise or a tiny split can cross."""
-    near = [z for z in eigs if abs(z - CENTER) <= RADIUS]
+def _disk_center(eps: float) -> complex:
+    """The centre of the tracking disk at amplitude ``eps``: the pair's
+    position to order eps^2, i*(omega* + `IM_CENTER_EPS2`*eps^2), which is
+    also `measure_isola`'s guess of the pair.  The pair drifts down by about
+    (55/32)*eps^2, so a disk fixed at i*omega* loses one of it near
+    eps = 0.29."""
+    return 1j * (OMEGA_STAR + cf.IM_CENTER_EPS2 * eps**2)
+
+
+def _pick_pair(eigs: Sequence[complex], eps: float) -> tuple[complex, complex]:
+    """The two eigenvalues of ``eigs`` in the tracking disk at amplitude
+    ``eps``, else `TrackingFailure`, in descending order of the part in
+    which they differ more: the real part for a split pair, the imaginary
+    part for a purely imaginary one, with no threshold that noise or a tiny
+    split can cross."""
+    center = _disk_center(eps)
+    near = [z for z in eigs if abs(z - center) <= RADIUS]
     if len(near) != 2:
-        raise TrackingFailure(f"{len(near)} eigenvalue(s) within {RADIUS} of {CENTER}; need 2")
+        raise TrackingFailure(f"{len(near)} eigenvalue(s) within {RADIUS} of {center}; need 2")
     z0, z1 = near
     part = operator.attrgetter("real" if abs(z0.real - z1.real) > abs(z0.imag - z1.imag) else "imag")
     return tuple(sorted((z0, z1), key=part, reverse=True))
@@ -334,11 +351,15 @@ def _toward_pair(shift: complex, lam0: complex, lam1: complex) -> Optional[compl
     return target
 
 
-def _factor(band: np.ndarray, kl: int, shift: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """`dgbtrf`'s (lu, piv, info) for R - ``shift``, R's band (`_band`) left unchanged."""
-    ab = band.copy(order="F")
+def _factor(op: DiscretizedOperator, shift: float) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
+    """The banded LU of R - ``shift`` (`_band`, `dgbtrf`): the solve
+    x -> (R - shift)^-1 x on it (`dgbtrs`), and `dgbtrf`'s info, nonzero
+    where the LU is exactly singular."""
+    lapack, kl = _lapack(), 2 * op.stokes_order + 1
+    ab = _band(op)
     ab[2 * kl] -= shift
-    return _lapack().dgbtrf(ab, kl, kl, overwrite_ab=1)
+    lu, piv, info = lapack.dgbtrf(ab, kl, kl, overwrite_ab=1)
+    return lambda x: lapack.dgbtrs(lu, kl, kl, x, piv)[0], info
 
 
 def _shift_invert(op: DiscretizedOperator, start: Optional[SpectrumSample] = None) -> tuple[np.ndarray, np.ndarray]:
@@ -350,15 +371,16 @@ def _shift_invert(op: DiscretizedOperator, start: Optional[SpectrumSample] = Non
     It works on R (the module docstring), banded with 2*stokes_order + 1
     sub- and superdiagonals in interleaved order, at real shifts about
     omega* = -i*`CENTER`: eigenvalues r of R are lambda = i*r.  R - shift is
-    factored by `dgbtrf` from `_band`.  A block of `_BLOCK` columns: the pair
-    plus two spare, goes through the inverse once per step, followed by a
+    factored by `_factor`.  A block of `_BLOCK` columns: the pair plus two
+    spare, goes through the inverse once per step, followed by a
     Rayleigh-Ritz step (`dgeev`); a Ritz value nu of the inverse gives
     r = shift + 1/nu, a conjugate pair of them with its Ritz vector's real
     and imaginary parts, kept adjacent by a stable sort on the distance
     to omega*, which they share.  The iteration stops when every Ritz value
-    within `RADIUS` + `_MARGIN` of omega*, and the two nearest, have
-    relative residual |(R - shift)^-1 v - nu v| / |nu| at most `_TOL`, and
-    returns every Ritz value that meets it: only eigenvalues that the block
+    within `RADIUS` + `_MARGIN` of the disk's centre (`_disk_center`), and
+    the two nearest omega*, have relative residual
+    |(R - shift)^-1 v - nu v| / |nu| at most `_TOL`, and returns every
+    Ritz value that meets it: only eigenvalues that the block
     has turned toward are counted (`_BLOCK`).  When all four Ritz values lie
     that close, the spare columns stall, and the solve fails at `_MAX_ITER`
     saying so.
@@ -376,9 +398,8 @@ def _shift_invert(op: DiscretizedOperator, start: Optional[SpectrumSample] = Non
     import numpy as np
 
     lapack = _lapack()
-    band = _band(op)
-    n = band.shape[1]
-    center = CENTER.imag
+    n = 4 * op.N + 2
+    center, disk = CENTER.imag, _disk_center(op.eps).imag
     shifts = [center, center + _SHIFT_NUDGE]
     if start is None:
         q = _start_block(n)
@@ -389,9 +410,8 @@ def _shift_invert(op: DiscretizedOperator, start: Optional[SpectrumSample] = Non
         warm = _toward_pair(center, *(-1j * lam for lam in start.tracked_pair))
         if warm is not None:
             shifts.insert(0, warm.real)
-    kl = 2 * op.stokes_order + 1
     for shift in shifts:
-        lu, piv, info = _factor(band, kl, shift)
+        solve, info = _factor(op, shift)
         if info == 0:
             break
     else:
@@ -401,7 +421,7 @@ def _shift_invert(op: DiscretizedOperator, start: Optional[SpectrumSample] = Non
         )
     reshift = True
     for _ in range(_MAX_ITER):
-        x = lapack.dgbtrs(lu, kl, kl, q, piv)[0]
+        x = solve(q)
         h = q.T @ x
         wr, wi, _, y, _ = lapack.dgeev(h, compute_vl=0)
         r = (x - q @ h) @ y
@@ -414,7 +434,7 @@ def _shift_invert(op: DiscretizedOperator, start: Optional[SpectrumSample] = Non
             ritz.append((lam, math.sqrt(e) / math.hypot(re, im)))
         order = sorted(range(_BLOCK), key=lambda k: abs(lams[k] - center))
         ritz = [ritz[k] for k in order]
-        need = [k < 2 or abs(lam - center) <= RADIUS + _MARGIN for k, (lam, _) in enumerate(ritz)]
+        need = [k < 2 or abs(lam - disk) <= RADIUS + _MARGIN for k, (lam, _) in enumerate(ritz)]
         if all(e <= _TOL for (_, e), needed in zip(ritz, need) if needed):
             q = q @ lapack.dorgqr(*lapack.dgeqrf(y[:, order])[:2])[0]    # the Ritz vectors' real basis, nearest first
             q.flags.writeable = False
@@ -422,13 +442,13 @@ def _shift_invert(op: DiscretizedOperator, start: Optional[SpectrumSample] = Non
         if reshift and ritz[0][1] <= _RESHIFT_TOL and ritz[1][1] <= _RESHIFT_TOL:
             reshift = False
             target = _toward_pair(shift, ritz[0][0], ritz[1][0])
-            if target is not None and (moved := _factor(band, kl, target.real))[2] == 0:
-                shift, (lu, piv, _) = target.real, moved
+            if target is not None and (moved := _factor(op, target.real))[1] == 0:
+                shift, solve = target.real, moved[0]
         q = lapack.dorgqr(*lapack.dgeqrf(x)[:2])[0]
     if all(need):
         raise TrackingFailure(
             f"shift-invert solve near {CENTER} failed: at least {_BLOCK} eigenvalues, "
-            f"as many as the block has columns, lie within {RADIUS} + {_MARGIN} of it"
+            f"as many as the block has columns, lie within {RADIUS} + {_MARGIN} of {1j * disk}"
         )
     raise TrackingFailure(
         f"shift-invert solve near {CENTER} failed: no convergence in {_MAX_ITER} iterations"
@@ -438,7 +458,7 @@ def _shift_invert(op: DiscretizedOperator, start: Optional[SpectrumSample] = Non
 def spectrum(op: DiscretizedOperator, start: Optional[SpectrumSample] = None) -> SpectrumSample:
     """The eigenvalues of ``op`` converged near `CENTER` by the banded
     shift-invert solve (`_shift_invert`), plus the pair tracked among them:
-    the two within `RADIUS` of `CENTER`.
+    the two within `RADIUS` of `_disk_center` at ``op.eps``.
 
     ``start``, a sample at a nearby mu of a matrix of the same size and
     ``stokes_order``, continues its solve; one of another size raises ValueError.
@@ -447,7 +467,7 @@ def spectrum(op: DiscretizedOperator, start: Optional[SpectrumSample] = None) ->
     eigenvalues lie in the tracking disk or the solve fails.
     """
     eigs, block = _shift_invert(op, start)
-    return SpectrumSample(eigenvalues=eigs, tracked_pair=_pick_pair(eigs.tolist()), block=block)
+    return SpectrumSample(eigenvalues=eigs, tracked_pair=_pick_pair(eigs.tolist(), op.eps), block=block)
 
 
 class SpectrumPoint(NamedTuple):
@@ -495,7 +515,7 @@ def trace_isola(
             if series is not None and abs(mu - series[0]) <= reach:
                 trace, disc = (_horner(c, mu - series[0])[0] for c in series[2:])
                 mid, half = 1j * (series[1] + 0.5 * trace), 0.5 * cmath.sqrt(disc)
-                lp, lm = _pick_pair((mid + half, mid - half))
+                lp, lm = _pick_pair((mid + half, mid - half), eps)
             else:
                 op = build(mu, eps, N, stokes_order)
                 sample, series = spectrum(op, start=sample), None
@@ -596,7 +616,6 @@ def _pair_series(
     B_0 - s carries no rounding of sigma.  G^-1 is taken on floats."""
     import numpy as np
 
-    dgbtrs = _lapack().dgbtrs
     p_part, a_part = _toeplitz_parts(op.eps, op.N, op.stokes_order)
     d = (np.arange(-op.N, op.N + 1, dtype=float) + op.mu)[:, None]
     sign = np.sign(d)
@@ -620,7 +639,7 @@ def _pair_series(
     b0 = g_inv @ (wt @ r0u)
     half = 0.5 * np.trace(b0)
     b, u, shift = [b0 - half * np.eye(2)], [u0], sigma + half
-    lu, kl = None, 2 * op.stokes_order + 1
+    solve = None
     for k in range(1, _SERIES_ORDERS + 1):
         b.append(g_inv @ (wt @ r1u))
         term = float(np.abs(b[k]).max()) * reach**k
@@ -631,13 +650,13 @@ def _pair_series(
                 f"pair series at mu={op.mu!r} for eps={op.eps} did not converge by order {k}: "
                 f"term {term:.3e} at reach {reach:.3e}"
             )
-        if lu is None:    # exactly singular: nan terms, no convergence
-            lu, piv, _ = _factor(_band(op), kl, shift)
+        if solve is None:    # exactly singular: nan terms, no convergence
+            solve = _factor(op, shift)[0]
         rhs = sum((u[j] @ b[k - j] for j in range(1, k)), -r1u)
         rhs -= u0 @ (g_inv @ (wt @ rhs))
         x, last = np.zeros_like(rhs), math.inf
         while True:
-            y = dgbtrs(lu, kl, kl, rhs + x @ b[0], piv)[0]
+            y = solve(rhs + x @ b[0])
             y -= u0 @ (g_inv @ (wt @ y))
             step, x = float(np.abs(y - x).max()), y
             if not last > step * reach ** (k + 1) > _SERIES_TAIL:
@@ -720,7 +739,7 @@ def measure_isola(
         raise _ArgumentError(f"eps must be positive, got {eps}: flat water has no isola")
     if window_scale <= 0:
         raise _ArgumentError(f"window_scale must be positive, got {window_scale}")
-    mu0, guess = MU_STAR + cf.MU0_EPS2 * eps * eps, (1j * (OMEGA_STAR + cf.IM_CENTER_EPS2 * eps**2),) * 2
+    mu0, guess = MU_STAR + cf.MU0_EPS2 * eps * eps, (_disk_center(eps),) * 2
     half = window_scale * eps**3
     lo, hi = mu0 - half, mu0 + half
     mu_s, reach = mu0 - 1.2 * eps**4, _REACH * eps**4

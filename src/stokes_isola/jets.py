@@ -22,8 +22,10 @@ coefficient of `assemble_reduced_jet` is the weighted sum of its rows.  Two
 independent routes to the quartic off-diagonal coefficient are provided:
 the 26 weighted ``beta3`` rows plus the loop-back correction, and a
 mechanical expansion through composite spectral projectors
-(`beta3_projector_route`); they must agree to near machine precision and
-the test suite enforces that.
+(`beta3_projector_route`), whose chains are generated from their rule,
+every composition of the order into jets (0, n) with every shift of the
+parity of n (`_composite_projector_chains`), not listed by hand; they must
+agree to near machine precision and the test suite enforces that.
 
 The term keys (e.g. ``"beta2.iiic"``, ``"beta3.vd"``) follow the natural
 enumeration of the catalog: roman-ish groups by chain topology, with
@@ -148,11 +150,13 @@ def _ledger() -> Mapping[str, complex]:
     is read-only so that no caller can change what the next one sees.
     """
     out = {name: _evaluate(*row) for name, *row, _ in _CATALOG}
-    # zeta_up: (2,+) component of the harmonic-raising chains of the order-eps^2
-    # projector applied to f_(0,-); zeta_down the lowering chains on f_(2,+)
+    # zeta_up: (2,+) component of the order-eps^2 projector's chains of net
+    # shift +2 applied to f_(0,-); zeta_down those of net shift -2 on f_(2,+)
     p2 = _composite_projector_chains()[2]
-    up = _apply_composite(p2[:2], LOW).get(HIGH, 0j)
-    down = _apply_composite(p2[2:4], HIGH).get(LOW, 0j)
+    up, down = (
+        _apply_composite([c for c in p2 if sum(kappa for _, kappa in c) == net], source).get(target, 0j)
+        for net, source, target in ((2, LOW, HIGH), (-2, HIGH, LOW))
+    )
     out["beta3.loop_up"] = up
     out["beta3.loop_down"] = down
     out["beta3.loopback"] = -0.5 * (
@@ -176,40 +180,32 @@ def _coefficient(prefix: str) -> complex:
 # ---------------------------------------------- projector-route cross-check
 
 
-def _composite_projector_chains() -> dict[int, list[list[ChainOp]]]:
+@functools.cache
+def _composite_projector_chains() -> Mapping[int, tuple[tuple[ChainOp, ...], ...]]:
     """Chains (application order) whose resolvent brackets sum to the order-k
-    correction of the spectral projector, k = 1, 2, 3."""
-    p1 = [[(B01, +1)], [(B01, -1)]]
-    p2 = [
-        [(B02, +2)],
-        [(B01, +1), (B01, +1)],
-        [(B02, -2)],
-        [(B01, -1), (B01, -1)],
-        [(B02, 0)],
-        [(B01, -1), (B01, +1)],
-        [(B01, +1), (B01, -1)],
-    ]
-    p3: list[list[ChainOp]] = []
-    for s in (+1, -1):
-        p3 += [
-            [(B01, s), (B01, s), (B01, -s)],
-            [(B01, s), (B01, -s), (B01, s)],
-            [(B01, -s), (B01, s), (B01, s)],
-            [(B01, s), (B02, 0)],
-            [(B02, 0), (B01, s)],
-            [(B01, -s), (B02, 2 * s)],
-            [(B02, 2 * s), (B01, -s)],
-            [(B03, s)],
-            [(B03, 3 * s)],
-            [(B01, s), (B02, 2 * s)],
-            [(B02, 2 * s), (B01, s)],
-            [(B01, s), (B01, s), (B01, s)],
+    correction of the spectral projector, k = 1, 2, 3: every composition of k
+    into jets (0, n), each with every shift kappa = n (mod 2), |kappa| <= n.
+
+    Built bottom up, each chain of order k extending one of order k - n by
+    its last jet (0, n) and carrying its net shift; each order is sorted by
+    (|net shift|, -net shift), stably, which fixes the order of the
+    floating-point sums over it.  Built on first use, kept read-only."""
+    table = {0: [((), 0)]}
+    for k in (1, 2, 3):
+        table[k] = [
+            (chain + ((ell, kappa),), net + kappa)
+            for n, ell in enumerate((B01, B02, B03)[:k], 1)
+            for chain, net in table[k - n]
+            for kappa in range(-n, n + 1, 2)
         ]
-    return {1: p1, 2: p2, 3: p3}
+    return MappingProxyType({
+        k: tuple(chain for chain, _ in sorted(table[k], key=lambda row: (abs(row[1]), -row[1])))
+        for k in (1, 2, 3)
+    })
 
 
 def _apply_composite(
-    chains: Sequence[list[ChainOp]], vec: Union[Mode, dict[Mode, complex]]
+    chains: Sequence[Sequence[ChainOp]], vec: Union[Mode, dict[Mode, complex]]
 ) -> dict[Mode, complex]:
     out: dict[Mode, complex] = {}
     for chain in chains:

@@ -231,6 +231,14 @@ class TestIsola:
         _, rows = parse_csv(out)
         assert "summary-oracle" in {r[6] for r in rows}
 
+    def test_no_row_loses_the_pair_at_eps_029(self, capsys):
+        """The tracking disk follows the pair; one fixed at 0.75j held only
+        one eigenvalue of it on 8 of these 25 oracle rows."""
+        code, out, err = run(capsys, "isola", "--eps", "0.29")
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert [r[7] for r in rows if r[6] == "oracle"] == ["ok"] * 25
+
     def test_tracking_failed_rows_keep_empty_cells(self, capsys):
         code, out, err = run(
             capsys, "isola", "--eps", "0.06", "--mu-center", "0.55", "--mu-width", "0.01",
@@ -243,7 +251,7 @@ class TestIsola:
         for r in oracle:
             assert r[2:6] == ["", "", "", ""]
             assert r[7].startswith("tracking-failed: ")
-            assert r[7].endswith("eigenvalue(s) within 0.2 of 0.75j; need 2")
+            assert r[7].endswith(f"eigenvalue(s) within 0.2 of {floquet._disk_center(0.06)}; need 2")
 
     def test_search_failure_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(floquet, "_SERIES_ORDERS", 1)
@@ -271,6 +279,19 @@ class TestNonFiniteInput:
         assert code == 3
         assert err == f"numerical failure: {name} must be finite, got {value}\n"
         assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--eps", "1e300"),
+        ("spectrum", "--eps", "1e100"),
+        ("isola", "--eps", "1e300"),
+        ("convergence", "--eps", "1e300"),
+    ])
+    def test_overflowing_amplitude_is_named(self, capsys, argv):
+        """An eps whose eps**4 overflows is refused by name before any
+        solve, not reported as a bare range error."""
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == f"numerical failure: eps must be small enough that eps**4 is finite, got {float(argv[2])}\n"
 
     @pytest.mark.parametrize("argv,name", [
         (("verify", "--tol", "nan"), "tol"),

@@ -212,7 +212,7 @@ class TestPairLabels:
     ])
     def test_labels(self, lp, lm):
         for eigs in ([lm, lp, 2.0j], (lp, 0.0, lm), np.array([lm, 2.0j, lp])):
-            assert _pick_pair(eigs) == (lp, lm)
+            assert _pick_pair(eigs, 0.0) == (lp, lm)
 
     def test_dense_labels_match_the_banded_solve_at_the_edges(self):
         """At eps 0.12, 1e-12 to 1e-7 in mu either side of both edges, the
@@ -225,7 +225,7 @@ class TestPairLabels:
             for k in range(-24, -13):
                 for side in (-1, 1):
                     op = build(edge + side * 10.0 ** (k / 2), eps)
-                    dense = _pick_pair(scipy.linalg.eigvals(op.matrix))
+                    dense = _pick_pair(scipy.linalg.eigvals(op.matrix), eps)
                     banded = spectrum(op).tracked_pair
                     assert abs(dense[0] - banded[0]) <= 1e-9
                     assert abs(dense[1] - banded[1]) <= 1e-9
@@ -324,7 +324,7 @@ class TestShiftInvertSolver:
 
     @staticmethod
     def _dense_pair(op):
-        return _pick_pair(scipy.linalg.eigvals(op.matrix))
+        return _pick_pair(scipy.linalg.eigvals(op.matrix), op.eps)
 
     @pytest.fixture(scope="class")
     def isola_mu(self):
@@ -422,7 +422,7 @@ class TestShiftInvertSolver:
     def test_three_in_the_disk_is_tracking_failure(self):
         eigs = np.array([0.75j, 0.7j + 1e-3, 0.7j - 1e-3, 0.1j])
         with pytest.raises(TrackingFailure, match=r"^3 eigenvalue\(s\) within 0.2 of 0.75j; need 2$"):
-            _pick_pair(eigs)
+            _pick_pair(eigs, 0.0)
 
 
 class TestDiskCoverage:
@@ -444,7 +444,7 @@ class TestDiskCoverage:
         only where the disk holds fewer than two, never for a full block."""
         failures = 0
         for op, dense in grid:
-            disk = dense[np.abs(dense - 0.75j) <= 0.2]
+            disk = dense[np.abs(dense - floquet._disk_center(op.eps)) <= 0.2]
             sample, err = TestBandedSolve._outcome(lambda: spectrum(op))
             assert (err is None) == (disk.size >= 2), err
             if err is None:
@@ -772,6 +772,42 @@ class TestSeriesReach:
             measure_isola(0.06)
 
 
+class TestFollowingDisk:
+    """The tracking disk follows the pair (`floquet._disk_center`): at large
+    amplitude the pair sits near 3/4 - (55/32)*eps^2, where a disk fixed
+    at 0.75j held one eigenvalue of it and 21 of these 300 seeded
+    searches failed."""
+
+    @pytest.fixture(scope="class")
+    def measured(self):
+        rng = random.Random(5)
+        return [measure_isola(rng.uniform(0.005, 0.305)) for _ in range(300)]
+
+    def test_every_amplitude_and_its_trace_track_the_pair(self, measured):
+        """Each of the 300 amplitudes measures, and the `isola` command's
+        25-point trace over three widths about it loses no point."""
+        for meas in measured:
+            width = 3.0 * meas.mu_width
+            grid = np.linspace(meas.mu_at_max - width / 2, meas.mu_at_max + width / 2, 25).tolist()
+            points = trace_isola(meas.eps, grid, start=meas)
+            assert [p.error for p in points] == [None] * 25, meas.eps
+
+    @pytest.mark.parametrize("scale", [0.5, 0.8, 1.2, 1.5, 2.0])
+    def test_wrong_centre_is_accurate_or_diagnosed(self, monkeypatch, measured, scale):
+        """With `closed_forms.IM_CENTER_EPS2` scaled, which moves both the
+        disk and the first solve's guess of the pair, every third amplitude
+        measures its unscaled search within 1e-5 relative, or is diagnosed:
+        never a wrong pair."""
+        monkeypatch.setattr(closed_forms, "IM_CENTER_EPS2", scale * closed_forms.IM_CENTER_EPS2)
+        for ref in measured[::3]:
+            try:
+                meas = measure_isola(ref.eps)
+            except (TrackingFailure, ValueError):
+                continue
+            for name in ("mu_at_max", "re_max", "im_center", "mu_width"):
+                assert getattr(meas, name) == pytest.approx(getattr(ref, name), rel=1e-5, abs=0), (ref.eps, name)
+
+
 class TestReducedDiscriminant:
     """The pair series' order-0 and order-1 D coefficients, D and dD/dmu of
     the tracked pair's 2x2 reduction, against the full dense spectrum, on a
@@ -987,7 +1023,7 @@ class TestBandedSolve:
     def test_pair_and_failures_match_dense(self, grid):
         failures = 0
         for op, dense in grid:
-            dense_pair, dense_err = self._outcome(lambda: _pick_pair(dense))
+            dense_pair, dense_err = self._outcome(lambda: _pick_pair(dense, op.eps))
             sample, err = self._outcome(lambda: spectrum(op))
             assert err == dense_err
             if err is None:
@@ -1144,7 +1180,7 @@ class TestWarmStart:
     def test_pair_and_failures_match_dense(self, grid):
         failures = 0
         for op, start, dense in grid:
-            dense_pair, dense_err = TestBandedSolve._outcome(lambda: _pick_pair(dense))
+            dense_pair, dense_err = TestBandedSolve._outcome(lambda: _pick_pair(dense, op.eps))
             sample, err = TestBandedSolve._outcome(lambda: spectrum(op, start=start))
             assert err == dense_err
             if err is None:
@@ -1245,8 +1281,8 @@ class TestWarmStart:
             return None, str(exc)
 
     @pytest.mark.parametrize("eps,grid", [
-        # from the isola's center across the left edge of its window and back
-        (0.2, [MU0_020 - 0.01 * k for k in range(9)] + [MU0_020]),
+        # from the isola's center across the lower edge of the disk and back
+        (0.2, [MU0_020 - 0.01 * k for k in range(12)] + [MU0_020]),
         # out to mu = 0.55, where the pair has left the disk, and back
         (0.06, [0.2 + 0.05 * k for k in range(8)] + [0.25]),
     ])

@@ -1,5 +1,6 @@
 """Reduced-matrix coefficient catalog: golden values and cross-assemblies."""
 
+import itertools
 import math
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from stokes_isola import closed_forms, jets
-from stokes_isola.entanglement import RESONANT_MODES, Mode, chain_apply, project
+from stokes_isola.entanglement import RESONANT_MODES, JetIndex, Mode, chain_apply, project
 from stokes_isola.jets import (
     ReducedJet,
     assemble_reduced_jet,
@@ -181,6 +182,40 @@ class TestProjectorRoute:
             for src in RESONANT_MODES:
                 for m, c in self._resonant_part(order, src).items():
                     assert abs(c) <= 1e-12, (order, src, m)
+
+    @staticmethod
+    def _enumerated(order: int) -> list[tuple]:
+        """Every composition of ``order`` into jets (0, n), each with every
+        shift kappa = n (mod 2), |kappa| <= n, by brute force."""
+        chains = []
+        for length in range(1, order + 1):
+            for parts in itertools.product((1, 2, 3), repeat=length):
+                if sum(parts) == order:
+                    shifts = [range(-n, n + 1, 2) for n in parts]
+                    for kappas in itertools.product(*shifts):
+                        chains.append(tuple((JetIndex(0, n), k) for n, k in zip(parts, kappas)))
+        return chains
+
+    def test_chains_are_every_composition_once(self):
+        """Dropping any one chain is caught here; 5 of the 24 order-3 ones
+        move `beta3_projector_route` by less than 1e-12."""
+        table = jets._composite_projector_chains()
+        assert [len(table[k]) for k in (1, 2, 3)] == [2, 7, 24]
+        for k in (1, 2, 3):
+            assert len(set(table[k])) == len(table[k])
+            assert sorted(table[k]) == sorted(self._enumerated(k))
+
+    def test_loop_chains_are_the_order_two_chains_of_shift_two(self):
+        b01, b02 = JetIndex(0, 1), JetIndex(0, 2)
+        by_shift = {}
+        for chain in jets._composite_projector_chains()[2]:
+            by_shift.setdefault(sum(kappa for _, kappa in chain), []).append(chain)
+        assert set(by_shift[2]) == {((b02, 2),), ((b01, 1), (b01, 1))}
+        assert set(by_shift[-2]) == {((b02, -2),), ((b01, -1), (b01, -1))}
+        low, high = RESONANT_MODES
+        t = term_ledger()
+        assert t["beta3.loop_up"] == jets._apply_composite(by_shift[2], low)[high]
+        assert t["beta3.loop_down"] == jets._apply_composite(by_shift[-2], high)[low]
 
     def test_order_two_loop_components(self):
         # the resonant-to-resonant part of the order-two correction is the

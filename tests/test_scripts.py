@@ -53,6 +53,12 @@ def test_isola_sweep_names_a_zero_amplitude():
     assert proc.stderr == "error: eps must be positive, got 0.0: flat water has no isola\n"
 
 
+def test_isola_sweep_names_an_overflowing_amplitude():
+    proc = _isola_sweep("--eps", "1e300")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: eps must be small enough that eps**4 is finite, got 1e+300\n"
+
+
 def test_isola_sweep_names_a_truncation_below_8():
     proc = _isola_sweep("--eps", "0.06", "--trunc", "4")
     assert proc.returncode == 2, proc.stderr
@@ -156,3 +162,27 @@ def test_bench_pairs_counts_solves_and_banded_calls(tmp_path, monkeypatch):
     # every catalog row of more than one operator calls chain_apply
     assert change["verify"]["ent_coeff"] > change["coeffs"]["ent_coeff"] > 0
     assert change["verify"]["chain_apply"] > change["coeffs"]["chain_apply"] > 0
+
+
+def test_bench_pairs_counts_statements_not_lines(tmp_path):
+    """A statement is a logical line outside docstrings: the comment, the
+    docstrings and the line breaks of the three-line expression do not
+    count, and ``a = 1; b = 2`` is one logical line."""
+    bench_pairs = _bench_pairs()
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "mod.py").write_text(
+        '"""A module docstring."""\n'
+        "\n"
+        "# a comment\n"
+        "total = (\n"
+        "    1 + 2\n"
+        ")\n"
+        "a = 1; b = 2\n"
+        "\n"
+        "\n"
+        "def f():\n"
+        '    """A function docstring."""\n'
+        "    return a\n"
+    )
+    assert bench_pairs._src_lines(tmp_path) == 12
+    assert bench_pairs._src_statements(tmp_path) == 4
